@@ -12,12 +12,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, log, sqrt
+from math import gcd, isqrt, log, sqrt
 
 import numpy as np
 
 from .covers import QuadraticCover, _rootless_mod_p, s3_survey_predicates
-from .intutil import factorize, nfree_sieve, primes_up_to, squarefree_part
+from .intutil import (
+    factorize,
+    is_nfree,
+    nfree_sieve,
+    primes_up_to,
+    quad_disc,
+    squarefree_part,
+)
 from .poly import IntPolynomial, factor_over_Q
 from .twists import (
     INSOLUBLE,
@@ -90,11 +97,12 @@ def _mult_lt(P: IntPolynomial, n: int) -> bool:
     return all(m < n for _, m in factors)
 
 
-def _sf_table(H: int) -> np.ndarray:
-    sf = np.ones(H + 1, dtype=bool)
-    for p in primes_up_to(int(H**0.5) + 1):
-        sf[p * p :: p * p] = False
-    return sf
+def _nfree_table(H: int, n: int) -> np.ndarray:
+    """free[g] is True when g is n-free, for 1 <= g <= H."""
+    free = np.ones(H + 1, dtype=bool)
+    for p in primes_up_to(isqrt(H) + 1):
+        free[p**n :: p**n] = False
+    return free
 
 
 def _count_quadratics_fast(H: int, forms: bool = False) -> tuple[int, int]:
@@ -109,8 +117,34 @@ def _count_quadratics_fast(H: int, forms: bool = False) -> tuple[int, int]:
     sep = b * b - 4 * a * c != 0
     total = int(sep.sum())
     g = np.gcd(np.gcd(np.abs(a), np.abs(b)), np.abs(c))
-    total2 = int((sep & _sf_table(H)[g]).sum())
+    total2 = int((sep & _nfree_table(H, 2)[g]).sum())
     return total, total2
+
+
+def _count_P_P2(n: int, N: int, H: int) -> tuple[int, int]:
+    """(|P|, |P2|) of count_poly_sets for one degree N >= 1."""
+    if n == 2 and N == 2:
+        return _count_quadratics_fast(H)
+    if N == 1:
+        # linear polynomials are separable; count the n-free-content pairs
+        r = np.arange(-H, H + 1, dtype=np.int64)
+        c1 = r[r != 0][:, None]
+        c0 = r[None, :]
+        g = np.gcd(np.abs(c1), np.abs(c0))
+        return g.size, int(_nfree_table(H, n)[g].sum())
+    cP = cP2 = 0
+    for coeffs in product(range(-H, H + 1), repeat=N + 1):
+        if coeffs[-1] == 0:
+            continue
+        if not _mult_lt(IntPolynomial(coeffs), n):
+            continue
+        cP += 1
+        g = 0
+        for c in coeffs:
+            g = gcd(g, c)
+        if is_nfree(g, n):
+            cP2 += 1
+    return cP, cP2
 
 
 def count_poly_sets(n: int, N: int, H: int) -> dict:
@@ -124,60 +158,12 @@ def count_poly_sets(n: int, N: int, H: int) -> dict:
     """
     if n < 2 or N < 1 or H < 1:
         raise ValueError("need n >= 2, N >= 1, H >= 1")
-    if n == 2 and N == 2:
-        cP, cP2 = _count_quadratics_fast(H)
-    else:
-        cP = cP2 = 0
-        for coeffs in product(range(-H, H + 1), repeat=N + 1):
-            if coeffs[-1] == 0:
-                continue
-            P = IntPolynomial(coeffs)
-            if not _mult_lt(P, n):
-                continue
-            cP += 1
-            g = 0
-            for c in coeffs:
-                g = gcd(g, c)
-            if _is_nfree_small(g, n):
-                cP2 += 1
+    cP, cP2 = _count_P_P2(n, N, H)
     out = {"P": cP, "P2": cP2}
     if n == 2:
-        lower = _count_P2(2, N - 1, H) if N >= 2 else 0
-        out["P2_lower"] = lower
+        out["P2_lower"] = _count_P_P2(2, N - 1, H)[1] if N >= 2 else 0
         out["E_forms"] = _count_forms(N, H)
     return out
-
-
-def _is_nfree_small(g: int, n: int) -> bool:
-    from .intutil import is_nfree
-
-    return is_nfree(g, n)
-
-
-def _count_P2(n: int, N: int, H: int) -> int:
-    if N < 1:
-        return 0
-    if n == 2 and N == 2:
-        return _count_quadratics_fast(H)[1]
-    if N == 1:
-        # linear polys are always separable; count squarefree-content pairs
-        sf = _sf_table(H)
-        r = np.arange(-H, H + 1, dtype=np.int64)
-        c1 = r[r != 0][:, None]
-        c0 = r[None, :]
-        return int(sf[np.gcd(np.abs(c1), np.abs(c0))].sum())
-    c = 0
-    for coeffs in product(range(-H, H + 1), repeat=N + 1):
-        if coeffs[-1] == 0:
-            continue
-        P = IntPolynomial(coeffs)
-        if _mult_lt(P, n):
-            g = 0
-            for x in coeffs:
-                g = gcd(g, x)
-            if _is_nfree_small(g, n):
-                c += 1
-    return c
 
 
 def _count_forms(N: int, H: int) -> int:
@@ -199,7 +185,7 @@ def _count_forms(N: int, H: int) -> int:
         g = 0
         for x in coeffs:
             g = gcd(g, x)
-        if _is_nfree_small(g, 2):
+        if is_nfree(g, 2):
             c += 1
     return c
 
@@ -212,7 +198,7 @@ def fundamental_discriminant(d: int) -> int:
     """Discriminant of Q(sqrt d) for squarefree d != 1."""
     if d == 1 or d != squarefree_part(d):
         raise ValueError("need squarefree d != 1")
-    return d if d % 4 == 1 else 4 * d
+    return quad_disc(d)
 
 
 def quad_field_census(x: int) -> list[int]:
@@ -220,7 +206,7 @@ def quad_field_census(x: int) -> list[int]:
     absolute value (negative first on ties)."""
     out = []
     for d in nfree_sieve(2, x):
-        dF = fundamental_discriminant(d)
+        dF = quad_disc(d)
         if abs(dF) <= x:
             out.append(dF)
     out.sort(key=lambda v: (abs(v), v))
@@ -241,7 +227,7 @@ def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
         if val == 0:
             return
         m = squarefree_part(val)
-        if m != 1 and abs(fundamental_discriminant(m)) <= x:
+        if m != 1 and abs(quad_disc(m)) <= x:
             found.add(m)
 
     if cover.degree % 2 == 0:
@@ -295,9 +281,10 @@ def twist_density_series(
     schedule: list[int] | None = None,
 ) -> DensitySeries:
     """Proportion of quadratic fields of discriminant up to x arising as
-    specializations of the cover: found by point search over an escalating
-    height schedule, certified absent by the rootless-prime valuation
-    argument, unknown otherwise."""
+    specializations of the cover: found by one point search at height
+    max(schedule) (default 256; the smaller heights are not searched),
+    certified absent by the rootless-prime valuation argument, unknown
+    otherwise."""
     if not grid:
         return DensitySeries((), (), (), ())
     if schedule is None:
@@ -309,8 +296,7 @@ def twist_density_series(
     den = []
     unk = []
     d_by_absdF = sorted(
-        ((abs(fundamental_discriminant(d)), d) for d in nfree_sieve(2, x_max)
-         if abs(fundamental_discriminant(d)) <= x_max)
+        (abs(quad_disc(d)), d) for d in nfree_sieve(2, x_max) if abs(quad_disc(d)) <= x_max
     )
     statuses = []
     for _, d in d_by_absdF:
@@ -442,7 +428,6 @@ def local_global_ratio_series(
     cover: QuadraticCover,
     grid: list[int],
     H: int,
-    quick_height: int = 32,
 ) -> tuple[DensitySeries, DensitySeries]:
     """Counts of twists with a global point (height-bounded trichotomy) and
     of everywhere-locally-soluble twists, over the same field grid.
@@ -458,7 +443,7 @@ def local_global_ratio_series(
     certifies = _absence_certifier(cover)
     rows = []
     for d in nfree_sieve(2, x_max):
-        adF = abs(fundamental_discriminant(d))
+        adF = abs(quad_disc(d))
         if adF > x_max:
             continue
         loc, _ = everywhere_locally_soluble(base.twist(d))

@@ -16,6 +16,7 @@ import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
+from . import __version__
 from .bounds import (
     GroupDescriptor,
     RamificationType,
@@ -52,8 +53,6 @@ from .twists import (
     local_solubility,
     obstruction_certificate,
 )
-
-VERSION = "0.1.0"
 
 __all__ = ["main", "run", "run_manifest"]
 
@@ -119,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="default: $SPECLAB_SEED or 0")
-    common.add_argument("--jobs", type=int, default=1, help="worker count (output order fixed)")
     common.add_argument("--out", help="write JSON results here")
     common.add_argument("--csv", help="write series CSV here")
     common.add_argument("--manifest", help="write a replayable run manifest here")
@@ -300,7 +298,7 @@ def run(argv: list[str]) -> int:
     except (ValueError, SystemExit) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    payload = {"command": ns.cmd, "version": VERSION, "results": out}
+    payload = {"command": ns.cmd, "version": __version__, "results": out}
     text = _dump(payload, ns.out)
     if ns.csv and series is not None:
         _series_csv(ns.csv, series)
@@ -313,7 +311,7 @@ def run(argv: list[str]) -> int:
                 if k not in ("cmd", "manifest") and v is not None
             },
             "seed": ns.seed,
-            "version": VERSION,
+            "version": __version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         with open(ns.manifest, "w") as fh:
@@ -343,3 +341,7 @@ def run_manifest(path: str) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

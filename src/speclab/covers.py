@@ -16,8 +16,10 @@ from math import gcd, lcm, prod
 
 from .intutil import (
     factorize,
+    is_nfree,
     is_nth_power,
     primes_up_to,
+    quad_disc,
     squarefree_part,
     valuation,
 )
@@ -384,7 +386,7 @@ class QuadraticCover:
             raise ValueError("P must be nonconstant")
         if not _squarefree_over_Q(self.P):
             raise ValueError("P must be separable")
-        if not _is_squarefree_int(self.P.content):
+        if not is_nfree(self.P.content, 2):
             raise ValueError("content of P must be squarefree")
 
     @property
@@ -429,12 +431,6 @@ def _squarefree_over_Q(p: IntPolynomial) -> bool:
     return resultant(p, p.derivative()) != 0
 
 
-def _is_squarefree_int(n: int) -> bool:
-    if n == 0:
-        return False
-    return all(e < 2 for e in factorize(n).values())
-
-
 def quad_cover(P: IntPolynomial) -> QuadraticCover:
     return QuadraticCover(P)
 
@@ -471,10 +467,6 @@ class SpecializationReport:
         return 1
 
 
-def _quad_field_disc(m: int) -> int:
-    return m if m % 4 == 1 else 4 * m
-
-
 def quad_specialize(cover: QuadraticCover, t0) -> SpecializationReport:
     """Residue field Q(sqrt(P(t0))) data. t0 may be rational or [1:0] when
     deg P is even. Branch points (P(t0) = 0, or infinity for odd degree) raise."""
@@ -485,7 +477,7 @@ def quad_specialize(cover: QuadraticCover, t0) -> SpecializationReport:
     m = squarefree_part(val)
     if m == 1:
         return SpecializationReport("quadratic", pt, "C1", m=1, disc_field=1)
-    d = _quad_field_disc(m)
+    d = quad_disc(m)
     ram = tuple(sorted(factorize(d)))
     return SpecializationReport(
         "quadratic", pt, "C2", m=m, disc_field=d, ramified_primes=ram
@@ -702,7 +694,7 @@ def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
     if degrees == [1, 2]:
         quad = next(f for f, _ in factors if f.degree == 2)
         mq = squarefree_part(discriminant(quad))
-        d = _quad_field_disc(mq)
+        d = quad_disc(mq)
         return SpecializationReport(
             "cubic", pt, "C2", disc_field=d,
             ramified_primes=tuple(sorted(factorize(d))) if d != 1 else (),
@@ -714,7 +706,7 @@ def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
             "cubic", pt, "C3", d_K=dK, disc_field=dK, ramified_primes=ram
         )
     mq = squarefree_part(disc)
-    dk = _quad_field_disc(mq)
+    dk = quad_disc(mq)
     dF = abs(dk) * dK * dK
     ram = tuple(sorted(set(factorize(dK)) | set(factorize(dk))))
     return SpecializationReport(

@@ -27,7 +27,7 @@ __all__ = [
     "ValuationProfile",
     "bm_decomposition",
     "legendre",
-    "is_qth_power_mod",
+    "quad_disc",
     "primes_up_to",
 ]
 
@@ -309,17 +309,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if s == 1 else -1
 
 
-def is_qth_power_mod(a: int, q: int, p: int) -> bool:
-    """Whether a is a q-th power residue mod the prime p, for prime q | p-1.
-
-    Requires p == 1 (mod q); other p make every unit a q-th power and the
-    caller almost certainly holds a wrong hypothesis, so that is an error.
-    """
-    if not is_probable_prime(p):
-        raise ValueError("p must be prime")
-    if (p - 1) % q != 0:
-        raise ValueError("need p == 1 (mod q)")
-    a %= p
-    if a == 0:
-        return True
-    return pow(a, (p - 1) // q, p) == 1
+def quad_disc(m: int) -> int:
+    """Discriminant of Q(sqrt m) for squarefree m != 1; m is not checked."""
+    return m if m % 4 == 1 else 4 * m

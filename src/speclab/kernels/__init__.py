@@ -3,14 +3,13 @@
 The search space at height H is every pair (u, v) with |u| <= H, 1 <= v <= H.
 A per-prime residue sieve (allowed residues: n-th power residues of d*F and 0)
 prunes almost everything; the few survivors get an exact bigint n-th power
-check. Both backends run the identical sieve: _fastcore (Cython, packed
-64-bit masks) when the compiled module is importable and SPECLAB_FORCE_PURE
-is unset, else _purepy (numpy gathers).
+check. Both backends run the identical sieve; the backend is chosen once, at
+import: _fastcore (Cython, packed 64-bit masks) when the compiled module
+imports, else _purepy (numpy gathers).
 """
 
 from __future__ import annotations
 
-import os
 from math import gcd
 
 import numpy as np
@@ -18,6 +17,15 @@ import numpy as np
 from ..intutil import nth_root
 
 __all__ = ["search_pairs", "backend_name", "available_backends"]
+
+try:
+    from . import _fastcore as _backend
+
+    _BACKEND = "fastcore"
+except ImportError:
+    from . import _purepy as _backend
+
+    _BACKEND = "purepy"
 
 _MAX_SIEVE_PRIMES = 14
 _CANDIDATE_PRIMES = [
@@ -66,33 +74,12 @@ def _residue_tables(coeffs: list[int], M: int, n: int, d: int, primes: list[int]
     return tables
 
 
-def _get_backend(force_pure: bool):
-    if not force_pure and not os.environ.get("SPECLAB_FORCE_PURE"):
-        try:
-            from . import _fastcore
-
-            return _fastcore, "fastcore"
-        except ImportError:
-            pass
-    from . import _purepy
-
-    return _purepy, "purepy"
-
-
-def backend_name(force_pure: bool = False) -> str:
-    return _get_backend(force_pure)[1]
+def backend_name() -> str:
+    return _BACKEND
 
 
 def available_backends() -> list[str]:
-    names = []
-    try:
-        from . import _fastcore  # noqa: F401
-
-        names.append("fastcore")
-    except ImportError:
-        pass
-    names.append("purepy")
-    return names
+    return ["fastcore", "purepy"] if _BACKEND == "fastcore" else ["purepy"]
 
 
 def search_pairs(
@@ -102,7 +89,6 @@ def search_pairs(
     d: int,
     H: int,
     max_points: int | None = None,
-    force_pure: bool = False,
 ) -> list[tuple[int, int, int]]:
     """All (y, u, v) with gcd(u, v)=1, |u| <= H, 1 <= v <= H, y != 0 integer and
     y^n = d * sum_j coeffs[j] u^j v^(M-j). Sorted by (v, u, y). For even n both
@@ -111,11 +97,10 @@ def search_pairs(
     if H < 1:
         return []
     primes = _select_primes(n, d)
-    backend, _ = _get_backend(force_pure)
     out: list[tuple[int, int, int]] = []
     if primes:
         tables = _residue_tables(coeffs, M, n, d, primes)
-        survivors = backend.survivors(tables, H)
+        survivors = _backend.survivors(tables, H)
     else:
         vv, uu = np.meshgrid(
             np.arange(1, H + 1, dtype=np.int64),

@@ -28,6 +28,7 @@ __all__ = [
     "homogenize_minpoly",
     "factor_mod_p",
     "factor_over_Q",
+    "sqf_part",
     "real_roots_sign_analysis",
     "RealRootReport",
 ]
@@ -657,6 +658,16 @@ def factor_over_Q(p: IntPolynomial) -> tuple[int, list[tuple[IntPolynomial, int]
     return cont, out
 
 
+def sqf_part(p: IntPolynomial) -> IntPolynomial:
+    """Squarefree part over Q: the product of the distinct primitive
+    irreducible factors of p (1 for a constant)."""
+    _, factors = factor_over_Q(p)
+    out = IntPolynomial([1])
+    for f, _ in factors:
+        out = out * f
+    return out
+
+
 def is_irreducible_over_Q(p: IntPolynomial) -> bool:
     if p.degree < 1:
         return False
@@ -700,30 +711,29 @@ def _sign_changes(vals: list) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _real_root_count(f: IntPolynomial) -> int:
+    """Distinct real roots of a squarefree f (Sturm, exact)."""
+    chain = _sturm_chain([Fraction(c) for c in f.coeffs])
+    at_minus = [c[-1] * (-1) ** (len(c) - 1) for c in chain]
+    at_plus = [c[-1] for c in chain]
+    return _sign_changes(at_minus) - _sign_changes(at_plus)
+
+
 def real_roots_sign_analysis(p: IntPolynomial) -> RealRootReport:
     """Distinct real root count (Sturm, exact) and attained signs of P on R."""
     if p.degree < 0:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return RealRootReport(0, p.lc > 0, p.lc < 0)
-    # squarefree part over Q for the Sturm count
+    # the irreducible factors are coprime, so their real roots are distinct
     _, factors = factor_over_Q(p)
-    sqf = IntPolynomial([1])
+    nroots = 0
     odd_mult_root_possible = False
     for f, m in factors:
-        sqf = sqf * f
-        if m % 2 and f.degree >= 1:
-            fr = [Fraction(c) for c in f.coeffs]
-            chain = _sturm_chain(fr)
-            at_minus = [c[-1] * (-1) ** (len(c) - 1) for c in chain]
-            at_plus = [c[-1] for c in chain]
-            if _sign_changes(at_minus) - _sign_changes(at_plus) > 0:
-                odd_mult_root_possible = True
-    fr = [Fraction(c) for c in sqf.coeffs]
-    chain = _sturm_chain(fr)
-    at_minus = [c[-1] * (-1) ** (len(c) - 1) for c in chain]
-    at_plus = [c[-1] for c in chain]
-    nroots = _sign_changes(at_minus) - _sign_changes(at_plus)
+        k = _real_root_count(f)
+        nroots += k
+        if m % 2 and k:
+            odd_mult_root_possible = True
     if p.degree % 2 == 1:
         pos = neg = True
     elif p.lc > 0:

@@ -25,10 +25,10 @@ from .covers import (
 from .intutil import factorize, valuation
 from .poly import (
     HomogPolynomial,
-    IntPolynomial,
     ProjectivePoint,
     discriminant,
     resultant_forms,
+    sqf_part,
 )
 
 __all__ = [
@@ -104,7 +104,7 @@ def exceptional_superset(cover) -> set[int]:
     absorb(base.content)
     absorb(base.lc)
     absorb(base.trailing)
-    sqf = _squarefree_part_poly(base)
+    sqf = sqf_part(base)
     if sqf.degree >= 1:
         absorb(discriminant(sqf))
     orbits = branch_orbits(cover)
@@ -119,16 +119,6 @@ def exceptional_superset(cover) -> set[int]:
         for oj in orbits[i + 1 :]:
             absorb(resultant_forms(oi.form, oj.form))
     return nums
-
-
-def _squarefree_part_poly(p: IntPolynomial) -> IntPolynomial:
-    from .poly import factor_over_Q
-
-    _, factors = factor_over_Q(p)
-    out = IntPolynomial([1])
-    for f, _ in factors:
-        out = out * f
-    return out
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .poly import (
     discriminant,
     factor_over_Q,
     real_roots_sign_analysis,
+    sqf_part,
 )
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "CurvePoint",
     "ObstructionCertificate",
     "ConsistencyError",
-    "build_curve",
     "search_points",
     "obstruction_certificate",
     "local_solubility",
@@ -114,10 +114,6 @@ class SuperellipticCurve:
         return TwistedCurve(self, d)
 
 
-def build_curve(n: int, P: IntPolynomial) -> SuperellipticCurve:
-    return SuperellipticCurve(n, P)
-
-
 @dataclass(frozen=True)
 class TwistedCurve:
     """y^n = d * P(t) for an n-free twisting integer d."""
@@ -169,7 +165,6 @@ def search_points(
     curve,
     H: int,
     max_points: int | None = None,
-    force_pure: bool = False,
 ) -> list[CurvePoint]:
     """Every nontrivial rational point of height <= H.
 
@@ -194,7 +189,6 @@ def search_points(
         d,
         H,
         max_points=budget,
-        force_pure=force_pure,
     )
     out.extend(CurvePoint(y, u, v) for y, u, v in hits)
     return out
@@ -296,12 +290,8 @@ class LocalSolver:
     def __init__(self, base: SuperellipticCurve):
         self.base = base
         self._cache: dict[tuple, str] = {}
-        P = base.P
-        self._sqf = IntPolynomial([1])
-        _, factors = factor_over_Q(P)
-        for f, _ in factors:
-            self._sqf = self._sqf * f
-        self._disc_sqf = discriminant(self._sqf) if self._sqf.degree >= 1 else 1
+        sqf = sqf_part(base.P)
+        self._disc_sqf = discriminant(sqf) if sqf.degree >= 1 else 1
         g = base.genus
         if g is None:
             n, M = base.n, base.model_degree
@@ -623,7 +613,6 @@ def hasse_failure_candidates(
     x: int,
     H: int,
     quick_height: int = 100,
-    force_pure: bool = False,
 ) -> HasseScanResult:
     """Squarefree twists |d| <= x that pass every local test yet have no
     rational point of height <= H: numerical Hasse-principle failure
@@ -647,9 +636,9 @@ def hasse_failure_candidates(
         if status == UNKNOWN:
             unknown.append(d)
             continue
-        pts = search_points(tw, quick_height, max_points=1, force_pure=force_pure)
+        pts = search_points(tw, quick_height, max_points=1)
         if not pts and H > quick_height:
-            pts = search_points(tw, H, max_points=1, force_pure=force_pure)
+            pts = search_points(tw, H, max_points=1)
         if pts:
             found += 1
         else:

@@ -102,6 +102,10 @@ class TestCounts:
     def test_pinned_small_counts(self):
         assert count_poly_sets(2, 2, 2) == {"P": 92, "P2": 92, "P2_lower": 20, "E_forms": 112}
         assert count_poly_sets(2, 2, 3) == {"P": 284, "P2": 284, "P2_lower": 42, "E_forms": 326}
+        # degrees 3 and 4 run the brute-force loop
+        assert count_poly_sets(2, 3, 1) == {"P": 44, "P2": 44, "P2_lower": 16, "E_forms": 60}
+        assert count_poly_sets(2, 4, 1) == {"P": 136, "P2": 136, "P2_lower": 44, "E_forms": 180}
+        assert count_poly_sets(3, 3, 1) == {"P": 52, "P2": 52}
 
     def test_against_independent_enumeration(self):
         n_P, n_P2 = brute_count_sets(2, 2, 2)
@@ -110,6 +114,8 @@ class TestCounts:
         # the lower stratum is linear polynomials with squarefree content
         _, low = brute_count_sets(2, 1, 2)
         assert got["P2_lower"] == low
+        # the vectorized linear count with a cube-free content table
+        assert tuple(count_poly_sets(3, 1, 9).values()) == brute_count_sets(3, 1, 9)
 
     def test_forms_identity(self):
         # |E(2, H)| = |P2(2, 2, H)| + |P2(2, 1, H)| by splitting on a = 0
@@ -132,6 +138,9 @@ class TestFields:
         assert fundamental_discriminant(2) == 8
         assert fundamental_discriminant(-1) == -4
         assert fundamental_discriminant(23) == 92
+        for bad in (1, 12, -8):
+            with pytest.raises(ValueError):
+                fundamental_discriminant(bad)
 
     def test_census_pins(self):
         assert quad_field_census(10) == [-3, -4, 5, -7, -8, 8]
@@ -183,6 +192,24 @@ class TestTwistSeries:
         assert s.denominator[0] > 0
         up = s.upper()
         assert up[1] <= up[0]
+
+    @pytest.mark.parametrize(
+        "poly,num,den,unk",
+        [
+            (P6, (3, 7), (61, 607), (41, 390)),
+            (P("T^2-2"), (19, 157), (61, 607), (0, 1)),
+            (P("T^6-T-1"), (6, 13), (61, 607), (22, 248)),
+        ],
+    )
+    def test_pinned_series(self, poly, num, den, unk):
+        s = twist_density_series(quad_cover(poly), [100, 1000], [16, 40])
+        assert (s.numerator, s.denominator, s.unknown) == (num, den, unk)
+
+    def test_pinned_local_global(self):
+        P8 = P("T^2+1") * P("T^2+2") * P("T^4+2")
+        g, l = local_global_ratio_series(quad_cover(P8), [100, 300], 64)
+        assert (g.numerator, g.denominator, g.unknown) == ((2, 4), (61, 184), (6, 21))
+        assert (l.numerator, l.denominator, l.unknown) == ((8, 25), (61, 184), (0, 0))
 
     def test_empty_grid(self):
         s = twist_density_series(quad_cover(P6), ())

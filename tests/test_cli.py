@@ -1,5 +1,8 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -185,3 +188,18 @@ def test_stdout_json_when_no_out(capsys):
     out = capsys.readouterr().out
     body = out[out.index("{") :]
     assert json.loads(body)["command"] == "exponent"
+
+
+def test_python_m_runs_the_command():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "speclab.cli", "specialize", "--cover", "T^2-2", "--t0", "7"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "specialize: ok"

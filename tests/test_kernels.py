@@ -1,11 +1,13 @@
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab import kernels
 from speclab.intutil import nth_root
+from speclab.kernels import _purepy
 
 
 def brute_points(coeffs, M, n, d, H):
@@ -35,10 +37,9 @@ CASES = [
 
 @pytest.mark.parametrize("coeffs,M,n,d,H", CASES)
 def test_backends_match_bruteforce(coeffs, M, n, d, H):
-    want = brute_points(coeffs, M, n, d, H)
-    for force_pure in (False, True):
-        got = kernels.search_pairs(coeffs, M, n, d, H, force_pure=force_pure)
-        assert sorted(got) == want
+    # the backend chosen at import (see kernels.backend_name())
+    got = kernels.search_pairs(coeffs, M, n, d, H)
+    assert sorted(got) == brute_points(coeffs, M, n, d, H)
 
 
 @given(
@@ -49,10 +50,20 @@ def test_backends_match_bruteforce(coeffs, M, n, d, H):
 @settings(max_examples=40, deadline=None)
 def test_backends_agree_randomized(coeffs, n, d):
     M = len(coeffs) - 1
-    fast = kernels.search_pairs(coeffs, M, n, d, 15, force_pure=False)
-    pure = kernels.search_pairs(coeffs, M, n, d, 15, force_pure=True)
-    assert sorted(fast) == sorted(pure)
-    assert sorted(pure) == brute_points(coeffs, M, n, d, 15)
+    got = kernels.search_pairs(coeffs, M, n, d, 15)
+    assert sorted(got) == brute_points(coeffs, M, n, d, 15)
+
+
+def test_fastcore_survivors_match_purepy():
+    fastcore = pytest.importorskip(
+        "speclab.kernels._fastcore",
+        reason="compiled module speclab.kernels._fastcore is not built",
+    )
+    for coeffs, M, n, d, H in CASES:
+        tables = kernels._residue_tables(coeffs, M, n, d, kernels._select_primes(n, d))
+        np.testing.assert_array_equal(
+            fastcore.survivors(tables, H), _purepy.survivors(tables, H)
+        )
 
 
 def test_points_verified_exactly():
