@@ -6,6 +6,13 @@ prunes almost everything; the few survivors get an exact bigint n-th power
 check. Both backends run the identical sieve; the backend is chosen once, at
 import: _fastcore (Cython, packed 64-bit masks) when the compiled module
 imports, else _purepy (numpy gathers).
+
+The sieve tables are built once per curve and looked up per twist. The table
+of F(u, v) mod p depends only on the curve. Which values are allowed depends
+on d only through its class in F_p^*/(F_p^*)^n (or d = 0 mod p), so a twist's
+table is the allowed mask of its class indexed by the curve's value table.
+A caller that searches many twists of one curve passes one dict as `cache`
+to keep both kinds of table between calls.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from ..intutil import nth_root
+from ..intutil import is_probable_prime, nth_root
 
 __all__ = ["search_pairs", "backend_name", "available_backends"]
 
@@ -31,6 +38,9 @@ _MAX_SIEVE_PRIMES = 14
 _CANDIDATE_PRIMES = [
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 ]
+# Primes p = 1 (mod n) taken when no candidate prime sieves for n (n = 17,
+# 19, 31, ...). Each passes about 1/n of the pairs, so a few suffice.
+_FALLBACK_PRIMES = 4
 
 
 def _allowed_residues(p: int, n: int, d: int) -> np.ndarray:
@@ -44,33 +54,78 @@ def _allowed_residues(p: int, n: int, d: int) -> np.ndarray:
     return ok
 
 
+def _power_class(p: int, n: int, d: int) -> int:
+    """Key of the class of d in F_p^*/(F_p^*)^n, or 0 when p divides d."""
+    r = d % p
+    return pow(r, (p - 1) // gcd(n, p - 1), p) if r else 0
+
+
+def _sieve_fraction(p: int, n: int, d: int) -> float:
+    """Share of F_p that _allowed_residues(p, n, d) allows."""
+    if d % p == 0:
+        return 1.0
+    return (1 + (p - 1) // gcd(n, p - 1)) / p
+
+
 def _select_primes(n: int, d: int) -> list[int]:
     scored = []
     for p in _CANDIDATE_PRIMES:
-        frac = _allowed_residues(p, n, d).sum() / p
+        frac = _sieve_fraction(p, n, d)
         if frac < 0.99:
             scored.append((frac, p))
-    scored.sort()
-    return [p for _, p in scored[:_MAX_SIEVE_PRIMES]]
+    if scored:
+        scored.sort()
+        return [p for _, p in scored[:_MAX_SIEVE_PRIMES]]
+    primes: list[int] = []
+    p = 1
+    while len(primes) < _FALLBACK_PRIMES:
+        p += n
+        if is_probable_prime(p) and d % p:
+            primes.append(p)
+    return primes
 
 
-def _residue_tables(coeffs: list[int], M: int, n: int, d: int, primes: list[int]):
-    """ok[p] has shape (p, p): ok[p][v % p][u % p] == sieve passes."""
+def _value_table(coeffs: list[int], M: int, p: int) -> np.ndarray:
+    """F(u, v) mod p, shape (p, p), indexed [v % p][u % p]."""
+    r = np.arange(p, dtype=np.int64)
+    vpow = [np.ones(p, dtype=np.int64)]
+    for _ in range(M):
+        vpow.append(vpow[-1] * r % p)
+    upow = np.ones(p, dtype=np.int64)
+    val = np.zeros((p, p), dtype=np.int64)
+    for j in range(M + 1):
+        c = coeffs[j] % p
+        if c:
+            val = (val + np.outer(vpow[M - j], upow * c % p)) % p
+        upow = upow * r % p
+    return val.astype(np.min_scalar_type(p - 1))
+
+
+def _residue_tables(
+    coeffs: list[int],
+    M: int,
+    n: int,
+    d: int,
+    primes: list[int],
+    cache: dict | None = None,
+):
+    """ok[p] has shape (p, p): ok[p][v % p][u % p] == sieve passes.
+
+    cache, when given, must only ever see one (coeffs, M, n): it keeps the
+    value table under p and the sieve table under (p, class of d)."""
+    if cache is None:
+        cache = {}
     tables = {}
     for p in primes:
-        allowed = _allowed_residues(p, n, d)
-        u = np.arange(p, dtype=np.int64)
-        v = np.arange(p, dtype=np.int64)
-        val = np.zeros((p, p), dtype=np.int64)  # [v, u]
-        for j in range(M + 1):
-            c = coeffs[j] % p
-            if c:
-                term = (
-                    np.power(u[None, :], j, dtype=object)
-                    * np.power(v[:, None], M - j, dtype=object)
-                ) * c
-                val = (val + np.array(term % p, dtype=np.int64)) % p
-        tables[p] = allowed[val]
+        key = (p, _power_class(p, n, d))
+        ok = cache.get(key)
+        if ok is None:
+            val = cache.get(p)
+            if val is None:
+                val = cache[p] = _value_table(coeffs, M, p)
+            ok = cache[key] = _allowed_residues(p, n, d)[val]
+            ok.flags.writeable = False  # shared by every twist in the class
+        tables[p] = ok
     return tables
 
 
@@ -89,26 +144,20 @@ def search_pairs(
     d: int,
     H: int,
     max_points: int | None = None,
+    cache: dict | None = None,
 ) -> list[tuple[int, int, int]]:
     """All (y, u, v) with gcd(u, v)=1, |u| <= H, 1 <= v <= H, y != 0 integer and
     y^n = d * sum_j coeffs[j] u^j v^(M-j). Sorted by (v, u, y). For even n both
     signs of y solve; only y > 0 is reported. max_points truncates (points of
-    smallest v first)."""
+    smallest v first). cache: the curve's table cache (see _residue_tables)."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if H < 1:
         return []
     primes = _select_primes(n, d)
+    tables = _residue_tables(coeffs, M, n, d, primes, cache)
     out: list[tuple[int, int, int]] = []
-    if primes:
-        tables = _residue_tables(coeffs, M, n, d, primes)
-        survivors = _backend.survivors(tables, H)
-    else:
-        vv, uu = np.meshgrid(
-            np.arange(1, H + 1, dtype=np.int64),
-            np.arange(-H, H + 1, dtype=np.int64),
-            indexing="ij",
-        )
-        survivors = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    for u, v in survivors:
+    for u, v in _backend.survivors(tables, H):
         u, v = int(u), int(v)
         if gcd(u, v) != 1:
             continue

@@ -9,7 +9,7 @@ reported; for n not dividing N the single point at z = 0 is trivial too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -30,6 +30,7 @@ from .intutil import (
 )
 from .poly import (
     IntPolynomial,
+    RealRootReport,
     discriminant,
     factor_over_Q,
     real_roots_sign_analysis,
@@ -67,6 +68,10 @@ class SuperellipticCurve:
 
     n: int
     P: IntPolynomial
+    # factor_over_Q(P)[1], computed once; no part of repr, equality or hash
+    _factors: tuple[tuple[IntPolynomial, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n < 2:
@@ -76,6 +81,7 @@ class SuperellipticCurve:
         _, factors = factor_over_Q(self.P)
         if any(m >= self.n for _, m in factors):
             raise ValueError("P has a root of multiplicity >= n")
+        object.__setattr__(self, "_factors", tuple(factors))
 
     @property
     def N(self) -> int:
@@ -97,8 +103,7 @@ class SuperellipticCurve:
 
     @property
     def separable(self) -> bool:
-        _, factors = factor_over_Q(self.P)
-        return all(m == 1 for _, m in factors)
+        return all(m == 1 for _, m in self._factors)
 
     @property
     def genus(self) -> int | None:
@@ -189,6 +194,7 @@ def search_points(
         d,
         H,
         max_points=budget,
+        cache=_solver(base).tables,
     )
     out.extend(CurvePoint(y, u, v) for y, u, v in hits)
     return out
@@ -231,8 +237,7 @@ def obstruction_certificate(curve) -> ObstructionCertificate | None:
         raise ValueError("certificate needs n | deg P")
     if not base.separable:
         raise ValueError("certificate needs P separable")
-    _, factors = factor_over_Q(base.P)
-    if any(f.degree == 1 for f, _ in factors):
+    if any(f.degree == 1 for f, _ in base._factors):
         raise ValueError("certificate needs P without rational roots")
     from .covers import _rootless_mod_p
 
@@ -285,11 +290,15 @@ def _unit_class_key(d: int, p: int, n: int) -> tuple:
 
 class LocalSolver:
     """Decides solubility of y^n = d * P(t) over Q_p and R, caching on the
-    class of d in Q_p^*/(Q_p^*)^n (twists in one class are isomorphic)."""
+    class of d in Q_p^*/(Q_p^*)^n (twists in one class are isomorphic).
+
+    Also owns the curve's point-search tables (kernels.search_pairs cache)."""
 
     def __init__(self, base: SuperellipticCurve):
         self.base = base
         self._cache: dict[tuple, str] = {}
+        self._real: RealRootReport | None = None
+        self.tables: dict = {}
         sqf = sqf_part(base.P)
         self._disc_sqf = discriminant(sqf) if sqf.degree >= 1 else 1
         g = base.genus
@@ -303,11 +312,13 @@ class LocalSolver:
     # -- real place
 
     def at_infinity(self, d: int) -> str:
-        base = self.base
-        if base.n % 2 == 1:
+        if self.base.n % 2 == 1:
             return SOLUBLE
-        rr = real_roots_sign_analysis(d * base.P)
-        if rr.takes_positive_values:
+        # d * P takes positive values iff P takes values of the sign of d
+        if self._real is None:
+            self._real = real_roots_sign_analysis(self.base.P)
+        rr = self._real
+        if rr.takes_positive_values if d > 0 else rr.takes_negative_values:
             return SOLUBLE
         return INSOLUBLE
 

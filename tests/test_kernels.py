@@ -32,6 +32,7 @@ CASES = [
     ([-17, 0, 0, 0, 1], 4, 2, 2, 25),  # Lind
     ([1, 0, 1, 1], 3, 3, 1, 20),
     ([5, 1, 0, 0, 2, 0, 0, 0, 1], 8, 4, 3, 12),
+    ([1, 0, 2**17 - 1], 2, 17, 1, 8),  # F(1, 1) = 2^17: y = 2; no candidate prime sieves n = 17
 ]
 
 
@@ -82,3 +83,108 @@ def test_max_points_cap():
 def test_backend_names():
     names = kernels.available_backends()
     assert "purepy" in names
+
+
+def test_every_exponent_gets_sieve_primes():
+    for n in range(2, 41):
+        for d in (1, -2, 3 * 103 * 137 * 239 * 307):
+            primes = kernels._select_primes(n, d)
+            assert primes
+            assert all(kernels._sieve_fraction(p, n, d) < 0.99 for p in primes)
+            old = old_select_primes(n, d)
+            if old:
+                assert primes == old
+            else:  # the smallest primes p = 1 (mod n) that do not divide d
+                assert all(p % n == 1 and d % p for p in primes)
+
+
+def test_search_rejects_exponent_one():
+    with pytest.raises(ValueError):
+        kernels.search_pairs([1, 1], 1, 1, 1, 5)
+
+
+# -- the tables as they were built before the per-curve cache, kept as oracle
+
+
+def old_allowed_residues(p, n, d):
+    powers = {pow(x, n, p) for x in range(1, p)}
+    ok = np.zeros(p, dtype=bool)
+    ok[0] = True
+    for r in range(1, p):
+        if (d * r) % p in powers or (d * r) % p == 0:
+            ok[r] = True
+    return ok
+
+
+def old_select_primes(n, d):
+    scored = []
+    for p in kernels._CANDIDATE_PRIMES:
+        frac = old_allowed_residues(p, n, d).sum() / p
+        if frac < 0.99:
+            scored.append((frac, p))
+    scored.sort()
+    return [p for _, p in scored[: kernels._MAX_SIEVE_PRIMES]]
+
+
+def old_residue_tables(coeffs, M, n, d, primes):
+    tables = {}
+    for p in primes:
+        allowed = old_allowed_residues(p, n, d)
+        u = np.arange(p, dtype=np.int64)
+        v = np.arange(p, dtype=np.int64)
+        val = np.zeros((p, p), dtype=np.int64)  # [v, u]
+        for j in range(M + 1):
+            c = coeffs[j] % p
+            if c:
+                term = (
+                    np.power(u[None, :], j, dtype=object)
+                    * np.power(v[:, None], M - j, dtype=object)
+                ) * c
+                val = (val + np.array(term % p, dtype=np.int64)) % p
+        tables[p] = allowed[val]
+    return tables
+
+
+def class_representatives(p, n):
+    """0, p, and the least and largest residue of each class of F_p^*/(F_p^*)^n."""
+    first, last = {}, {}
+    for r in range(1, p):
+        key = kernels._power_class(p, n, r)
+        first.setdefault(key, r)
+        last[key] = r
+    return [0, p] + sorted(set(first.values()) | set(last.values()))
+
+
+@given(
+    st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=2, max_size=6),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=-(2**66), max_value=2**66),
+)
+@settings(max_examples=8, deadline=None)
+def test_residue_tables_match_oracle(coeffs, n, shift):
+    M = len(coeffs) - 1
+    cache = {}
+    for p in kernels._CANDIDATE_PRIMES + [103]:
+        for r in class_representatives(p, n):
+            d = r + p * shift
+            got = kernels._residue_tables(coeffs, M, n, d, [p], cache)[p]
+            want = old_residue_tables(coeffs, M, n, d, [p])[p]
+            assert got.shape == want.shape and got.dtype == bool
+            np.testing.assert_array_equal(got, want)
+            assert kernels._sieve_fraction(p, n, d) == old_allowed_residues(p, n, d).sum() / p
+
+
+def test_tables_shared_within_a_class():
+    coeffs, M, n = [5, 1, 0, 0, 2, 0, 0, 0, 1], 8, 2
+    primes = kernels._select_primes(n, 1)
+    cache = {}
+    one = kernels._residue_tables(coeffs, M, n, 1, primes, cache)
+    four = kernels._residue_tables(coeffs, M, n, 4, primes, cache)
+    minus = kernels._residue_tables(coeffs, M, n, -1, primes, cache)
+    for p in primes:
+        assert four[p] is one[p]  # 4 is a square mod every odd p
+        if p % 4 == 1:
+            assert minus[p] is one[p]
+        else:  # -1 is a nonsquare mod p
+            assert minus[p] is not one[p]
+            assert not np.array_equal(minus[p], one[p])

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab import twists
 from speclab.covers import quad_cover
-from speclab.poly import parse_poly
+from speclab.poly import parse_poly, real_roots_sign_analysis
 from speclab.twists import (
     INSOLUBLE,
     SOLUBLE,
     UNKNOWN,
     ConsistencyError,
     CurvePoint,
+    HasseScanResult,
     SuperellipticCurve,
     TwistedCurve,
     admissible_prime_scan,
@@ -41,6 +43,11 @@ class TestModels:
         c3 = SuperellipticCurve(3, P("T^4 + 1"))
         assert c3.model_degree == 6 and c3.genus == 3
 
+    def test_stored_factorisation_is_not_compared(self):
+        a, b = SuperellipticCurve(2, PINNED8), SuperellipticCurve(2, PINNED8)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"SuperellipticCurve(n=2, P={PINNED8!r})"
+
     def test_rejects_high_multiplicity(self):
         with pytest.raises(ValueError):
             SuperellipticCurve(2, P("T^2 - 2*T + 1"))
@@ -68,6 +75,23 @@ class TestSearch:
     def test_lind_has_no_small_points(self):
         tw = SuperellipticCurve(2, P("T^4 - 17")).twist(2)
         assert search_points(tw, 150) == []
+
+    def test_tables_built_once_per_curve(self):
+        base = SuperellipticCurve(2, PINNED8)
+        twists._solver_cache.clear()
+        for d in (-7, -3, -1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21):
+            search_points(base.twist(d), 20)
+        tables = twists._solver(base).tables
+        primes = {k for k in tables if isinstance(k, int)}
+        classes = [k for k in tables if isinstance(k, tuple)]
+        assert primes == {p for p, _ in classes}
+        assert len(classes) <= 2 * len(primes)  # squares and nonsquares mod p
+        before = dict(tables)
+        for d in (-5, 22, 23, 26, 29, 30, 31):
+            search_points(base.twist(d), 20)
+        assert all(tables[k] is v for k, v in before.items())
+        twists._solver_cache.clear()
+        assert twists._solver(base).tables == {}
 
 
 class TestCertificate:
@@ -100,6 +124,24 @@ class TestLocal:
     def test_real_place(self):
         assert local_solubility(SuperellipticCurve(2, P("T^2+1")).twist(-1), "infinity") == INSOLUBLE
         assert local_solubility(SuperellipticCurve(3, P("T^2+1")).twist(-1), "infinity") == SOLUBLE
+
+    @pytest.mark.parametrize(
+        "n,poly",
+        [
+            (2, PINNED8),
+            (2, P("T^3 - 2")),
+            (4, P("T^4 - 6*T^2 + 8*T - 3")),  # (T-1)^3 (T+3): odd multiplicities
+            (4, P("T^4 - 2*T^3 + 2*T^2 - 2*T + 1")),  # (T-1)^2 (T^2+1)
+        ],
+        ids=["P8", "T^3-2", "(T-1)^3(T+3)", "(T-1)^2(T^2+1)"],
+    )
+    def test_real_place_matches_direct_analysis(self, n, poly):
+        base = SuperellipticCurve(n, poly)
+        solver = LocalSolver(base)
+        for d in range(-30, 31):
+            if d:
+                direct = real_roots_sign_analysis(d * base.P).takes_positive_values
+                assert solver.at_infinity(d) == (SOLUBLE if direct else INSOLUBLE)
 
     def test_els_statuses(self):
         st_, _ = everywhere_locally_soluble(SuperellipticCurve(2, P("T^4+1")).twist(3))
@@ -175,6 +217,17 @@ class TestScans:
         assert res.x == 40 and res.H == 300
         assert len(res.candidates) >= 1
         assert res.locally_obstructed >= 1
+
+    def test_hasse_scan_pinned(self):
+        res = hasse_failure_candidates(quad_cover(PINNED8), 40, 300)
+        assert res == HasseScanResult(
+            x=40,
+            H=300,
+            candidates=(29, 37, 39),
+            soluble_with_points=2,
+            locally_obstructed=46,
+            unknown=(),
+        )
 
 
 @given(st.integers(min_value=-60, max_value=60).filter(lambda d: d != 0))
