@@ -725,8 +725,12 @@ def real_roots_sign_analysis(p: IntPolynomial) -> RealRootReport:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return RealRootReport(0, p.lc > 0, p.lc < 0)
+    return _real_root_report(p, factor_over_Q(p)[1])
+
+
+def _real_root_report(p: IntPolynomial, factors) -> RealRootReport:
+    """real_roots_sign_analysis of a nonconstant p from factor_over_Q(p)[1]."""
     # the irreducible factors are coprime, so their real roots are distinct
-    _, factors = factor_over_Q(p)
     nroots = 0
     odd_mult_root_possible = False
     for f, m in factors:

@@ -79,11 +79,12 @@ def intersection_number(orbit: BranchOrbit, t0: ProjectivePoint, p: int) -> int:
     return valuation(val, p)
 
 
-def exceptional_superset(cover) -> set[int]:
+def exceptional_superset(cover, orbits: list[BranchOrbit] | None = None) -> set[int]:
     """A finite, guaranteed superset of the exceptional primes: primes
     dividing the group order, the content/leading/trailing coefficients and
     discriminant of the branch polynomial, the discriminants of the orbit
-    forms, and the pairwise resultants of distinct orbit forms."""
+    forms, and the pairwise resultants of distinct orbit forms. orbits, when
+    given, must be branch_orbits(cover)."""
     nums: set[int] = set()
 
     def absorb(n: int):
@@ -107,7 +108,8 @@ def exceptional_superset(cover) -> set[int]:
     sqf = sqf_part(base)
     if sqf.degree >= 1:
         absorb(discriminant(sqf))
-    orbits = branch_orbits(cover)
+    if orbits is None:
+        orbits = branch_orbits(cover)
     for i, oi in enumerate(orbits):
         if oi.form.lead_u:
             absorb(oi.form.lead_u)
@@ -138,16 +140,18 @@ class RamificationReport:
         return [p for p, _, _, _ in self.entries]
 
 
-def predict(cover, t0) -> RamificationReport:
+def predict(cover, t0, orbits: list[BranchOrbit] | None = None) -> RamificationReport:
     """Beckmann-style prediction at every prime meeting some branch orbit.
 
     For each prime dividing an orbit value, the orbit with positive
     intersection is recorded with the predicted inertia order
     e / gcd(e, I_p). A prime meeting several orbits is recorded with
     orbit_index None and order 0 (undetermined; such primes are exceptional).
+    orbits, when given, must be branch_orbits(cover).
     """
     pt = t0 if isinstance(t0, ProjectivePoint) else ProjectivePoint.from_rational(t0)
-    orbits = branch_orbits(cover)
+    if orbits is None:
+        orbits = branch_orbits(cover)
     vals = []
     for ob in orbits:
         v = ob.form.eval_proj(pt)
@@ -196,10 +200,12 @@ def consistency_check(
     primes must carry ramification, actual ramified primes must be
     predicted). Also asserts the discriminant lower bound: the product of odd
     non-exceptional primes with intersection number exactly 1 divides the
-    specialization discriminant, hence bounds it from below.
+    specialization discriminant, hence bounds it from below. The branch
+    orbits are computed once and shared by every prediction.
     """
     rng = random.Random(seed)
-    exc = exceptional_superset(cover)
+    orbits = branch_orbits(cover)
+    exc = exceptional_superset(cover, orbits)
     mismatches = []
     checked = 0
     done = 0
@@ -214,7 +220,7 @@ def consistency_check(
             rep: SpecializationReport = (
                 quad_specialize(cover, pt) if is_quad else cubic_specialize(cover, pt)
             )
-            pred = predict(cover, pt)
+            pred = predict(cover, pt, orbits)
         except ValueError:
             continue
         done += 1

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import kernels
-from .covers import QuadraticCover, quad_specialize, splits_completely
+from .covers import ConsistencyError, QuadraticCover, quad_specialize, splits_completely
 from .ramify import exceptional_superset
 from .intutil import (
     factorize,
@@ -31,10 +31,9 @@ from .intutil import (
 from .poly import (
     IntPolynomial,
     RealRootReport,
+    _real_root_report,
     discriminant,
     factor_over_Q,
-    real_roots_sign_analysis,
-    sqf_part,
 )
 
 __all__ = [
@@ -56,10 +55,6 @@ __all__ = [
 SOLUBLE = "soluble"
 INSOLUBLE = "insoluble"
 UNKNOWN = "unknown"
-
-
-class ConsistencyError(AssertionError):
-    """Two independent routes to the same fact disagreed."""
 
 
 @dataclass(frozen=True)
@@ -299,7 +294,7 @@ class LocalSolver:
         self._cache: dict[tuple, str] = {}
         self._real: RealRootReport | None = None
         self.tables: dict = {}
-        sqf = sqf_part(base.P)
+        sqf = prod((f for f, _ in base._factors), start=IntPolynomial([1]))
         self._disc_sqf = discriminant(sqf) if sqf.degree >= 1 else 1
         g = base.genus
         if g is None:
@@ -316,7 +311,7 @@ class LocalSolver:
             return SOLUBLE
         # d * P takes positive values iff P takes values of the sign of d
         if self._real is None:
-            self._real = real_roots_sign_analysis(self.base.P)
+            self._real = _real_root_report(self.base.P, self.base._factors)
         rr = self._real
         if rr.takes_positive_values if d > 0 else rr.takes_negative_values:
             return SOLUBLE
@@ -557,8 +552,8 @@ def admissible_prime_scan(
     """
     if cover.degree % 2:
         raise ValueError("scan needs even degree (infinity unbranched)")
-    _, factors = factor_over_Q(cover.P)
-    if any(f.degree == 1 for f, _ in factors):
+    base = SuperellipticCurve(2, cover.P)
+    if any(f.degree == 1 for f, _ in base._factors):
         raise ValueError("scan needs P without rational branch points")
     rep = quad_specialize(cover, t0)
     m0 = rep.m
@@ -566,7 +561,6 @@ def admissible_prime_scan(
         raise ValueError("base specialization is trivial, pick another t0")
     S = exceptional_superset(cover) | {2}
     S1 = set(rep.ramified_primes)
-    base = SuperellipticCurve(2, cover.P)
     solver = _solver(base)
     # Small good primes q where the twist class matters: below the point-count
     # floor, solubility over Q_q can fail for the nonsquare unit class of d.
@@ -630,10 +624,9 @@ def hasse_failure_candidates(
     candidates. Requires even degree >= 4 and no rational branch point."""
     if cover.degree % 2 or cover.degree < 4:
         raise ValueError("scan needs even degree >= 4")
-    _, factors = factor_over_Q(cover.P)
-    if any(f.degree == 1 for f, _ in factors):
-        raise ValueError("scan needs P without rational roots")
     base = SuperellipticCurve(2, cover.P)
+    if any(f.degree == 1 for f, _ in base._factors):
+        raise ValueError("scan needs P without rational roots")
     candidates = []
     unknown = []
     found = 0

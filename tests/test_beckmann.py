@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from speclab.covers import CubicCover, quad_cover
+from speclab.covers import CubicCover, QuadraticCover, quad_cover
 from speclab.poly import ProjectivePoint, parse_poly
 from speclab.ramify import (
+    ConsistencyReport,
     branch_orbits,
     consistency_check,
     exceptional_superset,
@@ -71,3 +72,28 @@ def test_cubic_inertia_orders():
     rep = predict(cov, ProjectivePoint(1, 1))
     # t0 = 1: delta = -31: 31 meets the conjugate-pair orbit 4U + 27V at order 1
     assert rep.predicted_order(31) == 2
+
+
+def test_consistency_reports_pinned():
+    rep = consistency_check(cubic_ttY(), n_samples=200, height=50, seed=5)
+    assert rep == ConsistencyReport(samples=200, checked_primes=575, mismatches=())
+    rep = consistency_check(quad_cover(P("T^6 - T - 1")), n_samples=200, height=50, seed=5)
+    assert rep == ConsistencyReport(samples=200, checked_primes=455, mismatches=())
+
+
+@pytest.mark.parametrize(
+    "cls, cover",
+    [(CubicCover, cubic_ttY()), (QuadraticCover, quad_cover(P("T^6 - T - 1")))],
+)
+def test_consistency_check_computes_orbits_once(monkeypatch, cls, cover):
+    calls = []
+    orig = cls.branch_orbits
+
+    def counted(self):
+        calls.append(self)
+        return orig(self)
+
+    monkeypatch.setattr(cls, "branch_orbits", counted)
+    rep = consistency_check(cover, n_samples=20, height=30, seed=1)
+    assert rep.samples == 20
+    assert len(calls) == 1

@@ -1,8 +1,14 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.polys.numberfields.basis import round_two
 
+from speclab import covers, twists
 from speclab.covers import (
+    ConsistencyError,
     CubicCover,
     chebotarev_unramified_sieve,
     cubic_field_disc,
@@ -99,6 +105,38 @@ class TestCubicFieldDisc:
         assert cubic_field_disc(P("T^3 - 2")) == -108
         assert cubic_field_disc(P("T^3 - 3*T - 1")) == 81
         assert cubic_field_disc(P("T^3 + T - 1")) == -31
+        # Dedekind's non-monogenic field, and pure cubics of high 2- and 3-index
+        assert cubic_field_disc(P("T^3 - T^2 - 2*T - 8")) == -503
+        assert cubic_field_disc(P("T^3 - 128")) == -108
+        assert cubic_field_disc(P("T^3 - 1458")) == -108
+
+    def test_rejects_reducible(self):
+        with pytest.raises(ValueError):
+            cubic_field_disc(P("T^3 - 8"))
+        with pytest.raises(ValueError):
+            cubic_field_disc(P("T^3 + T^2"))
+
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        assert twists.ConsistencyError is ConsistencyError
+        dedekind = covers._dedekind_p_maximal
+        monkeypatch.setattr(covers, "_dedekind_p_maximal", lambda f, p: not dedekind(f, p))
+        with pytest.raises(ConsistencyError):
+            cubic_field_disc(P("T^3 - 2"))
+
+    # a_i = b_i * p^e_i: large p-indices, and forms that vanish mod p midway
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+        st.lists(st.integers(0, 6), min_size=3, max_size=3),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_round_two(self, p, bs, es):
+        a0, a1, a2 = (b * p**e for b, e in zip(bs, es))
+        f = IntPolynomial([a0, a1, a2, 1])
+        assume(covers._monic_cubic_irreducible(f))
+        x = sympy.Symbol("x")
+        _, want = round_two(sympy.Poly([1, a2, a1, a0], x, domain=sympy.ZZ))
+        assert cubic_field_disc(f) == int(want)
 
     def test_fingerprint_separates(self):
         f1 = cubic_field_fingerprint(P("T^3 - T - 1"))
