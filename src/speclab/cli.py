@@ -235,9 +235,12 @@ def _execute(ns) -> tuple[dict, bool, DensitySeries | None]:
         unknowns = bool(res.unknown)
         out = {"result": res}
     elif ns.cmd == "density":
+        grid = _ints(ns.grid)
+        if ns.fit and len(grid) < 4:  # fit_log_exponent's minimum; fail before the search
+            raise ValueError("need at least 4 grid points")
         cov = quad_cover(parse_poly(ns.cover))
         schedule = _ints(ns.schedule) if ns.schedule else None
-        series = twist_density_series(cov, _ints(ns.grid), schedule)
+        series = twist_density_series(cov, grid, schedule)
         unknowns = any(series.unknown)
         out = {"series": series}
         if ns.fit:

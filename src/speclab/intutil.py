@@ -243,21 +243,25 @@ def nth_root(n: int, k: int) -> int | None:
     """Integer y with y^k == n, or None. For even k only y >= 0 is returned."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n < 0:
-        if k % 2 == 0:
-            return None
-        y = nth_root(-n, k)
-        return None if y is None else -y
-    if n in (0, 1):
+    if n < 0 and k % 2 == 0:
+        return None
+    m = abs(n)
+    if k == 1 or m < 2:
         return n
-    lo, hi = 1, 1 << (n.bit_length() // k + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo if lo**k == n else None
+    if k == 2:
+        y = isqrt(m)
+    else:
+        # Integer Newton from above: 2^ceil(bits/k) > m^(1/k), and each step
+        # stays >= floor(m^(1/k)) while it decreases, so it stops at the floor.
+        y = 1 << -(-m.bit_length() // k)
+        while True:
+            z = ((k - 1) * y + m // y ** (k - 1)) // k
+            if z >= y:
+                break
+            y = z
+    if y**k != m:
+        return None
+    return -y if n < 0 else y
 
 
 @dataclass(frozen=True)

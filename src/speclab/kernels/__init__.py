@@ -3,9 +3,9 @@
 The search space at height H is every pair (u, v) with |u| <= H, 1 <= v <= H.
 A per-prime residue sieve (allowed residues: n-th power residues of d*F and 0)
 prunes almost everything; the few survivors get an exact bigint n-th power
-check. Both backends run the identical sieve; the backend is chosen once, at
-import: _fastcore (Cython, packed 64-bit masks) when the compiled module
-imports, else _purepy (numpy gathers).
+check. The sieve (_purepy.survivors) is bit-packed numpy, as in ratpoints:
+each prime's allowed u for one v mod p is a row of uint64 words, and a block
+of v rows is the AND of one such row per prime.
 
 The sieve tables are built once per curve and looked up per twist. The table
 of F(u, v) mod p depends only on the curve. Which values are allowed depends
@@ -22,17 +22,9 @@ from math import gcd
 import numpy as np
 
 from ..intutil import is_probable_prime, nth_root
+from . import _purepy
 
 __all__ = ["search_pairs", "backend_name", "available_backends"]
-
-try:
-    from . import _fastcore as _backend
-
-    _BACKEND = "fastcore"
-except ImportError:
-    from . import _purepy as _backend
-
-    _BACKEND = "purepy"
 
 _MAX_SIEVE_PRIMES = 14
 _CANDIDATE_PRIMES = [
@@ -130,11 +122,12 @@ def _residue_tables(
 
 
 def backend_name() -> str:
-    return _BACKEND
+    """The sieve's name, kept for result metadata: there is one sieve."""
+    return "purepy"
 
 
 def available_backends() -> list[str]:
-    return ["fastcore", "purepy"] if _BACKEND == "fastcore" else ["purepy"]
+    return ["purepy"]
 
 
 def search_pairs(
@@ -156,15 +149,18 @@ def search_pairs(
         return []
     primes = _select_primes(n, d)
     tables = _residue_tables(coeffs, M, n, d, primes, cache)
+    pairs = _purepy.survivors(tables, H)
+    pairs = pairs[np.gcd(pairs[:, 0], pairs[:, 1]) == 1]
+    high_first = coeffs[M::-1]
     out: list[tuple[int, int, int]] = []
-    for u, v in _backend.survivors(tables, H):
-        u, v = int(u), int(v)
-        if gcd(u, v) != 1:
-            continue
-        val = d * sum(coeffs[j] * u**j * v ** (M - j) for j in range(M + 1))
+    for u, v in pairs.tolist():
+        val, vpow = 0, 1  # Horner in u: val = sum_j coeffs[j] u^j v^(M - j)
+        for c in high_first:
+            val = val * u + c * vpow
+            vpow *= v
         if val == 0:
             continue
-        y = nth_root(val, n)
+        y = nth_root(d * val, n)
         if y is not None and y != 0:
             out.append((y, u, v))
             if max_points is not None and len(out) >= max_points:

@@ -135,6 +135,15 @@ class TestExitCodes:
     def test_missing_subcommand(self):
         assert run([]) == 1
 
+    def test_fit_grid_checked_before_search(self, monkeypatch, capsys):
+        def searched(*args, **kwargs):
+            raise AssertionError("searched before checking the grid")
+
+        monkeypatch.setattr("speclab.cli.twist_density_series", searched)
+        argv = ["density", "--cover", "T^6-T-1", "--grid", "10,100,1000", "--schedule", "4", "--fit"]
+        assert run(argv) == 1
+        assert "need at least 4 grid points" in capsys.readouterr().err
+
 
 class TestManifest:
     def test_replay_is_byte_identical(self, tmp_path, capsys):

@@ -115,3 +115,46 @@ def test_legendre_against_squares():
         for a in range(1, p):
             assert legendre(a, p) == (1 if a in squares else -1)
         assert legendre(p, p) == 0
+
+
+def old_nth_root(n, k):
+    """nth_root by bisection, as it was before isqrt and Newton; the oracle."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n < 0:
+        if k % 2 == 0:
+            return None
+        y = old_nth_root(-n, k)
+        return None if y is None else -y
+    if n in (0, 1):
+        return n
+    lo, hi = 1, 1 << (n.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo if lo**k == n else None
+
+
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(min_value=0, max_value=1 << (400 // k)))
+    ),
+    st.sampled_from([-1, 0, 1]),
+    st.booleans(),
+)
+@settings(max_examples=500)
+def test_nth_root_matches_bisection_near_powers(k_y, offset, negate):
+    k, y = k_y
+    n = y**k + offset
+    if negate:
+        n = -n
+    assert nth_root(n, k) == old_nth_root(n, k)
+
+
+@given(st.integers(min_value=-(2**400), max_value=2**400), st.integers(min_value=1, max_value=40))
+@settings(max_examples=300)
+def test_nth_root_matches_bisection(n, k):
+    assert nth_root(n, k) == old_nth_root(n, k)

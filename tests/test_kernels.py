@@ -55,18 +55,6 @@ def test_backends_agree_randomized(coeffs, n, d):
     assert sorted(got) == brute_points(coeffs, M, n, d, 15)
 
 
-def test_fastcore_survivors_match_purepy():
-    fastcore = pytest.importorskip(
-        "speclab.kernels._fastcore",
-        reason="compiled module speclab.kernels._fastcore is not built",
-    )
-    for coeffs, M, n, d, H in CASES:
-        tables = kernels._residue_tables(coeffs, M, n, d, kernels._select_primes(n, d))
-        np.testing.assert_array_equal(
-            fastcore.survivors(tables, H), _purepy.survivors(tables, H)
-        )
-
-
 def test_points_verified_exactly():
     coeffs = [-2, 0, 0, 1, 0]
     for y, u, v in kernels.search_pairs(coeffs, 4, 2, 1, 60):
@@ -188,3 +176,54 @@ def test_tables_shared_within_a_class():
         else:  # -1 is a nonsquare mod p
             assert minus[p] is not one[p]
             assert not np.array_equal(minus[p], one[p])
+
+
+# -- the sieve as it was before bit packing (one v row at a time), kept as oracle
+
+
+def old_survivors(tables, H):
+    primes = sorted(tables, key=lambda p: tables[p].sum() / tables[p].size)
+    u_arr = np.arange(-H, H + 1, dtype=np.int64)
+    umod = {p: (u_arr % p).astype(np.intp) for p in primes}
+    out_u = []
+    out_v = []
+    for v in range(1, H + 1):
+        p0 = primes[0]
+        idx = np.nonzero(tables[p0][v % p0][umod[p0]])[0]
+        for p in primes[1:]:
+            if not idx.size:
+                break
+            idx = idx[tables[p][v % p][umod[p][idx]]]
+        if idx.size:
+            out_u.append(u_arr[idx])
+            out_v.append(np.full(idx.size, v, dtype=np.int64))
+    if not out_u:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.stack([np.concatenate(out_u), np.concatenate(out_v)], axis=1)
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=7),
+    st.sampled_from([2, 3, 4, 17]),
+    st.integers(min_value=-30, max_value=30).filter(lambda d: d != 0),
+    st.sampled_from([1, 2, 63, 64, 65, 127, 128, 200]),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=13)),
+)
+@settings(max_examples=60, deadline=None)
+def test_packed_sieve_matches_old(coeffs, n, d, H, divisor):
+    M = len(coeffs) - 1
+    primes = kernels._select_primes(n, d)  # n = 17: primes 103, 137, ... = 1 (mod 17)
+    if divisor is not None:  # some sieve prime divides d: its table passes every u
+        d *= primes[divisor % len(primes)]
+    tables = kernels._residue_tables(coeffs, M, n, d, primes)
+    got = _purepy.survivors(tables, H)
+    assert got.dtype == np.int64 and got.shape[1] == 2
+    np.testing.assert_array_equal(got, old_survivors(tables, H))
+
+
+@pytest.mark.parametrize("coeffs,M,n,d,H", CASES)
+def test_packed_sieve_matches_old_past_one_period(coeffs, M, n, d, H):
+    # At H = 1000 a row has 32 words, more than many of its primes: the words
+    # repeat with period p in w, which H <= 200 reaches only for p <= 5.
+    tables = kernels._residue_tables(coeffs, M, n, d, kernels._select_primes(n, d))
+    np.testing.assert_array_equal(_purepy.survivors(tables, 1000), old_survivors(tables, 1000))
