@@ -18,7 +18,6 @@ import numpy as np
 
 from .covers import QuadraticCover, _rootless_mod_p, s3_survey_predicates
 from .intutil import (
-    factorize,
     is_nfree,
     nfree_sieve,
     primes_up_to,
@@ -217,40 +216,126 @@ def quad_field_census(x: int) -> list[int]:
 # Twist-density series
 
 
+# Pairs per block of v rows in the census sieve: bounds the arrays at a few MB.
+_BLOCK_PAIRS = 1 << 18
+
+
+def _box_values(cs: list[int], u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Exact values sum_j cs[j] u^j v^(N-j) by homogeneous Horner: int64 when
+    sum |cs[j]| * max(|u|, v)^N < 2^62 bounds every partial sum, else Python
+    ints in an object array (the same arithmetic, without wrap-around)."""
+    N = len(cs) - 1
+    H = max(int(np.abs(u).max(initial=0)), int(v.max(initial=0)))
+    dtype = np.int64 if sum(abs(c) for c in cs) * H**N < 2**62 else object
+    u = u.astype(dtype)
+    v = v.astype(dtype)
+    acc = np.full(u.shape, cs[N], dtype=dtype)
+    vk = np.ones(u.shape, dtype=dtype)
+    for j in range(N - 1, -1, -1):
+        vk = vk * v
+        acc = acc * u + cs[j] * vk
+    return acc
+
+
+def _is_square(c: np.ndarray) -> np.ndarray:
+    """Elementwise: c (>= 0) is a perfect square."""
+    if c.dtype == object:
+        return np.array([isqrt(k) ** 2 == k for k in c.tolist()], dtype=bool)
+    # c = k^2 < 2^62 rounds to a float within half an ulp of k after the
+    # (correctly rounded) root, so the root is exactly k
+    r = np.sqrt(c.astype(np.float64)).astype(np.int64)
+    return r * r == c
+
+
+def _settle(c: np.ndarray, core: np.ndarray, p: int, x: int) -> np.ndarray:
+    """Squarefree parts core * sqf(c) of retired values, where every prime
+    factor of the cofactor c is >= p: core for a square c, core * c for a
+    prime c <= x (c < p^2 and not 1 means c is prime). Every other c has a
+    squarefree part >= p, which the caller retired because it puts |m| above x."""
+    square = _is_square(c)
+    prime = ~square & (c < p * p) & (c <= x)
+    return np.concatenate([core[square], core[prime] * c[prime].astype(np.int64)])
+
+
+def _small_cores(vals: np.ndarray, primes: list[int], x: int) -> np.ndarray:
+    """Squarefree parts of the nonzero values: all those m with |m| <= x,
+    and maybe some larger ones (the caller clips), found without factorising.
+    Each prime p up to x (primes lists them) is divided out in turn, keeping
+    the parity of its exponent in core. A value retires as soon as its
+    cofactor is below p^2 (so 1 or a prime) or |core| * p > x."""
+    nz = vals != 0
+    c = np.abs(vals[nz])
+    core = np.where(vals[nz] < 0, -1, 1).astype(np.int64)
+    out = []
+    for p in primes:
+        if not c.size:
+            break
+        # every prime factor of c is >= p; if c is not a square, |m| >= |core| * p
+        done = (c < p * p) | (np.abs(core) * p > x)
+        if done.any():
+            out.append(_settle(c[done], core[done], p, x))
+            c, core = c[~done], core[~done]
+        hit = np.flatnonzero(c % p == 0)
+        if not hit.size:
+            continue
+        ch = c[hit]
+        odd = np.zeros(hit.size, dtype=bool)
+        sub = np.arange(hit.size)
+        while sub.size:
+            ch[sub] //= p
+            odd[sub] ^= True
+            sub = sub[ch[sub] % p == 0]
+        c[hit] = ch
+        core[hit[odd]] *= p
+    # every prime factor left is > x: only a square cofactor keeps |m| <= x
+    out.append(_settle(c, core, x + 1, x))
+    return np.concatenate(out)
+
+
 def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
-    """Squarefree parts of the cover's values over coprime pairs of height
-    <= H (plus the fiber above infinity for even degree), clipped to twists
-    whose field discriminant has absolute value <= x."""
-    found: set[int] = set()
+    """Squarefree parts m != 1 of the cover's values F(u, v) over coprime pairs
+    with |u| <= H and 0 <= v <= H (v = 0 is the fiber above infinity, which
+    has a nonzero value only for even degree), clipped to twists whose field
+    discriminant has absolute value <= x.
 
-    def note(val: int):
-        if val == 0:
-            return
-        m = squarefree_part(val)
-        if m != 1 and abs(quad_disc(m)) <= x:
-            found.add(m)
-
-    if cover.degree % 2 == 0:
-        note(cover.P.lc)
+    F is the cover's polynomial homogenised to even degree. No value is
+    factorised: a small-prime sieve over the primes up to x decides every m
+    with |m| <= x exactly (see _small_cores)."""
+    if H < 1:
+        raise ValueError("need H >= 1")
     N = cover.degree + (cover.degree % 2)  # even homogenization degree
     cs = list(cover.P.coeffs) + [0] * (N + 1 - len(cover.P.coeffs))
-    for v in range(1, H + 1):
-        vp = [v ** (N - j) for j in range(N + 1)]
-        for u in range(-H, H + 1):
-            if gcd(u, v) == 1:
-                acc = 0
-                up = 1
-                for j in range(N + 1):
-                    acc += cs[j] * up * vp[j]
-                    up *= u
-                note(acc)
+    primes = primes_up_to(x)
+    width = 2 * H + 1
+    rows = max(1, _BLOCK_PAIRS // width)
+    found: set[int] = set()
+    for v0 in range(0, H + 1, rows):
+        v, u = np.meshgrid(
+            np.arange(v0, min(v0 + rows, H + 1), dtype=np.int64),
+            np.arange(-H, H + 1, dtype=np.int64),
+            indexing="ij",
+        )
+        coprime = np.gcd(u, v) == 1
+        m = _small_cores(_box_values(cs, u[coprime], v[coprime]), primes, x)
+        absdF = np.where(m % 4 == 1, np.abs(m), 4 * np.abs(m))
+        found.update(m[(m != 1) & (absdF <= x)].tolist())
     return found
 
 
-def _absence_certifier(cover: QuadraticCover):
-    """Cheap per-twist certificate of emptiness: some p | d with P rootless
-    mod p and p prime to the leading/trailing/content data (valuation
-    argument). Only sound for even degree without rational roots; otherwise
+def _smallest_prime_factors(x: int) -> np.ndarray:
+    """spf[k] is the smallest prime factor of k, for 2 <= k <= x."""
+    spf = np.arange(x + 1, dtype=np.int64)
+    for p in primes_up_to(isqrt(x)):
+        tail = spf[p * p :: p]
+        np.minimum(tail, p, out=tail)
+    return spf
+
+
+def _absence_certifier(cover: QuadraticCover, x: int):
+    """Cheap per-twist certificate of emptiness for 0 < |d| <= x: some p | d
+    with P rootless mod p and p prime to 2 * lc * trailing * content
+    (valuation argument). d is factored with a smallest-prime-factor table up
+    to x. Only sound for even degree without rational roots; otherwise
     returns a certifier that never certifies."""
     P = cover.P
     if cover.degree % 2:
@@ -258,12 +343,18 @@ def _absence_certifier(cover: QuadraticCover):
     _, factors = factor_over_Q(P)
     if any(f.degree == 1 for f, _ in factors) or any(m > 1 for _, m in factors):
         return lambda d: False
-    bad = set(factorize(2 * P.lc * P.trailing * P.content))
+    bad = 2 * P.lc * P.trailing * P.content
+    spf = _smallest_prime_factors(x)
     cache: dict[int, bool] = {}
 
     def certifies(d: int) -> bool:
-        for p in factorize(d):
-            if p in bad:
+        k = abs(d)
+        if not 0 < k <= x:
+            raise ValueError(f"need 0 < |d| <= {x}")
+        while k > 1:
+            p = int(spf[k])
+            k //= p
+            if bad % p == 0:
                 continue
             hit = cache.get(p)
             if hit is None:
@@ -281,17 +372,18 @@ def twist_density_series(
     schedule: list[int] | None = None,
 ) -> DensitySeries:
     """Proportion of quadratic fields of discriminant up to x arising as
-    specializations of the cover: found by one point search at height
-    max(schedule) (default 256; the smaller heights are not searched),
-    certified absent by the rootless-prime valuation argument, unknown
-    otherwise."""
+    specializations of the cover. A field Q(sqrt m) is found when m is the
+    squarefree part of a value F(u, v) at a coprime pair of height
+    max(schedule) (default 256; the smaller heights are not used), decided by
+    the small-prime sieve of _found_twists; certified absent by the
+    rootless-prime valuation argument; unknown otherwise."""
     if not grid:
         return DensitySeries((), (), (), ())
     if schedule is None:
         schedule = [16, 64, 256]
     x_max = max(grid)
     found = _found_twists(cover, max(schedule), x_max)
-    certifies = _absence_certifier(cover)
+    certifies = _absence_certifier(cover, x_max)
     num = []
     den = []
     unk = []
@@ -440,7 +532,7 @@ def local_global_ratio_series(
     x_max = max(grid)
     base = SuperellipticCurve(2, cover.P)
     found = _found_twists(cover, H, x_max)
-    certifies = _absence_certifier(cover)
+    certifies = _absence_certifier(cover, x_max)
     rows = []
     for d in nfree_sieve(2, x_max):
         adF = abs(quad_disc(d))

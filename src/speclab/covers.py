@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+import numpy as np
+
 from .intutil import (
     factorize,
     is_nfree,
@@ -912,8 +914,15 @@ def chebotarev_unramified_sieve(
     return out, density, density
 
 
+# Largest prime at which _rootless_mod_p evaluates R at every residue; above
+# it, gcd(x^p - x, R) is cheaper.
+_BRUTE_ROOT_P = 4096
+
+
 def _rootless_mod_p(R: IntPolynomial, p: int) -> bool:
-    """No root in F_p: gcd(x^p - x, R) is constant. Assumes p prime."""
+    """No root in F_p. Assumes p prime; raises ValueError if R vanishes mod p.
+    For p <= _BRUTE_ROOT_P, one numpy Horner pass over all residues; above
+    it, gcd(x^p - x, R) is constant."""
     from .poly import _gf_gcd, _gf_pow_mod, _gf_trim
 
     a = _gf_trim([c % p for c in R.coeffs])
@@ -921,8 +930,18 @@ def _rootless_mod_p(R: IntPolynomial, p: int) -> bool:
         raise ValueError("R vanishes mod p")
     if len(a) == 1:
         return True
-    if p <= len(a):
-        return all(_eval_mod(a, t, p) for t in range(p))
+    if p <= _BRUTE_ROOT_P:
+        t = np.arange(p, dtype=np.int64)
+        acc = np.full(p, a[-1], dtype=np.int64)
+        bound = p - 1  # on acc; reduce mod p before a step could pass 2^62
+        for c in reversed(a[:-1]):
+            if bound * p >= 1 << 62:
+                np.remainder(acc, p, out=acc)
+                bound = p - 1
+            acc *= t
+            acc += c
+            bound = bound * (p - 1) + c
+        return bool(np.remainder(acc, p, out=acc).all())
     xp = _gf_pow_mod([0, 1], p, a, p)
     diff = xp[:]
     while len(diff) < 2:

@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from speclab import census
 from speclab.census import (
     DensitySeries,
     count_poly_sets,
@@ -16,8 +19,9 @@ from speclab.census import (
     s3_survey,
     twist_density_series,
 )
-from speclab.covers import quad_cover
-from speclab.poly import parse_poly
+from speclab.covers import _rootless_mod_p, quad_cover
+from speclab.intutil import factorize, nfree_sieve, quad_disc, squarefree_part
+from speclab.poly import IntPolynomial, factor_over_Q, parse_poly
 
 
 def P(text):
@@ -25,6 +29,55 @@ def P(text):
 
 
 P6 = P("T^2+1") * P("T^4+2")
+
+
+def old_found_twists(cover, H, x):
+    """The per-value census kept as oracle: the squarefree part of every
+    value F(u, v), each factorised in full."""
+    found = set()
+
+    def note(val):
+        if val == 0:
+            return
+        m = squarefree_part(val)
+        if m != 1 and abs(quad_disc(m)) <= x:
+            found.add(m)
+
+    if cover.degree % 2 == 0:
+        note(cover.P.lc)
+    N = cover.degree + (cover.degree % 2)
+    cs = list(cover.P.coeffs) + [0] * (N + 1 - len(cover.P.coeffs))
+    for v in range(1, H + 1):
+        for u in range(-H, H + 1):
+            if gcd(u, v) == 1:
+                note(sum(c * u**j * v ** (N - j) for j, c in enumerate(cs)))
+    return found
+
+
+def old_certifier(cover):
+    """The absence certifier kept as oracle: it factorises every d."""
+    Pc = cover.P
+    if cover.degree % 2:
+        return lambda d: False
+    _, factors = factor_over_Q(Pc)
+    if any(f.degree == 1 for f, _ in factors) or any(m > 1 for _, m in factors):
+        return lambda d: False
+    bad = set(factorize(2 * Pc.lc * Pc.trailing * Pc.content))
+    return lambda d: any(p not in bad and _rootless_mod_p(Pc, p) for p in factorize(d))
+
+
+@st.composite
+def census_covers(draw):
+    """Covers of degree 1-8, odd degrees included, with a leading coefficient
+    that may be negative or carry a square factor, and a squarefree content."""
+    deg = draw(st.integers(1, 8))
+    lc = draw(st.sampled_from([1, -1, 2, -3, 4, -9, 12, 18, -25, 50]))
+    content = draw(st.sampled_from([1, 1, 2, 3, -5, 6]))
+    low = draw(st.lists(st.integers(-9, 9), min_size=deg, max_size=deg))
+    try:
+        return quad_cover(IntPolynomial([content * c for c in low] + [content * lc]))
+    except ValueError:  # not separable, or a square in the content
+        assume(False)
 
 
 def brute_count_sets(n, N, H):
@@ -210,6 +263,47 @@ class TestTwistSeries:
         g, l = local_global_ratio_series(quad_cover(P8), [100, 300], 64)
         assert (g.numerator, g.denominator, g.unknown) == ((2, 4), (61, 184), (6, 21))
         assert (l.numerator, l.denominator, l.unknown) == ((8, 25), (61, 184), (0, 0))
+
+    @given(census_covers(), st.integers(1, 24), st.integers(2, 3000))
+    @example(quad_cover(P("T^2-28")), 1, 3)  # F(1, 1) = -3^3 and x = 3: m = -3 sits on the bound
+    @settings(max_examples=200, deadline=None)
+    def test_sieve_matches_factorisation(self, cov, H, x):
+        assert census._found_twists(cov, H, x) == old_found_twists(cov, H, x)
+        new = census._absence_certifier(cov, x)
+        old = old_certifier(cov)
+        ds = nfree_sieve(2, x)
+        assert [new(d) for d in ds] == [old(d) for d in ds]
+
+    def test_is_square_near_int64_limit(self):
+        k = np.arange(2**31 - 40, 2**31 - 1, dtype=np.int64)
+        c = np.concatenate([k * k, k * k - 1, k * k + 1])
+        assert census._is_square(c).tolist() == [True] * k.size + [False] * (2 * k.size)
+        assert census._is_square(c.astype(object)).tolist() == census._is_square(c).tolist()
+
+    def test_sieve_object_values(self, monkeypatch):
+        # sum |c_j| * 8^8 >= 2^62 needs Python ints; the value at infinity,
+        # 2 * 10007^2, has a square cofactor of primes above x
+        cov = quad_cover(IntPolynomial([5, 0, 0, 0, 2**44, 0, 0, 0, 2 * 10007**2]))
+        dtypes = []
+        box_values = census._box_values
+
+        def spy(*args):
+            vals = box_values(*args)
+            dtypes.append(vals.dtype)
+            return vals
+
+        monkeypatch.setattr(census, "_box_values", spy)
+        found = census._found_twists(cov, 8, 3000)
+        assert dtypes and all(dt == object for dt in dtypes)
+        assert {2, 5} <= found
+        assert found == old_found_twists(cov, 8, 3000)
+
+    def test_certifier_needs_d_in_its_sieve(self):
+        cov = quad_cover(P6)
+        certifies = census._absence_certifier(cov, 100)
+        assert [certifies(d) for d in (-100, 77, 100)] == [old_certifier(cov)(d) for d in (-100, 77, 100)]
+        with pytest.raises(ValueError):
+            certifies(101)
 
     def test_empty_grid(self):
         s = twist_density_series(quad_cover(P6), ())

@@ -1,8 +1,10 @@
 import filecmp
 import json
 import os
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,6 +199,19 @@ def test_stdout_json_when_no_out(capsys):
     out = capsys.readouterr().out
     body = out[out.index("{") :]
     assert json.loads(body)["command"] == "exponent"
+
+
+def test_readme_density_example(capsys):
+    # the density example of README.md, run as written (default heights)
+    t = time.monotonic()
+    code = run(["density", "--cover", "T^6-T-1", "--grid", "100,1000,3000,10000", "--fit"])
+    elapsed = time.monotonic() - t
+    assert code in (0, 2)
+    out = capsys.readouterr().out
+    fit = json.loads(out[out.index("{") :])["results"]["fit"]
+    assert math.isfinite(fit["alpha"]) and math.isfinite(fit["residual"])
+    print(f"README density example (alpha {fit['alpha']:.3f}): PASS ({elapsed:.1f}s)")
+    assert elapsed < 30
 
 
 def test_python_m_runs_the_command():

@@ -27,6 +27,25 @@ def P(text):
     return parse_poly(text)
 
 
+def old_rootless_mod_p(R, p):
+    """The root test kept as oracle: a Python loop over F_p when p <= deg + 1,
+    else gcd(x^p - x, R)."""
+    from speclab.poly import _gf_gcd, _gf_pow_mod, _gf_trim
+
+    a = _gf_trim([c % p for c in R.coeffs])
+    if len(a) == 1:
+        return True
+    if p <= len(a):
+        return all(R(t) % p for t in range(p))
+    diff = _gf_pow_mod([0, 1], p, a, p) + [0, 0]
+    diff = _gf_trim([(c - (i == 1)) % p for i, c in enumerate(diff)])
+    return bool(diff) and len(_gf_gcd(diff, a, p)) == 1
+
+
+# primes on both sides of the numpy cutoff of _rootless_mod_p
+ROOT_TEST_PRIMES = [2, 3, 5, 7, 11, 101, 1009, 4093, 4099, 5003]
+
+
 class TestQuadratic:
     def test_rejects_nonsquarefree(self):
         with pytest.raises(ValueError):
@@ -169,6 +188,45 @@ class TestSieve:
     def test_sieve_density(self):
         primes, density, _ = chebotarev_unramified_sieve(P("T^2 + 1"), 10**4)
         assert abs(float(density) - 0.5) < 0.03
+
+    def test_rootless_cutoff_between_test_primes(self):
+        assert 4093 <= covers._BRUTE_ROOT_P < 4099
+
+    @given(
+        st.lists(st.integers(-60, 60), min_size=2, max_size=9).filter(lambda c: c[-1] != 0),
+        st.sampled_from(ROOT_TEST_PRIMES),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rootless_matches_brute_force(self, coeffs, p):
+        R = IntPolynomial(coeffs)
+        if all(c % p == 0 for c in coeffs):
+            with pytest.raises(ValueError):
+                covers._rootless_mod_p(R, p)
+            return
+        want = all(R(t) % p for t in range(p))
+        assert covers._rootless_mod_p(R, p) == want == old_rootless_mod_p(R, p)
+
+    @pytest.mark.parametrize("p", [3, 4093, 4099])
+    def test_rootless_edge_cases(self, p):
+        rootless = covers._rootless_mod_p
+        assert not rootless(P("T^3 + T"), p)  # p <= deg for p = 3; root 0
+        # p | lc: the reduction has lower degree
+        assert rootless(IntPolynomial([1, 0, 1, p]), p) == all((t * t + 1) % p for t in range(p))
+        assert not rootless(IntPolynomial([-1, 1, p]), p)
+        # R constant mod p: no root
+        assert rootless(IntPolynomial([2, p, 5 * p]), p)
+        for vanishing in ([p], [0, -p, 0, 3 * p]):
+            with pytest.raises(ValueError):
+                rootless(IntPolynomial(vanishing), p)
+
+    def test_chebotarev_sieve_unchanged(self):
+        R = P("T^6 - T - 1")
+        primes, density, _ = chebotarev_unramified_sieve(R, 5000)
+        # pinned from the gcd-only root test
+        assert (len(primes), sum(primes), primes[:6]) == (240, 563469, [2, 3, 7, 11, 23, 41])
+        assert density == 240 / 669
+        want = [p for p in sympy.primerange(2, 5001) if old_rootless_mod_p(R, p)]
+        assert primes == want
 
     def test_verify_unramified(self):
         cov = quad_cover(P("T^2 - 2"))
