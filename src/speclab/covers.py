@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-import numpy as np
-
+from . import fp
 from .intutil import (
     factorize,
     is_nfree,
     is_nth_power,
+    is_probable_prime,
     primes_up_to,
     quad_disc,
     squarefree_part,
@@ -32,7 +32,6 @@ from .poly import (
     ProjectivePoint,
     discriminant,
     discriminant_y,
-    factor_mod_p,
     factor_over_Q,
     format_poly,
     homogenize_minpoly,
@@ -643,7 +642,7 @@ def cubic_field_disc(f: IntPolynomial) -> int:
     """
     if f.degree != 3 or f.lc != 1:
         raise ValueError("need a monic cubic")
-    if not _monic_cubic_irreducible(f):
+    if _monic_cubic_root(f) is not None:
         raise ValueError("cubic is reducible")
     df = discriminant(f)
     dK = df
@@ -678,7 +677,7 @@ def _cubic_index_exponent(form: tuple[int, int, int, int], p: int, v: int) -> in
             continue
         if a % p or b % p:
             # (r:1) is the multiple root: F(x + r y, y), then swap x and y
-            r = _double_root_mod_p([d, c, b, a], p)
+            r = fp.double_root([d, c, b, a], p)
             a, b, c, d = (
                 ((a * r + b) * r + c) * r + d,
                 (3 * a * r + 2 * b) * r + c,
@@ -692,48 +691,16 @@ def _cubic_index_exponent(form: tuple[int, int, int, int], p: int, v: int) -> in
     return k
 
 
-def _double_root_mod_p(coeffs: list[int], p: int) -> int:
-    """The multiple root in F_p of a polynomial of degree 2 or 3 mod p (given
-    low degree first) that has one; it is F_p-rational."""
-    from .poly import _gf_deriv, _gf_gcd, _gf_trim
-
-    a = _gf_trim([c % p for c in coeffs])
-    da = _gf_deriv(a, p)
-    if p <= 3:
-        # gcd(f, f') can exceed the multiple part in characteristic 2 and 3
-        return next(r for r in range(p) if not _eval_mod(a, r, p) and not _eval_mod(da, r, p))
-    g = _gf_gcd(a, da, p)
-    if len(g) == 2:
-        return -g[0] % p
-    return -g[1] * pow(2, -1, p) % p  # g = (x - r)^2: a triple root
-
-
 def _dedekind_p_maximal(f: IntPolynomial, p: int) -> bool:
     """Dedekind's criterion: is Z[x]/(f) maximal at p? (f monic.)"""
-    _, factors = factor_mod_p(f, p, seed=0)
-    g_bar = IntPolynomial([1])
-    h_bar = IntPolynomial([1])
-    for fac, m in factors:
-        g_bar = _mod_poly(g_bar * fac, p)
-        for _ in range(m - 1):
-            h_bar = _mod_poly(h_bar * fac, p)
-    g, h = g_bar, h_bar  # lifts with coefficients in [0, p)
-    T = g * h - f
+    _, factors = fp.factor_mod_p(f, p)
+    one = IntPolynomial([1])
+    g = prod((fac for fac, _ in factors), start=one)
+    h = prod((fac for fac, m in factors for _ in range(m - 1)), start=one)
+    T = g * h - f  # g * h = f mod p; the criterion holds for any monic lifts
     assert all(c % p == 0 for c in T.coeffs)
-    T = IntPolynomial([c // p for c in T.coeffs])
-    d = _gcd_mod(_gcd_mod(T, g_bar, p), h_bar, p)
-    return d.degree == 0
-
-
-def _mod_poly(q: IntPolynomial, p: int) -> IntPolynomial:
-    return IntPolynomial([c % p for c in q.coeffs])
-
-
-def _gcd_mod(a: IntPolynomial, b: IntPolynomial, p: int) -> IntPolynomial:
-    from .poly import _gf_gcd, _gf_trim  # reuse the F_p helpers
-
-    g = _gf_gcd(_gf_trim([c % p for c in a.coeffs]), _gf_trim([c % p for c in b.coeffs]), p)
-    return IntPolynomial(g if g else [0])
+    d = fp.gcd(fp.reduce([c // p for c in T.coeffs], p), fp.reduce(g.coeffs, p), p)
+    return len(fp.gcd(d, fp.reduce(h.coeffs, p), p)) == 1
 
 
 def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
@@ -743,17 +710,17 @@ def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
     disc = discriminant(spec)
     if disc == 0:
         raise ValueError(f"t0 = {pt} is a branch point of the discriminant locus")
-    _, factors = factor_over_Q(spec)
-    degrees = sorted(f.degree for f, m in factors for _ in range(m))
-    if degrees == [1, 1, 1]:
-        return SpecializationReport("cubic", pt, "C1", disc_field=1)
-    if degrees == [1, 2]:
-        quad = next(f for f, _ in factors if f.degree == 2)
-        mq = squarefree_part(discriminant(quad))
-        d = quad_disc(mq)
+    r = _monic_cubic_root(spec)
+    if r is not None:
+        # spec = (x - r)(x^2 + b x + c)
+        _, a1, a2, _ = spec.coeffs
+        b = a2 + r
+        qd = b * b - 4 * (a1 + r * b)
+        if is_nth_power(qd, 2):
+            return SpecializationReport("cubic", pt, "C1", disc_field=1)
+        d = quad_disc(squarefree_part(qd))
         return SpecializationReport(
-            "cubic", pt, "C2", disc_field=d,
-            ramified_primes=tuple(sorted(factorize(d))) if d != 1 else (),
+            "cubic", pt, "C2", disc_field=d, ramified_primes=tuple(sorted(factorize(d)))
         )
     dK = cubic_field_disc(spec)
     if is_nth_power(disc, 2):
@@ -779,11 +746,9 @@ def cubic_field_fingerprint(f: IntPolynomial, nprimes: int = 50) -> tuple:
     df = discriminant(f)
     pats = []
     p = 2
-    from .intutil import is_probable_prime
-
     while len(pats) < nprimes:
         if is_probable_prime(p) and df % p != 0:
-            _, facs = factor_mod_p(f, p, seed=0)
+            _, facs = fp.factor_mod_p(f, p)
             pats.append(tuple(sorted(g.degree for g, m in facs for _ in range(m))))
         p += 1
     return (dK, tuple(pats))
@@ -841,7 +806,7 @@ def s3_survey_predicates(
         disc = discriminant(spec)
         if disc == 0 or is_nth_power(disc, 2):
             continue
-        if _monic_cubic_irreducible(spec):
+        if _monic_cubic_root(spec) is None:
             witness = t0
             break
     if witness is not None:
@@ -875,18 +840,16 @@ def _witness_points(rng: int):
             yield -k
 
 
-def _monic_cubic_irreducible(f: IntPolynomial) -> bool:
-    """Monic integer cubic: reducible iff it has an integer root dividing f(0)."""
+def _monic_cubic_root(f: IntPolynomial) -> int | None:
+    """An integer root of a monic integer cubic, or None. The cubic is
+    reducible iff it has one, and every integer root divides f(0)."""
     c0 = f.coeffs[0]
     if c0 == 0:
-        return False
+        return 0
     divisors = [1]
     for p, e in factorize(c0).items():
         divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    for d in divisors:
-        if f(d) == 0 or f(-d) == 0:
-            return False
-    return True
+    return next((r for d in divisors for r in (d, -d) if f(r) == 0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -914,59 +877,15 @@ def chebotarev_unramified_sieve(
     return out, density, density
 
 
-# Largest prime at which _rootless_mod_p evaluates R at every residue; above
-# it, gcd(x^p - x, R) is cheaper.
-_BRUTE_ROOT_P = 4096
-
-
 def _rootless_mod_p(R: IntPolynomial, p: int) -> bool:
-    """No root in F_p. Assumes p prime; raises ValueError if R vanishes mod p.
-    For p <= _BRUTE_ROOT_P, one numpy Horner pass over all residues; above
-    it, gcd(x^p - x, R) is constant."""
-    from .poly import _gf_gcd, _gf_pow_mod, _gf_trim
-
-    a = _gf_trim([c % p for c in R.coeffs])
-    if not a:
-        raise ValueError("R vanishes mod p")
-    if len(a) == 1:
-        return True
-    if p <= _BRUTE_ROOT_P:
-        t = np.arange(p, dtype=np.int64)
-        acc = np.full(p, a[-1], dtype=np.int64)
-        bound = p - 1  # on acc; reduce mod p before a step could pass 2^62
-        for c in reversed(a[:-1]):
-            if bound * p >= 1 << 62:
-                np.remainder(acc, p, out=acc)
-                bound = p - 1
-            acc *= t
-            acc += c
-            bound = bound * (p - 1) + c
-        return bool(np.remainder(acc, p, out=acc).all())
-    xp = _gf_pow_mod([0, 1], p, a, p)
-    diff = xp[:]
-    while len(diff) < 2:
-        diff = diff + [0]
-    diff = _gf_trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(diff)])
-    if not diff:
-        return False  # x^p == x mod R: R splits completely, has roots
-    return len(_gf_gcd(diff, a, p)) == 1
-
-
-def _eval_mod(coeffs: list[int], t: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * t + c) % p
-    return acc
+    """No root in F_p. Assumes p prime; raises ValueError if R vanishes mod p."""
+    return fp.root_count(R, p) == 0
 
 
 def splits_completely(R: IntPolynomial, p: int) -> bool:
-    """R factors into distinct linear factors mod p (and p keeps the degree)."""
-    if R.lc % p == 0:
-        return False
-    _, facs = factor_mod_p(R, p, seed=0)
-    return all(f.degree == 1 and m == 1 for f, m in facs) and sum(
-        f.degree * m for f, m in facs
-    ) == R.degree
+    """R factors into distinct linear factors mod p (and p keeps the degree):
+    x^p - x is squarefree, so this is deg R distinct roots in F_p."""
+    return R.lc % p != 0 and fp.root_count(R, p) == R.degree
 
 
 def verify_unramified(

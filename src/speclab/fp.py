@@ -1,0 +1,259 @@
+"""Arithmetic modulo a prime p: polynomials over F_p, their roots and
+factorisation, and power-residue classes.
+
+A polynomial over F_p is a list of coefficients in [0, p), low degree first,
+with no trailing zeros; [] is the zero polynomial. `reduce` makes one from
+integer coefficients. root_count and factor_mod_p take an IntPolynomial.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from itertools import zip_longest
+
+import numpy as np
+
+from .intutil import is_probable_prime
+from .poly import IntPolynomial
+
+__all__ = [
+    "reduce",
+    "gcd",
+    "factor_mod_p",
+    "root_count",
+    "double_root",
+    "power_class",
+]
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def reduce(coeffs, p: int) -> list[int]:
+    """Integer coefficients (low degree first) as a polynomial over F_p."""
+    return _trim([c % p for c in coeffs])
+
+
+def _add(a, b, p):
+    return _trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def _quo_rem(a, b, p):
+    """(quotient, remainder) of a by a nonzero b."""
+    a = a[:]
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] * inv % p
+        if c:
+            q[i] = c
+            for j, y in enumerate(b):
+                a[i + j] = (a[i + j] - c * y) % p
+    return _trim(q), _trim(a)
+
+
+def gcd(a, b, p):
+    """Monic gcd; [] when both are zero."""
+    while b:
+        a, b = b, _quo_rem(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _pow_mod(a, e, mod, p):
+    """a^e modulo the polynomial mod."""
+    r = [1]
+    a = _quo_rem(a, mod, p)[1]
+    while e:
+        if e & 1:
+            r = _quo_rem(_mul(r, a, p), mod, p)[1]
+        a = _quo_rem(_mul(a, a, p), mod, p)[1]
+        e >>= 1
+    return r
+
+
+def _deriv(a, p):
+    return _trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+# ---------------------------------------------------------------------------
+# Factorisation: seeded Cantor-Zassenhaus
+
+
+def _sqf(a, p):
+    """Squarefree decomposition via repeated exact division; returns
+    [(monic squarefree poly, multiplicity)] with distinct pairwise-coprime polys."""
+    inv = pow(a[-1], -1, p)
+    a = [c * inv % p for c in a]
+    result: list[tuple[list[int], int]] = []
+    if len(a) == 1:
+        return result
+    d = _deriv(a, p)
+    if not d:
+        # a(x) = b(x^p) = b(x)^p over F_p
+        return [(f, m * p) for f, m in _sqf(a[::p], p)]
+    g = gcd(a, d, p)
+    w = _quo_rem(a, g, p)[0]  # product of distinct factors with p∤mult
+    mult = 1
+    while len(w) > 1:
+        y = gcd(w, g, p)
+        z = _quo_rem(w, y, p)[0]  # factors with exactly this multiplicity
+        if len(z) > 1:
+            result.append((z, mult))
+        w = y
+        g = _quo_rem(g, y, p)[0]
+        mult += 1
+    if len(g) > 1:
+        # what is left has every multiplicity divisible by p
+        result.extend(_sqf(g, p))
+    return result
+
+
+def _ddf(a, p):
+    """Distinct-degree factorization of squarefree monic a: [(product, d)]."""
+    out = []
+    h = [0, 1]
+    v = a[:]
+    d = 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod(h, p, v, p)
+        g = gcd(_add(h, [0, p - 1], p), v, p)  # gcd(x^(p^d) - x, v)
+        if len(g) > 1:
+            out.append((g, d))
+            v = _quo_rem(v, g, p)[0]
+            h = _quo_rem(h, v, p)[1]
+    if len(v) > 1:
+        out.append((v, len(v) - 1))
+    return out
+
+
+def _edf(a, d, p, rng):
+    """Equal-degree splitting (Cantor-Zassenhaus) of squarefree monic a whose
+    irreducible factors all have degree d."""
+    n = len(a) - 1
+    if n == d:
+        return [a]
+    while True:
+        r = _trim([rng.randrange(p) for _ in range(n)] + [1])
+        if p == 2:
+            # trace map sum_{i<d} r^(2^i) mod a
+            t = acc = r
+            for _ in range(d - 1):
+                t = _quo_rem(_mul(t, t, p), a, p)[1]
+                acc = _add(acc, t, p)
+            g = gcd(acc, a, p)
+        else:
+            t = _pow_mod(r, (p**d - 1) // 2, a, p)
+            g = gcd(_add(t, [p - 1], p), a, p)
+        if 1 < len(g) < len(a):
+            b = _quo_rem(a, g, p)[0]
+            return _edf(g, d, p, rng) + _edf(b, d, p, rng)
+
+
+def factor_mod_p(
+    poly: IntPolynomial, p: int, seed: int = 0
+) -> tuple[int, list[tuple[IntPolynomial, int]]]:
+    """Complete factorization of poly mod p.
+
+    Returns (leading unit, [(monic irreducible IntPolynomial with coefficients
+    in [0, p), multiplicity)]), sorted. The Cantor-Zassenhaus splitting draws
+    from random.Random(f"{seed},{p}"), so the run is reproducible. Raises
+    ValueError if the reduction vanishes identically or p is not prime.
+    """
+    if not is_probable_prime(p):
+        raise ValueError("p must be prime")
+    a = reduce(poly.coeffs, p)
+    if not a:
+        raise ValueError("polynomial vanishes mod p")
+    unit = a[-1]
+    if len(a) == 1:
+        return unit, []
+    rng = random.Random(f"{seed},{p}")
+    factors: list[tuple[IntPolynomial, int]] = []
+    for sq, mult in _sqf(a, p):
+        for part, d in _ddf(sq, p):
+            for irr in _edf(part, d, p, rng):
+                factors.append((IntPolynomial(irr), mult))
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return unit, factors
+
+
+# ---------------------------------------------------------------------------
+# Roots
+
+
+# Largest prime at which root_count evaluates R at every residue; above it,
+# gcd(x^p - x, R) is cheaper.
+_BRUTE_ROOT_P = 4096
+
+
+def root_count(R: IntPolynomial, p: int) -> int:
+    """Number of distinct roots of R in F_p. Assumes p prime; raises
+    ValueError if R vanishes mod p. For p <= _BRUTE_ROOT_P, one numpy Horner
+    pass over all residues; above it, deg gcd(x^p - x, R), since x^p - x is
+    the product of x - r over all r in F_p."""
+    a = reduce(R.coeffs, p)
+    if not a:
+        raise ValueError("R vanishes mod p")
+    if len(a) == 1:
+        return 0
+    if p <= _BRUTE_ROOT_P:
+        t = np.arange(p, dtype=np.int64)
+        acc = np.full(p, a[-1], dtype=np.int64)
+        bound = p - 1  # on acc; reduce mod p before a step could pass 2^62
+        for c in reversed(a[:-1]):
+            if bound * p >= 1 << 62:
+                np.remainder(acc, p, out=acc)
+                bound = p - 1
+            acc *= t
+            acc += c
+            bound = bound * (p - 1) + c
+        return p - int(np.count_nonzero(np.remainder(acc, p, out=acc)))
+    xp_x = _add(_pow_mod([0, 1], p, a, p), [0, p - 1], p)  # x^p - x mod a
+    return len(gcd(xp_x, a, p)) - 1
+
+
+def double_root(coeffs, p: int) -> int:
+    """The multiple root in F_p of a polynomial of degree 2 or 3 mod p (given
+    by integer coefficients, low degree first) that has one; it is
+    F_p-rational."""
+    a = reduce(coeffs, p)
+    da = _deriv(a, p)
+    if p <= 3:
+        # gcd(f, f') can exceed the multiple part in characteristic 2 and 3
+        return next(
+            r for r in range(p)
+            if all(sum(c * r**i for i, c in enumerate(f)) % p == 0 for f in (a, da))
+        )
+    g = gcd(a, da, p)
+    if len(g) == 2:
+        return -g[0] % p
+    return -g[1] * pow(2, -1, p) % p  # g = (x - r)^2: a triple root
+
+
+# ---------------------------------------------------------------------------
+# Power residues
+
+
+def power_class(a: int, p: int, n: int) -> int:
+    """Key of the class of a in F_p^*/(F_p^*)^n: a^((p-1)/gcd(n, p-1)) mod p,
+    which is 1 exactly on the n-th powers. 0 when p divides a."""
+    return pow(a % p, (p - 1) // math.gcd(n, p - 1), p)

@@ -21,6 +21,7 @@ from math import gcd
 
 import numpy as np
 
+from ..fp import power_class
 from ..intutil import is_probable_prime, nth_root
 from . import _purepy
 
@@ -37,19 +38,7 @@ _FALLBACK_PRIMES = 4
 
 def _allowed_residues(p: int, n: int, d: int) -> np.ndarray:
     """Boolean table over F_p: residues r with d*r an n-th power residue or 0."""
-    powers = {pow(x, n, p) for x in range(1, p)}
-    ok = np.zeros(p, dtype=bool)
-    ok[0] = True
-    for r in range(1, p):
-        if (d * r) % p in powers or (d * r) % p == 0:
-            ok[r] = True
-    return ok
-
-
-def _power_class(p: int, n: int, d: int) -> int:
-    """Key of the class of d in F_p^*/(F_p^*)^n, or 0 when p divides d."""
-    r = d % p
-    return pow(r, (p - 1) // gcd(n, p - 1), p) if r else 0
+    return np.array([power_class(d * r, p, n) in (0, 1) for r in range(p)])
 
 
 def _sieve_fraction(p: int, n: int, d: int) -> float:
@@ -109,7 +98,7 @@ def _residue_tables(
         cache = {}
     tables = {}
     for p in primes:
-        key = (p, _power_class(p, n, d))
+        key = (p, power_class(d, p, n))
         ok = cache.get(key)
         if ok is None:
             val = cache.get(p)

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic over Z, Q, F_p and binary forms over Z.
+"""Exact polynomial arithmetic over Z and Q, and binary forms over Z.
 
 Coefficient order is low degree first everywhere. The text format is a sum of
 sparse terms "c*T^k" (e.g. "T^2-2", "3*T^4+T-1"); it round-trips through
@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .intutil import is_probable_prime
-
 __all__ = [
     "IntPolynomial",
     "HomogPolynomial",
@@ -26,7 +24,6 @@ __all__ = [
     "discriminant",
     "discriminant_y",
     "homogenize_minpoly",
-    "factor_mod_p",
     "factor_over_Q",
     "sqf_part",
     "real_roots_sign_analysis",
@@ -447,181 +444,6 @@ def homogenize_minpoly(t) -> HomogPolynomial:
             raise ValueError("minimal polynomial must be irreducible")
         return HomogPolynomial.from_poly(p)
     raise TypeError(f"cannot homogenize {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# Factorization mod p: seeded Cantor-Zassenhaus
-
-
-def _gf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _gf_trim(out)
-
-
-def _gf_divmod(a, b, p):
-    a = a[:]
-    if not b:
-        raise ZeroDivisionError
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv % p
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    return _gf_trim(q), _gf_trim(a)
-
-
-def _gf_gcd(a, b, p):
-    a, b = _gf_trim(a[:]), _gf_trim(b[:])
-    while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _gf_pow_mod(a, e, mod, p):
-    r = [1]
-    a = _gf_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            r = _gf_divmod(_gf_mul(r, a, p), mod, p)[1]
-        a = _gf_divmod(_gf_mul(a, a, p), mod, p)[1]
-        e >>= 1
-    return r
-
-
-def _gf_deriv(a, p):
-    return _gf_trim([i * c % p for i, c in enumerate(a)][1:])
-
-
-def _gf_sqf_simple(a, p):
-    """Squarefree decomposition via repeated exact division; returns
-    [(monic squarefree poly, multiplicity)] with distinct pairwise-coprime polys."""
-    inv = pow(a[-1], -1, p)
-    a = [c * inv % p for c in a]
-    result: list[tuple[list[int], int]] = []
-    if len(a) == 1:
-        return result
-    d = _gf_deriv(a, p)
-    if not d:
-        for f, m in _gf_sqf_simple(a[::p], p):
-            result.append((f, m * p))
-        return result
-    g = _gf_gcd(a, d, p)
-    w = _gf_divmod(a, g, p)[0]  # product of distinct factors with p∤mult
-    mult = 1
-    while len(w) > 1:
-        y = _gf_gcd(w, g, p)
-        z = _gf_divmod(w, y, p)[0]  # factors with exactly this multiplicity
-        if len(z) > 1:
-            result.append((z, mult))
-        w = y
-        g = _gf_divmod(g, y, p)[0]
-        mult += 1
-    if len(g) > 1:
-        # remaining part is a p-th power times ... all multiplicities divisible by p
-        for f, m in _gf_sqf_simple(g, p):
-            result.append((f, m))
-    return result
-
-
-def _gf_ddf(a, p):
-    """Distinct-degree factorization of squarefree monic a: [(product, d)]."""
-    out = []
-    x = [0, 1]
-    h = x[:]
-    v = a[:]
-    d = 0
-    while len(v) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _gf_pow_mod(h, p, v, p)
-        diff = _gf_trim([(hc - xc) % p for hc, xc in _itertools_zip(h, x)])
-        g = _gf_gcd(diff, v, p)
-        if len(g) > 1:
-            out.append((g, d))
-            v = _gf_divmod(v, g, p)[0]
-            h = _gf_divmod(h, v, p)[1]
-    if len(v) > 1:
-        out.append((v, len(v) - 1))
-    return out
-
-
-def _itertools_zip(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _gf_edf(a, d, p, rng):
-    """Equal-degree splitting (Cantor-Zassenhaus) of squarefree monic a whose
-    irreducible factors all have degree d."""
-    n = len(a) - 1
-    if n == d:
-        return [a]
-    while True:
-        r = [rng.randrange(p) for _ in range(n)] + [1]
-        r = _gf_trim(r)
-        if p == 2:
-            # trace map sum_{i<d} r^(2^i) mod a
-            t = r[:]
-            acc = r[:]
-            for _ in range(d - 1):
-                t = _gf_divmod(_gf_mul(t, t, p), a, p)[1]
-                acc = _gf_trim([(x + y) % p for x, y in _itertools_zip(acc, t)])
-            g = _gf_gcd(acc, a, p)
-        else:
-            e = (p**d - 1) // 2
-            t = _gf_pow_mod(r, e, a, p)
-            t = _gf_trim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(t + [0])])
-            g = _gf_gcd(t, a, p)
-        if 1 < len(g) < len(a):
-            b = _gf_divmod(a, g, p)[0]
-            return _gf_edf(g, d, p, rng) + _gf_edf(b, d, p, rng)
-
-
-def factor_mod_p(
-    poly: IntPolynomial, p: int, seed: int = 0
-) -> tuple[int, list[tuple[IntPolynomial, int]]]:
-    """Complete factorization of poly mod p.
-
-    Returns (leading unit, [(monic irreducible IntPolynomial with coefficients
-    in [0, p), multiplicity)]), sorted. The Cantor-Zassenhaus splitting draws
-    from random.Random(f"{seed},{p}"), so the run is reproducible. Raises
-    ValueError if the reduction vanishes identically or p is not prime.
-    """
-    import random as _random
-
-    if not is_probable_prime(p):
-        raise ValueError("p must be prime")
-    a = _gf_trim([c % p for c in poly.coeffs])
-    if not a:
-        raise ValueError("polynomial vanishes mod p")
-    unit = a[-1]
-    if len(a) == 1:
-        return unit, []
-    rng = _random.Random(f"{seed},{p}")
-    factors: list[tuple[IntPolynomial, int]] = []
-    for sq, mult in _gf_sqf_simple(a, p):
-        for part, d in _gf_ddf(sq, p):
-            for irr in _gf_edf(part, d, p, rng):
-                factors.append((IntPolynomial(irr), mult))
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return unit, factors
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,14 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from . import kernels
-from .covers import ConsistencyError, QuadraticCover, quad_specialize, splits_completely
+from .covers import (
+    ConsistencyError,
+    QuadraticCover,
+    _rootless_mod_p,
+    quad_specialize,
+    splits_completely,
+)
+from .fp import power_class
 from .ramify import exceptional_superset
 from .intutil import (
     factorize,
@@ -234,8 +241,6 @@ def obstruction_certificate(curve) -> ObstructionCertificate | None:
         raise ValueError("certificate needs P separable")
     if any(f.degree == 1 for f, _ in base._factors):
         raise ValueError("certificate needs P without rational roots")
-    from .covers import _rootless_mod_p
-
     a0, aN = base.P.trailing, base.P.lc
     for p in sorted(factorize(d)):
         v = valuation(d, p)
@@ -264,8 +269,7 @@ def _is_nth_power_qp(val: int, p: int, n: int) -> bool:
     if s == 0:
         if p == 2:
             return True  # odd n acts invertibly on Z_2^*
-        g = gcd(n, p - 1)
-        return pow(u % p, (p - 1) // g, p) == 1
+        return power_class(u, p, n) == 1
     mod = p ** (2 * s + 1)
     um = u % mod
     return any(pow(x, n, mod) == um for x in range(1, mod) if x % p)
@@ -277,8 +281,7 @@ def _unit_class_key(d: int, p: int, n: int) -> tuple:
     u = d // p**w
     s = valuation(n, p) if n % p == 0 else 0
     if s == 0 and p != 2:
-        g = gcd(n, p - 1)
-        return (w % n, pow(u % p, (p - 1) // g, p))
+        return (w % n, power_class(u, p, n))
     mod = p ** (2 * s + 1)
     return (w % n, u % mod)
 

@@ -22,6 +22,7 @@ from speclab.census import (
 from speclab.covers import _rootless_mod_p, quad_cover
 from speclab.intutil import factorize, nfree_sieve, quad_disc, squarefree_part
 from speclab.poly import IntPolynomial, factor_over_Q, parse_poly
+from speclab.twists import SuperellipticCurve, search_points
 
 
 def P(text):
@@ -273,6 +274,19 @@ class TestTwistSeries:
         old = old_certifier(cov)
         ds = nfree_sieve(2, x)
         assert [new(d) for d in ds] == [old(d) for d in ds]
+
+    @pytest.mark.parametrize("poly", [P("T^2-2"), P("T^6-T-1"), P6, P("T^3-T+3")])
+    @pytest.mark.parametrize("H,x", [(8, 300), (16, 1000)])
+    def test_found_twists_by_point_search(self, poly, H, x):
+        """A twist is found iff the point search at height H finds a point
+        on it: the sieve and the search are independent routes."""
+        base = SuperellipticCurve(2, poly)
+        want = {
+            d
+            for d in nfree_sieve(2, x)
+            if abs(quad_disc(d)) <= x and search_points(base.twist(d), H, max_points=1)
+        }
+        assert census._found_twists(quad_cover(poly), H, x) == want
 
     def test_is_square_near_int64_limit(self):
         k = np.arange(2**31 - 40, 2**31 - 1, dtype=np.int64)

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.numberfields.basis import round_two
 
-from speclab import covers, twists
+from speclab import covers, fp, twists
 from speclab.covers import (
     ConsistencyError,
     CubicCover,
@@ -20,7 +20,8 @@ from speclab.covers import (
     splits_completely,
     verify_unramified,
 )
-from speclab.poly import INFINITY, IntPolynomial, parse_poly
+from speclab.intutil import quad_disc, squarefree_part
+from speclab.poly import INFINITY, IntPolynomial, discriminant, factor_over_Q, parse_poly
 
 
 def P(text):
@@ -30,20 +31,48 @@ def P(text):
 def old_rootless_mod_p(R, p):
     """The root test kept as oracle: a Python loop over F_p when p <= deg + 1,
     else gcd(x^p - x, R)."""
-    from speclab.poly import _gf_gcd, _gf_pow_mod, _gf_trim
-
-    a = _gf_trim([c % p for c in R.coeffs])
+    a = fp.reduce(R.coeffs, p)
     if len(a) == 1:
         return True
     if p <= len(a):
         return all(R(t) % p for t in range(p))
-    diff = _gf_pow_mod([0, 1], p, a, p) + [0, 0]
-    diff = _gf_trim([(c - (i == 1)) % p for i, c in enumerate(diff)])
-    return bool(diff) and len(_gf_gcd(diff, a, p)) == 1
+    diff = fp._pow_mod([0, 1], p, a, p) + [0, 0]
+    diff = fp.reduce([c - (i == 1) for i, c in enumerate(diff)], p)
+    return bool(diff) and len(fp.gcd(diff, a, p)) == 1
 
 
-# primes on both sides of the numpy cutoff of _rootless_mod_p
+def old_splits_completely(R, p):
+    """The split test kept as oracle: a full factorisation mod p."""
+    if R.lc % p == 0:
+        return False
+    _, facs = fp.factor_mod_p(R, p, seed=0)
+    return all(f.degree == 1 and m == 1 for f, m in facs) and sum(
+        f.degree * m for f, m in facs
+    ) == R.degree
+
+
+# primes on both sides of the numpy cutoff of fp.root_count
 ROOT_TEST_PRIMES = [2, 3, 5, 7, 11, 101, 1009, 4093, 4099, 5003]
+
+
+@st.composite
+def split_candidates(draw):
+    """(R, p): half of them products of linear factors, whose roots may
+    coincide mod p; the leading coefficient may be divisible by p, and the
+    rest of R may vanish mod p, leaving R constant mod p."""
+    p = draw(st.sampled_from(ROOT_TEST_PRIMES))
+    lc = draw(st.sampled_from([1, -1, 2, -3, p, -2 * p]))
+    if draw(st.booleans()):
+        roots = draw(st.lists(st.integers(0, 12), max_size=8))
+        shifts = draw(st.lists(st.integers(-3, 3), min_size=len(roots), max_size=len(roots)))
+        R = IntPolynomial([lc])
+        for r, k in zip(roots, shifts):
+            R = R * IntPolynomial([-(r + k * p), 1])
+    else:
+        R = IntPolynomial(draw(st.lists(st.integers(-60, 60), max_size=8)) + [lc])
+    if draw(st.integers(0, 7)) == 0:
+        R = IntPolynomial([draw(st.integers(1, 9))]) + p * R
+    return R, p
 
 
 class TestQuadratic:
@@ -118,6 +147,30 @@ class TestCubic:
         assert rep2.group == "C3"  # x^3 - 3x - 1: disc 81
 
 
+def old_reducible_class(f):
+    """Group and field discriminant of a reducible monic cubic from its sympy
+    factorisation over Q, kept as oracle."""
+    _, factors = factor_over_Q(f)
+    quad = [g for g, _ in factors if g.degree == 2]
+    if not quad:
+        return "C1", 1
+    return "C2", quad_disc(squarefree_part(discriminant(quad[0])))
+
+
+class TestReducibleSpecialization:
+    @given(st.integers(-30, 30), st.integers(-12, 12), st.integers(-40, 40))
+    @example(2, 0, 1)  # x^2 + 1: the cofactor's discriminant is -2^2
+    @example(0, 0, -4)  # three rational roots
+    @settings(max_examples=300, deadline=None)
+    def test_matches_factorisation(self, r, b, c):
+        f = IntPolynomial([-r, 1]) * IntPolynomial([c, b, 1])  # (x - r)(x^2 + b x + c)
+        assume(discriminant(f) != 0)
+        a0, a1, a2 = f.coeffs[:3]
+        cover = CubicCover(IntPolynomial([a2]), IntPolynomial([a1]), IntPolynomial([a0]))
+        rep = cubic_specialize(cover, 0)
+        assert (rep.group, rep.disc_field) == old_reducible_class(f)
+
+
 class TestCubicFieldDisc:
     def test_known_fields(self):
         assert cubic_field_disc(P("T^3 - T - 1")) == -23
@@ -152,7 +205,7 @@ class TestCubicFieldDisc:
     def test_matches_round_two(self, p, bs, es):
         a0, a1, a2 = (b * p**e for b, e in zip(bs, es))
         f = IntPolynomial([a0, a1, a2, 1])
-        assume(covers._monic_cubic_irreducible(f))
+        assume(covers._monic_cubic_root(f) is None)
         x = sympy.Symbol("x")
         _, want = round_two(sympy.Poly([1, a2, a1, a0], x, domain=sympy.ZZ))
         assert cubic_field_disc(f) == int(want)
@@ -185,12 +238,22 @@ class TestSieve:
         assert splits_completely(f, 7)  # 2 is a QR mod 7
         assert not splits_completely(f, 5)
 
+    @given(split_candidates())
+    @example((IntPolynomial([-2, 0, 1]), 7))
+    @example((IntPolynomial([3, -7 * 4, 7 * 5]), 7))  # constant mod p
+    @example((IntPolynomial([-1, 0, 0, 0, 1]), 4099))
+    @example((IntPolynomial([0, -1, 0, 0, 0, 1]), 5003))
+    @settings(max_examples=300, deadline=None)
+    def test_splits_matches_factorisation(self, case):
+        R, p = case
+        assert splits_completely(R, p) == old_splits_completely(R, p)
+
     def test_sieve_density(self):
         primes, density, _ = chebotarev_unramified_sieve(P("T^2 + 1"), 10**4)
         assert abs(float(density) - 0.5) < 0.03
 
     def test_rootless_cutoff_between_test_primes(self):
-        assert 4093 <= covers._BRUTE_ROOT_P < 4099
+        assert 4093 <= fp._BRUTE_ROOT_P < 4099
 
     @given(
         st.lists(st.integers(-60, 60), min_size=2, max_size=9).filter(lambda c: c[-1] != 0),

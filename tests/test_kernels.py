@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclab import kernels
+from speclab import fp, kernels
 from speclab.intutil import nth_root
 from speclab.kernels import _purepy
 
@@ -137,7 +137,7 @@ def class_representatives(p, n):
     """0, p, and the least and largest residue of each class of F_p^*/(F_p^*)^n."""
     first, last = {}, {}
     for r in range(1, p):
-        key = kernels._power_class(p, n, r)
+        key = fp.power_class(r, p, n)
         first.setdefault(key, r)
         last[key] = r
     return [0, p] + sorted(set(first.values()) | set(last.values()))

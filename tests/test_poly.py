@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab.fp import factor_mod_p
 from speclab.intutil import is_probable_prime, primes_up_to
 from speclab.poly import (
     INFINITY,
@@ -10,7 +11,6 @@ from speclab.poly import (
     ProjectivePoint,
     discriminant,
     discriminant_y,
-    factor_mod_p,
     factor_over_Q,
     format_poly,
     homogenize_minpoly,
