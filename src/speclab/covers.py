@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from . import fp
@@ -22,7 +23,6 @@ from .intutil import (
     is_probable_prime,
     primes_up_to,
     quad_disc,
-    squarefree_part,
     valuation,
 )
 from .poly import (
@@ -411,13 +411,17 @@ class QuadraticCover:
     def group_order(self) -> int:
         return 2
 
+    @cached_property
+    def _factors(self) -> list[tuple[IntPolynomial, int]]:
+        """factor_over_Q(P)[1], computed on first use; no part of repr,
+        equality or hash."""
+        return factor_over_Q(self.P)[1]
+
     def branch_orbits(self) -> list[tuple[HomogPolynomial, int]]:
-        """(minimal binary form, ramification index) per Galois orbit."""
-        out = []
-        _, factors = factor_over_Q(self.P)
-        for f, m in factors:
-            assert m == 1
-            out.append((homogenize_minpoly(f) if f.degree > 1 else homogenize_minpoly(Fraction(-f.coeffs[0], f.coeffs[1])), 2))
+        """(minimal binary form, ramification index) per Galois orbit. Each
+        factor is primitive, irreducible and has positive leading
+        coefficient, so its homogenisation is the orbit's minimal form."""
+        out = [(HomogPolynomial.from_poly(f), 2) for f, _ in self._factors]
         if self.infinity_branched:
             out.append((homogenize_minpoly(INFINITY), 2))
         return out
@@ -480,14 +484,24 @@ def quad_specialize(cover: QuadraticCover, t0) -> SpecializationReport:
     val = cover.hom_value(pt)
     if val == 0:
         raise ValueError(f"t0 = {pt} is a branch point")
-    m = squarefree_part(val)
+    m, d, ram = _quad_field(val, factorize(val))
     if m == 1:
         return SpecializationReport("quadratic", pt, "C1", m=1, disc_field=1)
-    d = quad_disc(m)
-    ram = tuple(sorted(factorize(d)))
     return SpecializationReport(
         "quadratic", pt, "C2", m=m, disc_field=d, ramified_primes=ram
     )
+
+
+def _quad_field(n: int, nfac: dict[int, int]) -> tuple[int, int, tuple[int, ...]]:
+    """(m, d, primes of d) for Q(sqrt n) from nfac = factorize(n): m is the
+    squarefree part of n and d the field discriminant, m or 4m."""
+    odd = {p for p, e in nfac.items() if e % 2}
+    m = (1 if n > 0 else -1) * prod(odd)
+    if m == 1:
+        return 1, 1, ()
+    if m % 4 != 1:
+        odd.add(2)
+    return m, quad_disc(m), tuple(sorted(odd))
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +527,36 @@ class CubicCover:
     def coeff_degree(self) -> int:
         return max(self.a2.degree, self.a1.degree, self.a0.degree, 0)
 
+    @cached_property
+    def _factors(self) -> list[tuple[IntPolynomial, int]]:
+        """factor_over_Q(delta)[1], computed on first use; no part of repr,
+        equality or hash."""
+        return factor_over_Q(self.delta)[1]
+
     def generic_group(self) -> str:
-        """Galois group of the splitting field over Q(T): S3, C3, C2 or C1."""
+        """Galois group of the splitting field over Q(T): S3, C3, C2 or C1.
+
+        An S3 witness (see _s3_witness) proves S3 without factorising;
+        without one the bivariate route decides."""
+        if _s3_witness(self, _WITNESS_RANGE) is not None:
+            return "S3"
+        return self._group_over_QT()
+
+    def _group_over_QT(self) -> str:
+        """The group from the factorisation of P(T, Y) over Q(T) and whether
+        delta is a square in Q(T)."""
         if self._reducible_over_QT():
             # a Q(T)-root exists; quotient is the quadratic cofactor
-            return "C2" if not _is_square_in_QT(self.delta) else "C1"
-        return "C3" if _is_square_in_QT(self.delta) else "S3"
+            return "C1" if self._delta_is_square() else "C2"
+        return "C3" if self._delta_is_square() else "S3"
+
+    def _delta_is_square(self) -> bool:
+        """delta = c * g^2 with every factor of even multiplicity; it is a
+        square in Q(T) iff c, which has the sign of lc(delta) and absolute
+        value content(delta), is a square."""
+        if any(m % 2 for _, m in self._factors):
+            return False
+        return self.delta.lc > 0 and is_nth_power(self.delta.content, 2)
 
     @property
     def group_order(self) -> int:
@@ -567,12 +605,10 @@ class CubicCover:
         infinity when it is branched. Roots of delta where the fiber merely
         degenerates without ramification (nodes) are excluded."""
         out = []
-        _, factors = factor_over_Q(self.delta)
-        for f, _m in factors:
-            ct = self.cycle_type_at(f)
-            e = lcm(*ct)
+        for f, _m in self._factors:
+            e = lcm(*self.cycle_type_at(f))
             if e > 1:
-                out.append((homogenize_minpoly(f) if f.degree > 1 else homogenize_minpoly(Fraction(-f.coeffs[0], f.coeffs[1])), e))
+                out.append((HomogPolynomial.from_poly(f), e))
         ct = self.cycle_type_at(INFINITY)
         e = lcm(*ct)
         if e > 1:
@@ -606,15 +642,6 @@ def _to_sympy(p: IntPolynomial, T):
     return sum(int(c) * T**i for i, c in enumerate(p.coeffs))
 
 
-def _is_square_in_QT(p: IntPolynomial) -> bool:
-    if p.degree < 0:
-        raise ValueError("zero polynomial")
-    cont, factors = factor_over_Q(p)
-    if any(m % 2 for _, m in factors):
-        return False
-    return cont > 0 and is_nth_power(cont, 2)
-
-
 def _compose_shift(K: _NF, a: IntPolynomial, tau) -> list:
     """a(tau + s) as a K[s] polynomial."""
     if a.degree < 0:
@@ -645,8 +672,14 @@ def cubic_field_disc(f: IntPolynomial) -> int:
     if _monic_cubic_root(f) is not None:
         raise ValueError("cubic is reducible")
     df = discriminant(f)
+    return _field_disc(f, df, factorize(df))
+
+
+def _field_disc(f: IntPolynomial, df: int, dfac: dict[int, int]) -> int:
+    """cubic_field_disc of a monic cubic f already known to be irreducible,
+    from df = disc(f) and dfac = factorize(df)."""
     dK = df
-    for p, v_f in sorted(factorize(df).items()):
+    for p, v_f in sorted(dfac.items()):
         if v_f < 2:
             continue
         k = _cubic_index_exponent(tuple(f.coeffs[::-1]), p, v_f)
@@ -718,20 +751,20 @@ def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
         qd = b * b - 4 * (a1 + r * b)
         if is_nth_power(qd, 2):
             return SpecializationReport("cubic", pt, "C1", disc_field=1)
-        d = quad_disc(squarefree_part(qd))
-        return SpecializationReport(
-            "cubic", pt, "C2", disc_field=d, ramified_primes=tuple(sorted(factorize(d)))
-        )
-    dK = cubic_field_disc(spec)
+        _, d, ram = _quad_field(qd, factorize(qd))
+        return SpecializationReport("cubic", pt, "C2", disc_field=d, ramified_primes=ram)
+    # one factorisation of disc(spec) serves d_K, d_k and both prime sets;
+    # d_K = disc(spec) / index^2, so its primes are among those of disc(spec)
+    dfac = factorize(disc)
+    dK = _field_disc(spec, disc, dfac)
+    dK_primes = {p for p in dfac if dK % p == 0}
     if is_nth_power(disc, 2):
-        ram = tuple(sorted(factorize(dK))) if abs(dK) != 1 else ()
         return SpecializationReport(
-            "cubic", pt, "C3", d_K=dK, disc_field=dK, ramified_primes=ram
+            "cubic", pt, "C3", d_K=dK, disc_field=dK, ramified_primes=tuple(sorted(dK_primes))
         )
-    mq = squarefree_part(disc)
-    dk = quad_disc(mq)
+    _, dk, dk_primes = _quad_field(disc, dfac)
     dF = abs(dk) * dK * dK
-    ram = tuple(sorted(set(factorize(dK)) | set(factorize(dk))))
+    ram = tuple(sorted(dK_primes.union(dk_primes)))
     return SpecializationReport(
         "cubic", pt, "S3", d_K=dK, d_k=dk, disc_field=dF, ramified_primes=ram
     )
@@ -779,8 +812,11 @@ class SurveyPredicates:
         )
 
 
+_WITNESS_RANGE = 12
+
+
 def s3_survey_predicates(
-    a2: IntPolynomial, a1: IntPolynomial, a0: IntPolynomial, witness_range: int = 12
+    a2: IntPolynomial, a1: IntPolynomial, a0: IntPolynomial, witness_range: int = _WITNESS_RANGE
 ) -> SurveyPredicates:
     """Decide the survey conditions for y^3 + a2 y^2 + a1 y + a0.
 
@@ -795,26 +831,9 @@ def s3_survey_predicates(
     except ValueError:
         false = False
         return SurveyPredicates(false, false, None, false, false, false, false, false)
-    delta = cover.delta
-
-    witness = None
-    for t0 in _witness_points(witness_range):
-        try:
-            spec = cover.specialized_cubic(ProjectivePoint.from_rational(t0))
-        except ValueError:
-            continue
-        disc = discriminant(spec)
-        if disc == 0 or is_nth_power(disc, 2):
-            continue
-        if _monic_cubic_root(spec) is None:
-            witness = t0
-            break
-    if witness is not None:
-        galois_S3 = True
-    else:
-        galois_S3 = (not cover._reducible_over_QT()) and not _is_square_in_QT(delta)
-
-    cont, dfac = factor_over_Q(delta)
+    witness = _s3_witness(cover, witness_range)
+    galois_S3 = witness is not None or cover._group_over_QT() == "S3"
+    dfac = cover._factors
     delta_irred = len(dfac) == 1 and dfac[0][1] == 1 and dfac[0][0].degree >= 1
 
     D = cover.coeff_degree
@@ -831,13 +850,20 @@ def s3_survey_predicates(
     )
 
 
-def _witness_points(rng: int):
-    for k in range(rng + 1):
-        if k == 0:
-            yield 0
-        else:
-            yield k
-            yield -k
+def _s3_witness(cover: CubicCover, witness_range: int) -> int | None:
+    """The first t0 in 0, 1, -1, ..., witness_range, -witness_range at which
+    the specialised cubic is irreducible with a nonsquare discriminant, or
+    None. Its group is then S3, and the group of an unramified
+    specialisation is a subgroup of the generic one, so that is S3 too."""
+    for k in range(witness_range + 1):
+        for t0 in (k, -k) if k else (0,):
+            spec = cover.specialized_cubic(ProjectivePoint(t0, 1))
+            disc = discriminant(spec)
+            if disc == 0 or is_nth_power(disc, 2):
+                continue
+            if _monic_cubic_root(spec) is None:
+                return t0
+    return None
 
 
 def _monic_cubic_root(f: IntPolynomial) -> int | None:

@@ -31,8 +31,7 @@ __all__ = [
     "primes_up_to",
 ]
 
-_SMALL_PRIME_BOUND = 10**6
-_small_primes_cache: list[int] | None = None
+_TRIAL_BOUND = 1024
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -47,11 +46,7 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i in range(2, bound + 1) if sieve[i]]
 
 
-def _small_primes() -> list[int]:
-    global _small_primes_cache
-    if _small_primes_cache is None:
-        _small_primes_cache = primes_up_to(_SMALL_PRIME_BOUND)
-    return _small_primes_cache
+_SMALL_PRIMES = primes_up_to(_TRIAL_BOUND)
 
 
 def valuation(n: int | Fraction, p: int) -> int:
@@ -138,18 +133,20 @@ def _brent_rho(n: int, seed: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {p: e}. n must be nonzero; units give {}."""
+    """Prime factorization of |n| as {p: e}. n must be nonzero; units give {}.
+
+    Trial division by the primes up to _TRIAL_BOUND = 2^10 first. What is
+    left has no prime factor below 2^10, so a cofactor below 2^20 is prime;
+    a larger one is tested with is_probable_prime, and composites are split
+    by Brent's rho (perfect squares by isqrt) until every part passes it.
+    The result is exact below 3.3*10^24, where the Miller-Rabin base set is
+    deterministic; above, each prime factor carries that test's error bound.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    for p in _small_primes():
+    for p in _SMALL_PRIMES:
         if p * p > n:
             break
         if n % p == 0:
@@ -158,15 +155,10 @@ def factorize(n: int) -> dict[int, int]:
                 n //= p
                 v += 1
             out[p] = v
-    if n == 1:
-        return out
-    if n < _SMALL_PRIME_BOUND * _SMALL_PRIME_BOUND or is_probable_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return out
-    stack = [n]
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if is_probable_prime(m):
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         root = isqrt(m)

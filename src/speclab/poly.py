@@ -25,7 +25,6 @@ __all__ = [
     "discriminant_y",
     "homogenize_minpoly",
     "factor_over_Q",
-    "sqf_part",
     "real_roots_sign_analysis",
     "RealRootReport",
 ]
@@ -478,16 +477,6 @@ def factor_over_Q(p: IntPolynomial) -> tuple[int, list[tuple[IntPolynomial, int]
         out.append((q, int(m)))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return cont, out
-
-
-def sqf_part(p: IntPolynomial) -> IntPolynomial:
-    """Squarefree part over Q: the product of the distinct primitive
-    irreducible factors of p (1 for a constant)."""
-    _, factors = factor_over_Q(p)
-    out = IntPolynomial([1])
-    for f, _ in factors:
-        out = out * f
-    return out
 
 
 def is_irreducible_over_Q(p: IntPolynomial) -> bool:

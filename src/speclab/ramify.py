@@ -25,10 +25,10 @@ from .covers import (
 from .intutil import factorize, valuation
 from .poly import (
     HomogPolynomial,
+    IntPolynomial,
     ProjectivePoint,
     discriminant,
     resultant_forms,
-    sqf_part,
 )
 
 __all__ = [
@@ -105,7 +105,7 @@ def exceptional_superset(cover, orbits: list[BranchOrbit] | None = None) -> set[
     absorb(base.content)
     absorb(base.lc)
     absorb(base.trailing)
-    sqf = sqf_part(base)
+    sqf = prod((f for f, _ in cover._factors), start=IntPolynomial([1]))
     if sqf.degree >= 1:
         absorb(discriminant(sqf))
     if orbits is None:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from speclab import covers, poly
 from speclab.covers import CubicCover, QuadraticCover, quad_cover
 from speclab.poly import ProjectivePoint, parse_poly
 from speclab.ramify import (
@@ -97,3 +98,23 @@ def test_consistency_check_computes_orbits_once(monkeypatch, cls, cover):
     rep = consistency_check(cover, n_samples=20, height=30, seed=1)
     assert rep.samples == 20
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cover", [cubic_ttY(), quad_cover(P("T^6 - T - 1"))])
+def test_consistency_check_factors_branch_polynomial_once(monkeypatch, cover):
+    factored = []
+    orig = poly.factor_over_Q
+
+    def counted(p):
+        factored.append(p)
+        return orig(p)
+
+    for mod in (poly, covers):
+        monkeypatch.setattr(mod, "factor_over_Q", counted)
+    bivariate = []
+    monkeypatch.setattr(CubicCover, "_reducible_over_QT", lambda self: bivariate.append(self))
+    rep = consistency_check(cover, n_samples=20, height=30, seed=1)
+    assert rep.samples == 20
+    base = cover.delta if isinstance(cover, CubicCover) else cover.P
+    assert factored == [base]
+    assert bivariate == []  # Y^3 + TY + T has an S3 witness

@@ -275,7 +275,12 @@ class TestTwistSeries:
         ds = nfree_sieve(2, x)
         assert [new(d) for d in ds] == [old(d) for d in ds]
 
-    @pytest.mark.parametrize("poly", [P("T^2-2"), P("T^6-T-1"), P6, P("T^3-T+3")])
+    # 3T^2-2 and 11T^2-2T have a nonsquare leading coefficient, so the fiber
+    # above infinity (v = 0) yields a twist; for 11T^2-2T, d = 11 is found
+    # only there, and some twists only in the column u = H
+    @pytest.mark.parametrize(
+        "poly", [P("T^2-2"), P("T^6-T-1"), P6, P("T^3-T+3"), P("3*T^2-2"), P("11*T^2-2*T")]
+    )
     @pytest.mark.parametrize("H,x", [(8, 300), (16, 1000)])
     def test_found_twists_by_point_search(self, poly, H, x):
         """A twist is found iff the point search at height H finds a point

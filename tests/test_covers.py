@@ -20,7 +20,7 @@ from speclab.covers import (
     splits_completely,
     verify_unramified,
 )
-from speclab.intutil import quad_disc, squarefree_part
+from speclab.intutil import is_nth_power, quad_disc, squarefree_part
 from speclab.poly import INFINITY, IntPolynomial, discriminant, factor_over_Q, parse_poly
 
 
@@ -145,6 +145,63 @@ class TestCubic:
         assert rep.group == "S3"  # x^3 - 2: disc -108, nonsquare
         rep2 = cubic_specialize(CubicCover(P("0"), P("-3"), P("-1*T")), 1)
         assert rep2.group == "C3"  # x^3 - 3x - 1: disc 81
+
+
+def old_generic_group(cover):
+    """The generic group from the factorisation of P(T, Y) over Q(T) and a
+    square test of delta by factor_over_Q, as generic_group decided it before
+    the S3 witness; kept as oracle."""
+    T, Y = sympy.symbols("T Y")
+    poly = sum(int(c) * T**i for i, c in enumerate(cover.a0.coeffs))
+    poly += Y * sum(int(c) * T**i for i, c in enumerate(cover.a1.coeffs))
+    poly += Y**2 * sum(int(c) * T**i for i, c in enumerate(cover.a2.coeffs))
+    _, factors = sympy.Poly(poly + Y**3, Y, T, domain=sympy.ZZ).factor_list()
+    reducible = len(factors) > 1 or any(m > 1 for _, m in factors)
+    cont, dfac = factor_over_Q(cover.delta)
+    square = all(m % 2 == 0 for _, m in dfac) and cont > 0 and is_nth_power(cont, 2)
+    if reducible:
+        return "C1" if square else "C2"
+    return "C3" if square else "S3"
+
+
+@st.composite
+def small_cubic_covers(draw):
+    """Y^3 + a2 Y^2 + a1 Y + a0 with small coefficients of degree <= 2, half
+    of them (Y - r)(Y^2 + b Y + c), so reducible over Q(T)."""
+    def small_poly():
+        return IntPolynomial(draw(st.lists(st.integers(-3, 3), max_size=3)))
+
+    if draw(st.booleans()):
+        r, b, c = small_poly(), small_poly(), small_poly()
+        a2, a1, a0 = b - r, c - r * b, -(r * c)
+    else:
+        a2, a1, a0 = small_poly(), small_poly(), small_poly()
+    try:
+        return CubicCover(a2, a1, a0)
+    except ValueError:
+        assume(False)
+
+
+class TestGenericGroup:
+    @pytest.mark.parametrize(
+        "a2, a1, a0, group",
+        [
+            ("0", "T", "T", "S3"),  # Y^3 + TY + T
+            ("-1*T", "-1*T - 3", "-1", "C3"),  # Shanks' simplest cubic
+            ("-1*T", "-1*T", "T^2", "C2"),  # (Y - T)(Y^2 - T)
+            ("0", "-1*T^2", "0", "C1"),  # Y(Y - T)(Y + T)
+        ],
+    )
+    def test_known_groups(self, a2, a1, a0, group):
+        cover = CubicCover(P(a2), P(a1), P(a0))
+        assert cover.generic_group() == group == old_generic_group(cover)
+        assert cover._group_over_QT() == group  # the route without a witness
+        assert cover.group_order == {"S3": 6, "C3": 3, "C2": 2, "C1": 1}[group]
+
+    @given(small_cubic_covers())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bivariate_route(self, cover):
+        assert cover.generic_group() == old_generic_group(cover)
 
 
 def old_reducible_class(f):

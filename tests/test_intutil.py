@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab import intutil
 from speclab.intutil import (
     ValuationProfile,
     bm_decomposition,
@@ -52,6 +53,86 @@ def test_factorize_roundtrip(n):
         assert e >= 1
         prod *= p**e
     assert prod == abs(n)
+
+
+_OLD_TRIAL_PRIMES = []
+
+
+def old_factorize(n):
+    """factorize as it was: trial division by every prime up to
+    min(sqrt(n), 10^6), a cofactor below 10^12 declared prime, Brent rho
+    only after that. Kept as the oracle."""
+    if not _OLD_TRIAL_PRIMES:
+        _OLD_TRIAL_PRIMES.extend(primes_up_to(10**6))
+    n = abs(n)
+    out = {}
+    for p in _OLD_TRIAL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n == 1:
+        return out
+    if n < 10**12 or is_probable_prime(n):
+        out[n] = out.get(n, 0) + 1
+        return out
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        root = math.isqrt(m)
+        if root * root == m:
+            stack += [root, root]
+            continue
+        d = intutil._brent_rho(m, seed=len(stack))
+        stack += [d, m // d]
+    return out
+
+
+# primes on both sides of the trial bound 2^10: 1021 is the last trial prime
+EDGE_PRIMES = [2, 3, 1009, 1013, 1019, 1021, 1031, 1033, 1039]
+
+
+def test_trial_bound_edges():
+    assert intutil._TRIAL_BOUND == 1024 and max(intutil._SMALL_PRIMES) == 1021
+    for n in (1021**2, 1031**2, 1031 * 1033, 1021 * 1031, 1024**2 - 1, 1024**2 + 1, 2**90 - 1):
+        assert factorize(n) == old_factorize(n)
+
+
+@given(st.lists(st.sampled_from(EDGE_PRIMES), min_size=1, max_size=8), st.sampled_from([1, -1]))
+@settings(max_examples=300, deadline=None)
+def test_factorize_edge_products(ps, sign):
+    n = sign * math.prod(ps)
+    want = {p: ps.count(p) for p in ps}
+    assert factorize(n) == want == old_factorize(n)
+
+
+def primes_with_bits(lo, hi):
+    return st.integers(2**lo, 2**hi).map(lambda n: next(m for m in range(n, 2 * n) if is_probable_prime(m)))
+
+
+@given(primes_with_bits(10, 30), st.sampled_from([2, 3, 5]), st.integers(1, 2000))
+@settings(max_examples=100, deadline=None)
+def test_factorize_prime_powers(p, k, cofactor):
+    n = cofactor * p**k
+    assert factorize(n) == old_factorize(n)
+    assert factorize(n)[p] >= k
+
+
+@given(primes_with_bits(20, 40), primes_with_bits(20, 40))
+@settings(max_examples=30, deadline=None)
+def test_factorize_semiprimes(p, q):
+    want = {p: 2} if p == q else {p: 1, q: 1}
+    assert factorize(p * q) == want == old_factorize(p * q)
+
+
+@given(st.integers(1, 2**90))
+@settings(max_examples=100, deadline=None)
+def test_factorize_matches_trial_division(n):
+    assert factorize(n) == old_factorize(n)
 
 
 def test_radical_and_parts():
