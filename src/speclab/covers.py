@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from . import fp
 from .intutil import (
@@ -30,6 +30,7 @@ from .poly import (
     HomogPolynomial,
     IntPolynomial,
     ProjectivePoint,
+    _bareiss_det,
     discriminant,
     discriminant_y,
     factor_over_Q,
@@ -63,108 +64,114 @@ class ConsistencyError(AssertionError):
 # Arithmetic in a number field K = Q[x]/(m), just enough for Newton polygons.
 
 
+def _reduced(nums, den: int) -> tuple:
+    """The element sum nums[i] theta^i / den in lowest terms, den > 0."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple(n // g for n in nums), den // g
+
+
 class _NF:
-    """Q[x]/(m) with m monic over Q; elements are coefficient tuples."""
+    """K = Q[x]/(m) for an irreducible integer polynomial m of degree d
+    (coefficients low degree first; any leading coefficient).
 
-    def __init__(self, minpoly: list[Fraction]):
-        assert minpoly[-1] == 1
-        self.m = [Fraction(c) for c in minpoly]
-        self.deg = len(minpoly) - 1
+    K is computed over the integral generator theta = L x, where L clears the
+    denominators of m / lc(m): the minimal polynomial of theta,
+    m_int(y) = L^d m(y / L) / lc(m), is monic with integer coefficients, so
+    products reduce modulo it without division. An element is a pair
+    (nums, den): sum nums[i] theta^i / den with integer nums, den > 0 and
+    gcd(den, *nums) = 1, so equal elements are equal pairs."""
 
-    def elt(self, *coeffs) -> tuple:
-        cs = [Fraction(c) for c in coeffs][: self.deg]
-        return tuple(cs + [Fraction(0)] * (self.deg - len(cs)))
+    def __init__(self, m: list[int]):
+        d = len(m) - 1
+        lc = m[-1]
+        L = lcm(*(abs(lc) // gcd(c, lc) for c in m[:-1]))
+        self.deg = d
+        self.L = L
+        self.m_int = [c * L ** (d - i) // lc for i, c in enumerate(m[:-1])]
+        self.zero = ((0,) * d, 1)
+        self.one = ((1,) + (0,) * (d - 1), 1)
+        # x = theta / L; in degree 1, theta = -m_int[0]
+        theta = (0, 1) + (0,) * (d - 2) if d > 1 else (-self.m_int[0],)
+        self.gen = _reduced(theta, L)
 
-    @property
-    def zero(self):
-        return self.elt()
-
-    @property
-    def one(self):
-        return self.elt(1)
-
-    @property
-    def gen(self):
-        return self.elt(0, 1)
+    def elt(self, c: int):
+        """The integer c as an element of K."""
+        return (c,) + (0,) * (self.deg - 1), 1
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        (x, dx), (y, dy) = a, b
+        if dx == dy:
+            return _reduced([p + q for p, q in zip(x, y)], dx)
+        return _reduced([p * dy + q * dx for p, q in zip(x, y)], dx * dy)
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        (x, dx), (y, dy) = a, b
+        if dx == dy:
+            return _reduced([p - q for p, q in zip(x, y)], dx)
+        return _reduced([p * dy - q * dx for p, q in zip(x, y)], dx * dy)
 
-    def scal(self, c, a):
-        return tuple(Fraction(c) * x for x in a)
+    def scal(self, c: int, a):
+        x, dx = a
+        return _reduced([c * p for p in x], dx)
 
     def mul(self, a, b):
-        out = [Fraction(0)] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        # reduce mod m
-        for k in range(len(out) - 1, self.deg - 1, -1):
+        (x, dx), (y, dy) = a, b
+        d = self.deg
+        out = [0] * (2 * d - 1)
+        for i, p in enumerate(x):
+            if p:
+                for j, q in enumerate(y):
+                    out[i + j] += p * q
+        m = self.m_int
+        for k in range(2 * d - 2, d - 1, -1):
             c = out[k]
             if c:
-                out[k] = Fraction(0)
-                for j in range(self.deg + 1):
-                    out[k - self.deg + j] -= c * self.m[j]
-        return tuple(out[: self.deg])
+                for j in range(d):
+                    out[k - d + j] -= c * m[j]
+        return _reduced(out[:d], dx * dy)
 
     def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return not any(a[0])
 
     def inv(self, a):
-        # extended Euclid of a(x) against m(x) over Q
-        if self.is_zero(a):
-            raise ZeroDivisionError
-
-        def trim(v):
-            v = list(v)
-            while v and v[-1] == 0:
-                v.pop()
-            return v
-
-        def divmod_q(num, den):
-            num = trim(num)
-            q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-            while len(num) >= len(den):
-                c = num[-1] / den[-1]
-                k = len(num) - len(den)
-                q[k] = c
-                for j in range(len(den)):
-                    num[k + j] -= c * den[j]
-                num = trim(num)
-            return q, num
-
-        r0, r1 = trim(self.m), trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = divmod_q(r0, r1)
-            snew = s0[:] + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        snew[i + j] -= qc * sc
-            r0, s0 = r1, s1
-            r1, s1 = (r if r else [Fraction(0)]), trim(snew) or [Fraction(0)]
-        if not r1 or r1[0] == 0:
+        """a^-1 by Cramer's rule on the integer matrix M of multiplication by
+        the numerator of a: M z = e_0 gives z = adj(M) e_0 / det(M)."""
+        x, dx = a
+        if not any(x):
+            raise ZeroDivisionError("inverse of zero in a number field")
+        d = self.deg
+        m = self.m_int
+        cols = [list(x)]  # coordinates of x theta^j
+        for _ in range(d - 1):
+            v = cols[-1]
+            top = v[-1]
+            cols.append([-top * m[0]] + [v[i - 1] - top * m[i] for i in range(1, d)])
+        M = [list(row) for row in zip(*cols)]
+        det = _bareiss_det(M)
+        if det == 0:
             raise ZeroDivisionError("element not invertible (minpoly not irreducible?)")
-        out = [sc / r1[0] for sc in s1]
-        out += [Fraction(0)] * (self.deg - len(out))
-        return tuple(out[: self.deg])
+        # entry i of adj(M) e_0 is the (0, i) cofactor of M
+        adj = [
+            (-1) ** i * _bareiss_det([row[:i] + row[i + 1 :] for row in M[1:]])
+            for i in range(d)
+        ]
+        return _reduced([dx * c for c in adj], det)
 
 
-def _kp_trim(a: list) -> list:
-    while a and all(x == 0 for x in a[-1]):
+def _kp_trim(K: _NF, a: list) -> list:
+    while a and K.is_zero(a[-1]):
         a.pop()
     return a
 
 
-def _kp_val(a: list) -> int | None:
+def _kp_val(K: _NF, a: list) -> int | None:
     """s-valuation of a K[s] polynomial (None for 0)."""
     for i, c in enumerate(a):
-        if any(x != 0 for x in c):
+        if not K.is_zero(c):
             return i
     return None
 
@@ -177,14 +184,14 @@ def _kp_mul(K: _NF, a: list, b: list) -> list:
         if not K.is_zero(x):
             for j, y in enumerate(b):
                 out[i + j] = K.add(out[i + j], K.mul(x, y))
-    return _kp_trim(out)
+    return _kp_trim(K, out)
 
 
 def _kp_add(K: _NF, a: list, b: list) -> list:
     n = max(len(a), len(b))
     a = a + [K.zero] * (n - len(a))
     b = b + [K.zero] * (n - len(b))
-    return _kp_trim([K.add(x, y) for x, y in zip(a, b)])
+    return _kp_trim(K, [K.add(x, y) for x, y in zip(a, b)])
 
 
 def _kp_shift(K: _NF, a: list, k: int) -> list:
@@ -214,24 +221,19 @@ def _k_poly_roots(K: _NF, phi: list) -> list[tuple[tuple, int]]:
 
     Only repeated roots must be found exactly (simple roots are merely
     counted); for degree <= 3 a repeated root is always K-rational, read off
-    gcd(phi, phi'). Returns [(root, multiplicity)] for K-rational repeated
-    roots plus a count of the remaining simple-root mass under key None.
+    gcd(phi, phi'). Returns [(root, multiplicity)] for the K-rational
+    repeated roots; the other roots are simple.
     """
-    # derivative
-    d = [K.scal(i, c) for i, c in enumerate(phi)][1:]
-    d = _kp_trimK(K, d)
-    phi = _kp_trimK(K, phi[:])
+    d = _kp_trim(K, [K.scal(i, c) for i, c in enumerate(phi)][1:])
+    phi = _kp_trim(K, phi[:])
     g = _k_gcd(K, phi, d)
     deg_g = len(g) - 1
-    out: list[tuple[tuple, int]] = []
     if deg_g == 0:
-        return out  # all roots simple
+        return []  # all roots simple
     if deg_g == 1:
         # single repeated root c = -g0/g1, multiplicity from phi
         c = K.mul(K.sub(K.zero, g[0]), K.inv(g[1]))
-        mult = _root_multiplicity(K, phi, c)
-        out.append((c, mult))
-        return out
+        return [(c, _root_multiplicity(K, phi, c))]
     if deg_g == 2:
         # phi = (x-c)^3 (deg phi 3): c from phi' ~ 3(x-c)^2: c = root of gcd
         # gcd itself is (x-c)^2 up to scalar: c = -g1/(2 g2)
@@ -239,19 +241,12 @@ def _k_poly_roots(K: _NF, phi: list) -> list[tuple[tuple, int]]:
         mult = _root_multiplicity(K, phi, c)
         if mult < 2:
             raise NotImplementedError("repeated factor of degree >= 2")
-        out.append((c, mult))
-        return out
+        return [(c, mult)]
     raise NotImplementedError("residual degree > 3")
 
 
-def _kp_trimK(K: _NF, a: list) -> list:
-    while a and K.is_zero(a[-1]):
-        a.pop()
-    return a
-
-
 def _k_gcd(K: _NF, a: list, b: list) -> list:
-    a, b = _kp_trimK(K, a[:]), _kp_trimK(K, b[:])
+    a, b = _kp_trim(K, a[:]), _kp_trim(K, b[:])
     while b:
         # a mod b
         r = a[:]
@@ -261,7 +256,7 @@ def _k_gcd(K: _NF, a: list, b: list) -> list:
             k = len(r) - len(b)
             for j in range(len(b)):
                 r[k + j] = K.sub(r[k + j], K.mul(c, b[j]))
-            r = _kp_trimK(K, r)
+            r = _kp_trim(K, r)
             if not r:
                 break
         a, b = b, r
@@ -286,7 +281,7 @@ def _root_multiplicity(K: _NF, phi: list, c) -> int:
         for i in range(len(cur) - 2, -1, -1):
             q[i] = acc
             acc = K.add(cur[i], K.mul(acc, c))
-        cur = _kp_trimK(K, q)
+        cur = _kp_trim(K, q)
         m += 1
     return m
 
@@ -309,43 +304,41 @@ def _branch_indices(K: _NF, F: list, only_positive: bool, depth: int = 0) -> lis
         F.pop()
     out: list[int] = []
     # strip an exact Y-factor: the branch y = 0, valuation +infinity
-    if F and (not F[0] or _kp_val(F[0]) is None):
+    if F and _kp_val(K, F[0]) is None:
         out.append(1)
         F = F[1:]
     pts = []
     for j, c in enumerate(F):
-        v = _kp_val(c)
+        v = _kp_val(K, c)
         if v is not None:
             pts.append((j, v))
     if len(pts) <= 1:
         return out
     hull = _lower_hull(pts)
     for (j1, v1), (j2, v2) in zip(hull, hull[1:]):
-        lam = Fraction(v1 - v2, j2 - j1)  # root valuation
-        if only_positive and lam <= 0:
-            continue
-        b = lam.denominator
+        # the root valuation is (v1 - v2) / ell, with denominator b
         ell = j2 - j1
+        b = ell // gcd(v1 - v2, ell)
+        if only_positive and v1 <= v2:
+            continue
         if b > 1:
-            k = ell // b
-            if k > 1:
+            if ell > b:
                 # residual of degree > 1 with a fractional slope: cannot occur
                 # for deg_Y <= 3, which is all this engine serves.
                 raise NotImplementedError("wide fractional segment")
             out.append(b)
             continue
-        # integer slope: residual polynomial of degree ell
+        # integer slope lam: residual polynomial of degree ell
+        lam = (v1 - v2) // ell
         phi = [K.zero] * (ell + 1)
         for j, v in pts:
             if j1 <= j <= j2 and v == v1 - (j - j1) * lam:
                 phi[j - j1] = F[j][v]
-        phi = _kp_trimK(K, phi)
         rep = _k_poly_roots(K, phi)
-        reps_mass = sum(m for _, m in rep)
-        out.extend([1] * (ell - reps_mass))
+        out.extend([1] * (ell - sum(m for _, m in rep)))
         for c, mult in rep:
             # recenter: y = s^lam (c + y'), isolate the mult continuing roots
-            G = _recenter(K, F, int(lam), c)
+            G = _recenter(K, F, lam, c)
             sub = _branch_indices(K, G, only_positive=True, depth=depth + 1)
             if sum(sub) != mult:
                 raise AssertionError("branch recursion lost roots")
@@ -357,8 +350,6 @@ def _recenter(K: _NF, F: list, lam: int, c) -> list:
     """G(s, Y) ~ F(s, s^lam (c + Y)) cleared to K[s][Y]."""
     n = len(F) - 1
     # binomial expansion: coefficient of Y^m is sum_j F_j s^(j lam) C(j,m) c^(j-m)
-    from math import comb
-
     G: list[list] = [[] for _ in range(n + 1)]
     cpows = [K.one]
     for _ in range(n):
@@ -576,7 +567,7 @@ class CubicCover:
         """Cycle type of monodromy on the three sheets above tau; tau is a
         rational number, INFINITY, or an irreducible IntPolynomial minpoly."""
         if tau is INFINITY:
-            K = _NF([Fraction(0), Fraction(1)])
+            K = _NF([0, 1])
             D = self.coeff_degree
             F = []
             for a in (self.a0, self.a1, self.a2):
@@ -584,29 +575,32 @@ class CubicCover:
                 F.append([K.elt(c) for c in rev.coeffs])
             F.append([K.zero] * D + [K.one])  # Y^3 coefficient s^D
             return sorted(_branch_indices(K, F, only_positive=False))
-        if isinstance(tau, IntPolynomial):
-            if tau.degree == 1:
-                tau = Fraction(-tau.coeffs[0], tau.coeffs[1])
-            else:
-                mon = [Fraction(c, tau.lc) for c in tau.coeffs]
-                K = _NF(mon)
-                g = K.gen
-                F = [_compose_shift(K, a, g) for a in (self.a0, self.a1, self.a2)]
-                F.append([K.one])
-                return sorted(_branch_indices(K, F, only_positive=False))
-        tau = Fraction(tau)
-        K = _NF([Fraction(0), Fraction(1)])
-        F = [_compose_shift(K, a, K.elt(tau)) for a in (self.a0, self.a1, self.a2)]
+        if not isinstance(tau, IntPolynomial):
+            tau = Fraction(tau)
+            tau = IntPolynomial([-tau.numerator, tau.denominator])
+        K = _NF(list(tau.coeffs))
+        F = [_compose_shift(K, a, K.gen) for a in (self.a0, self.a1, self.a2)]
         F.append([K.one])
         return sorted(_branch_indices(K, F, only_positive=False))
 
     def branch_orbits(self) -> list[tuple[HomogPolynomial, int]]:
         """(minimal binary form, inertia order) per branch orbit, including
         infinity when it is branched. Roots of delta where the fiber merely
-        degenerates without ramification (nodes) are excluded."""
+        degenerates without ramification (nodes) are excluded.
+
+        Cross-check: at a root tau of a factor of delta of multiplicity m,
+        m = v_tau(disc of the function field) + 2 v_tau(index), and the
+        ramification is tame, so v_tau(disc) = sum(e_i - 1) over the cycle
+        type; a parity mismatch raises ConsistencyError."""
         out = []
-        for f, _m in self._factors:
-            e = lcm(*self.cycle_type_at(f))
+        for f, m in self._factors:
+            ct = self.cycle_type_at(f)
+            if (sum(ct) - len(ct) - m) % 2:
+                raise ConsistencyError(
+                    f"cycle type {ct} at a root of {format_poly(f)} has the wrong "
+                    f"parity for multiplicity {m} in delta"
+                )
+            e = lcm(*ct)
             if e > 1:
                 out.append((HomogPolynomial.from_poly(f), e))
         ct = self.cycle_type_at(INFINITY)
@@ -651,7 +645,7 @@ def _compose_shift(K: _NF, a: IntPolynomial, tau) -> list:
     lin = [tau, K.one]  # tau + s
     for c in reversed(a.coeffs):
         out = _kp_mul(K, out, lin) if out else []
-        out = _kp_add(K, out, [K.elt(Fraction(c))])
+        out = _kp_add(K, out, [K.elt(c)])
     return out
 
 
@@ -725,11 +719,18 @@ def _cubic_index_exponent(form: tuple[int, int, int, int], p: int, v: int) -> in
 
 
 def _dedekind_p_maximal(f: IntPolynomial, p: int) -> bool:
-    """Dedekind's criterion: is Z[x]/(f) maximal at p? (f monic.)"""
-    _, factors = fp.factor_mod_p(f, p)
-    one = IntPolynomial([1])
-    g = prod((fac for fac, _ in factors), start=one)
-    h = prod((fac for fac, m in factors for _ in range(m - 1)), start=one)
+    """Dedekind's criterion: is Z[x]/(f) maximal at p? (f monic.)
+
+    With f = prod g_i^e_i mod p, g = prod g_i its radical and h = f / g, it
+    is p-maximal iff gcd((g h - f) / p, g, h) = 1 mod p. The squarefree
+    decomposition f = prod z_k^k mod p gives g = prod z_k and
+    h = prod z_k^(k - 1) without splitting the z_k into irreducibles."""
+    g = h = IntPolynomial([1])
+    for z, k in fp._sqf(fp.reduce(f.coeffs, p), p):
+        z = IntPolynomial(z)
+        g = g * z
+        for _ in range(k - 1):
+            h = h * z
     T = g * h - f  # g * h = f mod p; the criterion holds for any monic lifts
     assert all(c % p == 0 for c in T.coeffs)
     d = fp.gcd(fp.reduce([c // p for c in T.coeffs], p), fp.reduce(g.coeffs, p), p)

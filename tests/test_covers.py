@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,13 @@ class TestCubic:
         assert cov.cycle_type_at(INFINITY) == [1, 2]
         assert cov.cycle_type_at(Fraction(1)) == [1, 1, 1]
 
+    def test_wrong_cycle_type_parity_raises(self, monkeypatch):
+        # delta = -T^2 (4T + 27): [1, 2] has the wrong parity at T, m = 2
+        cov = self.cover()
+        monkeypatch.setattr(CubicCover, "cycle_type_at", lambda self, tau: [1, 2])
+        with pytest.raises(ConsistencyError):
+            cov.branch_orbits()
+
     def test_branch_set_exact(self):
         cov = self.cover()
         pts = set()
@@ -145,6 +154,412 @@ class TestCubic:
         assert rep.group == "S3"  # x^3 - 2: disc -108, nonsquare
         rep2 = cubic_specialize(CubicCover(P("0"), P("-3"), P("-1*T")), 1)
         assert rep2.group == "C3"  # x^3 - 3x - 1: disc 81
+
+
+# The Newton-Puiseux engine in Fraction arithmetic, as it was before the
+# integer-numerator fields, kept as oracle: OldNF and old_cycle_type_at.
+
+
+class OldNF:
+    """Q[x]/(m) with m monic over Q; elements are tuples of Fraction."""
+
+    def __init__(self, minpoly):
+        assert minpoly[-1] == 1
+        self.m = [Fraction(c) for c in minpoly]
+        self.deg = len(minpoly) - 1
+
+    def elt(self, *coeffs):
+        cs = [Fraction(c) for c in coeffs][: self.deg]
+        return tuple(cs + [Fraction(0)] * (self.deg - len(cs)))
+
+    @property
+    def zero(self):
+        return self.elt()
+
+    @property
+    def one(self):
+        return self.elt(1)
+
+    @property
+    def gen(self):
+        return self.elt(0, 1)
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def scal(self, c, a):
+        return tuple(Fraction(c) * x for x in a)
+
+    def mul(self, a, b):
+        out = [Fraction(0)] * (2 * self.deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for k in range(len(out) - 1, self.deg - 1, -1):
+            c = out[k]
+            if c:
+                out[k] = Fraction(0)
+                for j in range(self.deg + 1):
+                    out[k - self.deg + j] -= c * self.m[j]
+        return tuple(out[: self.deg])
+
+    def is_zero(self, a):
+        return all(x == 0 for x in a)
+
+    def inv(self, a):
+        # extended Euclid of a(x) against m(x) over Q
+        if self.is_zero(a):
+            raise ZeroDivisionError
+
+        def trim(v):
+            v = list(v)
+            while v and v[-1] == 0:
+                v.pop()
+            return v
+
+        def divmod_q(num, den):
+            num = trim(num)
+            q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+            while len(num) >= len(den):
+                c = num[-1] / den[-1]
+                k = len(num) - len(den)
+                q[k] = c
+                for j in range(len(den)):
+                    num[k + j] -= c * den[j]
+                num = trim(num)
+            return q, num
+
+        r0, r1 = trim(self.m), trim(a)
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = divmod_q(r0, r1)
+            snew = s0[:] + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
+            for i, qc in enumerate(q):
+                if qc:
+                    for j, sc in enumerate(s1):
+                        snew[i + j] -= qc * sc
+            r0, s0 = r1, s1
+            r1, s1 = (r if r else [Fraction(0)]), trim(snew) or [Fraction(0)]
+        if not r1 or r1[0] == 0:
+            raise ZeroDivisionError("element not invertible")
+        out = [sc / r1[0] for sc in s1]
+        out += [Fraction(0)] * (self.deg - len(out))
+        return tuple(out[: self.deg])
+
+
+def _old_kp_val(a):
+    for i, c in enumerate(a):
+        if any(x != 0 for x in c):
+            return i
+    return None
+
+
+def _old_kp_trim(K, a):
+    while a and K.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def _old_kp_mul(K, a, b):
+    if not a or not b:
+        return []
+    out = [K.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not K.is_zero(x):
+            for j, y in enumerate(b):
+                out[i + j] = K.add(out[i + j], K.mul(x, y))
+    return _old_kp_trim(K, out)
+
+
+def _old_kp_add(K, a, b):
+    n = max(len(a), len(b))
+    a = a + [K.zero] * (n - len(a))
+    b = b + [K.zero] * (n - len(b))
+    return _old_kp_trim(K, [K.add(x, y) for x, y in zip(a, b)])
+
+
+def _old_lower_hull(points):
+    hull = []
+    for p in sorted(points):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def _old_k_gcd(K, a, b):
+    a, b = _old_kp_trim(K, a[:]), _old_kp_trim(K, b[:])
+    while b:
+        r = a[:]
+        inv = K.inv(b[-1])
+        while len(r) >= len(b):
+            c = K.mul(r[-1], inv)
+            k = len(r) - len(b)
+            for j in range(len(b)):
+                r[k + j] = K.sub(r[k + j], K.mul(c, b[j]))
+            r = _old_kp_trim(K, r)
+            if not r:
+                break
+        a, b = b, r
+    if a:
+        inv = K.inv(a[-1])
+        a = [K.mul(c, inv) for c in a]
+    return a if a else [K.zero]
+
+
+def _old_root_multiplicity(K, phi, c):
+    m = 0
+    cur = phi[:]
+    while cur:
+        val = K.zero
+        for co in reversed(cur):
+            val = K.add(K.mul(val, c), co)
+        if not K.is_zero(val):
+            break
+        q = [K.zero] * (len(cur) - 1)
+        acc = cur[-1]
+        for i in range(len(cur) - 2, -1, -1):
+            q[i] = acc
+            acc = K.add(cur[i], K.mul(acc, c))
+        cur = _old_kp_trim(K, q)
+        m += 1
+    return m
+
+
+def _old_k_poly_roots(K, phi):
+    d = _old_kp_trim(K, [K.scal(i, c) for i, c in enumerate(phi)][1:])
+    phi = _old_kp_trim(K, phi[:])
+    g = _old_k_gcd(K, phi, d)
+    if len(g) == 2:
+        c = K.mul(K.sub(K.zero, g[0]), K.inv(g[1]))
+        return [(c, _old_root_multiplicity(K, phi, c))]
+    if len(g) == 3:
+        c = K.mul(K.sub(K.zero, g[1]), K.inv(K.scal(2, g[2])))
+        mult = _old_root_multiplicity(K, phi, c)
+        assert mult >= 2
+        return [(c, mult)]
+    assert len(g) == 1
+    return []
+
+
+def _old_recenter(K, F, lam, c):
+    n = len(F) - 1
+    G = [[] for _ in range(n + 1)]
+    cpows = [K.one]
+    for _ in range(n):
+        cpows.append(K.mul(cpows[-1], c))
+    shift = min(lam * j for j in range(n + 1)) if lam < 0 else 0
+    for j, Fj in enumerate(F):
+        if not Fj:
+            continue
+        for m in range(j + 1):
+            coef = K.scal(math.comb(j, m), cpows[j - m])
+            if K.is_zero(coef):
+                continue
+            term = [K.mul(x, coef) for x in Fj]
+            term = [K.zero] * (lam * j - shift) + term if term else []
+            G[m] = _old_kp_add(K, G[m], term)
+    return G
+
+
+def _old_branch_indices(K, F, only_positive, depth=0):
+    assert depth <= 64
+    F = [f[:] for f in F]
+    while F and not F[-1]:
+        F.pop()
+    out = []
+    if F and (not F[0] or _old_kp_val(F[0]) is None):
+        out.append(1)
+        F = F[1:]
+    pts = [(j, _old_kp_val(c)) for j, c in enumerate(F) if _old_kp_val(c) is not None]
+    if len(pts) <= 1:
+        return out
+    hull = _old_lower_hull(pts)
+    for (j1, v1), (j2, v2) in zip(hull, hull[1:]):
+        lam = Fraction(v1 - v2, j2 - j1)
+        if only_positive and lam <= 0:
+            continue
+        b = lam.denominator
+        ell = j2 - j1
+        if b > 1:
+            assert ell // b == 1
+            out.append(b)
+            continue
+        phi = [K.zero] * (ell + 1)
+        for j, v in pts:
+            if j1 <= j <= j2 and v == v1 - (j - j1) * lam:
+                phi[j - j1] = F[j][v]
+        phi = _old_kp_trim(K, phi)
+        rep = _old_k_poly_roots(K, phi)
+        out.extend([1] * (ell - sum(m for _, m in rep)))
+        for c, mult in rep:
+            G = _old_recenter(K, F, int(lam), c)
+            sub = _old_branch_indices(K, G, only_positive=True, depth=depth + 1)
+            assert sum(sub) == mult
+            out.extend(sub)
+    return out
+
+
+def _old_compose_shift(K, a, tau):
+    if a.degree < 0:
+        return []
+    out = []
+    lin = [tau, K.one]
+    for c in reversed(a.coeffs):
+        out = _old_kp_mul(K, out, lin) if out else []
+        out = _old_kp_add(K, out, [K.elt(Fraction(c))])
+    return out
+
+
+def old_cycle_type_at(cover, tau):
+    """CubicCover.cycle_type_at in Fraction arithmetic, kept as oracle."""
+    if tau is INFINITY:
+        K = OldNF([Fraction(0), Fraction(1)])
+        D = cover.coeff_degree
+        F = []
+        for a in (cover.a0, cover.a1, cover.a2):
+            rev = a.reverse(D) if a.degree >= 0 else IntPolynomial([])
+            F.append([K.elt(c) for c in rev.coeffs])
+        F.append([K.zero] * D + [K.one])
+        return sorted(_old_branch_indices(K, F, only_positive=False))
+    if isinstance(tau, IntPolynomial):
+        if tau.degree == 1:
+            tau = Fraction(-tau.coeffs[0], tau.coeffs[1])
+        else:
+            K = OldNF([Fraction(c, tau.lc) for c in tau.coeffs])
+            F = [_old_compose_shift(K, a, K.gen) for a in (cover.a0, cover.a1, cover.a2)]
+            F.append([K.one])
+            return sorted(_old_branch_indices(K, F, only_positive=False))
+    K = OldNF([Fraction(0), Fraction(1)])
+    tau = K.elt(Fraction(tau))
+    F = [_old_compose_shift(K, a, tau) for a in (cover.a0, cover.a1, cover.a2)]
+    F.append([K.one])
+    return sorted(_old_branch_indices(K, F, only_positive=False))
+
+
+def x_coords(K, a):
+    """An element of covers._NF as Fraction coordinates in the basis x^i of
+    Q[x]/(m), as OldNF holds it: theta = L x."""
+    nums, den = a
+    return tuple(Fraction(n * K.L**i, den) for i, n in enumerate(nums))
+
+
+# irreducible minimal polynomials, low degree first: degree 1 (K = Q), a
+# non-monic quadratic, a monic and a non-monic quartic (Eisenstein at 2, 3)
+FIELDS = [[0, 1], [27, 4], [-2, 0, 3], [-2, 0, 0, 0, 1], [6, -3, 0, 3, 2]]
+
+
+@st.composite
+def field_elements(draw, d):
+    nums = draw(st.lists(st.integers(-60, 60), min_size=d, max_size=d))
+    return covers._reduced(nums, draw(st.integers(1, 40)))
+
+
+class TestNumberField:
+    @pytest.mark.parametrize("m", FIELDS)
+    def test_integral_generator(self, m):
+        K = covers._NF(m)
+        d = len(m) - 1
+        # m_int(theta) = 0 for theta = L x: L^d m(theta / L) / lc(m)
+        m_int = K.m_int + [1]
+        assert all(
+            Fraction(c, m[-1]) * K.L ** (d - i) == m_int[i] for i, c in enumerate(m)
+        )
+        old = OldNF([Fraction(c, m[-1]) for c in m])
+        want_gen = old.gen if d > 1 else (Fraction(-m[0], m[1]),)
+        assert x_coords(K, K.gen) == want_gen
+        assert x_coords(K, K.one) == old.one and K.is_zero(K.zero)
+        assert x_coords(K, K.elt(-3)) == old.elt(-3)
+
+    @pytest.mark.parametrize("m", FIELDS)
+    def test_inverse_of_zero_raises(self, m):
+        K = covers._NF(m)
+        with pytest.raises(ZeroDivisionError):
+            K.inv(K.zero)
+        with pytest.raises(ZeroDivisionError):
+            K.inv(K.scal(0, K.gen))
+
+    @pytest.mark.parametrize("m", FIELDS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_arithmetic(self, m, data):
+        K = covers._NF(m)
+        old = OldNF([Fraction(c, m[-1]) for c in m])
+        a = data.draw(field_elements(K.deg))
+        b = data.draw(field_elements(K.deg))
+        xa, xb = x_coords(K, a), x_coords(K, b)
+        for new, want in [
+            (K.add(a, b), old.add(xa, xb)),
+            (K.sub(a, b), old.sub(xa, xb)),
+            (K.mul(a, b), old.mul(xa, xb)),
+            (K.scal(-6, a), old.scal(-6, xa)),
+        ]:
+            assert x_coords(K, new) == want
+            # lowest terms with a positive denominator, so equal means equal
+            assert new[1] > 0 and math.gcd(new[1], *new[0]) == 1
+        if not K.is_zero(a):
+            inv = K.inv(a)
+            assert K.mul(a, inv) == K.one == K.mul(inv, a)
+            assert x_coords(K, inv) == old.inv(xa)
+
+
+@st.composite
+def cubic_covers(draw):
+    """Y^3 + a2 Y^2 + a1 Y + a0 with coefficients of degree <= 3 in [-4, 4]."""
+    def small_poly():
+        return IntPolynomial(draw(st.lists(st.integers(-4, 4), max_size=4)))
+
+    try:
+        return CubicCover(small_poly(), small_poly(), small_poly())
+    except ValueError:
+        assume(False)
+
+
+def cover_of(a2, a1, a0):
+    return CubicCover(P(a2), P(a1), P(a0))
+
+
+class TestCycleTypes:
+    # the cycle types at non-monic factors of delta of degree 2 and 4:
+    # [3] with m = 2, [1, 2] with m = 3, a node [1, 1, 1] with m = 2, [1, 2]
+    @given(cubic_covers(), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)))
+    @example(cover_of("0", "T", "T"), Fraction(-27, 4))
+    @example(cover_of("0", "0", "-2*T^2-T-2"), Fraction(0))
+    @example(cover_of("0", "-2*T^2-2*T+1", "0"), Fraction(1, 2))
+    @example(cover_of("-1*T^2-2*T+1", "-2*T^2-1", "0"), Fraction(0))
+    @example(cover_of("0", "T+2", "T^2-2*T+2"), Fraction(-2))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_engine(self, cover, tau):
+        for f, _ in cover._factors:
+            assert cover.cycle_type_at(f) == old_cycle_type_at(cover, f)
+            if f.degree == 1:
+                root = Fraction(-f.coeffs[0], f.coeffs[1])
+                assert cover.cycle_type_at(root) == old_cycle_type_at(cover, f)
+        assert cover.cycle_type_at(INFINITY) == old_cycle_type_at(cover, INFINITY)
+        assert cover.cycle_type_at(tau) == old_cycle_type_at(cover, tau)
+        cover.branch_orbits()  # the parity cross-check holds
+
+    def test_examples_reach_non_monic_fields(self):
+        shapes = set()
+        for a2, a1, a0 in [
+            ("0", "0", "-2*T^2-T-2"),
+            ("0", "-2*T^2-2*T+1", "0"),
+            ("-1*T^2-2*T+1", "-2*T^2-1", "0"),
+            ("0", "T+2", "T^2-2*T+2"),
+        ]:
+            cover = cover_of(a2, a1, a0)
+            for f, m in cover._factors:
+                if f.degree >= 2 and abs(f.lc) > 1:
+                    shapes.add((f.degree, tuple(cover.cycle_type_at(f)), m))
+        assert shapes == {(2, (3,), 2), (2, (1, 2), 3), (2, (1, 1, 1), 2), (4, (1, 2), 1)}
 
 
 def old_generic_group(cover):
@@ -228,6 +643,18 @@ class TestReducibleSpecialization:
         assert (rep.group, rep.disc_field) == old_reducible_class(f)
 
 
+def old_dedekind_p_maximal(f, p):
+    """Dedekind's criterion from the full factorisation of f mod p, kept as
+    oracle."""
+    _, factors = fp.factor_mod_p(f, p)
+    one = IntPolynomial([1])
+    g = math.prod((fac for fac, _ in factors), start=one)
+    h = math.prod((fac for fac, m in factors for _ in range(m - 1)), start=one)
+    T = g * h - f
+    d = fp.gcd(fp.reduce([c // p for c in T.coeffs], p), fp.reduce(g.coeffs, p), p)
+    return len(fp.gcd(d, fp.reduce(h.coeffs, p), p)) == 1
+
+
 class TestCubicFieldDisc:
     def test_known_fields(self):
         assert cubic_field_disc(P("T^3 - T - 1")) == -23
@@ -251,6 +678,25 @@ class TestCubicFieldDisc:
         monkeypatch.setattr(covers, "_dedekind_p_maximal", lambda f, p: not dedekind(f, p))
         with pytest.raises(ConsistencyError):
             cubic_field_disc(P("T^3 - 2"))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_dedekind_matches_factorisation_exhaustive(self, p):
+        # every monic cubic mod p^2, which decides the criterion; x^3 - a too
+        r = range(p * p)
+        for a0, a1, a2 in itertools.product(r, r, r):
+            f = IntPolynomial([a0, a1, a2, 1])
+            assert covers._dedekind_p_maximal(f, p) == old_dedekind_p_maximal(f, p)
+
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.lists(st.integers(-400, 400), min_size=3, max_size=3),
+    )
+    @example(2, [-2, 0, 0])
+    @example(3, [-10, 0, 0])  # x^3 - 10 = (x - 1)^3 mod 3
+    @settings(max_examples=500, deadline=None)
+    def test_dedekind_matches_factorisation(self, p, cs):
+        f = IntPolynomial(cs + [1])
+        assert covers._dedekind_p_maximal(f, p) == old_dedekind_p_maximal(f, p)
 
     # a_i = b_i * p^e_i: large p-indices, and forms that vanish mod p midway
     @given(
