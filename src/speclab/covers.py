@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import comb, gcd, lcm, prod
 
 from . import fp
@@ -21,18 +22,19 @@ from .intutil import (
     is_nfree,
     is_nth_power,
     is_probable_prime,
+    nth_root,
     primes_up_to,
     quad_disc,
     valuation,
 )
 from .poly import (
     INFINITY,
+    ConsistencyError,
     HomogPolynomial,
     IntPolynomial,
     ProjectivePoint,
     _bareiss_det,
     discriminant,
-    discriminant_y,
     factor_over_Q,
     format_poly,
     homogenize_minpoly,
@@ -54,10 +56,6 @@ __all__ = [
     "chebotarev_unramified_sieve",
     "verify_unramified",
 ]
-
-
-class ConsistencyError(AssertionError):
-    """Two independent routes to the same fact disagreed."""
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +507,12 @@ class CubicCover:
     delta: IntPolynomial = field(init=False)
 
     def __post_init__(self):
-        d = discriminant_y([self.a0, self.a1, self.a2, IntPolynomial([1])])
+        a2, a1, a0 = self.a2, self.a1, self.a0
+        # disc_Y of Y^3 + a2 Y^2 + a1 Y + a0, in closed form
+        d = (
+            a2 * a2 * a1 * a1 - 4 * a1 * a1 * a1 - 4 * a2 * a2 * a2 * a0
+            - 27 * a0 * a0 + 18 * a2 * a1 * a0
+        )
         if d.degree < 0:
             raise ValueError("cover is not separable over Q(t)")
         object.__setattr__(self, "delta", d)
@@ -554,14 +557,25 @@ class CubicCover:
         return {"S3": 6, "C3": 3, "C2": 2, "C1": 1}[self.generic_group()]
 
     def _reducible_over_QT(self) -> bool:
-        import sympy
-
-        T, Y = sympy.symbols("T Y")
-        expr = Y**3 + _to_sympy(self.a2, T) * Y**2 + _to_sympy(self.a1, T) * Y + _to_sympy(
-            self.a0, T
-        )
-        _, factors = sympy.Poly(expr, Y, T, domain=sympy.ZZ).factor_list()
-        return len(factors) > 1 or any(m > 1 for _, m in factors)
+        """P has a root in Q(T). P is monic over the integrally closed Z[T],
+        so such a root r lies in Z[T], and the leading terms of P(T, r) can
+        cancel only if deg r <= max(deg a2, deg a1 / 2, deg a0 / 3). Then r(t)
+        is an integer root of P(t, Y) at every integer t: interpolate each
+        choice of those roots at deg r + 1 points and test it exactly."""
+        a2, a1, a0 = self.a2, self.a1, self.a0
+        e = max(a2.degree, a1.degree // 2, a0.degree // 3, 0)
+        ts = list(range(e + 1))
+        choices = []
+        for t in ts:
+            roots = _cubic_integer_roots(IntPolynomial([a0(t), a1(t), a2(t), 1]))
+            if not roots:
+                return False
+            choices.append(roots)
+        for values in product(*choices):
+            r = _interpolate(ts, values)
+            if r is not None and r * r * r + a2 * r * r + a1 * r + a0 == IntPolynomial([]):
+                return True
+        return False
 
     def cycle_type_at(self, tau) -> list[int]:
         """Cycle type of monodromy on the three sheets above tau; tau is a
@@ -630,10 +644,6 @@ class CubicCover:
             hom = HomogPolynomial.from_poly(a, D)
             A.append(hom.eval_proj(pt) * v ** ((2 - i) * D))
         return IntPolynomial([A[0], A[1], A[2], 1])
-
-
-def _to_sympy(p: IntPolynomial, T):
-    return sum(int(c) * T**i for i, c in enumerate(p.coeffs))
 
 
 def _compose_shift(K: _NF, a: IntPolynomial, tau) -> list:
@@ -877,6 +887,38 @@ def _monic_cubic_root(f: IntPolynomial) -> int | None:
     for p, e in factorize(c0).items():
         divisors = [d * p**k for d in divisors for k in range(e + 1)]
     return next((r for d in divisors for r in (d, -d) if f(r) == 0), None)
+
+
+def _cubic_integer_roots(f: IntPolynomial) -> set[int]:
+    """Every integer root of a monic integer cubic: one from
+    _monic_cubic_root, the others from the quadratic cofactor."""
+    r = _monic_cubic_root(f)
+    if r is None:
+        return set()
+    _, a1, a2, _ = f.coeffs
+    b = a2 + r  # f = (x - r)(x^2 + b x + c), c = a1 + r b
+    s = nth_root(b * b - 4 * (a1 + r * b), 2)
+    if s is None:
+        return {r}
+    return {r, (-b + s) // 2, (-b - s) // 2}
+
+
+def _interpolate(ts: list[int], values) -> IntPolynomial | None:
+    """The polynomial of degree < len(ts) through (ts[i], values[i]) when its
+    coefficients are integers, else None. Newton's divided differences of a
+    polynomial in Z[T] at distinct integers are integers, so a division that
+    is not exact rules it out."""
+    dd = list(values)
+    for j in range(1, len(ts)):
+        for i in range(len(ts) - 1, j - 1, -1):
+            q, rem = divmod(dd[i] - dd[i - 1], ts[i] - ts[i - j])
+            if rem:
+                return None
+            dd[i] = q
+    out = IntPolynomial([])
+    for i in range(len(ts) - 1, -1, -1):
+        out = out * IntPolynomial([-ts[i], 1]) + dd[i]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Arithmetic modulo a prime p: polynomials over F_p, their roots and
-factorisation, and power-residue classes.
+factorisation, the Hensel lift of a factorisation to Z/p^k, and
+power-residue classes.
 
 A polynomial over F_p is a list of coefficients in [0, p), low degree first,
 with no trailing zeros; [] is the zero polynomial. `reduce` makes one from
 integer coefficients. root_count and factor_mod_p take an IntPolynomial.
+_add, _sub, _mul and _quo_rem work modulo any m > 1, as long as the divisor
+of _quo_rem has a leading coefficient prime to m.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "reduce",
     "gcd",
     "factor_mod_p",
+    "hensel_lift",
     "root_count",
     "double_root",
     "power_class",
@@ -40,6 +44,10 @@ def reduce(coeffs, p: int) -> list[int]:
 
 def _add(a, b, p):
     return _trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _sub(a, b, p):
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _mul(a, b, p):
@@ -75,6 +83,21 @@ def gcd(a, b, p):
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
+
+
+def _xgcd(a, b, p):
+    """(s, t) with s a + t b = 1 for coprime nonzero a, b, and deg s < deg b,
+    deg t < deg a when both are nonconstant (extended Euclid)."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _quo_rem(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
+    if len(r0) != 1:
+        raise ValueError("a and b are not coprime")
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
 def _pow_mod(a, e, mod, p):
@@ -194,6 +217,50 @@ def factor_mod_p(
                 factors.append((IntPolynomial(irr), mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return unit, factors
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifting (von zur Gathen-Gerhard, Modern Computer Algebra, 15.4)
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """One step of Algorithm 15.10: from f = g h and s g + t h = 1 modulo some
+    m0 with m | m0^2, with h monic, deg s < deg h and deg t < deg g, the
+    same four relations modulo m."""
+    e = _sub(f, _mul(g, h, m), m)
+    q, r = _quo_rem(_mul(s, e, m), h, m)
+    g = _add(g, _add(_mul(t, e, m), _mul(q, g, m), m), m)
+    h = _add(h, r, m)
+    b = _sub(_add(_mul(s, g, m), _mul(t, h, m), m), [1], m)
+    c, d = _quo_rem(_mul(s, b, m), h, m)
+    return g, h, _sub(s, d, m), _sub(t, _add(_mul(t, b, m), _mul(c, g, m), m), m)
+
+
+def hensel_lift(f, factors, p: int, pk: int) -> list[list[int]]:
+    """Lift f = lc(f) * prod(factors) mod p to Z/pk, pk a power of p.
+
+    f: integer coefficients (low degree first) with p not dividing lc(f);
+    factors: pairwise coprime monic polynomials over F_p whose product times
+    lc(f) is f mod p. Returns the unique monic u_i mod pk with u_i = factors[i]
+    mod p and f = lc(f) * prod(u_i) mod pk, by a binary tree of quadratic
+    Hensel steps (Algorithm 15.17)."""
+    f = _trim([c % pk for c in f])
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, pk)
+        return [[c * inv % pk for c in f]]
+    k = len(factors) // 2
+    g = [f[-1] % p]
+    for u in factors[:k]:
+        g = _mul(g, u, p)
+    h = [1]
+    for u in factors[k:]:
+        h = _mul(h, u, p)
+    s, t = _xgcd(g, h, p)
+    m = p
+    while m < pk:
+        m = min(m * m, pk)
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+    return hensel_lift(g, factors[:k], p, pk) + hensel_lift(h, factors[k:], p, pk)
 
 
 # ---------------------------------------------------------------------------

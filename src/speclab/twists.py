@@ -150,11 +150,6 @@ class CurvePoint:
     v: int
     z_zero: bool = False
 
-    def affine_t(self) -> Fraction:
-        if self.v == 0:
-            raise ValueError("point lies above z = 0")
-        return Fraction(self.u, self.v)
-
     @property
     def trivial(self) -> bool:
         return self.y == 0

@@ -109,6 +109,24 @@ class TestQuadratic:
         assert rep13.m == 13 and rep13.disc_field == 13  # 1 mod 4
 
 
+def old_discriminant_y(coeffs_y):
+    """Discriminant in Y of a monic P(T, Y) = sum coeffs_y[j](T) Y^j by
+    evaluation at T = 0, 1, ... and exact Newton interpolation, as CubicCover
+    computed delta before the closed form; kept as oracle."""
+    n = len(coeffs_y) - 1
+    bound = (2 * n - 1) * max(max(c.degree for c in coeffs_y), 0)
+    pts = list(range(bound + 1))
+    coef = [Fraction(discriminant(IntPolynomial([c(t) for c in coeffs_y]))) for t in pts]
+    for j in range(1, len(pts)):
+        for i in range(len(pts) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (pts[i] - pts[i - j])
+    out = IntPolynomial([])
+    for i in range(len(pts) - 1, -1, -1):
+        assert coef[i].denominator == 1
+        out = out * IntPolynomial([-pts[i], 1]) + coef[i].numerator
+    return out
+
+
 class TestCubic:
     def cover(self):
         t = P("T")
@@ -120,6 +138,19 @@ class TestCubic:
         forms = [f.coeffs for f, e in cov.branch_orbits()]
         es = [e for _, e in cov.branch_orbits()]
         assert es == [3, 2, 2]
+
+    @given(st.lists(st.lists(st.integers(-6, 6), max_size=5), min_size=3, max_size=3))
+    @example([[], [0, 1], [0, 1]])  # Y^3 + TY + T
+    @example([[0, -1], [], [0, 0, 1]])  # (Y - T)(Y^2 + TY): delta = 0
+    @settings(max_examples=300, deadline=None)
+    def test_delta_matches_interpolation(self, cs):
+        a2, a1, a0 = (IntPolynomial(c) for c in cs)
+        want = old_discriminant_y([a0, a1, a2, IntPolynomial([1])])
+        if want.degree < 0:
+            with pytest.raises(ValueError):
+                CubicCover(a2, a1, a0)
+        else:
+            assert CubicCover(a2, a1, a0).delta == want
 
     def test_cycle_types(self):
         cov = self.cover()
@@ -580,11 +611,11 @@ def old_generic_group(cover):
 
 
 @st.composite
-def small_cubic_covers(draw):
-    """Y^3 + a2 Y^2 + a1 Y + a0 with small coefficients of degree <= 2, half
-    of them (Y - r)(Y^2 + b Y + c), so reducible over Q(T)."""
+def small_cubic_covers(draw, degree=2):
+    """Y^3 + a2 Y^2 + a1 Y + a0 with small coefficients of degree <= degree,
+    half of them (Y - r)(Y^2 + b Y + c), so reducible over Q(T)."""
     def small_poly():
-        return IntPolynomial(draw(st.lists(st.integers(-3, 3), max_size=3)))
+        return IntPolynomial(draw(st.lists(st.integers(-3, 3), max_size=degree + 1)))
 
     if draw(st.booleans()):
         r, b, c = small_poly(), small_poly(), small_poly()
@@ -617,6 +648,18 @@ class TestGenericGroup:
     @settings(max_examples=150, deadline=None)
     def test_matches_bivariate_route(self, cover):
         assert cover.generic_group() == old_generic_group(cover)
+
+    @given(small_cubic_covers(3))
+    @example(cover_of("0", "-1*T^2", "0"))  # three roots in Z[T]
+    @example(cover_of("-1*T^3", "1", "-1*T^3"))  # (Y - T^3)(Y^2 + 1): root of degree deg a2
+    @example(cover_of("0", "-1*T^4+1", "-1*T^2"))  # (Y - T^2)(Y^2 + T^2 Y + 1): deg a1 / 2
+    @example(cover_of("0", "0", "-1*T^6"))  # Y^3 - T^6: degree deg a0 / 3
+    @example(cover_of("0", "0", "-1*T^3-7*T^2+7*T"))  # irreducible; roots 0, 1 at T = 0, 1
+    @settings(max_examples=300, deadline=None)
+    def test_integer_root_route_matches_bivariate_route(self, cover):
+        """_reducible_over_QT by integer roots at a few points agrees with
+        sympy's factorisation of P(T, Y), on every cover, witness or not."""
+        assert cover._group_over_QT() == old_generic_group(cover)
 
 
 def old_reducible_class(f):

@@ -73,14 +73,74 @@ def test_power_class_is_one_on_nth_powers(p, n):
         assert fp.power_class(a - 5 * p, p, n) == fp.power_class(a, p, n)
 
 
-def test_core_modules_do_not_import_sympy():
-    """sympy is loaded only when an exact-algebra routine first needs it; the
-    F_p arithmetic never does, and the CLI's start-up stays cheap."""
-    modules = ["fp", "poly", "covers", "twists", "census", "ramify", "bounds", "cli"]
-    code = "import sys\n" + "".join(f"import speclab.{m}\n" for m in modules)
-    code += "assert 'sympy' not in sys.modules\n"
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=13).filter(lambda c: c[-1]),
+    st.sampled_from([3, 5, 7, 101]),
+    st.integers(1, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_hensel_lift_reassembles(coeffs, p, k):
+    f = IntPolynomial(coeffs)
+    a = fp.reduce(coeffs, p)
+    if len(a) != len(coeffs) or fp.gcd(a, fp._deriv(a, p), p) != [1]:
+        return  # p divides lc(f), or f mod p is not squarefree
+    factors = [list(g.coeffs) for g, _ in fp.factor_mod_p(f, p)[1]]
+    pk = p**k
+    lifted = fp.hensel_lift(coeffs, factors, p, pk)
+    prod = [f.lc % pk]
+    for u, g in zip(lifted, factors):
+        assert u[-1] == 1 and fp.reduce(u, p) == g
+        prod = fp._mul(prod, u, pk)
+    assert prod == fp.reduce(coeffs, pk)
+
+
+# Run in a fresh interpreter in which importing sympy fails: every core
+# module, a cubic and a quadratic consistency check, an S3 survey that reaches
+# the route without a specialisation witness, a Hasse-failure scan and each
+# README command-line example (at reduced sizes).
+NO_SYMPY_RUN = """
+import os, sys
+sys.modules["sympy"] = None
+import speclab.fp, speclab.poly, speclab.covers, speclab.twists
+import speclab.census, speclab.ramify, speclab.bounds, speclab.cli
+from speclab.census import s3_survey
+from speclab.covers import CubicCover, quad_cover
+from speclab.poly import parse_poly
+from speclab.ramify import consistency_check
+from speclab.twists import hasse_failure_candidates
+
+T = parse_poly
+cubic = CubicCover(T("0"), T("T"), T("T"))
+assert consistency_check(cubic, n_samples=10, height=30, seed=1).samples == 10
+assert consistency_check(quad_cover(T("T^6-T-1")), n_samples=10, height=30, seed=1).samples == 10
+
+without_witness = []
+route = CubicCover._group_over_QT
+CubicCover._group_over_QT = lambda self: without_witness.append(self) or route(self)
+s3_survey(1, 1, sample_size=10**3, seed=0)
+assert without_witness
+
+hasse_failure_candidates(quad_cover(T("T^8+3*T^6+4*T^4+6*T^2+4")), 30, 50)
+
+out = os.path.join(sys.argv[1], "out")
+for argv in (
+    ["specialize", "--cover", "T^2 - 2", "--t0", "7"],
+    ["twist-scan", "--cover", "T^8+3*T^6+4*T^4+6*T^2+4", "--t0", "1", "--bound", "300"],
+    ["density", "--cover", "T^6-T-1", "--grid", "100,200,300,1000", "--fit", "--csv", out + ".csv"],
+):
+    assert speclab.cli.run(argv + ["--out", out + ".json"]) in (0, 2), argv
+assert [m for m in sys.modules if m.split(".")[0] == "sympy"] == ["sympy"]
+assert sys.modules["sympy"] is None
+"""
+
+
+def test_core_modules_do_not_import_sympy(tmp_path):
+    """sympy is a test-only dependency: nothing in speclab imports it, and the
+    CLI's start-up stays cheap."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_RUN, str(tmp_path)], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr

@@ -1,16 +1,21 @@
+from math import prod
+
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from speclab import poly as poly_module
+from speclab.covers import CubicCover
 from speclab.fp import factor_mod_p
 from speclab.intutil import is_probable_prime, primes_up_to
 from speclab.poly import (
     INFINITY,
+    ConsistencyError,
     HomogPolynomial,
     IntPolynomial,
     ProjectivePoint,
     discriminant,
-    discriminant_y,
     factor_over_Q,
     format_poly,
     homogenize_minpoly,
@@ -54,10 +59,7 @@ def test_discriminant_values():
 
 def test_discriminant_y_cubic():
     # Y^3 + T Y + T: delta = -4 T^3 - 27 T^2
-    a0 = poly(0, 1)
-    a1 = poly(0, 1)
-    delta = discriminant_y([a0, a1, poly(0), poly(1)])
-    assert delta == poly(0, 0, -27, -4)
+    assert CubicCover(poly(), poly(0, 1), poly(0, 1)).delta == poly(0, 0, -27, -4)
 
 
 @given(coeff_lists)
@@ -73,6 +75,87 @@ def test_factor_over_Q_reassembles(cs):
         for _ in range(m):
             prod = prod * f
     assert prod == p
+
+
+def old_factor_over_Q(p):
+    """factor_over_Q by sympy's factor_list, as it was computed before
+    Zassenhaus on speclab.fp; kept as oracle."""
+    x = sympy.Symbol("x")
+    content, factors = sympy.Poly(list(p.coeffs[::-1]), x, domain=sympy.ZZ).factor_list()
+    cont, out = int(content), []
+    for f, m in factors:
+        q = IntPolynomial([int(c) for c in f.all_coeffs()[::-1]])
+        if q.lc < 0:
+            q = -q
+            cont = -cont if m % 2 else cont
+        out.append((q, int(m)))
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return cont, out
+
+
+SD4 = "T^4-10*T^2+1"  # minimal polynomial of sqrt 2 + sqrt 3
+SD8 = "T^8-40*T^6+352*T^4-960*T^2+576"  # of sqrt 2 + sqrt 3 + sqrt 5
+
+
+@st.composite
+def products(draw):
+    """c * prod f_i^m_i of degree 1..24: a content of either sign, factors
+    of degree 1-6 with any nonzero leading coefficient, multiplicities up to 3."""
+    p = IntPolynomial([draw(st.integers(1, 60)) * draw(st.sampled_from([-1, 1]))])
+    for _ in range(draw(st.integers(1, 5))):
+        f = IntPolynomial(
+            draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+            + [draw(st.integers(-6, 6).filter(bool))]
+        )
+        for _ in range(draw(st.integers(1, 3))):
+            if (p * f).degree <= 24:
+                p = p * f
+    assume(p.degree >= 1)
+    return p
+
+
+@given(st.one_of(products(), coeff_lists.map(IntPolynomial)))
+@example(parse_poly(SD4) * parse_poly(SD4).shift(1))
+@example(parse_poly(SD4) * parse_poly(SD4) * parse_poly(SD8).shift(-1))
+@example(parse_poly(SD8) * parse_poly("T^4+1") * parse_poly("-3*T^8+5*T-2") * parse_poly("2*T^4-7"))
+@example(prod((poly(-i, 1) for i in range(1, 25)), start=poly(1)))  # 24 linear factors
+@example(prod([poly(-2, 0, 3)] * 3 + [poly(1, -1, 0, 7)] * 2 + [poly(*[5] + [0] * 11 + [-1])]))
+@settings(max_examples=500, deadline=None)
+def test_factor_over_Q_matches_sympy(p):
+    if p.degree < 1:
+        return
+    assert factor_over_Q(p) == old_factor_over_Q(p)
+
+
+@pytest.mark.parametrize("text", [SD4, SD8])
+def test_factor_over_Q_recombines(text):
+    """SD4 and SD8 are irreducible but split into factors of degree <= 2 mod
+    every prime, so every pattern intersection is inconclusive and only
+    recombination proves them irreducible, alone and in products."""
+    p = parse_poly(text)
+    for q in primes_up_to(60):
+        if discriminant(p) % q:
+            assert all(g.degree <= 2 for g, _ in factor_mod_p(p, q)[1])
+    assert factor_over_Q(p) == (1, [(p, 1)])
+    shifted = p.shift(2)
+    for m in (1, 2):  # squarefree, and through Yun's algorithm
+        q = prod([p] * m + [shifted, IntPolynomial([-2])])
+        want = sorted([(p, m), (shifted, 1)], key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        assert factor_over_Q(q) == (-2, want) == old_factor_over_Q(q)
+
+
+def test_factor_over_Q_rejects():
+    with pytest.raises(ValueError):
+        factor_over_Q(IntPolynomial([]))
+    with pytest.raises(ValueError):
+        factor_over_Q(IntPolynomial([1] * 26))  # degree 25
+    assert factor_over_Q(IntPolynomial([1] * 25))[1]  # degree 24, the cap
+
+
+def test_factor_over_Q_checks_the_product(monkeypatch):
+    monkeypatch.setattr(poly_module, "_zassenhaus", lambda f, good: [f, poly(1, 1)])
+    with pytest.raises(ConsistencyError):
+        factor_over_Q(parse_poly("T^2+1"))
 
 
 @given(coeff_lists, st.sampled_from(primes_up_to(60)))
