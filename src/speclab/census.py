@@ -16,6 +16,7 @@ from math import gcd, isqrt, log, sqrt
 
 import numpy as np
 
+from . import kernels
 from .covers import QuadraticCover, _rootless_mod_p, s3_survey_predicates
 from .intutil import (
     is_nfree,
@@ -220,23 +221,6 @@ def quad_field_census(x: int) -> list[int]:
 _BLOCK_PAIRS = 1 << 18
 
 
-def _box_values(cs: list[int], u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Exact values sum_j cs[j] u^j v^(N-j) by homogeneous Horner: int64 when
-    sum |cs[j]| * max(|u|, v)^N < 2^62 bounds every partial sum, else Python
-    ints in an object array (the same arithmetic, without wrap-around)."""
-    N = len(cs) - 1
-    H = max(int(np.abs(u).max(initial=0)), int(v.max(initial=0)))
-    dtype = np.int64 if sum(abs(c) for c in cs) * H**N < 2**62 else object
-    u = u.astype(dtype)
-    v = v.astype(dtype)
-    acc = np.full(u.shape, cs[N], dtype=dtype)
-    vk = np.ones(u.shape, dtype=dtype)
-    for j in range(N - 1, -1, -1):
-        vk = vk * v
-        acc = acc * u + cs[j] * vk
-    return acc
-
-
 def _is_square(c: np.ndarray) -> np.ndarray:
     """Elementwise: c (>= 0) is a perfect square."""
     if c.dtype == object:
@@ -316,7 +300,7 @@ def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
             indexing="ij",
         )
         coprime = np.gcd(u, v) == 1
-        m = _small_cores(_box_values(cs, u[coprime], v[coprime]), primes, x)
+        m = _small_cores(kernels.form_values(cs, u[coprime], v[coprime]), primes, x)
         absdF = np.where(m % 4 == 1, np.abs(m), 4 * np.abs(m))
         found.update(m[(m != 1) & (absdF <= x)].tolist())
     return found

@@ -7,6 +7,10 @@ check. The sieve (_purepy.survivors) is bit-packed numpy, as in ratpoints:
 each prime's allowed u for one v mod p is a row of uint64 words, and a block
 of v rows is the AND of one such row per prime.
 
+The exact check evaluates F at the survivors with form_values, the one array
+evaluator of a binary form (the census uses it too), and takes n-th roots of
+the nonzero values in (v, u) order until max_points points are found.
+
 The sieve tables are built once per curve and looked up per twist. The table
 of F(u, v) mod p depends only on the curve. Which values are allowed depends
 on d only through its class in F_p^*/(F_p^*)^n (or d = 0 mod p), so a twist's
@@ -25,7 +29,7 @@ from ..fp import power_class
 from ..intutil import is_probable_prime, nth_root
 from . import _purepy
 
-__all__ = ["search_pairs", "backend_name", "available_backends"]
+__all__ = ["search_pairs", "form_values", "backend_name", "available_backends"]
 
 _MAX_SIEVE_PRIMES = 14
 _CANDIDATE_PRIMES = [
@@ -119,6 +123,25 @@ def available_backends() -> list[str]:
     return ["purepy"]
 
 
+def form_values(cs: list[int], u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Exact values sum_j cs[j] u^j v^(N-j) by homogeneous Horner: int64 when
+    sum |cs[j]| * max(|u|, v)^N < 2^62 bounds every partial sum, else Python
+    ints in an object array (the same arithmetic, without wrap-around)."""
+    N = len(cs) - 1
+    H = max(int(np.abs(u).max(initial=0)), int(v.max(initial=0)))
+    dtype = np.int64 if sum(abs(c) for c in cs) * H**N < 2**62 else object
+    u = u.astype(dtype)
+    v = v.astype(dtype)
+    acc = np.full(u.shape, cs[N], dtype=dtype)
+    vk = np.ones(u.shape, dtype=dtype)
+    for j in range(N - 1, -1, -1):
+        vk = vk * v
+        acc *= u
+        if cs[j]:
+            acc += cs[j] * vk
+    return acc
+
+
 def search_pairs(
     coeffs: list[int],
     M: int,
@@ -130,28 +153,25 @@ def search_pairs(
 ) -> list[tuple[int, int, int]]:
     """All (y, u, v) with gcd(u, v)=1, |u| <= H, 1 <= v <= H, y != 0 integer and
     y^n = d * sum_j coeffs[j] u^j v^(M-j). Sorted by (v, u, y). For even n both
-    signs of y solve; only y > 0 is reported. max_points truncates (points of
-    smallest v first). cache: the curve's table cache (see _residue_tables)."""
+    signs of y solve; only y > 0 is reported.
+
+    max_points, when given, keeps the first max_points of that list (none for
+    0): the whole box is sieved, and the exact check stops at the last one.
+    cache: the curve's table cache (see _residue_tables)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if H < 1:
-        return []
+    out: list[tuple[int, int, int]] = []
+    if H < 1 or (max_points is not None and max_points < 1):
+        return out
     primes = _select_primes(n, d)
     tables = _residue_tables(coeffs, M, n, d, primes, cache)
     pairs = _purepy.survivors(tables, H)
     pairs = pairs[np.gcd(pairs[:, 0], pairs[:, 1]) == 1]
-    high_first = coeffs[M::-1]
-    out: list[tuple[int, int, int]] = []
-    for u, v in pairs.tolist():
-        val, vpow = 0, 1  # Horner in u: val = sum_j coeffs[j] u^j v^(M - j)
-        for c in high_first:
-            val = val * u + c * vpow
-            vpow *= v
-        if val == 0:
-            continue
-        y = nth_root(d * val, n)
-        if y is not None and y != 0:
+    vals = form_values(coeffs[: M + 1], pairs[:, 0], pairs[:, 1])
+    for (u, v), val in zip(pairs.tolist(), vals.tolist()):
+        y = nth_root(d * val, n) if val else None
+        if y:
             out.append((y, u, v))
-            if max_points is not None and len(out) >= max_points:
+            if len(out) == max_points:
                 break
     return out

@@ -36,6 +36,7 @@ from .intutil import (
     valuation,
 )
 from .poly import (
+    HomogPolynomial,
     IntPolynomial,
     RealRootReport,
     _real_root_report,
@@ -374,19 +375,8 @@ class LocalSolver:
         n = self.base.n
         k0 = 2 * (valuation(n, p) if n % p == 0 else 0) + 1
         vc = valuation(c, p)
-
-        def g(t: int) -> int:
-            acc = 0
-            for co in reversed(coeffs):
-                acc = acc * t + co
-            return acc
-
-        def gp(t: int) -> int:
-            acc = 0
-            for i in range(len(coeffs) - 1, 0, -1):
-                acc = acc * t + i * coeffs[i]
-            return acc
-
+        g = IntPolynomial(coeffs)
+        gp = g.derivative()
         unknown = False
         queue: list[tuple[int, int]] = [(0, 1)] if start_at_multiple else [(0, 0)]
         while queue:
@@ -518,9 +508,7 @@ def map_twist_point(source: TwistedCurve, alpha: int, point: CurvePoint):
     Ms, Mt = base.model_degree, target_base.model_degree
     y_aff = Fraction(y) ** n2 / (alpha * Fraction(v) ** (Ms * n2 // n))
     yt = y_aff * Fraction(v) ** (Mt // n1)
-    val = 2 * sum(
-        target_base.model_coeffs[j] * u**j * v ** (Mt - j) for j in range(Mt + 1)
-    )
+    val = 2 * HomogPolynomial(target_base.model_coeffs).eval_proj((u, v))
     if yt**n1 != val:
         raise ConsistencyError("mapped point fails the curve equation")
     if yt.denominator == 1:
@@ -611,15 +599,13 @@ class HasseScanResult:
     unknown: tuple[int, ...]
 
 
-def hasse_failure_candidates(
-    cover: QuadraticCover,
-    x: int,
-    H: int,
-    quick_height: int = 100,
-) -> HasseScanResult:
+def hasse_failure_candidates(cover: QuadraticCover, x: int, H: int) -> HasseScanResult:
     """Squarefree twists |d| <= x that pass every local test yet have no
     rational point of height <= H: numerical Hasse-principle failure
-    candidates. Requires even degree >= 4 and no rational branch point."""
+    candidates. Requires even degree >= 4 and no rational branch point.
+
+    Each everywhere locally soluble twist gets one point search at height H,
+    capped at its first point (search_points with max_points=1)."""
     if cover.degree % 2 or cover.degree < 4:
         raise ValueError("scan needs even degree >= 4")
     base = SuperellipticCurve(2, cover.P)
@@ -638,10 +624,7 @@ def hasse_failure_candidates(
         if status == UNKNOWN:
             unknown.append(d)
             continue
-        pts = search_points(tw, quick_height, max_points=1)
-        if not pts and H > quick_height:
-            pts = search_points(tw, H, max_points=1)
-        if pts:
+        if search_points(tw, H, max_points=1):
             found += 1
         else:
             candidates.append(d)

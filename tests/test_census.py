@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from speclab import census
+from speclab import census, kernels
 from speclab.census import (
     DensitySeries,
     count_poly_sets,
@@ -304,14 +304,14 @@ class TestTwistSeries:
         # 2 * 10007^2, has a square cofactor of primes above x
         cov = quad_cover(IntPolynomial([5, 0, 0, 0, 2**44, 0, 0, 0, 2 * 10007**2]))
         dtypes = []
-        box_values = census._box_values
+        form_values = kernels.form_values
 
         def spy(*args):
-            vals = box_values(*args)
+            vals = form_values(*args)
             dtypes.append(vals.dtype)
             return vals
 
-        monkeypatch.setattr(census, "_box_values", spy)
+        monkeypatch.setattr(kernels, "form_values", spy)
         found = census._found_twists(cov, 8, 3000)
         assert dtypes and all(dt == object for dt in dtypes)
         assert {2, 5} <= found

@@ -33,12 +33,12 @@ CASES = [
     ([1, 0, 1, 1], 3, 3, 1, 20),
     ([5, 1, 0, 0, 2, 0, 0, 0, 1], 8, 4, 3, 12),
     ([1, 0, 2**17 - 1], 2, 17, 1, 8),  # F(1, 1) = 2^17: y = 2; no candidate prime sieves n = 17
+    ([2**70, 0, 1], 2, 2, 1, 12),  # values above 2^62, checked in Python ints: y = 2^35 at (0, 1)
 ]
 
 
 @pytest.mark.parametrize("coeffs,M,n,d,H", CASES)
 def test_backends_match_bruteforce(coeffs, M, n, d, H):
-    # the backend chosen at import (see kernels.backend_name())
     got = kernels.search_pairs(coeffs, M, n, d, H)
     assert sorted(got) == brute_points(coeffs, M, n, d, H)
 
@@ -63,9 +63,42 @@ def test_points_verified_exactly():
 
 
 def test_max_points_cap():
-    coeffs = [-2, 0, 0, 1, 0]
-    got = kernels.search_pairs(coeffs, 4, 2, 1, 200, max_points=1)
-    assert len(got) == 1
+    for coeffs, M, n, d, H in [([-2, 0, 0, 1, 0], 4, 2, 1, 200), ([1, 0, 1], 2, 2, 1, 60)] + CASES:
+        full = kernels.search_pairs(coeffs, M, n, d, H)
+        for k in range(4):
+            assert kernels.search_pairs(coeffs, M, n, d, H, max_points=k) == full[:k]
+
+
+def by_v(points):
+    return sorted(points, key=lambda p: (p[2], p[1], p[0]))
+
+
+@given(
+    st.one_of(
+        # s^2 u^2 + b uv + c v^2 has the rational point (1 : 0) at v = 0, so
+        # points of small height in many rows
+        st.tuples(
+            st.integers(min_value=-9, max_value=9),
+            st.integers(min_value=-9, max_value=9),
+            st.integers(min_value=1, max_value=4).map(lambda s: s * s),
+        ).map(list),
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=5),
+    ),
+    st.sampled_from([2, 3]),
+    st.integers(min_value=-6, max_value=6).filter(lambda d: d != 0),
+    st.sampled_from([8, 64, 200]),
+)
+@settings(max_examples=40, deadline=None)
+def test_max_points_across_sieve_blocks(coeffs, n, d, block_bytes):
+    # at H = 30 a sieve block holds 1, 8 or 25 v rows, so points fall in
+    # several blocks and the cap must cut their concatenation in (v, u) order
+    M, H = len(coeffs) - 1, 30
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_purepy, "_BLOCK_BYTES", block_bytes)
+        full = kernels.search_pairs(coeffs, M, n, d, H)
+        assert full == by_v(brute_points(coeffs, M, n, d, H))
+        for k in range(4):
+            assert kernels.search_pairs(coeffs, M, n, d, H, max_points=k) == full[:k]
 
 
 def test_backend_names():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from speclab import twists
 from speclab.covers import quad_cover
+from speclab.intutil import nfree_sieve
 from speclab.poly import parse_poly, real_roots_sign_analysis
 from speclab.twists import (
     INSOLUBLE,
@@ -228,6 +229,54 @@ class TestScans:
             locally_obstructed=46,
             unknown=(),
         )
+
+
+    def test_hasse_scan_below_height_100(self):
+        # y^2 = 43(t^4 + 3) is everywhere locally soluble; its smallest
+        # points are (+-20 : 1), so it has a point of height 10 only when
+        # the search runs to 20
+        cov = quad_cover(P("T^4 + 3"))
+        assert search_points(SuperellipticCurve(2, cov.P).twist(43), 20)[0].u == -20
+        assert hasse_failure_candidates(cov, 45, 10) == HasseScanResult(
+            x=45,
+            H=10,
+            candidates=(37, 43),
+            soluble_with_points=3,
+            locally_obstructed=52,
+            unknown=(),
+        )
+        assert 43 not in hasse_failure_candidates(cov, 45, 20).candidates
+
+    @pytest.mark.parametrize("H", [5, 10, 20, 50])
+    def test_hasse_scan_matches_per_twist_search(self, H):
+        for poly, x in ((P("T^4 + 3"), 45), (PINNED8, 40)):
+            base = SuperellipticCurve(2, poly)
+            soluble = [
+                d
+                for d in nfree_sieve(2, x)
+                if everywhere_locally_soluble(base.twist(d))[0] == SOLUBLE
+            ]
+            # the uncapped search: every point up to H, not just the first
+            want = tuple(d for d in soluble if not search_points(base.twist(d), H))
+            res = hasse_failure_candidates(quad_cover(poly), x, H)
+            assert res.candidates == want
+            assert res.soluble_with_points == len(soluble) - len(want)
+
+    def test_hasse_scan_searches_each_twist_once(self, monkeypatch):
+        calls = []
+        search = twists.search_points
+
+        def spy(tw, H, max_points=None):
+            calls.append((tw.d, H, max_points))
+            return search(tw, H, max_points=max_points)
+
+        monkeypatch.setattr(twists, "search_points", spy)
+        res = hasse_failure_candidates(quad_cover(PINNED8), 40, 300)
+        searched = res.soluble_with_points + len(res.candidates)
+        assert searched == len(calls) == len({d for d, _, _ in calls})
+        assert {(H, k) for _, H, k in calls} == {(300, 1)}
+        assert set(res.candidates) <= {d for d, _, _ in calls}
+        assert not set(res.unknown) & {d for d, _, _ in calls}
 
 
 @given(st.integers(min_value=-60, max_value=60).filter(lambda d: d != 0))
