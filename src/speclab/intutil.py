@@ -53,7 +53,7 @@ def valuation(n: int | Fraction, p: int) -> int:
     """p-adic valuation. Raises on n == 0 (valuation is infinite)."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    if isinstance(n, Fraction):
+    if type(n) is not int and isinstance(n, Fraction):  # plain ints skip the ABC check
         return valuation(n.numerator, p) - valuation(n.denominator, p)
     if n == 0:
         raise ValueError("valuation of 0 is infinite")

@@ -11,12 +11,14 @@ The exact check evaluates F at the survivors with form_values, the one array
 evaluator of a binary form (the census uses it too), and takes n-th roots of
 the nonzero values in (v, u) order until max_points points are found.
 
-The sieve tables are built once per curve and looked up per twist. The table
-of F(u, v) mod p depends only on the curve. Which values are allowed depends
-on d only through its class in F_p^*/(F_p^*)^n (or d = 0 mod p), so a twist's
-table is the allowed mask of its class indexed by the curve's value table.
+The sieve tables are split by what they depend on. Per prime, shared by
+every curve in the process: the allowed mask of each class -- which values
+are allowed depends on d only through its class in F_p^*/(F_p^*)^n (or
+d = 0 mod p). Per curve: the table of F(u, v) mod p, one integer matrix
+product of the powers r^k mod p with the coefficients, and for each class
+the mask indexed by that value table, which is a twist's sieve table.
 A caller that searches many twists of one curve passes one dict as `cache`
-to keep both kinds of table between calls.
+to keep the per-curve tables between calls.
 """
 
 from __future__ import annotations
@@ -40,9 +42,21 @@ _CANDIDATE_PRIMES = [
 _FALLBACK_PRIMES = 4
 
 
+# Per-prime masks shared by every curve, read-only. It stays small: keys are
+# the sieve primes (17 candidates plus 4 fallbacks per n) times the classes
+# of d.
+_masks: dict[tuple[int, int, int], np.ndarray] = {}  # (p, n, class) -> mask
+
+
 def _allowed_residues(p: int, n: int, d: int) -> np.ndarray:
-    """Boolean table over F_p: residues r with d*r an n-th power residue or 0."""
-    return np.array([power_class(d * r, p, n) in (0, 1) for r in range(p)])
+    """Boolean table over F_p: residues r with d*r an n-th power residue or 0.
+    One read-only array per (p, n, class of d)."""
+    key = (p, n, power_class(d, p, n))
+    mask = _masks.get(key)
+    if mask is None:
+        mask = _masks[key] = np.array([power_class(d * r, p, n) in (0, 1) for r in range(p)])
+        mask.flags.writeable = False
+    return mask
 
 
 def _sieve_fraction(p: int, n: int, d: int) -> float:
@@ -71,18 +85,16 @@ def _select_primes(n: int, d: int) -> list[int]:
 
 
 def _value_table(coeffs: list[int], M: int, p: int) -> np.ndarray:
-    """F(u, v) mod p, shape (p, p), indexed [v % p][u % p]."""
+    """F(u, v) mod p, shape (p, p), indexed [v % p][u % p]:
+    sum_j (v^(M-j) c_j mod p) * u^j as one int64 matrix product."""
     r = np.arange(p, dtype=np.int64)
-    vpow = [np.ones(p, dtype=np.int64)]
-    for _ in range(M):
-        vpow.append(vpow[-1] * r % p)
-    upow = np.ones(p, dtype=np.int64)
-    val = np.zeros((p, p), dtype=np.int64)
-    for j in range(M + 1):
-        c = coeffs[j] % p
-        if c:
-            val = (val + np.outer(vpow[M - j], upow * c % p)) % p
-        upow = upow * r % p
+    pw = np.ones((p, M + 1), dtype=np.int64)
+    for k in range(1, M + 1):
+        pw[:, k] = pw[:, k - 1] * r % p
+    c = np.array([cj % p for cj in coeffs[: M + 1]], dtype=np.int64)
+    # Both factors are reduced below p, so each entry of the product is a sum
+    # of M + 1 terms below p^2: under (M + 1) p^2, far below 2^63.
+    val = ((pw[:, ::-1] * c) % p) @ pw.T % p
     return val.astype(np.min_scalar_type(p - 1))
 
 
@@ -97,7 +109,9 @@ def _residue_tables(
     """ok[p] has shape (p, p): ok[p][v % p][u % p] == sieve passes.
 
     cache, when given, must only ever see one (coeffs, M, n): it keeps the
-    value table under p and the sieve table under (p, class of d)."""
+    curve's value table under p and, under (p, class of d), the sieve table
+    of that class: the shared per-prime mask (see _allowed_residues) indexed
+    by the value table. The masks themselves are kept per prime, not here."""
     if cache is None:
         cache = {}
     tables = {}

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,38 @@ def test_valuation_basic():
     assert valuation(Fraction(3, 4), 2) == -2
     with pytest.raises(ValueError):
         valuation(0, 2)
+
+
+def reference_valuation(n, p):
+    n, v = abs(int(n)), 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=-(2**200), max_value=2**200),
+        st.integers(min_value=-(2**62), max_value=2**62).map(np.int64),
+    ).filter(lambda n: n != 0),
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=200)
+def test_valuation_matches_loop(n, p, k):
+    m = n * p**k if type(n) is int else n  # numpy ints stay as drawn, below 2^63
+    assert valuation(m, p) == reference_valuation(m, p)
+
+
+def test_valuation_rejects_zero_and_small_p():
+    for zero in (0, np.int64(0), Fraction(0)):
+        with pytest.raises(ValueError):
+            valuation(zero, 3)
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            valuation(12, p)
+    assert valuation(True, 2) == 0 and valuation(np.int64(-48), 2) == 4
 
 
 def test_primes_and_primality():

@@ -195,6 +195,79 @@ def test_residue_tables_match_oracle(coeffs, n, shift):
             assert kernels._sieve_fraction(p, n, d) == old_allowed_residues(p, n, d).sum() / p
 
 
+def test_residue_tables_match_oracle_on_fallback_primes():
+    # n = 17 has no candidate prime: the tables are 239 x 239 to 443 x 443
+    coeffs, M, n = [3, -(2**70), 0, 5, 7], 4, 17
+    primes = kernels._select_primes(n, 103 * 137)
+    assert primes == [239, 307, 409, 443]
+    cache = {}
+    for d in (103 * 137, -5 * 239):  # the second is 0 mod 239: that table passes everything
+        got = kernels._residue_tables(coeffs, M, n, d, primes, cache)
+        want = old_residue_tables(coeffs, M, n, d, primes)
+        for p in primes:
+            assert got[p].dtype == bool
+            np.testing.assert_array_equal(got[p], want[p])
+
+
+@given(
+    st.integers(min_value=20, max_value=40).flatmap(
+        lambda M: st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=M + 1, max_size=M + 1)
+    ),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=-(2**66), max_value=2**66).filter(lambda d: d != 0),
+)
+@settings(max_examples=3, deadline=None)
+def test_residue_tables_match_oracle_high_degree(coeffs, n, d):
+    # model degree up to 40: the value table's product sums M + 1 terms below p^2
+    M = len(coeffs) - 1
+    got = kernels._residue_tables(coeffs, M, n, d, kernels._CANDIDATE_PRIMES)
+    want = old_residue_tables(coeffs, M, n, d, kernels._CANDIDATE_PRIMES)
+    for p in kernels._CANDIDATE_PRIMES:
+        np.testing.assert_array_equal(got[p], want[p])
+
+
+def test_masks_shared_across_curves(monkeypatch):
+    # two different curves, d = 1 and d = 4 in the same class at every odd p:
+    # the second curve's tables index the very mask arrays of the first
+    seen = []
+    allowed = kernels._allowed_residues
+
+    def spy(p, n, d):
+        seen.append(allowed(p, n, d))
+        return seen[-1]
+
+    monkeypatch.setattr(kernels, "_allowed_residues", spy)
+    n = 2
+    primes = kernels._select_primes(n, 1)
+    kernels._residue_tables([5, 1, 0, 0, 2, 0, 0, 0, 1], 8, n, 1, primes, {})
+    kernels._residue_tables([-2, 0, 0, 1, 0], 4, n, 4, primes, {})
+    assert len(seen) == 2 * len(primes)
+    for first, second in zip(seen[: len(primes)], seen[len(primes) :]):
+        assert first is second
+
+
+def test_shared_masks_are_read_only():
+    mask = kernels._allowed_residues(7, 3, 2)
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
+
+
+def test_module_masks_bounded_by_their_keys(monkeypatch):
+    monkeypatch.setattr(kernels, "_masks", {})
+    curves = [([a, 1, 0, b, 0, 0, 1], 6) for a in range(-3, 4) for b in (0, 2)]
+    curves += [([-2, 0, 0, 1, 0], 4), ([1, 0, 2**17 - 1], 2)]
+    mask_keys = set()
+    for coeffs, M in curves:
+        for n in (2, 3, 17):
+            cache = {}
+            for d in range(-12, 13):
+                if d:
+                    kernels.search_pairs(coeffs, M, n, d, 10, cache=cache)
+                    for p in kernels._select_primes(n, d):
+                        mask_keys.add((p, n, fp.power_class(d, p, n)))
+    assert set(kernels._masks) == mask_keys
+
+
 def test_tables_shared_within_a_class():
     coeffs, M, n = [5, 1, 0, 0, 2, 0, 0, 0, 1], 8, 2
     primes = kernels._select_primes(n, 1)
