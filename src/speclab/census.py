@@ -9,9 +9,10 @@ separately, never folded into either side.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, isqrt, log, sqrt
 
 import numpy as np
@@ -21,6 +22,7 @@ from .covers import QuadraticCover, _rootless_mod_p, s3_survey_predicates
 from .intutil import (
     is_nfree,
     nfree_sieve,
+    nfree_table,
     primes_up_to,
     quad_disc,
     squarefree_part,
@@ -32,7 +34,6 @@ from .twists import (
     UNKNOWN,
     SuperellipticCurve,
     everywhere_locally_soluble,
-    search_points,
 )
 
 __all__ = [
@@ -97,14 +98,6 @@ def _mult_lt(P: IntPolynomial, n: int) -> bool:
     return all(m < n for _, m in factors)
 
 
-def _nfree_table(H: int, n: int) -> np.ndarray:
-    """free[g] is True when g is n-free, for 1 <= g <= H."""
-    free = np.ones(H + 1, dtype=bool)
-    for p in primes_up_to(isqrt(H) + 1):
-        free[p**n :: p**n] = False
-    return free
-
-
 def _count_quadratics_fast(H: int, forms: bool = False) -> tuple[int, int]:
     """Vectorized counts over |a|, |b|, |c| <= H of a T^2 + b T + c with
     b^2 - 4ac != 0, and the squarefree-content subset. With forms, a = 0 is
@@ -117,7 +110,7 @@ def _count_quadratics_fast(H: int, forms: bool = False) -> tuple[int, int]:
     sep = b * b - 4 * a * c != 0
     total = int(sep.sum())
     g = np.gcd(np.gcd(np.abs(a), np.abs(b)), np.abs(c))
-    total2 = int((sep & _nfree_table(H, 2)[g]).sum())
+    total2 = int((sep & nfree_table(H, 2)[g]).sum())
     return total, total2
 
 
@@ -131,7 +124,7 @@ def _count_P_P2(n: int, N: int, H: int) -> tuple[int, int]:
         c1 = r[r != 0][:, None]
         c0 = r[None, :]
         g = np.gcd(np.abs(c1), np.abs(c0))
-        return g.size, int(_nfree_table(H, n)[g].sum())
+        return g.size, int(nfree_table(H, n)[g].sum())
     cP = cP2 = 0
     for coeffs in product(range(-H, H + 1), repeat=N + 1):
         if coeffs[-1] == 0:
@@ -201,16 +194,17 @@ def fundamental_discriminant(d: int) -> int:
     return quad_disc(d)
 
 
+def _fields(x: int) -> list[tuple[int, int]]:
+    """(|dF|, d) for every squarefree d != 1 whose field Q(sqrt d) has a
+    discriminant dF with |dF| <= x, ascending (negative d first on ties)."""
+    pairs = ((abs(quad_disc(d)), d) for d in nfree_sieve(2, x))
+    return sorted(pair for pair in pairs if pair[0] <= x)
+
+
 def quad_field_census(x: int) -> list[int]:
     """Fundamental discriminants with absolute value <= x, ascending by
     absolute value (negative first on ties)."""
-    out = []
-    for d in nfree_sieve(2, x):
-        dF = quad_disc(d)
-        if abs(dF) <= x:
-            out.append(dF)
-    out.sort(key=lambda v: (abs(v), v))
-    return out
+    return [quad_disc(d) for _, d in _fields(x)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +316,7 @@ def _absence_certifier(cover: QuadraticCover, x: int):
     to x. Only sound for even degree without rational roots; otherwise
     returns a certifier that never certifies."""
     P = cover.P
-    if cover.degree % 2:
-        return lambda d: False
-    _, factors = factor_over_Q(P)
-    if any(f.degree == 1 for f, _ in factors) or any(m > 1 for _, m in factors):
+    if cover.degree % 2 or any(f.degree == 1 for f, _ in cover._factors):
         return lambda d: False
     bad = 2 * P.lc * P.trailing * P.content
     spf = _smallest_prime_factors(x)
@@ -350,6 +341,40 @@ def _absence_certifier(cover: QuadraticCover, x: int):
     return certifies
 
 
+def _census(cover: QuadraticCover, H: int, x: int, local: bool) -> list[tuple]:
+    """One row (|dF|, global, local) per field of _fields(x). global is
+    SOLUBLE when d is found at height H (_found_twists), INSOLUBLE when
+    certified absent, else UNKNOWN. With local, the local column is the
+    everywhere_locally_soluble verdict of the twist by d, and a locally
+    insoluble d is globally insoluble too; without, it is None."""
+    found = _found_twists(cover, H, x)
+    certifies = _absence_certifier(cover, x)
+    base = SuperellipticCurve(2, cover.P) if local else None
+    rows = []
+    for adF, d in _fields(x):
+        loc = everywhere_locally_soluble(base.twist(d))[0] if local else None
+        if d in found:
+            glob = SOLUBLE
+        elif loc == INSOLUBLE or certifies(d):
+            glob = INSOLUBLE
+        else:
+            glob = UNKNOWN
+        rows.append((adF, glob, loc))
+    return rows
+
+
+def _series(grid: list[int], rows: list[tuple], column: int) -> DensitySeries:
+    """The census rows (sorted by |dF|, their first entry) counted up to each
+    x in grid: fields, SOLUBLE and UNKNOWN entries of the given column."""
+    keys = [row[0] for row in rows]
+    sol = list(accumulate((row[column] == SOLUBLE for row in rows), initial=0))
+    unk = list(accumulate((row[column] == UNKNOWN for row in rows), initial=0))
+    den = [bisect_right(keys, x) for x in grid]
+    return DensitySeries(
+        tuple(grid), tuple(sol[k] for k in den), tuple(den), tuple(unk[k] for k in den)
+    )
+
+
 def twist_density_series(
     cover: QuadraticCover,
     grid: list[int],
@@ -361,41 +386,9 @@ def twist_density_series(
     max(schedule) (default 256; the smaller heights are not used), decided by
     the small-prime sieve of _found_twists; certified absent by the
     rootless-prime valuation argument; unknown otherwise."""
-    if not grid:
-        return DensitySeries((), (), (), ())
-    if schedule is None:
-        schedule = [16, 64, 256]
-    x_max = max(grid)
-    found = _found_twists(cover, max(schedule), x_max)
-    certifies = _absence_certifier(cover, x_max)
-    num = []
-    den = []
-    unk = []
-    d_by_absdF = sorted(
-        (abs(quad_disc(d)), d) for d in nfree_sieve(2, x_max) if abs(quad_disc(d)) <= x_max
-    )
-    statuses = []
-    for _, d in d_by_absdF:
-        if d in found:
-            statuses.append(SOLUBLE)
-        elif certifies(d):
-            statuses.append(INSOLUBLE)
-        else:
-            statuses.append(UNKNOWN)
-    for x in grid:
-        n = d = u = 0
-        for (adF, _), st in zip(d_by_absdF, statuses):
-            if adF > x:
-                break
-            d += 1
-            if st == SOLUBLE:
-                n += 1
-            elif st == UNKNOWN:
-                u += 1
-        num.append(n)
-        den.append(d)
-        unk.append(u)
-    return DensitySeries(tuple(grid), tuple(num), tuple(den), tuple(unk))
+    H = 256 if schedule is None else max(schedule)
+    rows = _census(cover, H, max(grid), False) if grid else []
+    return _series(grid, rows, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +402,11 @@ class LogFit:
     residual: float  # RMS of log-ratio residuals
 
 
-def fit_log_exponent(series: DensitySeries, envelope: str = "upper") -> LogFit:
-    """Least-squares slope of log(ratio) against log(log x): the model
-    ratio ~ C * log(x)^-alpha. A fit, not a proof of the asymptotic."""
-    ratios = series.upper() if envelope == "upper" else series.lower()
+def fit_log_exponent(series: DensitySeries) -> LogFit:
+    """Least-squares slope of log(ratio) against log(log x), with the upper
+    envelope as the ratio: the model ratio ~ C * log(x)^-alpha. A fit, not a
+    proof of the asymptotic."""
+    ratios = series.upper()
     if len(series.grid) < 4:
         raise ValueError("need at least 4 grid points")
     if any(r <= 0 for r in ratios):
@@ -510,43 +504,5 @@ def local_global_ratio_series(
 
     Returns (global series, local series); local unknowns come from solver
     precision caps, global unknowns from the height bound."""
-    if not grid:
-        empty = DensitySeries((), (), (), ())
-        return empty, empty
-    x_max = max(grid)
-    base = SuperellipticCurve(2, cover.P)
-    found = _found_twists(cover, H, x_max)
-    certifies = _absence_certifier(cover, x_max)
-    rows = []
-    for d in nfree_sieve(2, x_max):
-        adF = abs(quad_disc(d))
-        if adF > x_max:
-            continue
-        loc, _ = everywhere_locally_soluble(base.twist(d))
-        if d in found:
-            glob = SOLUBLE
-        elif loc == INSOLUBLE or certifies(d):
-            glob = INSOLUBLE
-        else:
-            glob = UNKNOWN
-        rows.append((adF, glob, loc))
-    rows.sort()
-    gnum, gunk, lnum, lunk, dens = [], [], [], [], []
-    for x in grid:
-        gn = gu = ln = lu = dd = 0
-        for adF, glob, loc in rows:
-            if adF > x:
-                break
-            dd += 1
-            gn += glob == SOLUBLE
-            gu += glob == UNKNOWN
-            ln += loc == SOLUBLE
-            lu += loc == UNKNOWN
-        gnum.append(gn)
-        gunk.append(gu)
-        lnum.append(ln)
-        lunk.append(lu)
-        dens.append(dd)
-    g = DensitySeries(tuple(grid), tuple(gnum), tuple(dens), tuple(gunk))
-    l = DensitySeries(tuple(grid), tuple(lnum), tuple(dens), tuple(lunk))
-    return g, l
+    rows = _census(cover, H, max(grid), True) if grid else []
+    return _series(grid, rows, 1), _series(grid, rows, 2)

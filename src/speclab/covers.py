@@ -532,7 +532,7 @@ class CubicCover:
 
         An S3 witness (see _s3_witness) proves S3 without factorising;
         without one the bivariate route decides."""
-        if _s3_witness(self, _WITNESS_RANGE) is not None:
+        if _s3_witness(self) is not None:
             return "S3"
         return self._group_over_QT()
 
@@ -781,16 +781,16 @@ def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
     )
 
 
-def cubic_field_fingerprint(f: IntPolynomial, nprimes: int = 50) -> tuple:
+def cubic_field_fingerprint(f: IntPolynomial) -> tuple:
     """Heuristic identity key for the cubic field Q[x]/(f): the field
-    discriminant plus residue degree patterns at the nprimes smallest primes
+    discriminant plus residue degree patterns at the 50 smallest primes
     not dividing disc(f). NOT certifying: equal fingerprints do not prove an
     isomorphism (they merely make distinctness overwhelmingly likely)."""
     dK = cubic_field_disc(f)
     df = discriminant(f)
     pats = []
     p = 2
-    while len(pats) < nprimes:
+    while len(pats) < 50:
         if is_probable_prime(p) and df % p != 0:
             _, facs = fp.factor_mod_p(f, p)
             pats.append(tuple(sorted(g.degree for g, m in facs for _ in range(m))))
@@ -827,7 +827,7 @@ _WITNESS_RANGE = 12
 
 
 def s3_survey_predicates(
-    a2: IntPolynomial, a1: IntPolynomial, a0: IntPolynomial, witness_range: int = _WITNESS_RANGE
+    a2: IntPolynomial, a1: IntPolynomial, a0: IntPolynomial
 ) -> SurveyPredicates:
     """Decide the survey conditions for y^3 + a2 y^2 + a1 y + a0.
 
@@ -842,7 +842,7 @@ def s3_survey_predicates(
     except ValueError:
         false = False
         return SurveyPredicates(false, false, None, false, false, false, false, false)
-    witness = _s3_witness(cover, witness_range)
+    witness = _s3_witness(cover)
     galois_S3 = witness is not None or cover._group_over_QT() == "S3"
     dfac = cover._factors
     delta_irred = len(dfac) == 1 and dfac[0][1] == 1 and dfac[0][0].degree >= 1
@@ -861,12 +861,12 @@ def s3_survey_predicates(
     )
 
 
-def _s3_witness(cover: CubicCover, witness_range: int) -> int | None:
-    """The first t0 in 0, 1, -1, ..., witness_range, -witness_range at which
+def _s3_witness(cover: CubicCover) -> int | None:
+    """The first t0 in 0, 1, -1, ..., _WITNESS_RANGE, -_WITNESS_RANGE at which
     the specialised cubic is irreducible with a nonsquare discriminant, or
     None. Its group is then S3, and the group of an unramified
     specialisation is a subgroup of the generic one, so that is S3 too."""
-    for k in range(witness_range + 1):
+    for k in range(_WITNESS_RANGE + 1):
         for t0 in (k, -k) if k else (0,):
             spec = cover.specialized_cubic(ProjectivePoint(t0, 1))
             disc = discriminant(spec)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
+import numpy as np
+
 __all__ = [
     "valuation",
     "is_probable_prime",
@@ -21,6 +23,7 @@ __all__ = [
     "nfree_part",
     "is_nfree",
     "nfree_sieve",
+    "nfree_table",
     "squarefree_part",
     "is_nth_power",
     "nth_root",
@@ -65,11 +68,12 @@ def valuation(n: int | Fraction, p: int) -> int:
     return v
 
 
-def is_probable_prime(n: int, rounds: int = 64, seed: int = 0) -> bool:
-    """Miller-Rabin with deterministic small bases plus seeded random rounds.
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with deterministic small bases plus 64 random rounds
+    seeded by n.
 
     Deterministic (correct, not merely probable) below 3.3*10^24 via the known
-    base set; beyond that the error probability is <= 4^-rounds.
+    base set; beyond that the error probability is <= 4^-64.
     """
     if n < 2:
         return False
@@ -94,8 +98,8 @@ def is_probable_prime(n: int, rounds: int = 64, seed: int = 0) -> bool:
 
     bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
     if n >= 3317044064679887385961981:
-        rng = random.Random(f"{seed},{n}")
-        bases += [rng.randrange(2, n - 1) for _ in range(rounds)]
+        rng = random.Random(f"0,{n}")
+        bases += [rng.randrange(2, n - 1) for _ in range(64)]
     return not any(witness(a) for a in bases)
 
 
@@ -212,18 +216,17 @@ def nfree_sieve(k: int, x: int) -> list[int]:
         raise ValueError("k must be >= 2")
     if x < 1:
         return []
-    import numpy as np
+    pos = np.flatnonzero(nfree_table(x, k)).tolist()  # 1, 2, 3, 5, ...
+    return [-d for d in reversed(pos)] + pos[1:]
 
+
+def nfree_table(x: int, k: int) -> np.ndarray:
+    """free[g] is True when g is k-free, for 0 <= g <= x (0 is not)."""
     free = np.ones(x + 1, dtype=bool)
     free[0] = False
-    p = 2
-    while p**k <= x:
-        if is_probable_prime(p):
-            free[p**k :: p**k] = False
-        p += 1
-    pos = np.nonzero(free)[0]
-    out = [-int(d) for d in pos[::-1]] + [int(d) for d in pos if d != 1]
-    return out
+    for p in primes_up_to(isqrt(x)):
+        free[p**k :: p**k] = False
+    return free
 
 
 def is_nth_power(n: int, k: int) -> bool:

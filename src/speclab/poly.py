@@ -149,7 +149,7 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_poly(text: str, var: str = "T") -> IntPolynomial:
+def parse_poly(text: str) -> IntPolynomial:
     """Parse a sparse sum of terms "c*T^k". Raises ValueError on junk."""
     s = text.replace(" ", "")
     if not s:
@@ -165,8 +165,8 @@ def parse_poly(text: str, var: str = "T") -> IntPolynomial:
             raise ValueError(f"missing sign before {s[pos:]!r}")
         coef = int(m.group("coef")) if m.group("coef") else 1
         if m.group("var"):
-            if m.group("var") != var:
-                raise ValueError(f"unexpected variable {m.group('var')!r}, want {var!r}")
+            if m.group("var") != "T":
+                raise ValueError(f"unexpected variable {m.group('var')!r}, want 'T'")
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:
             exp = 0
@@ -178,7 +178,7 @@ def parse_poly(text: str, var: str = "T") -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def format_poly(p: IntPolynomial, var: str = "T") -> str:
+def format_poly(p: IntPolynomial) -> str:
     if not p.coeffs:
         return "0"
     terms = []
@@ -192,7 +192,7 @@ def format_poly(p: IntPolynomial, var: str = "T") -> str:
             body = str(a)
         else:
             head = "" if a == 1 else f"{a}*"
-            body = f"{head}{var}" + (f"^{e}" if e > 1 else "")
+            body = f"{head}T" + (f"^{e}" if e > 1 else "")
         terms.append(sign + body)
     return "".join(terms)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, prod
 
 from . import kernels
@@ -26,7 +27,6 @@ from .ramify import exceptional_superset
 from .intutil import (
     factorize,
     is_nfree,
-    is_nth_power,
     is_probable_prime,
     legendre,
     nfree_sieve,
@@ -282,6 +282,11 @@ def _unit_class_key(d: int, p: int, n: int) -> tuple:
     return (w % n, u % mod)
 
 
+# Hensel levels searched past the valuations that can hide a root, before a
+# branch is left unknown.
+_DEPTH_MARGIN = 4
+
+
 class LocalSolver:
     """Decides solubility of y^n = d * P(t) over Q_p and R, caching on the
     class of d in Q_p^*/(Q_p^*)^n (twists in one class are isomorphic).
@@ -318,16 +323,14 @@ class LocalSolver:
 
     # -- finite places
 
-    def at_prime(
-        self, d: int, p: int, depth_margin: int = 4, allow_shortcut: bool = True
-    ) -> str:
+    def at_prime(self, d: int, p: int, allow_shortcut: bool = True) -> str:
         if not allow_shortcut:
-            return self._decide(d, p, depth_margin, allow_shortcut=False)
+            return self._decide(d, p, allow_shortcut=False)
         key = (p,) + _unit_class_key(d, p, n=self.base.n)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        res = self._decide(d, p, depth_margin)
+        res = self._decide(d, p)
         self._cache[key] = res
         return res
 
@@ -339,7 +342,7 @@ class LocalSolver:
             return False
         return p >= self._weil_floor
 
-    def _decide(self, d: int, p: int, depth_margin: int, allow_shortcut: bool = True) -> str:
+    def _decide(self, d: int, p: int, allow_shortcut: bool = True) -> str:
         base, n = self.base, self.base.n
         if allow_shortcut and self._good_reduction_shortcut(d, p):
             return SOLUBLE
@@ -348,7 +351,7 @@ class LocalSolver:
             + (valuation(self._disc_sqf, p) if self._disc_sqf % p == 0 else 0)
             + valuation(d, p)
             + (valuation(base.P.content, p) if base.P.content % p == 0 else 0)
-            + depth_margin
+            + _DEPTH_MARGIN
         )
         unknown = False
         # z = 0 rational point of the model (only nontrivial when n | N)
@@ -371,16 +374,22 @@ class LocalSolver:
 
     def _chart(self, coeffs: list[int], c: int, p: int, cap: int, start_at_multiple: bool) -> str:
         """Is c * g(t) an n-th power of Q_p^* for some t in Z_p (t in pZ_p when
-        start_at_multiple)? Adaptive residue refinement."""
+        start_at_multiple)? Adaptive residue refinement, depth first: the
+        stack holds one lazy iterator over the p children per open level, so
+        a large bad prime costs memory in the depth, not in p."""
         n = self.base.n
         k0 = 2 * (valuation(n, p) if n % p == 0 else 0) + 1
         vc = valuation(c, p)
         g = IntPolynomial(coeffs)
         gp = g.derivative()
         unknown = False
-        queue: list[tuple[int, int]] = [(0, 1)] if start_at_multiple else [(0, 0)]
-        while queue:
-            a, j = queue.pop()
+        stack = [iter([(0, 1) if start_at_multiple else (0, 0)])]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            a, j = node
             ga = g(a)
             gpa = gp(a)
             if ga == 0:
@@ -402,9 +411,8 @@ class LocalSolver:
             if j >= cap:
                 unknown = True
                 continue
-            step = p**j
-            for m in range(p):
-                queue.append((a + m * step, j + 1))
+            step = p**j  # children a + m p^j, m = p - 1 first
+            stack.append(zip(range(a + (p - 1) * step, a - 1, -step), repeat(j + 1)))
         return UNKNOWN if unknown else INSOLUBLE
 
     def bad_primes(self, d: int) -> list[int]:
@@ -524,7 +532,6 @@ def admissible_prime_scan(
     cover: QuadraticCover,
     t0,
     bound: int,
-    verify: bool = True,
 ) -> list[tuple[int, int, str]]:
     """Primes <= bound whose twist of the specialization at t0 is forced to be
     everywhere locally soluble, with the emitted twists d = sqfree(m0 * p).
@@ -532,9 +539,9 @@ def admissible_prime_scan(
     Admissibility (quadratic instantiation): p outside S (exceptional primes
     and 2) and S1 (primes ramified in Q(sqrt m0)); the first branch orbit's
     minimal polynomial splits into distinct linear factors mod p; p = 1 mod 4
-    and every m0 and ell in S u S1 is a square mod p. With verify, each
-    emitted twist is independently checked by everywhere_locally_soluble; an
-    insoluble verdict is a hard ConsistencyError.
+    and every m0 and ell in S u S1 is a square mod p. Each emitted twist is
+    independently checked by everywhere_locally_soluble; an insoluble verdict
+    is a hard ConsistencyError.
     """
     if cover.degree % 2:
         raise ValueError("scan needs even degree (infinity unbranched)")
@@ -578,13 +585,11 @@ def admissible_prime_scan(
         if not splits_completely(orbit_poly, p):
             continue
         d = squarefree_part(m0 * p)
-        status = SOLUBLE
-        if verify:
-            status, _detail = everywhere_locally_soluble(base.twist(d))
-            if status == INSOLUBLE:
-                raise ConsistencyError(
-                    f"admissible prime {p} produced a locally insoluble twist {d}"
-                )
+        status, _detail = everywhere_locally_soluble(base.twist(d))
+        if status == INSOLUBLE:
+            raise ConsistencyError(
+                f"admissible prime {p} produced a locally insoluble twist {d}"
+            )
         out.append((p, d, status))
     return out
 

@@ -22,7 +22,14 @@ from speclab.census import (
 from speclab.covers import _rootless_mod_p, quad_cover
 from speclab.intutil import factorize, nfree_sieve, quad_disc, squarefree_part
 from speclab.poly import IntPolynomial, factor_over_Q, parse_poly
-from speclab.twists import SuperellipticCurve, search_points
+from speclab.twists import (
+    INSOLUBLE,
+    SOLUBLE,
+    UNKNOWN,
+    SuperellipticCurve,
+    everywhere_locally_soluble,
+    search_points,
+)
 
 
 def P(text):
@@ -30,6 +37,7 @@ def P(text):
 
 
 P6 = P("T^2+1") * P("T^4+2")
+P8 = P("T^2+1") * P("T^2+2") * P("T^4+2")
 
 
 def old_found_twists(cover, H, x):
@@ -65,6 +73,91 @@ def old_certifier(cover):
         return lambda d: False
     bad = set(factorize(2 * Pc.lc * Pc.trailing * Pc.content))
     return lambda d: any(p not in bad and _rootless_mod_p(Pc, p) for p in factorize(d))
+
+
+def old_twist_density_series(cover, grid, schedule=None):
+    """The twist density series as one labelling loop and one nested loop
+    per grid point, kept as oracle for the census pass."""
+    if not grid:
+        return DensitySeries((), (), (), ())
+    if schedule is None:
+        schedule = [16, 64, 256]
+    x_max = max(grid)
+    found = census._found_twists(cover, max(schedule), x_max)
+    certifies = census._absence_certifier(cover, x_max)
+    num = []
+    den = []
+    unk = []
+    d_by_absdF = sorted(
+        (abs(quad_disc(d)), d) for d in nfree_sieve(2, x_max) if abs(quad_disc(d)) <= x_max
+    )
+    statuses = []
+    for _, d in d_by_absdF:
+        if d in found:
+            statuses.append(SOLUBLE)
+        elif certifies(d):
+            statuses.append(INSOLUBLE)
+        else:
+            statuses.append(UNKNOWN)
+    for x in grid:
+        n = d = u = 0
+        for (adF, _), st_ in zip(d_by_absdF, statuses):
+            if adF > x:
+                break
+            d += 1
+            if st_ == SOLUBLE:
+                n += 1
+            elif st_ == UNKNOWN:
+                u += 1
+        num.append(n)
+        den.append(d)
+        unk.append(u)
+    return DensitySeries(tuple(grid), tuple(num), tuple(den), tuple(unk))
+
+
+def old_local_global_ratio_series(cover, grid, H):
+    """The global and local series from their own pass over the fields,
+    kept as oracle for the census pass."""
+    if not grid:
+        empty = DensitySeries((), (), (), ())
+        return empty, empty
+    x_max = max(grid)
+    base = SuperellipticCurve(2, cover.P)
+    found = census._found_twists(cover, H, x_max)
+    certifies = census._absence_certifier(cover, x_max)
+    rows = []
+    for d in nfree_sieve(2, x_max):
+        adF = abs(quad_disc(d))
+        if adF > x_max:
+            continue
+        loc, _ = everywhere_locally_soluble(base.twist(d))
+        if d in found:
+            glob = SOLUBLE
+        elif loc == INSOLUBLE or certifies(d):
+            glob = INSOLUBLE
+        else:
+            glob = UNKNOWN
+        rows.append((adF, glob, loc))
+    rows.sort()
+    gnum, gunk, lnum, lunk, dens = [], [], [], [], []
+    for x in grid:
+        gn = gu = ln = lu = dd = 0
+        for adF, glob, loc in rows:
+            if adF > x:
+                break
+            dd += 1
+            gn += glob == SOLUBLE
+            gu += glob == UNKNOWN
+            ln += loc == SOLUBLE
+            lu += loc == UNKNOWN
+        gnum.append(gn)
+        gunk.append(gu)
+        lnum.append(ln)
+        lunk.append(lu)
+        dens.append(dd)
+    g = DensitySeries(tuple(grid), tuple(gnum), tuple(dens), tuple(gunk))
+    l = DensitySeries(tuple(grid), tuple(lnum), tuple(dens), tuple(lunk))
+    return g, l
 
 
 @st.composite
@@ -201,6 +294,14 @@ class TestFields:
         assert quad_field_census(4) == [-3, -4]
         assert quad_field_census(1) == []
 
+    @pytest.mark.parametrize("x", [0, 1, 2, 5, 12, 100, 1001, 3000])
+    def test_census_matches_sorted_discriminants(self, x):
+        want = sorted(
+            (quad_disc(d) for d in nfree_sieve(2, x) if abs(quad_disc(d)) <= x),
+            key=lambda v: (abs(v), v),
+        )
+        assert quad_field_census(x) == want
+
 
 class TestFit:
     def test_recovers_exact_powers(self):
@@ -260,7 +361,6 @@ class TestTwistSeries:
         assert (s.numerator, s.denominator, s.unknown) == (num, den, unk)
 
     def test_pinned_local_global(self):
-        P8 = P("T^2+1") * P("T^2+2") * P("T^4+2")
         g, l = local_global_ratio_series(quad_cover(P8), [100, 300], 64)
         assert (g.numerator, g.denominator, g.unknown) == ((2, 4), (61, 184), (6, 21))
         assert (l.numerator, l.denominator, l.unknown) == ((8, 25), (61, 184), (0, 0))
@@ -327,6 +427,38 @@ class TestTwistSeries:
     def test_empty_grid(self):
         s = twist_density_series(quad_cover(P6), ())
         assert s.grid == () and s.lower() == ()
+
+    @given(census_covers(), st.lists(st.integers(1, 300), max_size=4, unique=True), st.integers(1, 24))
+    @example(quad_cover(P("T^3-2")), [10, 120], 8)  # odd degree: the certifier never certifies
+    @example(quad_cover(P6), [], 8)
+    @example(quad_cover(P("3*T^2-2")), [1, 4, 5, 300], 1)  # x below the first field, and on one
+    @settings(max_examples=60, deadline=None)
+    def test_series_match_oracles(self, cov, grid, H):
+        grid = sorted(grid)
+        assert twist_density_series(cov, grid, [H]) == old_twist_density_series(cov, grid, [H])
+        assert local_global_ratio_series(cov, grid, H) == old_local_global_ratio_series(cov, grid, H)
+
+    def test_default_schedule_is_height_256(self):
+        cov = quad_cover(P("T^6-T-1"))
+        assert twist_density_series(cov, [60, 200]) == twist_density_series(cov, [60, 200], [256])
+        assert twist_density_series(cov, [60, 200]) == old_twist_density_series(cov, [60, 200])
+
+    @pytest.mark.parametrize("poly", [P8, P("T^6-T-1"), P("T^4+1"), P("3*T^2-2")])
+    def test_census_routes_agree_with_local_solver(self, poly):
+        """Found twists are everywhere locally soluble and certified ones are
+        locally insoluble: the sieve, the certifier and the local solver are
+        independent routes."""
+        x = 1000
+        cov = quad_cover(poly)
+        base = SuperellipticCurve(2, poly)
+        found = census._found_twists(cov, 24, x)
+        certifies = census._absence_certifier(cov, x)
+        certified = [d for d in nfree_sieve(2, x) if certifies(d)]
+        assert found and certified
+        for d in found:
+            assert everywhere_locally_soluble(base.twist(d))[0] == SOLUBLE, d
+        for d in certified:
+            assert everywhere_locally_soluble(base.twist(d))[0] == INSOLUBLE, d
 
     def test_local_global_odd_degree(self):
         cov = quad_cover(P("T^3 - 2"))

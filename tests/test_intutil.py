@@ -194,6 +194,14 @@ def test_nfree_sieve_oracle():
     assert -1 in got and 1 not in got and 0 not in got
 
 
+@given(st.sampled_from([2, 3, 4, 5]), st.integers(0, 3000))
+@settings(max_examples=40, deadline=None)
+def test_nfree_sieve_every_k(k, x):
+    want = [d for d in range(-x, x + 1) if d not in (0, 1) and is_nfree(d, k)]
+    assert nfree_sieve(k, x) == want
+    assert intutil.nfree_table(x, k).tolist() == [is_nfree(g, k) for g in range(x + 1)]
+
+
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=6))
 def test_nth_root_roundtrip(n, k):
     r = nth_root(n, k)

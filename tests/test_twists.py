@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,19 @@ class TestLocal:
         solver = LocalSolver(base)
         # 5 and 45 = 5 * 9 sit in the same class of Q_3^* modulo squares
         assert solver.at_prime(5, 3) == solver.at_prime(45, 3)
+
+    def test_chart_memory_grows_with_depth_not_p(self):
+        # 51893 divides disc(P), so no shortcut applies and the chart walk
+        # refines at the root; listing all p children of a branch up front
+        # took about 4.9 MB here, the lazy walk about 1 kB
+        solver = LocalSolver(SuperellipticCurve(2, P("3*T^5+4*T^4+2*T^3-T^2-5*T-1")))
+        tracemalloc.start()
+        try:
+            assert solver.at_prime(-1, 51893) == SOLUBLE
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
 
 class TestMapping:
