@@ -18,7 +18,7 @@ from math import gcd, isqrt, log, sqrt
 import numpy as np
 
 from . import kernels
-from .covers import QuadraticCover, _rootless_mod_p, s3_survey_predicates
+from .covers import QuadraticCover, _rootless_primes, s3_survey_predicates
 from .intutil import (
     is_nfree,
     nfree_sieve,
@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+def _check_grid(grid) -> None:
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class DensitySeries:
     """Counts over an increasing grid: numerator, denominator, and unknowns
@@ -64,8 +69,7 @@ class DensitySeries:
         k = len(self.grid)
         if not (len(self.numerator) == len(self.denominator) == len(self.unknown) == k):
             raise ValueError("field lengths differ")
-        if any(self.grid[i] >= self.grid[i + 1] for i in range(k - 1)):
-            raise ValueError("grid must be strictly increasing")
+        _check_grid(self.grid)
         for n, d, u in zip(self.numerator, self.denominator, self.unknown):
             if n < 0 or u < 0 or n + u > d:
                 raise ValueError("need 0 <= numerator + unknown <= denominator")
@@ -300,43 +304,25 @@ def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
     return found
 
 
-def _smallest_prime_factors(x: int) -> np.ndarray:
-    """spf[k] is the smallest prime factor of k, for 2 <= k <= x."""
-    spf = np.arange(x + 1, dtype=np.int64)
-    for p in primes_up_to(isqrt(x)):
-        tail = spf[p * p :: p]
-        np.minimum(tail, p, out=tail)
-    return spf
-
-
 def _absence_certifier(cover: QuadraticCover, x: int):
     """Cheap per-twist certificate of emptiness for 0 < |d| <= x: some p | d
     with P rootless mod p and p prime to 2 * lc * trailing * content
-    (valuation argument). d is factored with a smallest-prime-factor table up
-    to x. Only sound for even degree without rational roots; otherwise
+    (valuation argument). The multiples up to x of every such p are marked in
+    one table. Only sound for even degree without rational roots; otherwise
     returns a certifier that never certifies."""
     P = cover.P
     if cover.degree % 2 or any(f.degree == 1 for f, _ in cover._factors):
         return lambda d: False
     bad = 2 * P.lc * P.trailing * P.content
-    spf = _smallest_prime_factors(x)
-    cache: dict[int, bool] = {}
+    cert = np.zeros(x + 1, dtype=bool)
+    for p in _rootless_primes(P, [p for p in primes_up_to(x) if bad % p]):
+        cert[p::p] = True
 
     def certifies(d: int) -> bool:
         k = abs(d)
         if not 0 < k <= x:
             raise ValueError(f"need 0 < |d| <= {x}")
-        while k > 1:
-            p = int(spf[k])
-            k //= p
-            if bad % p == 0:
-                continue
-            hit = cache.get(p)
-            if hit is None:
-                hit = cache[p] = _rootless_mod_p(P, p)
-            if hit:
-                return True
-        return False
+        return bool(cert[k])
 
     return certifies
 
@@ -386,6 +372,7 @@ def twist_density_series(
     max(schedule) (default 256; the smaller heights are not used), decided by
     the small-prime sieve of _found_twists; certified absent by the
     rootless-prime valuation argument; unknown otherwise."""
+    _check_grid(grid)
     H = 256 if schedule is None else max(schedule)
     rows = _census(cover, H, max(grid), False) if grid else []
     return _series(grid, rows, 1)
@@ -504,5 +491,6 @@ def local_global_ratio_series(
 
     Returns (global series, local series); local unknowns come from solver
     precision caps, global unknowns from the height bound."""
+    _check_grid(grid)
     rows = _census(cover, H, max(grid), True) if grid else []
     return _series(grid, rows, 1), _series(grid, rows, 2)

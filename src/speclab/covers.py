@@ -16,7 +16,9 @@ from functools import cached_property
 from itertools import product
 from math import comb, gcd, lcm, prod
 
-from . import fp
+import numpy as np
+
+from . import fp, kernels
 from .intutil import (
     factorize,
     is_nfree,
@@ -949,6 +951,34 @@ def chebotarev_unramified_sieve(
 def _rootless_mod_p(R: IntPolynomial, p: int) -> bool:
     """No root in F_p. Assumes p prime; raises ValueError if R vanishes mod p."""
     return fp.root_count(R, p) == 0
+
+
+# Values of R per product in _rootless_primes: a few thousand bits per gcd.
+# They are evaluated a block at a time, so that few big ints are alive at once.
+_ROOT_CHUNK = 32
+_ROOT_BLOCK = 8 * _ROOT_CHUNK
+
+
+def _rootless_primes(R: IntPolynomial, primes: list[int]) -> list[int]:
+    """The primes of the list (distinct) mod which R has no root, in list
+    order: the answers of _rootless_mod_p prime by prime, with its ValueError
+    if R vanishes mod one of them. With X = max(primes), the
+    integers 0..X-1 cover every residue mod each p, so R has a root mod p
+    exactly when p divides R(0) * ... * R(X-1). The product of the primes is
+    divided by its gcd with the product of each chunk of values; the primes
+    left in it are the rootless ones."""
+    if any(R.content % p == 0 for p in primes):
+        raise ValueError("R vanishes mod p")
+    if not primes:
+        return []
+    X = max(primes)
+    left = prod(primes)
+    for j in range(0, X, _ROOT_BLOCK):
+        t = np.arange(j, min(j + _ROOT_BLOCK, X), dtype=np.int64)
+        vals = kernels.form_values(R.coeffs, t, np.ones_like(t)).tolist()
+        for i in range(0, len(vals), _ROOT_CHUNK):
+            left //= gcd(prod(vals[i : i + _ROOT_CHUNK]), left)
+    return [p for p in primes if left % p == 0]
 
 
 def splits_completely(R: IntPolynomial, p: int) -> bool:

@@ -424,6 +424,17 @@ class TestTwistSeries:
         with pytest.raises(ValueError):
             certifies(101)
 
+    @pytest.mark.parametrize("grid", [[3000, 100], [100, 100]])
+    def test_bad_grid_fails_before_census(self, grid, monkeypatch):
+        calls = []
+        monkeypatch.setattr(census, "_census", lambda *args: calls.append(args))
+        cov = quad_cover(P6)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            twist_density_series(cov, grid, [16])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            local_global_ratio_series(cov, grid, 16)
+        assert calls == []
+
     def test_empty_grid(self):
         s = twist_density_series(quad_cover(P6), ())
         assert s.grid == () and s.lower() == ()

@@ -22,7 +22,7 @@ from speclab.covers import (
     splits_completely,
     verify_unramified,
 )
-from speclab.intutil import is_nth_power, quad_disc, squarefree_part
+from speclab.intutil import is_nth_power, primes_up_to, quad_disc, squarefree_part
 from speclab.poly import INFINITY, IntPolynomial, discriminant, factor_over_Q, parse_poly
 
 
@@ -827,6 +827,31 @@ class TestSieve:
         for vanishing in ([p], [0, -p, 0, 3 * p]):
             with pytest.raises(ValueError):
                 rootless(IntPolynomial(vanishing), p)
+
+    # x = 2999 is prime: the largest prime needs t = 0 and t = 2998 = X - 1,
+    # the last value of a partial chunk (2999 = 93 * 32 + 23)
+    @given(
+        st.lists(st.integers(-60, 60), min_size=2, max_size=9).filter(lambda c: c[-1] != 0),
+        st.integers(0, 5000),
+    )
+    @example([1, 1], 2999)  # T + 1: root X - 1 mod the largest prime
+    @example([2999, 0, 1], 2999)  # T^2 + 2999: only root 0 mod 2999, which divides trailing
+    @example([1, 0, 1, 2999], 2999)  # 2999T^3 + T^2 + 1: mod 2999 the degree drops
+    @example([3, 0, 7], 100)  # 7T^2 + 3: constant mod 7
+    @example([-1234, 1, -1234, 1], 5000)  # (T - 1234)(T^2 + 1): an integer root in [0, x)
+    @example([3, 2**70, 0, 0, 1], 3000)  # values beyond int64: object dtype
+    @example([5, 1], 1)  # no primes
+    @settings(max_examples=100, deadline=None)
+    def test_rootless_primes_match_root_test(self, coeffs, x):
+        R = IntPolynomial(coeffs)
+        primes = [p for p in primes_up_to(x) if R.content % p]
+        want = [p for p in primes if covers._rootless_mod_p(R, p)]
+        assert covers._rootless_primes(R, primes) == want
+
+    def test_rootless_primes_order_and_vanishing(self):
+        assert covers._rootless_primes(P("T^2 + 1"), [13, 3, 5, 7]) == [3, 7]
+        with pytest.raises(ValueError):
+            covers._rootless_primes(P("6*T^2 + 6"), [2, 5])
 
     def test_chebotarev_sieve_unchanged(self):
         R = P("T^6 - T - 1")
