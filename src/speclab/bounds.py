@@ -8,11 +8,12 @@ All exponent arithmetic is exact rational; no floats on any contract path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, log
 
-from .intutil import factorize, is_probable_prime, valuation
+from .intutil import ConsistencyError, factorize, is_probable_prime, valuation
 
 __all__ = [
     "GroupDescriptor",
@@ -28,6 +29,11 @@ __all__ = [
     "corollary_case_classifier",
     "uniformity_constant",
 ]
+
+
+@lru_cache(maxsize=1024)
+def _least_prime_factor(e: int) -> int:
+    return min(factorize(e))
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,7 @@ class GroupDescriptor:
 
     @property
     def least_prime(self) -> int:
-        return min(factorize(self.order))
+        return _least_prime_factor(self.order)
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,9 @@ class RamificationType:
 
     indices: tuple[int, ...]
     group: GroupDescriptor | None = None
+    # least prime dividing some index, computed once; no part of repr,
+    # equality or hash
+    q0: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.indices:
@@ -73,6 +82,7 @@ class RamificationType:
             raise ValueError("branch indices must be >= 2")
         if self.group is not None and any(self.group.order % e for e in self.indices):
             raise ValueError("branch indices must divide the group order")
+        object.__setattr__(self, "q0", min(map(_least_prime_factor, set(self.indices))))
 
     @property
     def r(self) -> int:
@@ -82,17 +92,13 @@ class RamificationType:
     def e0(self) -> int:
         return min(self.indices)
 
-    @property
-    def q0(self) -> int:
-        return min(min(factorize(e)) for e in self.indices)
-
 
 def malle_alpha(G: GroupDescriptor | int) -> Fraction:
     """alpha(G) = p / ((p - 1) |G|), p the least prime factor of |G|."""
     order = G.order if isinstance(G, GroupDescriptor) else int(G)
     if order < 2:
         raise ValueError("group must be nontrivial")
-    p = min(factorize(order))
+    p = _least_prime_factor(order)
     return Fraction(p, (p - 1) * order)
 
 
@@ -107,12 +113,8 @@ def abc_exponent(rt: RamificationType, order: int | None = None) -> Fraction:
     if not ok:
         raise ValueError("branch-point condition fails: r <= 2 + 2/(q0 - 1)")
     r, e0, q0 = rt.r, rt.e0, rt.q0
-    return (
-        2
-        * Fraction(1, order)
-        / (1 - Fraction(1, e0))
-        / (r - 2 - Fraction(2, q0 - 1))
-    )
+    # numerator and denominator times e0 (q0 - 1), so one Fraction
+    return Fraction(2 * e0 * (q0 - 1), order * (e0 - 1) * ((r - 2) * (q0 - 1) - 2))
 
 
 def best_abc_exponent(
@@ -149,7 +151,7 @@ def condition_eq1(rt: RamificationType) -> tuple[bool, int | None]:
     """r > 2 + 2/(q_0 - 1), with the sufficient case that fired:
     (1) r >= 5; (2) r >= 4 and q_0 >= 3; (3) r >= 3 and q_0 >= 5."""
     r, q0 = rt.r, rt.q0
-    holds = r > 2 + Fraction(2, q0 - 1)
+    holds = r * (q0 - 1) > 2 * q0  # the inequality times q0 - 1 > 0
     case = None
     if r >= 5:
         case = 1
@@ -157,7 +159,8 @@ def condition_eq1(rt: RamificationType) -> tuple[bool, int | None]:
         case = 2
     elif r >= 3 and q0 >= 5:
         case = 3
-    assert holds == (case is not None)
+    if holds != (case is not None):
+        raise ConsistencyError(f"eq1 is {holds} but its case is {case} at r = {r}, q0 = {q0}")
     return holds, case
 
 
@@ -172,7 +175,8 @@ def condition_eq2(rt: RamificationType, G: GroupDescriptor | None = None) -> tup
         raise ValueError("no group attached")
     r, e0, q0 = rt.r, rt.e0, rt.q0
     p = G.least_prime
-    holds = r > 2 * (Fraction(q0, q0 - 1) + Fraction((p - 1) * e0, p * (e0 - 1)))
+    # the inequality times (q0 - 1) p (e0 - 1) > 0
+    holds = r * (q0 - 1) * p * (e0 - 1) > 2 * (q0 * p * (e0 - 1) + (p - 1) * e0 * (q0 - 1))
     case = None
     if r >= 7:
         case = "a"
@@ -182,13 +186,13 @@ def condition_eq2(rt: RamificationType, G: GroupDescriptor | None = None) -> tup
         case = "c"
     elif r == 4 and q0 > 2 * p:
         case = "d"
-    if case is not None:
-        assert holds
+    if case is not None and not holds:
+        raise ConsistencyError(f"eq2 case {case} fired but eq2 fails at {rt.indices}")
     if holds:
         # agreement with the exponent comparison, when the exponent exists
         ok1, _ = condition_eq1(rt)
-        if ok1:
-            assert abc_exponent(rt, G.order) < malle_alpha(G)
+        if ok1 and abc_exponent(rt, G.order) >= malle_alpha(G):
+            raise ConsistencyError(f"eq2 holds but e >= alpha(G) at {rt.indices}")
     return holds, case
 
 
@@ -199,7 +203,8 @@ def beta_exponent(q: int, order: int) -> Fraction:
         raise ValueError("q must be a prime dividing the group order")
     beta = Fraction(q, (q - 1) * order)
     alpha = malle_alpha(order)
-    assert alpha >= beta > Fraction(1, order) >= alpha / 2
+    if not alpha >= beta > Fraction(1, order) >= alpha / 2:
+        raise ConsistencyError(f"alpha >= beta > 1/|G| >= alpha/2 fails at q = {q}, |G| = {order}")
     return beta
 
 

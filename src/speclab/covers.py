@@ -744,7 +744,9 @@ def _dedekind_p_maximal(f: IntPolynomial, p: int) -> bool:
         for _ in range(k - 1):
             h = h * z
     T = g * h - f  # g * h = f mod p; the criterion holds for any monic lifts
-    assert all(c % p == 0 for c in T.coeffs)
+    if any(c % p for c in T.coeffs):
+        raise ConsistencyError(f"squarefree decomposition of {format_poly(f)} mod {p} "
+                               "does not multiply back")
     d = fp.gcd(fp.reduce([c // p for c in T.coeffs], p), fp.reduce(g.coeffs, p), p)
     return len(fp.gcd(d, fp.reduce(h.coeffs, p), p)) == 1
 

@@ -37,6 +37,12 @@ __all__ = [
 _TRIAL_BOUND = 1024
 
 
+class ConsistencyError(AssertionError):
+    """Two independent routes to the same fact disagreed. Defined here, in
+    the lowest module, so that every module can raise it; speclab.poly,
+    speclab.covers and speclab.twists export it."""
+
+
 def primes_up_to(bound: int) -> list[int]:
     """Primes <= bound by a byte sieve."""
     if bound < 2:
@@ -293,7 +299,8 @@ def bm_decomposition(n: int, q0: int = 2) -> ValuationProfile:
     prof = ValuationProfile(value=n, bands=bands)
     rad = prod(fac)
     bq = prof.band_at_least(q0)
-    assert rad**q0 * bq ** (q0 - 1) <= abs(n) ** q0
+    if rad**q0 * bq ** (q0 - 1) > abs(n) ** q0:
+        raise ConsistencyError(f"radical bound fails for {n} at q0 = {q0}")
     return prof
 
 

@@ -15,10 +15,11 @@ The sieve tables are split by what they depend on. Per prime, shared by
 every curve in the process: the allowed mask of each class -- which values
 are allowed depends on d only through its class in F_p^*/(F_p^*)^n (or
 d = 0 mod p). Per curve: the table of F(u, v) mod p, one integer matrix
-product of the powers r^k mod p with the coefficients, and for each class
-the mask indexed by that value table, which is a twist's sieve table.
-A caller that searches many twists of one curve passes one dict as `cache`
-to keep the per-curve tables between calls.
+product of the powers r^k mod p with the coefficients; for each class the
+mask indexed by that value table, which is a twist's sieve table; and for
+each class and height H the sieve table's packed rows, when they take at
+most _KEPT_ROWS_BYTES. A caller that searches many twists of one curve
+passes one dict as `cache` to keep the per-curve tables between calls.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ _CANDIDATE_PRIMES = [
 # Primes p = 1 (mod n) taken when no candidate prime sieves for n (n = 17,
 # 19, 31, ...). Each passes about 1/n of the pairs, so a few suffice.
 _FALLBACK_PRIMES = 4
+# The packed rows of a sieve table are kept in the curve's cache only up to
+# this size: p rows of ceil((2H + 1) / 64) words. At H = 200 every candidate
+# prime's rows fit (61 rows of 7 words take 3416 bytes), so a scan over many
+# twists of one curve packs each (p, class, H) once. From H = 5440 on not even
+# p = 3 fits, so a large search keeps no rows.
+_KEPT_ROWS_BYTES = 4096
+# Key of the sub-dict of packed rows in a curve's cache: {(p, class, H): rows}.
+_ROWS = "rows"
 
 
 # Per-prime masks shared by every curve, read-only. It stays small: keys are
@@ -111,7 +120,9 @@ def _residue_tables(
     cache, when given, must only ever see one (coeffs, M, n): it keeps the
     curve's value table under p and, under (p, class of d), the sieve table
     of that class: the shared per-prime mask (see _allowed_residues) indexed
-    by the value table. The masks themselves are kept per prime, not here."""
+    by the value table. The masks themselves are kept per prime, not here.
+    search_pairs keeps the packed rows of these tables in the same cache,
+    in the sub-dict under _ROWS."""
     if cache is None:
         cache = {}
     tables = {}
@@ -171,7 +182,10 @@ def search_pairs(
 
     max_points, when given, keeps the first max_points of that list (none for
     0): the whole box is sieved, and the exact check stops at the last one.
-    cache: the curve's table cache (see _residue_tables)."""
+    cache: the curve's table cache. It holds the value and sieve tables (see
+    _residue_tables) and, in its sub-dict under _ROWS, each sieve table's
+    packed rows under (p, class of d, H) when they take at most
+    _KEPT_ROWS_BYTES."""
     if n < 2:
         raise ValueError("n must be >= 2")
     out: list[tuple[int, int, int]] = []
@@ -179,7 +193,14 @@ def search_pairs(
         return out
     primes = _select_primes(n, d)
     tables = _residue_tables(coeffs, M, n, d, primes, cache)
-    pairs = _purepy.survivors(tables, H)
+    kept = {} if cache is None else cache.setdefault(_ROWS, {})
+    keys = {p: (p, power_class(d, p, n), H) for p in primes}
+    packed = {p: kept[k] for p, k in keys.items() if k in kept}
+    pairs = _purepy.survivors(tables, H, packed)
+    for p, k in keys.items():
+        if k not in kept and packed[p].nbytes <= _KEPT_ROWS_BYTES:
+            packed[p].flags.writeable = False  # shared by every twist in the class
+            kept[k] = packed[p]
     pairs = pairs[np.gcd(pairs[:, 0], pairs[:, 1]) == 1]
     vals = form_values(coeffs[: M + 1], pairs[:, 0], pairs[:, 1])
     for (u, v), val in zip(pairs.tolist(), vals.tolist()):

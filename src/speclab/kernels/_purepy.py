@@ -1,8 +1,9 @@
 """The residue sieve, bit-packed: one bit per u in a uint64 word (ratpoints).
 
 For each prime p the p rows of allowed u over [-H, H], one per v mod p, are
-packed into words once per call. A block of v rows gathers each prime's row
-v % p and ANDs them; only the nonzero words of the result are unpacked.
+packed into words, once per call unless the caller passes rows packed
+before. A block of v rows gathers each prime's row v % p and ANDs them; only
+the nonzero words of the result are unpacked.
 """
 
 from __future__ import annotations
@@ -34,14 +35,22 @@ def _packed_rows(ok: np.ndarray, H: int, nwords: int) -> np.ndarray:
     return rows
 
 
-def survivors(tables: dict[int, np.ndarray], H: int) -> np.ndarray:
+def survivors(tables: dict[int, np.ndarray], H: int, packed: dict | None = None) -> np.ndarray:
     """Pairs (u, v) with |u| <= H, 1 <= v <= H passing every residue table, as
     an int64 array of shape (k, 2) sorted by v then u. tables[p] is boolean
-    with [v % p][u % p] indexing."""
+    with [v % p][u % p] indexing.
+
+    packed, when given, holds the packed rows of tables[p] at this H under p:
+    rows found there are used as they are, and rows packed here are added."""
     if H < 1:
         return np.empty((0, 2), dtype=np.int64)
     nwords = (2 * H + 64) // 64  # ceil((2H + 1) / 64)
-    rows = [(p, _packed_rows(ok, H, nwords)) for p, ok in tables.items()]
+    if packed is None:
+        packed = {}
+    for p, ok in tables.items():
+        if p not in packed:
+            packed[p] = _packed_rows(ok, H, nwords)
+    rows = [(p, packed[p]) for p in tables]
     step = max(1, _BLOCK_BYTES // (8 * nwords))
     out = []
     for v0 in range(1, H + 1, step):

@@ -14,7 +14,7 @@ from itertools import chain, combinations, count, islice
 from math import gcd, isqrt, prod
 from typing import Sequence
 
-from .intutil import is_probable_prime
+from .intutil import ConsistencyError, is_probable_prime
 
 __all__ = [
     "ConsistencyError",
@@ -260,7 +260,8 @@ def discriminant(p: IntPolynomial) -> int:
     r = resultant(p, p.derivative())
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     q, rem = divmod(sign * r, p.lc)
-    assert rem == 0
+    if rem:
+        raise ConsistencyError(f"lc {p.lc} does not divide Res(p, p') = {r}")
     return q
 
 
@@ -412,10 +413,6 @@ _SQF_TRIES = 6
 _DDF_PRIMES = 5
 
 
-class ConsistencyError(AssertionError):
-    """Two independent routes to the same fact disagreed."""
-
-
 def factor_over_Q(p: IntPolynomial) -> tuple[int, list[tuple[IntPolynomial, int]]]:
     """Exact factorization over Q: (content with sign, primitive irreducible
     factors with positive leading coefficient, multiplicities), the factors
@@ -428,29 +425,51 @@ def factor_over_Q(p: IntPolynomial) -> tuple[int, list[tuple[IntPolynomial, int]
     1969; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15). The
     product content * prod(f^m) is checked against p; a mismatch raises
     ConsistencyError."""
+    cont, parts, good = _squarefree_parts(p)
+    out = []
+    for g, m in parts:
+        out += [(h, m) for h in _zassenhaus(g, good or filter(None, _reductions(g)))]
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    _check_product(p, cont, out)
+    return cont, out
+
+
+def _squarefree_parts(p: IntPolynomial):
+    """(cont, parts, good) with p = cont * prod(g^m for g, m in parts).
+
+    cont is the content with the sign of lc(p). The parts are squarefree,
+    pairwise coprime, primitive, of positive degree and leading coefficient,
+    with distinct multiplicities; they are not split into irreducibles.
+    Degree <= 24, as for factor_over_Q. One squarefree reduction mod a small
+    prime proves p / cont squarefree; then parts is [(p / cont, 1)] and good
+    yields that reduction and the later ones (see _reductions), for
+    Zassenhaus to go on from. Else the parts come from Yun's algorithm over
+    Z, checked against p, and good is None."""
     if p.degree < 0:
         raise ValueError("cannot factor 0")
     if p.degree > _FACTOR_DEGREE_CAP:
         raise ValueError(f"degree {p.degree} exceeds cap {_FACTOR_DEGREE_CAP}")
     cont = p.content if p.lc > 0 else -p.content
     f = IntPolynomial([c // cont for c in p.coeffs])
-    out = []
-    if f.degree > 0:
-        scan = _reductions(f)
-        first = next(filter(None, islice(scan, _SQF_TRIES)), None)
-        if first:
-            out = [(g, 1) for g in _zassenhaus(f, chain([first], filter(None, scan)))]
-        else:
-            for g, m in _yun(f):
-                out += [(h, m) for h in _zassenhaus(g, filter(None, _reductions(g)))]
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    if f.degree == 0:
+        return cont, [], None
+    scan = _reductions(f)
+    first = next(filter(None, islice(scan, _SQF_TRIES)), None)
+    if first:
+        return cont, [(f, 1)], chain([first], filter(None, scan))
+    parts = _yun(f)
+    _check_product(p, cont, parts)
+    return cont, parts, None
+
+
+def _check_product(p: IntPolynomial, cont: int, parts) -> None:
+    """Raise ConsistencyError unless cont * prod(g^m for g, m in parts) is p."""
     check = IntPolynomial([cont])
-    for g, m in out:
+    for g, m in parts:
         for _ in range(m):
             check = check * g
     if check != p:
         raise ConsistencyError(f"factors of {format_poly(p)} multiply to {format_poly(check)}")
-    return cont, out
 
 
 def _reductions(f: IntPolynomial):
@@ -656,12 +675,15 @@ def real_roots_sign_analysis(p: IntPolynomial) -> RealRootReport:
     return _real_root_report(p, factor_over_Q(p)[1])
 
 
-def _real_root_report(p: IntPolynomial, factors) -> RealRootReport:
-    """real_roots_sign_analysis of a nonconstant p from factor_over_Q(p)[1]."""
-    # the irreducible factors are coprime, so their real roots are distinct
+def _real_root_report(p: IntPolynomial, parts) -> RealRootReport:
+    """real_roots_sign_analysis of a nonconstant p from any coprime
+    squarefree parts [(f, m)] with p = c * prod(f^m) for a constant c: the
+    irreducible factors of factor_over_Q(p)[1], or the squarefree parts of
+    _squarefree_parts(p)[1]."""
+    # the parts are coprime, so their real roots are distinct
     nroots = 0
     odd_mult_root_possible = False
-    for f, m in factors:
+    for f, m in parts:
         k = _real_root_count(f)
         nroots += k
         if m % 2 and k:

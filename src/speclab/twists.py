@@ -40,6 +40,7 @@ from .poly import (
     IntPolynomial,
     RealRootReport,
     _real_root_report,
+    _squarefree_parts,
     discriminant,
     factor_over_Q,
 )
@@ -71,20 +72,31 @@ class SuperellipticCurve:
 
     n: int
     P: IntPolynomial
-    # factor_over_Q(P)[1], computed once; no part of repr, equality or hash
-    _factors: tuple[tuple[IntPolynomial, int], ...] = field(
+    # Computed once, and no part of repr, equality or hash: the squarefree
+    # parts of P with their multiplicities (_squarefree_parts(P)[1], not
+    # split into irreducibles), the signs P takes on R, and whether P has a
+    # rational root. P is factorised over Q only when it has a real root.
+    _sqf_parts: tuple[tuple[IntPolynomial, int], ...] = field(
         init=False, repr=False, compare=False
     )
+    _real_report: RealRootReport = field(init=False, repr=False, compare=False)
+    _has_rational_root: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if self.P.degree < 1:
             raise ValueError("P must be nonconstant")
-        _, factors = factor_over_Q(self.P)
-        if any(m >= self.n for _, m in factors):
+        _, parts, _ = _squarefree_parts(self.P)
+        if any(m >= self.n for _, m in parts):
             raise ValueError("P has a root of multiplicity >= n")
-        object.__setattr__(self, "_factors", tuple(factors))
+        report = _real_root_report(self.P, parts)
+        rational = report.distinct_real_roots > 0 and any(
+            f.degree == 1 for f, _ in factor_over_Q(self.P)[1]
+        )
+        object.__setattr__(self, "_sqf_parts", tuple(parts))
+        object.__setattr__(self, "_real_report", report)
+        object.__setattr__(self, "_has_rational_root", rational)
 
     @property
     def N(self) -> int:
@@ -106,7 +118,7 @@ class SuperellipticCurve:
 
     @property
     def separable(self) -> bool:
-        return all(m == 1 for _, m in self._factors)
+        return all(m == 1 for _, m in self._sqf_parts)
 
     @property
     def genus(self) -> int | None:
@@ -115,7 +127,8 @@ class SuperellipticCurve:
             return None
         n, N = self.n, self.N
         two_g = -2 * n + N * (n - 1) + (n - gcd(n, N)) + 2
-        assert two_g % 2 == 0 and two_g >= 0
+        if two_g % 2 or two_g < 0:
+            raise ConsistencyError(f"Riemann-Hurwitz gives 2g = {two_g}")
         return two_g // 2
 
     def twist(self, d: int) -> "TwistedCurve":
@@ -235,7 +248,7 @@ def obstruction_certificate(curve) -> ObstructionCertificate | None:
         raise ValueError("certificate needs n | deg P")
     if not base.separable:
         raise ValueError("certificate needs P separable")
-    if any(f.degree == 1 for f, _ in base._factors):
+    if base._has_rational_root:
         raise ValueError("certificate needs P without rational roots")
     a0, aN = base.P.trailing, base.P.lc
     for p in sorted(factorize(d)):
@@ -296,9 +309,8 @@ class LocalSolver:
     def __init__(self, base: SuperellipticCurve):
         self.base = base
         self._cache: dict[tuple, str] = {}
-        self._real: RealRootReport | None = None
         self.tables: dict = {}
-        sqf = prod((f for f, _ in base._factors), start=IntPolynomial([1]))
+        sqf = prod((f for f, _ in base._sqf_parts), start=IntPolynomial([1]))
         self._disc_sqf = discriminant(sqf) if sqf.degree >= 1 else 1
         g = base.genus
         if g is None:
@@ -314,9 +326,7 @@ class LocalSolver:
         if self.base.n % 2 == 1:
             return SOLUBLE
         # d * P takes positive values iff P takes values of the sign of d
-        if self._real is None:
-            self._real = _real_root_report(self.base.P, self.base._factors)
-        rr = self._real
+        rr = self.base._real_report
         if rr.takes_positive_values if d > 0 else rr.takes_negative_values:
             return SOLUBLE
         return INSOLUBLE
@@ -546,7 +556,7 @@ def admissible_prime_scan(
     if cover.degree % 2:
         raise ValueError("scan needs even degree (infinity unbranched)")
     base = SuperellipticCurve(2, cover.P)
-    if any(f.degree == 1 for f, _ in base._factors):
+    if base._has_rational_root:
         raise ValueError("scan needs P without rational branch points")
     rep = quad_specialize(cover, t0)
     m0 = rep.m
@@ -614,7 +624,7 @@ def hasse_failure_candidates(cover: QuadraticCover, x: int, H: int) -> HasseScan
     if cover.degree % 2 or cover.degree < 4:
         raise ValueError("scan needs even degree >= 4")
     base = SuperellipticCurve(2, cover.P)
-    if any(f.degree == 1 for f, _ in base._factors):
+    if base._has_rational_root:
         raise ValueError("scan needs P without rational roots")
     candidates = []
     unknown = []

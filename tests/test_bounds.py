@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 from sympy import divisors, isprime
+from sympy import factorint as sympy_factorint
 
 from speclab.bounds import (
     GroupDescriptor,
@@ -100,6 +101,27 @@ class TestConditions:
                         assert eq1
                     if eq1:
                         assert eq2 == (abc_exponent(t, order) < alpha)
+
+
+    def test_integer_forms_match_fractions(self):
+        # the Fraction forms of eq1, eq2 and e, with q0 from every index's
+        # factorisation, as they were computed before the integer forms
+        for order in range(2, 25):
+            G = GroupDescriptor(order)
+            p = min(sympy_factorint(order))
+            pool = [d for d in divisors(order) if d > 1]
+            for r in range(1, 9):
+                for idx in combinations_with_replacement(pool, r):
+                    t = RamificationType(idx, G)
+                    e0, q0 = min(idx), min(min(sympy_factorint(e)) for e in idx)
+                    assert t.q0 == q0
+                    eq1 = r > 2 + Fraction(2, q0 - 1)
+                    assert condition_eq1(t)[0] == eq1
+                    eq2 = r > 2 * (Fraction(q0, q0 - 1) + Fraction((p - 1) * e0, p * (e0 - 1)))
+                    assert condition_eq2(t, G)[0] == eq2
+                    if eq1:
+                        e = 2 * Fraction(1, order) / (1 - Fraction(1, e0)) / (r - 2 - Fraction(2, q0 - 1))
+                        assert abc_exponent(t, order) == e
 
 
 class TestBeta:

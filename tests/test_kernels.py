@@ -284,6 +284,49 @@ def test_tables_shared_within_a_class():
             assert not np.array_equal(minus[p], one[p])
 
 
+@pytest.mark.parametrize(
+    "coeffs,M,n",
+    [([5, 1, 0, 0, 2, 0, 0, 0, 1], 8, 2), ([-2, 0, 0, 1, 0], 4, 2), ([1, 0, 1, 1], 3, 3)],
+)
+def test_kept_rows_give_the_uncached_search(coeffs, M, n):
+    # one cache for every twist and both heights, searched twice so that the
+    # second pass reads kept rows; d runs over every class at each sieve prime
+    cache = {}
+    classes = set()
+    for _ in range(2):
+        for H in (30, 200):
+            for d in range(-40, 41):
+                if d:
+                    assert kernels.search_pairs(coeffs, M, n, d, H, cache=cache) == \
+                        kernels.search_pairs(coeffs, M, n, d, H)
+                    classes |= {(p, fp.power_class(d, p, n)) for p in kernels._select_primes(n, d)}
+    for p in {p for p, _ in classes}:
+        assert sum(q == p for q, _ in classes) == gcd(n, p - 1)
+    kept = cache[kernels._ROWS]
+    assert {(p, c) for p, c, _ in kept} == classes  # every table fits at these heights
+    for (p, c, H), rows in kept.items():
+        assert rows.shape == (p, (2 * H + 64) // 64)
+        assert rows.nbytes <= kernels._KEPT_ROWS_BYTES
+        assert not rows.flags.writeable
+
+
+def test_no_rows_kept_above_the_cap():
+    # d = 385 = 5 * 7 * 11 leaves p = 3, the smallest table, among the sieve
+    # primes; its rows fit up to the largest H with 3 * 8 * nwords <= cap
+    coeffs, M, n, d = [-2, 0, 0, 1, 0], 4, 2, 385
+    assert 3 in kernels._select_primes(n, d)
+    H = 32 * (kernels._KEPT_ROWS_BYTES // 24) - 1
+    cache = {}
+    kernels.search_pairs(coeffs, M, n, d, H, cache=cache)
+    kept = cache[kernels._ROWS]
+    assert (3, fp.power_class(d, 3, n), H) in kept
+    assert all(rows.nbytes <= kernels._KEPT_ROWS_BYTES for rows in kept.values())
+    before = dict(kept)
+    assert kernels.search_pairs(coeffs, M, n, d, H + 1, cache=cache) == \
+        kernels.search_pairs(coeffs, M, n, d, H + 1)
+    assert kept.keys() == before.keys()  # from H + 1 on no table fits, whatever the prime
+
+
 # -- the sieve as it was before bit packing (one v row at a time), kept as oracle
 
 

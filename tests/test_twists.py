@@ -1,14 +1,21 @@
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speclab import twists
+from speclab import poly, twists
 from speclab.covers import quad_cover
 from speclab.intutil import nfree_sieve
-from speclab.poly import parse_poly, real_roots_sign_analysis
+from speclab.poly import (
+    IntPolynomial,
+    discriminant,
+    factor_over_Q,
+    parse_poly,
+    real_roots_sign_analysis,
+)
 from speclab.twists import (
     INSOLUBLE,
     SOLUBLE,
@@ -60,6 +67,76 @@ class TestModels:
             base.twist(4)
         with pytest.raises(ValueError):
             base.twist(0)
+
+
+# Factors with rational roots, with irrational real roots only, and with no
+# real root, for products with content, sign and multiplicities drawn apart.
+FACTOR_POOL = [
+    P(s)
+    for s in (
+        "T", "T - 1", "2*T + 3", "3*T - 1",
+        "T^2 - 2", "2*T^2 - 3", "T^3 - 2",
+        "T^2 + 1", "T^2 + T + 1", "3*T^2 + 1", "T^4 + 2",
+    )
+]
+
+
+def _product(content, factors):
+    return prod((f for f, m in factors for _ in range(m)), start=IntPolynomial([content]))
+
+
+products = st.builds(
+    _product,
+    st.integers(min_value=-12, max_value=12).filter(bool),
+    st.lists(st.tuples(st.sampled_from(FACTOR_POOL), st.integers(min_value=1, max_value=3)),
+             min_size=1, max_size=4),
+)
+dense = st.lists(st.integers(min_value=-20, max_value=20), min_size=2, max_size=9).map(IntPolynomial)
+
+
+class TestSquarefreeParts:
+    """The curve's squarefree parts, real-root report and rational-root flag
+    against the route through factor_over_Q that they replace."""
+
+    @given(st.one_of(products, dense).filter(lambda p: 1 <= p.degree <= 8))
+    @settings(max_examples=150, deadline=None)
+    @example(-6 * P("T^2 + 1") * P("T^2 + 1") * P("T - 1"))  # content -6
+    @example(P("T - 1") * P("T - 1") * P("T - 1") * P("T^2 - 2"))  # repeated rational root
+    @example(4 * P("T^4 - 2"))  # content 4, irrational real roots only
+    @example(PINNED8)  # positive definite
+    @example(-P("T^2 + 1") * P("T^2 + 1"))  # negative definite, repeated
+    @example(P("2*T^2 - 3") * P("T^2 - 2"))  # real roots, none rational
+    def test_match_factor_over_Q(self, p):
+        curve = SuperellipticCurve(9, p)  # every multiplicity is below 9
+        _, factors = factor_over_Q(p)
+        by_mult = {}
+        for f, m in factors:
+            by_mult[m] = by_mult.get(m, IntPolynomial([1])) * f
+        assert len({m for _, m in curve._sqf_parts}) == len(curve._sqf_parts)
+        assert {m: g for g, m in curve._sqf_parts} == by_mult
+        assert curve._has_rational_root == any(f.degree == 1 for f, _ in factors)
+        assert curve._real_report == real_roots_sign_analysis(p)
+        sqf = prod((f for f, _ in factors), start=IntPolynomial([1]))
+        assert LocalSolver(curve)._disc_sqf == (discriminant(sqf) if sqf.degree >= 1 else 1)
+
+    def test_hasse_scan_of_positive_definite_P_never_factorises(self, monkeypatch):
+        cov = quad_cover(PINNED8.shift(2))
+        calls = []
+        real = poly.factor_over_Q
+
+        def spy(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(poly, "factor_over_Q", spy)
+        monkeypatch.setattr(twists, "factor_over_Q", spy)
+        twists._solver_cache.clear()
+        res = hasse_failure_candidates(cov, 20, 30)
+        assert res.soluble_with_points + len(res.candidates) > 0  # the scan did search
+        assert calls == []
+        # with a real root the flag is decided by factor_over_Q, once
+        assert not SuperellipticCurve(2, P("T^4 - 2"))._has_rational_root
+        assert calls == [P("T^4 - 2")]
 
 
 class TestSearch:
