@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, log
+from math import gcd
 
 from .intutil import ConsistencyError, factorize, is_probable_prime, valuation
 
@@ -27,7 +27,6 @@ __all__ = [
     "rh_genus",
     "bcl_cyclic_check",
     "corollary_case_classifier",
-    "uniformity_constant",
 ]
 
 
@@ -292,10 +291,3 @@ def corollary_case_classifier(G: GroupDescriptor, require: str | None = None) ->
             raise ValueError("insufficient descriptor: nilpotent flag missing")
     return out
 
-
-def uniformity_constant(order: int) -> float:
-    """a(G) = (|G| - 1) / (|G| * 3 |G|^4 log |G|): convenience echo of the
-    uniformity-conditional constant; drives no contract."""
-    if order < 2:
-        raise ValueError("group must be nontrivial")
-    return (order - 1) / (order * 3 * order**4 * log(order))

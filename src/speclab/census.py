@@ -25,7 +25,6 @@ from .intutil import (
     nfree_table,
     primes_up_to,
     quad_disc,
-    squarefree_part,
 )
 from .poly import IntPolynomial, factor_over_Q
 from .twists import (
@@ -40,7 +39,6 @@ __all__ = [
     "DensitySeries",
     "count_poly_sets",
     "quad_field_census",
-    "fundamental_discriminant",
     "twist_density_series",
     "fit_log_exponent",
     "LogFit",
@@ -191,13 +189,6 @@ def _count_forms(N: int, H: int) -> int:
 # Quadratic fields
 
 
-def fundamental_discriminant(d: int) -> int:
-    """Discriminant of Q(sqrt d) for squarefree d != 1."""
-    if d == 1 or d != squarefree_part(d):
-        raise ValueError("need squarefree d != 1")
-    return quad_disc(d)
-
-
 def _fields(x: int) -> list[tuple[int, int]]:
     """(|dF|, d) for every squarefree d != 1 whose field Q(sqrt d) has a
     discriminant dF with |dF| <= x, ascending (negative d first on ties)."""
@@ -306,14 +297,15 @@ def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
 
 def _absence_certifier(cover: QuadraticCover, x: int):
     """Cheap per-twist certificate of emptiness for 0 < |d| <= x: some p | d
-    with P rootless mod p and p prime to 2 * lc * trailing * content
-    (valuation argument). The multiples up to x of every such p are marked in
-    one table. Only sound for even degree without rational roots; otherwise
-    returns a certifier that never certifies."""
+    with P rootless mod p and p prime to 2 * lc (valuation argument). The
+    multiples up to x of every such p are marked in one table. Only sound for
+    even degree; for odd degree returns a certifier that never certifies.
+    A rational root a/b of P has b | lc, so it is a root mod every p prime to
+    lc and the table stays empty."""
     P = cover.P
-    if cover.degree % 2 or any(f.degree == 1 for f, _ in cover._factors):
+    if cover.degree % 2:
         return lambda d: False
-    bad = 2 * P.lc * P.trailing * P.content
+    bad = 2 * P.lc
     cert = np.zeros(x + 1, dtype=bool)
     for p in _rootless_primes(P, [p for p in primes_up_to(x) if bad % p]):
         cert[p::p] = True

@@ -23,7 +23,6 @@ from .intutil import (
     factorize,
     is_nfree,
     is_nth_power,
-    is_probable_prime,
     nth_root,
     primes_up_to,
     quad_disc,
@@ -36,11 +35,11 @@ from .poly import (
     IntPolynomial,
     ProjectivePoint,
     _bareiss_det,
+    _squarefree_parts,
     discriminant,
     factor_over_Q,
     format_poly,
     homogenize_minpoly,
-    resultant,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "quad_specialize",
     "cubic_specialize",
     "cubic_field_disc",
-    "cubic_field_fingerprint",
     "s3_survey_predicates",
     "SurveyPredicates",
     "chebotarev_unramified_sieve",
@@ -381,7 +379,7 @@ class QuadraticCover:
     def __post_init__(self):
         if self.P.degree < 1:
             raise ValueError("P must be nonconstant")
-        if not _squarefree_over_Q(self.P):
+        if any(m > 1 for _, m in _squarefree_parts(self.P)[1]):
             raise ValueError("P must be separable")
         if not is_nfree(self.P.content, 2):
             raise ValueError("content of P must be squarefree")
@@ -424,12 +422,6 @@ class QuadraticCover:
         if self.P.degree % 2 == 1:
             val *= pt.v
         return val
-
-
-def _squarefree_over_Q(p: IntPolynomial) -> bool:
-    if p.degree < 1:
-        return False
-    return resultant(p, p.derivative()) != 0
 
 
 def quad_cover(P: IntPolynomial) -> QuadraticCover:
@@ -783,23 +775,6 @@ def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
     return SpecializationReport(
         "cubic", pt, "S3", d_K=dK, d_k=dk, disc_field=dF, ramified_primes=ram
     )
-
-
-def cubic_field_fingerprint(f: IntPolynomial) -> tuple:
-    """Heuristic identity key for the cubic field Q[x]/(f): the field
-    discriminant plus residue degree patterns at the 50 smallest primes
-    not dividing disc(f). NOT certifying: equal fingerprints do not prove an
-    isomorphism (they merely make distinctness overwhelmingly likely)."""
-    dK = cubic_field_disc(f)
-    df = discriminant(f)
-    pats = []
-    p = 2
-    while len(pats) < 50:
-        if is_probable_prime(p) and df % p != 0:
-            _, facs = fp.factor_mod_p(f, p)
-            pats.append(tuple(sorted(g.degree for g, m in facs for _ in range(m))))
-        p += 1
-    return (dK, tuple(pats))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: valuations, radicals, n-free parts, power residues.
+"""Exact integer arithmetic: valuations, n-free parts, power residues.
 
 All functions are deterministic and exact. Integers are arbitrary-precision
 Python ints; rationals are fractions.Fraction. Randomized subroutines
@@ -9,9 +9,8 @@ reproducible and independent of global random state.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -19,7 +18,6 @@ __all__ = [
     "valuation",
     "is_probable_prime",
     "factorize",
-    "radical",
     "nfree_part",
     "is_nfree",
     "nfree_sieve",
@@ -27,8 +25,6 @@ __all__ = [
     "squarefree_part",
     "is_nth_power",
     "nth_root",
-    "ValuationProfile",
-    "bm_decomposition",
     "legendre",
     "quad_disc",
     "primes_up_to",
@@ -180,11 +176,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n; always positive. rad(+-1)=1."""
-    return prod(factorize(n))
-
-
 def nfree_part(n: int, k: int) -> int:
     """n divided by its largest k-th power divisor. Carries the sign of n."""
     if k < 2:
@@ -263,45 +254,6 @@ def nth_root(n: int, k: int) -> int | None:
     if y**k != m:
         return None
     return -y if n < 0 else y
-
-
-@dataclass(frozen=True)
-class ValuationProfile:
-    """Decomposition of |n| by valuation bands: n = +-prod_m B_m where B_m is
-    the product of p^v over primes with v_p(n) = m."""
-
-    value: int
-    bands: dict[int, int]  # m -> B_m (only m with B_m != 1)
-
-    def band(self, m: int) -> int:
-        return self.bands.get(m, 1)
-
-    def band_at_least(self, q0: int) -> int:
-        return prod(b for m, b in self.bands.items() if m >= q0)
-
-
-def bm_decomposition(n: int, q0: int = 2) -> ValuationProfile:
-    """Valuation-band decomposition of n with the radical bound checked.
-
-    Verifies rad(n) <= |n| / B_{>=q0}^((q0-1)/q0) ... concretely the exact
-    integer form: rad(n)^q0 * B_{>=q0}^(q0-1) <= |n|^q0, which holds because
-    every prime in a band m >= q0 contributes p to the radical but p^m >= p^q0
-    to |n|.
-    """
-    if n == 0:
-        raise ValueError("cannot decompose 0")
-    if q0 < 2:
-        raise ValueError("q0 must be >= 2")
-    fac = factorize(n)
-    bands: dict[int, int] = {}
-    for p, e in fac.items():
-        bands[e] = bands.get(e, 1) * p**e
-    prof = ValuationProfile(value=n, bands=bands)
-    rad = prod(fac)
-    bq = prof.band_at_least(q0)
-    if rad**q0 * bq ** (q0 - 1) > abs(n) ** q0:
-        raise ConsistencyError(f"radical bound fails for {n} at q0 = {q0}")
-    return prof
 
 
 def legendre(a: int, p: int) -> int:

@@ -115,19 +115,20 @@ def _residue_tables(
     primes: list[int],
     cache: dict | None = None,
 ):
-    """ok[p] has shape (p, p): ok[p][v % p][u % p] == sieve passes.
+    """(keys, ok): keys[p] is (p, class of d), and ok[p] has shape (p, p):
+    ok[p][v % p][u % p] == sieve passes.
 
     cache, when given, must only ever see one (coeffs, M, n): it keeps the
     curve's value table under p and, under (p, class of d), the sieve table
     of that class: the shared per-prime mask (see _allowed_residues) indexed
     by the value table. The masks themselves are kept per prime, not here.
     search_pairs keeps the packed rows of these tables in the same cache,
-    in the sub-dict under _ROWS."""
+    in the sub-dict under _ROWS, keyed by keys[p] and the height."""
     if cache is None:
         cache = {}
+    keys = {p: (p, power_class(d, p, n)) for p in primes}
     tables = {}
-    for p in primes:
-        key = (p, power_class(d, p, n))
+    for p, key in keys.items():
         ok = cache.get(key)
         if ok is None:
             val = cache.get(p)
@@ -136,7 +137,7 @@ def _residue_tables(
             ok = cache[key] = _allowed_residues(p, n, d)[val]
             ok.flags.writeable = False  # shared by every twist in the class
         tables[p] = ok
-    return tables
+    return keys, tables
 
 
 def backend_name() -> str:
@@ -192,9 +193,9 @@ def search_pairs(
     if H < 1 or (max_points is not None and max_points < 1):
         return out
     primes = _select_primes(n, d)
-    tables = _residue_tables(coeffs, M, n, d, primes, cache)
+    classes, tables = _residue_tables(coeffs, M, n, d, primes, cache)
     kept = {} if cache is None else cache.setdefault(_ROWS, {})
-    keys = {p: (p, power_class(d, p, n), H) for p in primes}
+    keys = {p: key + (H,) for p, key in classes.items()}
     packed = {p: kept[k] for p, k in keys.items() if k in kept}
     pairs = _purepy.survivors(tables, H, packed)
     for p, k in keys.items():

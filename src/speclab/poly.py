@@ -425,6 +425,8 @@ def factor_over_Q(p: IntPolynomial) -> tuple[int, list[tuple[IntPolynomial, int]
     1969; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15). The
     product content * prod(f^m) is checked against p; a mismatch raises
     ConsistencyError."""
+    if p.degree > _FACTOR_DEGREE_CAP:
+        raise ValueError(f"degree {p.degree} exceeds cap {_FACTOR_DEGREE_CAP}")
     cont, parts, good = _squarefree_parts(p)
     out = []
     for g, m in parts:
@@ -440,15 +442,13 @@ def _squarefree_parts(p: IntPolynomial):
     cont is the content with the sign of lc(p). The parts are squarefree,
     pairwise coprime, primitive, of positive degree and leading coefficient,
     with distinct multiplicities; they are not split into irreducibles.
-    Degree <= 24, as for factor_over_Q. One squarefree reduction mod a small
-    prime proves p / cont squarefree; then parts is [(p / cont, 1)] and good
-    yields that reduction and the later ones (see _reductions), for
-    Zassenhaus to go on from. Else the parts come from Yun's algorithm over
-    Z, checked against p, and good is None."""
+    One squarefree reduction mod a small prime proves p / cont squarefree;
+    then parts is [(p / cont, 1)] and good yields that reduction and the
+    later ones (see _reductions), for Zassenhaus to go on from. Else the
+    parts come from Yun's algorithm over Z, checked against p, and good is
+    None."""
     if p.degree < 0:
         raise ValueError("cannot factor 0")
-    if p.degree > _FACTOR_DEGREE_CAP:
-        raise ValueError(f"degree {p.degree} exceeds cap {_FACTOR_DEGREE_CAP}")
     cont = p.content if p.lc > 0 else -p.content
     f = IntPolynomial([c // cont for c in p.coeffs])
     if f.degree == 0:
@@ -575,11 +575,13 @@ def _exact_quotient(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
 
 
 def _prem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """A pseudo-remainder of a by b: c * a mod b for a nonzero integer c."""
+    """A pseudo-remainder of a by b: c * a mod b for c a power of |lc(b)|.
+    c is positive, so the remainder has the sign of a mod b at every real t."""
     r = list(a.coeffs)
+    s = abs(b.lc)
     while len(r) > b.degree and r:
-        c, k = r[-1], len(r) - 1 - b.degree
-        r = [x * b.lc for x in r]
+        c, k = (r[-1] if b.lc > 0 else -r[-1]), len(r) - 1 - b.degree
+        r = [x * s for x in r]
         for j, y in enumerate(b.coeffs):
             r[k + j] -= c * y
         r = list(_trim(r))
@@ -629,28 +631,14 @@ class RealRootReport:
     takes_negative_values: bool
 
 
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    def deriv(a):
-        return [i * c for i, c in enumerate(a)][1:]
-
-    def rem(a, b):
-        a = a[:]
-        while len(a) >= len(b) > 0:
-            c = a[-1] / b[-1]
-            k = len(a) - len(b)
-            for j, y in enumerate(b):
-                a[k + j] -= c * y
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
-    chain = [p, deriv(p)]
-    while chain[-1]:
-        r = rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
+def _sturm_chain(f: IntPolynomial) -> list[IntPolynomial]:
+    """Sturm chain of a nonconstant f, each term a positive multiple of the
+    classical one: _prem scales by a positive integer and primitive divides
+    by the positive content."""
+    chain = [f, f.derivative()]
+    while (r := _prem(chain[-2], chain[-1])).coeffs:
+        chain.append(-r.primitive())
+    return chain
 
 
 def _sign_changes(vals: list) -> int:
@@ -660,9 +648,9 @@ def _sign_changes(vals: list) -> int:
 
 def _real_root_count(f: IntPolynomial) -> int:
     """Distinct real roots of a squarefree f (Sturm, exact)."""
-    chain = _sturm_chain([Fraction(c) for c in f.coeffs])
-    at_minus = [c[-1] * (-1) ** (len(c) - 1) for c in chain]
-    at_plus = [c[-1] for c in chain]
+    chain = _sturm_chain(f)
+    at_minus = [c.lc * (-1) ** c.degree for c in chain]
+    at_plus = [c.lc for c in chain]
     return _sign_changes(at_minus) - _sign_changes(at_plus)
 
 

@@ -219,8 +219,8 @@ def search_points(
 class ObstructionCertificate:
     """Witness that y^n = d * P(t) has no rational point (and no Q_p point).
 
-    At the prime p: 1 <= v_p(d) <= n-1, P is rootless mod p with unit leading
-    and trailing coefficients, and n | deg P; every value d * P_hom(u, v) on
+    At the prime p: 1 <= v_p(d) <= n-1, P is rootless mod p with a unit
+    leading coefficient, and n | deg P; every value d * P_hom(u, v) on
     coprime pairs then has p-valuation v_p(d) mod n != 0, so it is never an
     n-th power.
     """
@@ -250,15 +250,11 @@ def obstruction_certificate(curve) -> ObstructionCertificate | None:
         raise ValueError("certificate needs P separable")
     if base._has_rational_root:
         raise ValueError("certificate needs P without rational roots")
-    a0, aN = base.P.trailing, base.P.lc
+    # P(0) != 0 (0 is not a rational root), and a rootless p never divides it
     for p in sorted(factorize(d)):
         v = valuation(d, p)
-        if not 1 <= v <= n - 1:
+        if not 1 <= v <= n - 1 or base.P.lc % p == 0:
             continue
-        if a0 % p == 0 or aN % p == 0:
-            continue
-        if base.P.coeffs[0] == 0:
-            continue  # t = 0 is a root
         if _rootless_mod_p(base.P, p):
             return ObstructionCertificate(p, v, n)
     return None

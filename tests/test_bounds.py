@@ -17,7 +17,6 @@ from speclab.bounds import (
     corollary_case_classifier,
     malle_alpha,
     rh_genus,
-    uniformity_constant,
 )
 
 
@@ -203,7 +202,3 @@ class TestClassifier:
         with pytest.raises(ValueError):
             corollary_case_classifier(GroupDescriptor(49), require="abc-c")
 
-
-def test_uniformity_constant_monotone():
-    vals = [uniformity_constant(n) for n in range(2, 20)]
-    assert all(a > b > 0 for a, b in zip(vals, vals[1:]))

@@ -13,7 +13,6 @@ from speclab.census import (
     DensitySeries,
     count_poly_sets,
     fit_log_exponent,
-    fundamental_discriminant,
     local_global_ratio_series,
     quad_field_census,
     s3_survey,
@@ -279,16 +278,6 @@ class TestCounts:
 
 
 class TestFields:
-    def test_fundamental_discriminant(self):
-        assert fundamental_discriminant(5) == 5
-        assert fundamental_discriminant(-3) == -3
-        assert fundamental_discriminant(2) == 8
-        assert fundamental_discriminant(-1) == -4
-        assert fundamental_discriminant(23) == 92
-        for bad in (1, 12, -8):
-            with pytest.raises(ValueError):
-                fundamental_discriminant(bad)
-
     def test_census_pins(self):
         assert quad_field_census(10) == [-3, -4, 5, -7, -8, 8]
         assert quad_field_census(4) == [-3, -4]
@@ -367,6 +356,11 @@ class TestTwistSeries:
 
     @given(census_covers(), st.integers(1, 24), st.integers(2, 3000))
     @example(quad_cover(P("T^2-28")), 1, 3)  # F(1, 1) = -3^3 and x = 3: m = -3 sits on the bound
+    @example(quad_cover(P("3*T^4-T^3-6*T+2")), 4, 300)  # (3T - 1)(T^3 - 2): the rational root 1/3
+    @example(quad_cover(P("T^4+2*T")), 4, 300)  # P(0) = 0
+    @example(quad_cover(P("3*T^4+6")), 4, 300)  # content 3
+    @example(quad_cover(P("T^4+T+35")), 4, 300)  # 5 and 7 divide only the trailing coefficient
+    @example(quad_cover(P("T^3-2")), 4, 300)  # odd degree: rootless mod 7, yet never certifies
     @settings(max_examples=200, deadline=None)
     def test_sieve_matches_factorisation(self, cov, H, x):
         assert census._found_twists(cov, H, x) == old_found_twists(cov, H, x)

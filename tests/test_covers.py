@@ -14,7 +14,6 @@ from speclab.covers import (
     CubicCover,
     chebotarev_unramified_sieve,
     cubic_field_disc,
-    cubic_field_fingerprint,
     cubic_specialize,
     quad_cover,
     quad_specialize,
@@ -83,6 +82,17 @@ class TestQuadratic:
             quad_cover(P("T^2 - 2*T + 1"))
         with pytest.raises(ValueError):
             quad_cover(P("4*T^2 - 8"))  # square content
+
+    def test_separability_past_the_factoring_cap(self):
+        # factor_over_Q stops at degree 24; separability and specialisation
+        # do not factor P, so a cover of degree 26 is built and specialised
+        cov = quad_cover(P("T^26 + T + 1"))
+        rep = quad_specialize(cov, Fraction(3, 2))
+        m = squarefree_part(3**26 + 3 * 2**25 + 2**26)
+        assert (rep.m, rep.disc_field) == (m, quad_disc(m))
+        for text in ("T^2 - 2*T + 1", "T^26 + 2*T^14 + 2*T^13 + T^2 + 2*T + 1"):
+            with pytest.raises(ValueError, match="P must be separable"):
+                quad_cover(P(text))  # the second is (T^13 + T + 1)^2
 
     def test_branch_orbits_and_infinity(self):
         odd = quad_cover(P("T^3 - 2"))
@@ -755,16 +765,6 @@ class TestCubicFieldDisc:
         x = sympy.Symbol("x")
         _, want = round_two(sympy.Poly([1, a2, a1, a0], x, domain=sympy.ZZ))
         assert cubic_field_disc(f) == int(want)
-
-    def test_fingerprint_separates(self):
-        f1 = cubic_field_fingerprint(P("T^3 - T - 1"))
-        f2 = cubic_field_fingerprint(P("T^3 + T - 1"))
-        assert f1 != f2
-
-    def test_fingerprint_same_field(self):
-        # x^3 - x - 1 and its shift generate the same field
-        g = P("T^3 + 3*T^2 + 2*T - 1")  # (x+1)^3 - (x+1) - 1
-        assert cubic_field_fingerprint(P("T^3 - T - 1")) == cubic_field_fingerprint(g)
 
 
 class TestSurvey:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from speclab import intutil
 from speclab.intutil import (
-    ValuationProfile,
-    bm_decomposition,
     factorize,
     is_nfree,
     is_nth_power,
@@ -19,7 +17,6 @@ from speclab.intutil import (
     nfree_sieve,
     nth_root,
     primes_up_to,
-    radical,
     squarefree_part,
     valuation,
 )
@@ -169,7 +166,6 @@ def test_factorize_matches_trial_division(n):
 
 
 def test_radical_and_parts():
-    assert radical(360) == 30
     assert squarefree_part(18) == 2
     assert squarefree_part(-18) == -2
     assert nfree_part(2**7 * 3**3, 3) == 2 * 1  # 2^(7 mod 3) * 3^0
@@ -215,20 +211,6 @@ def test_nth_root_roundtrip(n, k):
 def test_nth_root_negative_odd():
     assert nth_root(-27, 3) == -3
     assert nth_root(-4, 2) is None
-
-
-@given(nonzero, st.integers(min_value=2, max_value=4))
-def test_bm_decomposition_identity(n, q0):
-    prof = bm_decomposition(n, q0)
-    assert isinstance(prof, ValuationProfile)
-    prod = 1
-    for m, b in prof.bands.items():
-        prod *= b
-        for p in factorize(b):
-            assert valuation(n, p) == m
-    assert prod == abs(n)
-    # the radical bound used by the exponent arguments, in exact integer form
-    assert radical(n) ** q0 * prof.band_at_least(q0) ** (q0 - 1) <= abs(n) ** q0
 
 
 def test_legendre_against_squares():

@@ -188,7 +188,7 @@ def test_residue_tables_match_oracle(coeffs, n, shift):
     for p in kernels._CANDIDATE_PRIMES + [103]:
         for r in class_representatives(p, n):
             d = r + p * shift
-            got = kernels._residue_tables(coeffs, M, n, d, [p], cache)[p]
+            got = kernels._residue_tables(coeffs, M, n, d, [p], cache)[1][p]
             want = old_residue_tables(coeffs, M, n, d, [p])[p]
             assert got.shape == want.shape and got.dtype == bool
             np.testing.assert_array_equal(got, want)
@@ -202,7 +202,7 @@ def test_residue_tables_match_oracle_on_fallback_primes():
     assert primes == [239, 307, 409, 443]
     cache = {}
     for d in (103 * 137, -5 * 239):  # the second is 0 mod 239: that table passes everything
-        got = kernels._residue_tables(coeffs, M, n, d, primes, cache)
+        _, got = kernels._residue_tables(coeffs, M, n, d, primes, cache)
         want = old_residue_tables(coeffs, M, n, d, primes)
         for p in primes:
             assert got[p].dtype == bool
@@ -220,7 +220,7 @@ def test_residue_tables_match_oracle_on_fallback_primes():
 def test_residue_tables_match_oracle_high_degree(coeffs, n, d):
     # model degree up to 40: the value table's product sums M + 1 terms below p^2
     M = len(coeffs) - 1
-    got = kernels._residue_tables(coeffs, M, n, d, kernels._CANDIDATE_PRIMES)
+    _, got = kernels._residue_tables(coeffs, M, n, d, kernels._CANDIDATE_PRIMES)
     want = old_residue_tables(coeffs, M, n, d, kernels._CANDIDATE_PRIMES)
     for p in kernels._CANDIDATE_PRIMES:
         np.testing.assert_array_equal(got[p], want[p])
@@ -272,9 +272,9 @@ def test_tables_shared_within_a_class():
     coeffs, M, n = [5, 1, 0, 0, 2, 0, 0, 0, 1], 8, 2
     primes = kernels._select_primes(n, 1)
     cache = {}
-    one = kernels._residue_tables(coeffs, M, n, 1, primes, cache)
-    four = kernels._residue_tables(coeffs, M, n, 4, primes, cache)
-    minus = kernels._residue_tables(coeffs, M, n, -1, primes, cache)
+    _, one = kernels._residue_tables(coeffs, M, n, 1, primes, cache)
+    _, four = kernels._residue_tables(coeffs, M, n, 4, primes, cache)
+    _, minus = kernels._residue_tables(coeffs, M, n, -1, primes, cache)
     for p in primes:
         assert four[p] is one[p]  # 4 is a square mod every odd p
         if p % 4 == 1:
@@ -364,7 +364,7 @@ def test_packed_sieve_matches_old(coeffs, n, d, H, divisor):
     primes = kernels._select_primes(n, d)  # n = 17: primes 103, 137, ... = 1 (mod 17)
     if divisor is not None:  # some sieve prime divides d: its table passes every u
         d *= primes[divisor % len(primes)]
-    tables = kernels._residue_tables(coeffs, M, n, d, primes)
+    _, tables = kernels._residue_tables(coeffs, M, n, d, primes)
     got = _purepy.survivors(tables, H)
     assert got.dtype == np.int64 and got.shape[1] == 2
     np.testing.assert_array_equal(got, old_survivors(tables, H))
@@ -374,5 +374,5 @@ def test_packed_sieve_matches_old(coeffs, n, d, H, divisor):
 def test_packed_sieve_matches_old_past_one_period(coeffs, M, n, d, H):
     # At H = 1000 a row has 32 words, more than many of its primes: the words
     # repeat with period p in w, which H <= 200 reaches only for p <= 5.
-    tables = kernels._residue_tables(coeffs, M, n, d, kernels._select_primes(n, d))
+    _, tables = kernels._residue_tables(coeffs, M, n, d, kernels._select_primes(n, d))
     np.testing.assert_array_equal(_purepy.survivors(tables, 1000), old_survivors(tables, 1000))

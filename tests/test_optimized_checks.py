@@ -51,11 +51,6 @@ CASES = {
         bounds.malle_alpha = lambda order: Fraction(0)
         bounds.beta_exponent(2, 6)
     """,
-    "intutil.bm_decomposition": """
-        from speclab import intutil
-        intutil.factorize = lambda n: {2: 1, 3: 1, 5: 1}  # radical 30 of n = 4
-        intutil.bm_decomposition(4)
-    """,
     "poly.discriminant": """
         from speclab import poly
         poly.resultant = lambda a, b: 3  # not divisible by lc = 2

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -222,6 +223,65 @@ def test_real_roots_sign_analysis():
     rep3 = real_roots_sign_analysis(parse_poly("T^2-2"))
     assert rep3.takes_positive_values and rep3.takes_negative_values
     assert rep3.distinct_real_roots == 2
+
+
+@st.composite
+def real_root_products(draw):
+    """c * prod f_i^m_i of degree 1..10, c of either sign: factors of degree
+    1-3 with any nonzero leading coefficient, multiplicities up to 3."""
+    p = IntPolynomial([draw(st.integers(1, 5)) * draw(st.sampled_from([-1, 1]))])
+    for _ in range(draw(st.integers(1, 4))):
+        f = IntPolynomial(
+            draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+            + [draw(st.integers(-4, 4).filter(bool))]
+        )
+        for _ in range(draw(st.integers(1, 3))):
+            if (p * f).degree <= 10:
+                p = p * f
+    assume(p.degree >= 1)
+    return p
+
+
+def sympy_sign_points(p):
+    """One rational point in each open interval of R cut by the real roots of
+    p, from sympy's isolating intervals refined until they are disjoint."""
+    sp = sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
+    eps = Fraction(1, 2)
+    while True:
+        ivs = sorted((Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+                     for (a, b), _ in sp.intervals(eps=sympy.Rational(eps.numerator, eps.denominator)))
+        if all(b < a for (_, b), (a, _) in zip(ivs, ivs[1:])):
+            break
+        eps /= 4
+    if not ivs:
+        return [Fraction(0)]
+    gaps = [(b + a) / 2 for (_, b), (a, _) in zip(ivs, ivs[1:])]
+    return [ivs[0][0] - 1] + gaps + [ivs[-1][1] + 1]
+
+
+# half the coefficients zero: Sturm chains whose degrees drop by more than one
+sparse_polys = st.lists(st.one_of(st.just(0), st.integers(-5, 5)), min_size=2, max_size=11).map(IntPolynomial)
+
+
+@given(st.one_of(real_root_products(), sparse_polys, coeff_lists.map(IntPolynomial)))
+@example(parse_poly("T^5+3*T^3+5*T+3"))  # a chain term of negative leading coefficient
+@example(parse_poly("3*T^4+5*T-2"))
+@example(parse_poly("-3*T^2+6"))  # negative leading coefficient, two real roots
+@example(parse_poly("-1*T^4+2*T^2-1"))  # -(T^2 - 1)^2: never positive
+@example(parse_poly("-2*T^3+T"))  # odd degree, negative leading coefficient
+@example(prod([poly(1, 0, -2)] * 3 + [poly(-1, 0, -1)] * 2))  # (T^2 - 2)^3 (-T^2 - 1)^2
+@settings(max_examples=300, deadline=None)
+def test_real_root_report_matches_sympy(p):
+    """The Sturm counts and sign flags of the real-root report, from the
+    irreducible factors and from the squarefree parts, against sympy's root
+    count and P's signs between sympy's isolated real roots."""
+    if p.degree < 1:
+        return
+    count = sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x")).count_roots()
+    signs = {(v > 0) - (v < 0) for v in map(p, sympy_sign_points(p))}
+    want = poly_module.RealRootReport(count, 1 in signs, -1 in signs)
+    assert real_roots_sign_analysis(p) == want
+    assert poly_module._real_root_report(p, poly_module._squarefree_parts(p)[1]) == want
 
 
 @given(coeff_lists)

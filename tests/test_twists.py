@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speclab import poly, twists
+from speclab import covers, poly, twists
 from speclab.covers import quad_cover
-from speclab.intutil import nfree_sieve
+from speclab.intutil import factorize, nfree_sieve, valuation
 from speclab.poly import (
     IntPolynomial,
     discriminant,
@@ -187,6 +187,47 @@ class TestCertificate:
             obstruction_certificate(SuperellipticCurve(2, P("T^3 - 2")).twist(3))
         with pytest.raises(ValueError):
             obstruction_certificate(SuperellipticCurve(2, P("T^4 - 1")).twist(3))
+        with pytest.raises(ValueError):  # P(0) = 0: the rational root 0
+            obstruction_certificate(SuperellipticCurve(2, P("T^4 + 2*T")).twist(3))
+
+    @pytest.mark.parametrize(
+        "n,text,lc_prime",
+        [
+            (2, "T^4 + 1", None),
+            (2, "T^2 + 15", None),  # 3 and 5 divide only P(0)
+            (2, "T^4 + T + 35", None),  # 5 and 7 divide only P(0)
+            (2, "T^6 - T - 1", None),
+            (2, "T^8 + 3*T^6 + 4*T^4 + 6*T^2 + 4", None),  # P8
+            (2, "3*T^4 + T^2 + 1", 3),  # T^2 + 1 mod 3
+            (3, "T^3 - 2", None),
+            (3, "T^3 + T + 21", None),
+            (3, "2*T^3 + T^2 + T + 1", 2),  # T^2 + T + 1 mod 2
+            (3, "5*T^3 + 7", 5),  # the unit 2 mod 5
+        ],
+    )
+    def test_matches_old_predicate(self, n, text, lc_prime):
+        """Rootless mod p already implies a unit P(0) mod p, so the certificate
+        agrees with its former predicate, which also skipped every p dividing
+        P's trailing coefficient; a prime dividing lc stays excluded even
+        where P is rootless mod it."""
+
+        def old_certificate(tw):
+            base, d = tw.base, tw.d
+            a0, aN = base.P.trailing, base.P.lc
+            for p in sorted(factorize(d)):
+                v = valuation(d, p)
+                if not 1 <= v <= n - 1 or a0 % p == 0 or aN % p == 0:
+                    continue
+                if base.P.coeffs[0] != 0 and covers._rootless_mod_p(base.P, p):
+                    return twists.ObstructionCertificate(p, v, n)
+            return None
+
+        base = SuperellipticCurve(n, P(text))
+        if lc_prime is not None:
+            assert base.P.lc % lc_prime == 0 and covers._rootless_mod_p(base.P, lc_prime)
+        certs = [obstruction_certificate(base.twist(d)) for d in nfree_sieve(n, 60)]
+        assert certs == [old_certificate(base.twist(d)) for d in nfree_sieve(n, 60)]
+        assert any(certs)
 
 
 class TestLocal:
