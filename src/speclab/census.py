@@ -26,7 +26,7 @@ from .intutil import (
     primes_up_to,
     quad_disc,
 )
-from .poly import IntPolynomial, factor_over_Q
+from .poly import IntPolynomial, _squarefree_parts
 from .twists import (
     INSOLUBLE,
     SOLUBLE,
@@ -96,8 +96,9 @@ class DensitySeries:
 
 
 def _mult_lt(P: IntPolynomial, n: int) -> bool:
-    _, factors = factor_over_Q(P)
-    return all(m < n for _, m in factors)
+    """Every root of P has multiplicity < n: the multiplicities of the
+    squarefree parts are those of the irreducible factors."""
+    return all(m < n for _, m in _squarefree_parts(P)[1])
 
 
 def _count_quadratics_fast(H: int, forms: bool = False) -> tuple[int, int]:

@@ -23,7 +23,6 @@ from .intutil import (
     factorize,
     is_nfree,
     is_nth_power,
-    nth_root,
     primes_up_to,
     quad_disc,
     valuation,
@@ -35,6 +34,7 @@ from .poly import (
     IntPolynomial,
     ProjectivePoint,
     _bareiss_det,
+    _rational_roots,
     _squarefree_parts,
     discriminant,
     factor_over_Q,
@@ -339,7 +339,7 @@ def _branch_indices(K: _NF, F: list, only_positive: bool, depth: int = 0) -> lis
             G = _recenter(K, F, lam, c)
             sub = _branch_indices(K, G, only_positive=True, depth=depth + 1)
             if sum(sub) != mult:
-                raise AssertionError("branch recursion lost roots")
+                raise ConsistencyError("branch recursion lost roots")
             out.extend(sub)
     return out
 
@@ -554,14 +554,15 @@ class CubicCover:
         """P has a root in Q(T). P is monic over the integrally closed Z[T],
         so such a root r lies in Z[T], and the leading terms of P(T, r) can
         cancel only if deg r <= max(deg a2, deg a1 / 2, deg a0 / 3). Then r(t)
-        is an integer root of P(t, Y) at every integer t: interpolate each
-        choice of those roots at deg r + 1 points and test it exactly."""
+        is an integer root of P(t, Y) at every integer t (a rational root of
+        the monic cubic): interpolate each choice of those roots at
+        deg r + 1 points and test it exactly."""
         a2, a1, a0 = self.a2, self.a1, self.a0
         e = max(a2.degree, a1.degree // 2, a0.degree // 3, 0)
         ts = list(range(e + 1))
         choices = []
         for t in ts:
-            roots = _cubic_integer_roots(IntPolynomial([a0(t), a1(t), a2(t), 1]))
+            roots = [int(r) for r in _rational_roots(IntPolynomial([a0(t), a1(t), a2(t), 1]))]
             if not roots:
                 return False
             choices.append(roots)
@@ -667,7 +668,7 @@ def cubic_field_disc(f: IntPolynomial) -> int:
     """
     if f.degree != 3 or f.lc != 1:
         raise ValueError("need a monic cubic")
-    if _monic_cubic_root(f) is not None:
+    if _rational_roots(f):
         raise ValueError("cubic is reducible")
     df = discriminant(f)
     return _field_disc(f, df, factorize(df))
@@ -750,9 +751,10 @@ def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
     disc = discriminant(spec)
     if disc == 0:
         raise ValueError(f"t0 = {pt} is a branch point of the discriminant locus")
-    r = _monic_cubic_root(spec)
-    if r is not None:
-        # spec = (x - r)(x^2 + b x + c)
+    roots = _rational_roots(spec)
+    if roots:
+        # spec = (x - r)(x^2 + b x + c); r is an integer, for spec is monic
+        r = int(roots[0])
         _, a1, a2, _ = spec.coeffs
         b = a2 + r
         qd = b * b - 4 * (a1 + r * b)
@@ -851,35 +853,9 @@ def _s3_witness(cover: CubicCover) -> int | None:
             disc = discriminant(spec)
             if disc == 0 or is_nth_power(disc, 2):
                 continue
-            if _monic_cubic_root(spec) is None:
+            if not _rational_roots(spec):
                 return t0
     return None
-
-
-def _monic_cubic_root(f: IntPolynomial) -> int | None:
-    """An integer root of a monic integer cubic, or None. The cubic is
-    reducible iff it has one, and every integer root divides f(0)."""
-    c0 = f.coeffs[0]
-    if c0 == 0:
-        return 0
-    divisors = [1]
-    for p, e in factorize(c0).items():
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    return next((r for d in divisors for r in (d, -d) if f(r) == 0), None)
-
-
-def _cubic_integer_roots(f: IntPolynomial) -> set[int]:
-    """Every integer root of a monic integer cubic: one from
-    _monic_cubic_root, the others from the quadratic cofactor."""
-    r = _monic_cubic_root(f)
-    if r is None:
-        return set()
-    _, a1, a2, _ = f.coeffs
-    b = a2 + r  # f = (x - r)(x^2 + b x + c), c = a1 + r b
-    s = nth_root(b * b - 4 * (a1 + r * b), 2)
-    if s is None:
-        return {r}
-    return {r, (-b + s) // 2, (-b - s) // 2}
 
 
 def _interpolate(ts: list[int], values) -> IntPolynomial | None:

@@ -191,14 +191,12 @@ def _edf(a, d, p, rng):
             return _edf(g, d, p, rng) + _edf(b, d, p, rng)
 
 
-def factor_mod_p(
-    poly: IntPolynomial, p: int, seed: int = 0
-) -> tuple[int, list[tuple[IntPolynomial, int]]]:
+def factor_mod_p(poly: IntPolynomial, p: int) -> tuple[int, list[tuple[IntPolynomial, int]]]:
     """Complete factorization of poly mod p.
 
     Returns (leading unit, [(monic irreducible IntPolynomial with coefficients
     in [0, p), multiplicity)]), sorted. The Cantor-Zassenhaus splitting draws
-    from random.Random(f"{seed},{p}"), so the run is reproducible. Raises
+    from random.Random(f"0,{p}"), so the run is reproducible. Raises
     ValueError if the reduction vanishes identically or p is not prime.
     """
     if not is_probable_prime(p):
@@ -209,7 +207,7 @@ def factor_mod_p(
     unit = a[-1]
     if len(a) == 1:
         return unit, []
-    rng = random.Random(f"{seed},{p}")
+    rng = random.Random(f"0,{p}")
     factors: list[tuple[IntPolynomial, int]] = []
     for sq, mult in _sqf(a, p):
         for part, d in _ddf(sq, p):

@@ -617,6 +617,37 @@ def _yun(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     return out
 
 
+def _rational_roots(p: IntPolynomial) -> list[Fraction]:
+    """The distinct rational roots of a nonzero p, in increasing order.
+
+    Per squarefree part f of _squarefree_parts(p), at an odd prime q where f
+    mod q is squarefree and q does not divide lc(f): a root a/b of f has
+    b | lc(f), so it reduces to a simple root of f mod q, which Newton's
+    method lifts to a / b mod q^k. By Cauchy's bound |lc(f) * a / b| is at
+    most lc(f) + max |c_i|, so once q^k exceeds twice that, the symmetric
+    residue of lc(f) * a / b mod q^k is that integer. Each candidate is then
+    tested exactly: b^N f(a/b) = sum c_i a^i b^(N-i) = 0."""
+    _, parts, good = _squarefree_parts(p)
+    out = []
+    for f, _ in parts:
+        q, _ = next(good) if good else next(filter(None, _reductions(f)))
+        roots = [r for r in range(q) if f(r) % q == 0]
+        if not roots:
+            continue
+        df = f.derivative()
+        bound = 2 * (f.lc + max(map(abs, f.coeffs)))
+        form = HomogPolynomial.from_poly(f)
+        for r in roots:
+            m = q
+            while m <= bound:
+                m *= m
+                r = (r - f(r) * pow(df(r), -1, m)) % m
+            root = Fraction(_symmetric(f.lc * r, m), f.lc)
+            if form.eval_proj((root.numerator, root.denominator)) == 0:
+                out.append(root)
+    return sorted(out)
+
+
 def is_irreducible_over_Q(p: IntPolynomial) -> bool:
     if p.degree < 1:
         return False
@@ -655,12 +686,13 @@ def _real_root_count(f: IntPolynomial) -> int:
 
 
 def real_roots_sign_analysis(p: IntPolynomial) -> RealRootReport:
-    """Distinct real root count (Sturm, exact) and attained signs of P on R."""
+    """Distinct real root count (Sturm, exact) and attained signs of P on R,
+    from the squarefree decomposition of P."""
     if p.degree < 0:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return RealRootReport(0, p.lc > 0, p.lc < 0)
-    return _real_root_report(p, factor_over_Q(p)[1])
+    return _real_root_report(p, _squarefree_parts(p)[1])
 
 
 def _real_root_report(p: IntPolynomial, parts) -> RealRootReport:

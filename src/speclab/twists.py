@@ -39,10 +39,10 @@ from .poly import (
     HomogPolynomial,
     IntPolynomial,
     RealRootReport,
+    _rational_roots,
     _real_root_report,
     _squarefree_parts,
     discriminant,
-    factor_over_Q,
 )
 
 __all__ = [
@@ -75,7 +75,7 @@ class SuperellipticCurve:
     # Computed once, and no part of repr, equality or hash: the squarefree
     # parts of P with their multiplicities (_squarefree_parts(P)[1], not
     # split into irreducibles), the signs P takes on R, and whether P has a
-    # rational root. P is factorised over Q only when it has a real root.
+    # rational root (looked for only when P has a real root).
     _sqf_parts: tuple[tuple[IntPolynomial, int], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -91,9 +91,7 @@ class SuperellipticCurve:
         if any(m >= self.n for _, m in parts):
             raise ValueError("P has a root of multiplicity >= n")
         report = _real_root_report(self.P, parts)
-        rational = report.distinct_real_roots > 0 and any(
-            f.degree == 1 for f, _ in factor_over_Q(self.P)[1]
-        )
+        rational = report.distinct_real_roots > 0 and bool(_rational_roots(self.P))
         object.__setattr__(self, "_sqf_parts", tuple(parts))
         object.__setattr__(self, "_real_report", report)
         object.__setattr__(self, "_has_rational_root", rational)

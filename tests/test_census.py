@@ -8,7 +8,8 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from speclab import census, kernels
+from speclab import census, covers, kernels
+from speclab import poly as poly_module
 from speclab.census import (
     DensitySeries,
     count_poly_sets,
@@ -252,6 +253,14 @@ class TestCounts:
         assert count_poly_sets(2, 3, 1) == {"P": 44, "P2": 44, "P2_lower": 16, "E_forms": 60}
         assert count_poly_sets(2, 4, 1) == {"P": 136, "P2": 136, "P2_lower": 44, "E_forms": 180}
         assert count_poly_sets(3, 3, 1) == {"P": 52, "P2": 52}
+
+    def test_counting_never_factorises(self, monkeypatch):
+        # the multiplicities come from the squarefree decomposition
+        calls = []
+        for mod in (poly_module, covers):
+            monkeypatch.setattr(mod, "factor_over_Q", lambda p: calls.append(p))
+        assert count_poly_sets(2, 3, 1) == {"P": 44, "P2": 44, "P2_lower": 16, "E_forms": 60}
+        assert calls == []
 
     def test_against_independent_enumeration(self):
         n_P, n_P2 = brute_count_sets(2, 2, 2)

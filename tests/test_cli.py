@@ -63,6 +63,16 @@ class TestExamples:
         assert code == 0
         assert data["results"]["status"] == "insoluble"
 
+    def test_local_past_the_factoring_cap(self, tmp_path):
+        # P of degree 26 with real roots: the curve is built without factorising P
+        code, data = out_json(
+            tmp_path,
+            "l26.json",
+            ["local", "--poly", "T^26-2", "--d", "3", "--place", "3"],
+        )
+        assert code == 0
+        assert data["results"]["status"] == "insoluble"
+
     def test_beckmann(self, tmp_path):
         code, data = out_json(
             tmp_path, "b.json", ["beckmann", "--cover", "T^2 - 2", "--t0", "3"]

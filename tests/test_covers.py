@@ -21,8 +21,15 @@ from speclab.covers import (
     splits_completely,
     verify_unramified,
 )
-from speclab.intutil import is_nth_power, primes_up_to, quad_disc, squarefree_part
-from speclab.poly import INFINITY, IntPolynomial, discriminant, factor_over_Q, parse_poly
+from speclab.intutil import factorize, is_nth_power, nth_root, primes_up_to, quad_disc, squarefree_part
+from speclab.poly import (
+    INFINITY,
+    IntPolynomial,
+    _rational_roots,
+    discriminant,
+    factor_over_Q,
+    parse_poly,
+)
 
 
 def P(text):
@@ -46,7 +53,7 @@ def old_splits_completely(R, p):
     """The split test kept as oracle: a full factorisation mod p."""
     if R.lc % p == 0:
         return False
-    _, facs = fp.factor_mod_p(R, p, seed=0)
+    _, facs = fp.factor_mod_p(R, p)
     return all(f.degree == 1 and m == 1 for f, m in facs) and sum(
         f.degree * m for f, m in facs
     ) == R.degree
@@ -682,6 +689,57 @@ def old_reducible_class(f):
     return "C2", quad_disc(squarefree_part(discriminant(quad[0])))
 
 
+def old_monic_cubic_root(f):
+    """An integer root of a monic integer cubic, or None, from the divisors
+    of f(0); the divisor route kept as oracle."""
+    c0 = f.coeffs[0]
+    if c0 == 0:
+        return 0
+    divisors = [1]
+    for p, e in factorize(c0).items():
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return next((r for d in divisors for r in (d, -d) if f(r) == 0), None)
+
+
+def old_cubic_integer_roots(f):
+    """Every integer root of a monic integer cubic: one from
+    old_monic_cubic_root, the others from the quadratic cofactor."""
+    r = old_monic_cubic_root(f)
+    if r is None:
+        return set()
+    _, a1, a2, _ = f.coeffs
+    b = a2 + r  # f = (x - r)(x^2 + b x + c), c = a1 + r b
+    s = nth_root(b * b - 4 * (a1 + r * b), 2)
+    if s is None:
+        return {r}
+    return {r, (-b + s) // 2, (-b - s) // 2}
+
+
+@st.composite
+def monic_cubics(draw):
+    """Monic integer cubics: half of them (x - r)(x^2 + b x + c), whose
+    cofactor may have integer roots, some equal to r, or f(0) = 0."""
+    if draw(st.booleans()):
+        r = draw(st.one_of(st.integers(-50, 50), st.sampled_from([720720, -151351200])))
+        b, c = draw(st.integers(-60, 60)), draw(st.integers(-900, 900))
+        return IntPolynomial([-r, 1]) * IntPolynomial([c, b, 1])
+    return IntPolynomial(draw(st.lists(st.integers(-10**4, 10**4), min_size=3, max_size=3)) + [1])
+
+
+class TestMonicCubicRoots:
+    @given(monic_cubics())
+    @example(P("T^3 - 8"))
+    @example(P("T^3 + T^2"))  # a double root at 0
+    @example(P("T^3 - 3*T + 2"))  # (x - 1)^2 (x + 2)
+    @example(IntPolynomial([-720720, 1]) * P("T^2 + 1"))  # f(0) with 240 divisors
+    @settings(max_examples=500, deadline=None)
+    def test_match_divisor_route(self, f):
+        roots = _rational_roots(f)
+        assert all(r.denominator == 1 for r in roots)
+        assert {int(r) for r in roots} == old_cubic_integer_roots(f)
+        assert bool(roots) == (old_monic_cubic_root(f) is not None)
+
+
 class TestReducibleSpecialization:
     @given(st.integers(-30, 30), st.integers(-12, 12), st.integers(-40, 40))
     @example(2, 0, 1)  # x^2 + 1: the cofactor's discriminant is -2^2
@@ -761,7 +819,7 @@ class TestCubicFieldDisc:
     def test_matches_round_two(self, p, bs, es):
         a0, a1, a2 = (b * p**e for b, e in zip(bs, es))
         f = IntPolynomial([a0, a1, a2, 1])
-        assume(covers._monic_cubic_root(f) is None)
+        assume(not _rational_roots(f))
         x = sympy.Symbol("x")
         _, want = round_two(sympy.Poly([1, a2, a1, a0], x, domain=sympy.ZZ))
         assert cubic_field_disc(f) == int(want)

@@ -56,6 +56,14 @@ CASES = {
         poly.resultant = lambda a, b: 3  # not divisible by lc = 2
         poly.discriminant(parse_poly("2*T^2+1"))
     """,
+    "covers._branch_indices": """
+        from speclab import covers
+        recenter = covers._recenter
+        # dropping the Y^0 term divides out Y, so a continuing root is lost
+        covers._recenter = lambda K, F, lam, c: recenter(K, F, lam, c)[1:]
+        t = parse_poly("T")
+        covers.CubicCover(parse_poly("0"), t, t).cycle_type_at(Fraction(-27, 4))
+    """,
     "covers._dedekind_p_maximal": """
         from speclab import covers, fp
         fp._sqf = lambda a, p: [([1, 1], 1)]  # T + 1 is not T^2 + 1 mod 3

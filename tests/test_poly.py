@@ -165,7 +165,7 @@ def test_factor_mod_p_reassembles(cs, p):
     f = IntPolynomial(cs)
     if f.degree < 1 or f.lc % p == 0:
         return
-    unit, factors = factor_mod_p(f, p, seed=7)
+    unit, factors = factor_mod_p(f, p)
     prod = [unit]
     for g, m in factors:
         assert g.lc == 1
@@ -182,7 +182,7 @@ def test_factor_mod_p_reassembles(cs, p):
 
 def test_factor_mod_p_deterministic():
     f = parse_poly("T^6 + T + 12")
-    assert factor_mod_p(f, 101, seed=3) == factor_mod_p(f, 101, seed=3)
+    assert factor_mod_p(f, 101) == factor_mod_p(f, 101)
 
 
 def test_irreducibility():
@@ -273,7 +273,7 @@ sparse_polys = st.lists(st.one_of(st.just(0), st.integers(-5, 5)), min_size=2, m
 @settings(max_examples=300, deadline=None)
 def test_real_root_report_matches_sympy(p):
     """The Sturm counts and sign flags of the real-root report, from the
-    irreducible factors and from the squarefree parts, against sympy's root
+    squarefree parts and from the irreducible factors, against sympy's root
     count and P's signs between sympy's isolated real roots."""
     if p.degree < 1:
         return
@@ -281,7 +281,66 @@ def test_real_root_report_matches_sympy(p):
     signs = {(v > 0) - (v < 0) for v in map(p, sympy_sign_points(p))}
     want = poly_module.RealRootReport(count, 1 in signs, -1 in signs)
     assert real_roots_sign_analysis(p) == want
-    assert poly_module._real_root_report(p, poly_module._squarefree_parts(p)[1]) == want
+    assert poly_module._real_root_report(p, factor_over_Q(p)[1]) == want
+
+
+def test_real_roots_sign_analysis_never_factorises(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poly_module, "factor_over_Q", lambda p: calls.append(p))
+    rep = real_roots_sign_analysis(parse_poly("T^26-2") * parse_poly("T-1") * parse_poly("T-1"))
+    assert rep == poly_module.RealRootReport(3, True, True)
+    assert calls == []
+
+
+@st.composite
+def rational_root_polys(draw):
+    """(P, its planted rational roots): c * T^z * R * prod (b T - a)^m of
+    degree 1..12, with content c, |lc(R)| <= 30, roots a/b with b > 1 among
+    the planted ones, some repeated, and P(0) = 0 when z > 0."""
+    p = IntPolynomial([draw(st.sampled_from([1, -1, 2, -3, 6, 12]))])
+    p = p * IntPolynomial(
+        draw(st.lists(st.integers(-30, 30), max_size=5))
+        + [draw(st.integers(-30, 30).filter(bool))]
+    )
+    planted = set()
+    z = draw(st.integers(0, 2))
+    if z:
+        p = p * IntPolynomial([0] * z + [1])
+        planted.add(Fraction(0))
+    for a, b, m in draw(st.lists(
+        st.tuples(st.integers(-10**6, 10**6), st.integers(1, 40), st.integers(1, 3)), max_size=4
+    )):
+        if p.degree + m <= 12:
+            p = prod([IntPolynomial([-a, b])] * m, start=p)
+            planted.add(Fraction(a, b))
+    assume(1 <= p.degree <= 12)
+    return p, sorted(planted)
+
+
+def rational_roots_oracle(p):
+    """The rational roots of p from the degree-1 factors of factor_over_Q."""
+    return sorted(Fraction(-f.coeffs[0], f.coeffs[1]) for f, _ in factor_over_Q(p)[1] if f.degree == 1)
+
+
+MANY_DIVISORS = prod([parse_poly("T^2+1"), poly(151351200, 1), poly(-1, 720720)])
+
+
+@given(rational_root_polys())
+@example((MANY_DIVISORS, [Fraction(-151351200), Fraction(1, 720720)]))
+@example((parse_poly("T^26-2") * poly(7, 3), [Fraction(-7, 3)]))
+@example((poly(0, 0, 0, 5), [Fraction(0)]))
+@example((poly(-2, 0, 1), []))
+@settings(max_examples=300, deadline=None)
+def test_rational_roots_match_factor_over_Q(case):
+    p, planted = case
+    got = poly_module._rational_roots(p)
+    assert set(planted) <= set(got)
+    if p.degree <= 24:
+        assert got == rational_roots_oracle(p)
+    else:
+        # past factor_over_Q's cap: (T^26 - 2)(3T + 7), where T^26 - 2 is
+        # irreducible (Eisenstein at 2), so -7/3 is the only rational root
+        assert got == planted
 
 
 @given(coeff_lists)

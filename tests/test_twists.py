@@ -129,14 +129,22 @@ class TestSquarefreeParts:
             return real(p)
 
         monkeypatch.setattr(poly, "factor_over_Q", spy)
-        monkeypatch.setattr(twists, "factor_over_Q", spy)
+        monkeypatch.setattr(covers, "factor_over_Q", spy)
         twists._solver_cache.clear()
         res = hasse_failure_candidates(cov, 20, 30)
         assert res.soluble_with_points + len(res.candidates) > 0  # the scan did search
         assert calls == []
-        # with a real root the flag is decided by factor_over_Q, once
+        # with a real root the flag comes from _rational_roots, not a factorisation
         assert not SuperellipticCurve(2, P("T^4 - 2"))._has_rational_root
-        assert calls == [P("T^4 - 2")]
+        assert SuperellipticCurve(2, P("T^4 - 2") * P("3*T + 7"))._has_rational_root
+        assert calls == []
+
+    def test_past_the_factoring_cap(self):
+        # factor_over_Q stops at degree 24; a curve never factorises P
+        curve = SuperellipticCurve(2, P("T^26 - 2"))
+        assert not curve._has_rational_root
+        assert curve._real_report.distinct_real_roots == 2
+        assert SuperellipticCurve(2, P("T^26 - 2") * P("3*T + 7"))._has_rational_root
 
 
 class TestSearch:
