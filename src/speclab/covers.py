@@ -2,9 +2,10 @@
 
 Two families are modeled exactly: quadratic covers y^2 = P(t) and cubic covers
 P(t, y) = y^3 + a2(t) y^2 + a1(t) y + a0(t), monic in y. Branch points,
-ramification indices (via Newton polygons over the branch point's field),
-specialization fields with exact discriminants, and the unramified-prime
-sieve all live here.
+ramification indices (a cubic's from the valuations of its discriminant and
+of its depressed form's two coefficients at the branch point), specialization
+fields with exact discriminants, and the unramified-prime sieve all live
+here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import comb, gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .poly import (
     HomogPolynomial,
     IntPolynomial,
     ProjectivePoint,
-    _bareiss_det,
+    _exact_quotient,
     _rational_roots,
     _squarefree_parts,
     discriminant,
@@ -56,314 +57,6 @@ __all__ = [
     "chebotarev_unramified_sieve",
     "verify_unramified",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Arithmetic in a number field K = Q[x]/(m), just enough for Newton polygons.
-
-
-def _reduced(nums, den: int) -> tuple:
-    """The element sum nums[i] theta^i / den in lowest terms, den > 0."""
-    g = gcd(den, *nums)
-    if den < 0:
-        g = -g
-    if g == 1:
-        return tuple(nums), den
-    return tuple(n // g for n in nums), den // g
-
-
-class _NF:
-    """K = Q[x]/(m) for an irreducible integer polynomial m of degree d
-    (coefficients low degree first; any leading coefficient).
-
-    K is computed over the integral generator theta = L x, where L clears the
-    denominators of m / lc(m): the minimal polynomial of theta,
-    m_int(y) = L^d m(y / L) / lc(m), is monic with integer coefficients, so
-    products reduce modulo it without division. An element is a pair
-    (nums, den): sum nums[i] theta^i / den with integer nums, den > 0 and
-    gcd(den, *nums) = 1, so equal elements are equal pairs."""
-
-    def __init__(self, m: list[int]):
-        d = len(m) - 1
-        lc = m[-1]
-        L = lcm(*(abs(lc) // gcd(c, lc) for c in m[:-1]))
-        self.deg = d
-        self.L = L
-        self.m_int = [c * L ** (d - i) // lc for i, c in enumerate(m[:-1])]
-        self.zero = ((0,) * d, 1)
-        self.one = ((1,) + (0,) * (d - 1), 1)
-        # x = theta / L; in degree 1, theta = -m_int[0]
-        theta = (0, 1) + (0,) * (d - 2) if d > 1 else (-self.m_int[0],)
-        self.gen = _reduced(theta, L)
-
-    def elt(self, c: int):
-        """The integer c as an element of K."""
-        return (c,) + (0,) * (self.deg - 1), 1
-
-    def add(self, a, b):
-        (x, dx), (y, dy) = a, b
-        if dx == dy:
-            return _reduced([p + q for p, q in zip(x, y)], dx)
-        return _reduced([p * dy + q * dx for p, q in zip(x, y)], dx * dy)
-
-    def sub(self, a, b):
-        (x, dx), (y, dy) = a, b
-        if dx == dy:
-            return _reduced([p - q for p, q in zip(x, y)], dx)
-        return _reduced([p * dy - q * dx for p, q in zip(x, y)], dx * dy)
-
-    def scal(self, c: int, a):
-        x, dx = a
-        return _reduced([c * p for p in x], dx)
-
-    def mul(self, a, b):
-        (x, dx), (y, dy) = a, b
-        d = self.deg
-        out = [0] * (2 * d - 1)
-        for i, p in enumerate(x):
-            if p:
-                for j, q in enumerate(y):
-                    out[i + j] += p * q
-        m = self.m_int
-        for k in range(2 * d - 2, d - 1, -1):
-            c = out[k]
-            if c:
-                for j in range(d):
-                    out[k - d + j] -= c * m[j]
-        return _reduced(out[:d], dx * dy)
-
-    def is_zero(self, a) -> bool:
-        return not any(a[0])
-
-    def inv(self, a):
-        """a^-1 by Cramer's rule on the integer matrix M of multiplication by
-        the numerator of a: M z = e_0 gives z = adj(M) e_0 / det(M)."""
-        x, dx = a
-        if not any(x):
-            raise ZeroDivisionError("inverse of zero in a number field")
-        d = self.deg
-        m = self.m_int
-        cols = [list(x)]  # coordinates of x theta^j
-        for _ in range(d - 1):
-            v = cols[-1]
-            top = v[-1]
-            cols.append([-top * m[0]] + [v[i - 1] - top * m[i] for i in range(1, d)])
-        M = [list(row) for row in zip(*cols)]
-        det = _bareiss_det(M)
-        if det == 0:
-            raise ZeroDivisionError("element not invertible (minpoly not irreducible?)")
-        # entry i of adj(M) e_0 is the (0, i) cofactor of M
-        adj = [
-            (-1) ** i * _bareiss_det([row[:i] + row[i + 1 :] for row in M[1:]])
-            for i in range(d)
-        ]
-        return _reduced([dx * c for c in adj], det)
-
-
-def _kp_trim(K: _NF, a: list) -> list:
-    while a and K.is_zero(a[-1]):
-        a.pop()
-    return a
-
-
-def _kp_val(K: _NF, a: list) -> int | None:
-    """s-valuation of a K[s] polynomial (None for 0)."""
-    for i, c in enumerate(a):
-        if not K.is_zero(c):
-            return i
-    return None
-
-
-def _kp_mul(K: _NF, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [K.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not K.is_zero(x):
-            for j, y in enumerate(b):
-                out[i + j] = K.add(out[i + j], K.mul(x, y))
-    return _kp_trim(K, out)
-
-
-def _kp_add(K: _NF, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = a + [K.zero] * (n - len(a))
-    b = b + [K.zero] * (n - len(b))
-    return _kp_trim(K, [K.add(x, y) for x, y in zip(a, b)])
-
-
-def _kp_shift(K: _NF, a: list, k: int) -> list:
-    """Multiply by s^k (k >= 0)."""
-    return [K.zero] * k + a if a else []
-
-
-# Newton-polygon branch analysis. F is a list over Y-powers of K[s] polys.
-
-
-def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    pts = sorted(points)
-    hull: list[tuple[int, int]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
-def _k_poly_roots(K: _NF, phi: list) -> list[tuple[tuple, int]]:
-    """Roots in K of a K-polynomial of degree <= 3 with their multiplicities.
-
-    Only repeated roots must be found exactly (simple roots are merely
-    counted); for degree <= 3 a repeated root is always K-rational, read off
-    gcd(phi, phi'). Returns [(root, multiplicity)] for the K-rational
-    repeated roots; the other roots are simple.
-    """
-    d = _kp_trim(K, [K.scal(i, c) for i, c in enumerate(phi)][1:])
-    phi = _kp_trim(K, phi[:])
-    g = _k_gcd(K, phi, d)
-    deg_g = len(g) - 1
-    if deg_g == 0:
-        return []  # all roots simple
-    if deg_g == 1:
-        # single repeated root c = -g0/g1, multiplicity from phi
-        c = K.mul(K.sub(K.zero, g[0]), K.inv(g[1]))
-        return [(c, _root_multiplicity(K, phi, c))]
-    if deg_g == 2:
-        # phi = (x-c)^3 (deg phi 3): c from phi' ~ 3(x-c)^2: c = root of gcd
-        # gcd itself is (x-c)^2 up to scalar: c = -g1/(2 g2)
-        c = K.mul(K.sub(K.zero, g[1]), K.inv(K.scal(2, g[2])))
-        mult = _root_multiplicity(K, phi, c)
-        if mult < 2:
-            raise NotImplementedError("repeated factor of degree >= 2")
-        return [(c, mult)]
-    raise NotImplementedError("residual degree > 3")
-
-
-def _k_gcd(K: _NF, a: list, b: list) -> list:
-    a, b = _kp_trim(K, a[:]), _kp_trim(K, b[:])
-    while b:
-        # a mod b
-        r = a[:]
-        inv = K.inv(b[-1])
-        while len(r) >= len(b):
-            c = K.mul(r[-1], inv)
-            k = len(r) - len(b)
-            for j in range(len(b)):
-                r[k + j] = K.sub(r[k + j], K.mul(c, b[j]))
-            r = _kp_trim(K, r)
-            if not r:
-                break
-        a, b = b, r
-    if a:
-        inv = K.inv(a[-1])
-        a = [K.mul(c, inv) for c in a]
-    return a if a else [K.zero]
-
-
-def _root_multiplicity(K: _NF, phi: list, c) -> int:
-    m = 0
-    cur = phi[:]
-    while cur:
-        val = K.zero
-        for co in reversed(cur):
-            val = K.add(K.mul(val, c), co)
-        if not K.is_zero(val):
-            break
-        # synthetic division by (x - c)
-        q = [K.zero] * (len(cur) - 1)
-        acc = cur[-1]
-        for i in range(len(cur) - 2, -1, -1):
-            q[i] = acc
-            acc = K.add(cur[i], K.mul(acc, c))
-        cur = _kp_trim(K, q)
-        m += 1
-    return m
-
-
-_MAX_PUISEUX_DEPTH = 64
-
-
-def _branch_indices(K: _NF, F: list, only_positive: bool, depth: int = 0) -> list[int]:
-    """Ramification indices of the places of F(s, Y) = 0 over s = 0.
-
-    F: list over Y-powers of K[s] polynomials; separable in Y over K(s).
-    With only_positive, only branches with val(y) > 0 are reported (used in
-    recursion after recentering); otherwise every root of F is accounted for,
-    so the returned indices sum to deg_Y F.
-    """
-    if depth > _MAX_PUISEUX_DEPTH:
-        raise RuntimeError("Newton-Puiseux recursion too deep")
-    F = [f[:] for f in F]
-    while F and not F[-1]:
-        F.pop()
-    out: list[int] = []
-    # strip an exact Y-factor: the branch y = 0, valuation +infinity
-    if F and _kp_val(K, F[0]) is None:
-        out.append(1)
-        F = F[1:]
-    pts = []
-    for j, c in enumerate(F):
-        v = _kp_val(K, c)
-        if v is not None:
-            pts.append((j, v))
-    if len(pts) <= 1:
-        return out
-    hull = _lower_hull(pts)
-    for (j1, v1), (j2, v2) in zip(hull, hull[1:]):
-        # the root valuation is (v1 - v2) / ell, with denominator b
-        ell = j2 - j1
-        b = ell // gcd(v1 - v2, ell)
-        if only_positive and v1 <= v2:
-            continue
-        if b > 1:
-            if ell > b:
-                # residual of degree > 1 with a fractional slope: cannot occur
-                # for deg_Y <= 3, which is all this engine serves.
-                raise NotImplementedError("wide fractional segment")
-            out.append(b)
-            continue
-        # integer slope lam: residual polynomial of degree ell
-        lam = (v1 - v2) // ell
-        phi = [K.zero] * (ell + 1)
-        for j, v in pts:
-            if j1 <= j <= j2 and v == v1 - (j - j1) * lam:
-                phi[j - j1] = F[j][v]
-        rep = _k_poly_roots(K, phi)
-        out.extend([1] * (ell - sum(m for _, m in rep)))
-        for c, mult in rep:
-            # recenter: y = s^lam (c + y'), isolate the mult continuing roots
-            G = _recenter(K, F, lam, c)
-            sub = _branch_indices(K, G, only_positive=True, depth=depth + 1)
-            if sum(sub) != mult:
-                raise ConsistencyError("branch recursion lost roots")
-            out.extend(sub)
-    return out
-
-
-def _recenter(K: _NF, F: list, lam: int, c) -> list:
-    """G(s, Y) ~ F(s, s^lam (c + Y)) cleared to K[s][Y]."""
-    n = len(F) - 1
-    # binomial expansion: coefficient of Y^m is sum_j F_j s^(j lam) C(j,m) c^(j-m)
-    G: list[list] = [[] for _ in range(n + 1)]
-    cpows = [K.one]
-    for _ in range(n):
-        cpows.append(K.mul(cpows[-1], c))
-    shift = min(lam * j for j in range(n + 1)) if lam < 0 else 0
-    for j, Fj in enumerate(F):
-        if not Fj:
-            continue
-        for m in range(j + 1):
-            coef = K.scal(comb(j, m), cpows[j - m])
-            if K.is_zero(coef):
-                continue
-            term = [K.mul(x, coef) for x in Fj]
-            term = _kp_shift(K, term, lam * j - shift)
-            G[m] = _kp_add(K, G[m], term)
-    return G
 
 
 # ---------------------------------------------------------------------------
@@ -572,25 +265,59 @@ class CubicCover:
                 return True
         return False
 
+    @cached_property
+    def _depressed(self) -> tuple[IntPolynomial, IntPolynomial]:
+        """(p, q) with Z^3 + p Z + q = 27 P(T, (Z - a2) / 3), so
+        -4 p^3 - 27 q^2 = 3^6 delta; computed on first use, no part of repr,
+        equality or hash."""
+        a2, a1, a0 = self.a2, self.a1, self.a0
+        return 9 * a1 - 3 * a2 * a2, 2 * a2 * a2 * a2 - 9 * a1 * a2 + 27 * a0
+
     def cycle_type_at(self, tau) -> list[int]:
         """Cycle type of monodromy on the three sheets above tau; tau is a
-        rational number, INFINITY, or an irreducible IntPolynomial minpoly."""
+        rational number, INFINITY, or an irreducible IntPolynomial minpoly.
+
+        It is read from m, a and b, the valuations at tau of delta, p and q
+        (see _depressed). The residue field has characteristic 0, so the
+        ramification is tame and v_tau(disc of the function field), which is
+        sum(e_i - 1) in {0, 1, 2}, has the parity of m: odd m gives [1, 2].
+        For even m: when 3a > 2b, the Newton polygon of Z^3 + p Z + q is one
+        segment of slope b / 3, so [3] exactly when 3 does not divide b.
+        When 3a < 2b, a root splits off and the segment of length 2 has the
+        integer slope a / 2 (m = 3a is even). When 3a = 2b, the residual cubic
+        z^3 + p0 z + q0 has no triple root, so a root splits off too. Either
+        way the even m leaves [1, 1, 1] (cf. Llorente-Nart-Vila, Trans. AMS
+        281, 1984).
+
+        Cross-check: v_tau(-4 p^3 - 27 q^2) is min(3a, 2b) unless the two
+        tie, and never less; a mismatch with m raises ConsistencyError."""
+        p, q = self._depressed
         if tau is INFINITY:
-            K = _NF([0, 1])
+            # valuations at 1/T of delta / T^(6D), p / T^(2D) and q / T^(3D),
+            # the depressed cubic of Y / T^D, which is integral there
             D = self.coeff_degree
-            F = []
-            for a in (self.a0, self.a1, self.a2):
-                rev = a.reverse(D) if a.degree >= 0 else IntPolynomial([])
-                F.append([K.elt(c) for c in rev.coeffs])
-            F.append([K.zero] * D + [K.one])  # Y^3 coefficient s^D
-            return sorted(_branch_indices(K, F, only_positive=False))
-        if not isinstance(tau, IntPolynomial):
-            tau = Fraction(tau)
-            tau = IntPolynomial([-tau.numerator, tau.denominator])
-        K = _NF(list(tau.coeffs))
-        F = [_compose_shift(K, a, K.gen) for a in (self.a0, self.a1, self.a2)]
-        F.append([K.one])
-        return sorted(_branch_indices(K, F, only_positive=False))
+            m, a, b = (
+                k * D - g.degree if g.coeffs else inf
+                for g, k in ((self.delta, 6), (p, 2), (q, 3))
+            )
+        else:
+            if not isinstance(tau, IntPolynomial):
+                tau = Fraction(tau)
+                tau = IntPolynomial([-tau.numerator, tau.denominator])
+            if tau.degree < 1:
+                raise ValueError("constant polynomial has no root")
+            f = tau.primitive()
+            m, a, b = (_valuation_at(g, f) for g in (self.delta, p, q))
+        low = min(3 * a, 2 * b)
+        if m < low or (m > low and 3 * a != 2 * b):
+            raise ConsistencyError(
+                f"v(delta) = {m} does not fit v(p) = {a} and v(q) = {b} at {tau!r}"
+            )
+        if m % 2:
+            return [1, 2]
+        if 3 * a > 2 * b and b % 3:
+            return [3]
+        return [1, 1, 1]
 
     def branch_orbits(self) -> list[tuple[HomogPolynomial, int]]:
         """(minimal binary form, inertia order) per branch orbit, including
@@ -641,17 +368,15 @@ class CubicCover:
         return IntPolynomial([A[0], A[1], A[2], 1])
 
 
-def _compose_shift(K: _NF, a: IntPolynomial, tau) -> list:
-    """a(tau + s) as a K[s] polynomial."""
-    if a.degree < 0:
-        return []
-    # Horner in (tau + s)
-    out: list = []
-    lin = [tau, K.one]  # tau + s
-    for c in reversed(a.coeffs):
-        out = _kp_mul(K, out, lin) if out else []
-        out = _kp_add(K, out, [K.elt(c)])
-    return out
+def _valuation_at(g: IntPolynomial, f: IntPolynomial) -> int | float:
+    """How often the primitive irreducible f divides g (inf for g = 0); each
+    quotient is exact in Z[T] by Gauss's lemma."""
+    if not g.coeffs:
+        return inf
+    k = 0
+    while (g := _exact_quotient(g, f)) is not None:
+        k += 1
+    return k
 
 
 def cubic_field_disc(f: IntPolynomial) -> int:
@@ -816,7 +541,7 @@ def s3_survey_predicates(
     factorization + discriminant-square fallback). leading_form_ok asks the
     degree-D leading coefficients to form an irreducible quadratic, which
     forces the fiber above infinity to be unbranched; infinity_unbranched
-    itself is computed exactly from the Newton polygon at infinity.
+    itself is the exact cycle type at infinity (CubicCover.cycle_type_at).
     """
     try:
         cover = CubicCover(a2, a1, a0)

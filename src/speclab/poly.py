@@ -618,16 +618,21 @@ def _yun(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
 
 
 def _rational_roots(p: IntPolynomial) -> list[Fraction]:
-    """The distinct rational roots of a nonzero p, in increasing order.
+    """The distinct rational roots of a nonzero p, in increasing order."""
+    return _rational_roots_of_parts(*_squarefree_parts(p)[1:])
 
-    Per squarefree part f of _squarefree_parts(p), at an odd prime q where f
-    mod q is squarefree and q does not divide lc(f): a root a/b of f has
-    b | lc(f), so it reduces to a simple root of f mod q, which Newton's
-    method lifts to a / b mod q^k. By Cauchy's bound |lc(f) * a / b| is at
-    most lc(f) + max |c_i|, so once q^k exceeds twice that, the symmetric
-    residue of lc(f) * a / b mod q^k is that integer. Each candidate is then
-    tested exactly: b^N f(a/b) = sum c_i a^i b^(N-i) = 0."""
-    _, parts, good = _squarefree_parts(p)
+
+def _rational_roots_of_parts(parts, good) -> list[Fraction]:
+    """The distinct rational roots of p, in increasing order, from
+    (parts, good) of _squarefree_parts(p).
+
+    Per squarefree part f, at an odd prime q where f mod q is squarefree and
+    q does not divide lc(f): a root a/b of f has b | lc(f), so it reduces to
+    a simple root of f mod q, which Newton's method lifts to a / b mod q^k.
+    By Cauchy's bound |lc(f) * a / b| is at most lc(f) + max |c_i|, so once
+    q^k exceeds twice that, the symmetric residue of lc(f) * a / b mod q^k is
+    that integer. Each candidate is then tested exactly:
+    b^N f(a/b) = sum c_i a^i b^(N-i) = 0."""
     out = []
     for f, _ in parts:
         q, _ = next(good) if good else next(filter(None, _reductions(f)))

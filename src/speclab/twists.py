@@ -39,7 +39,7 @@ from .poly import (
     HomogPolynomial,
     IntPolynomial,
     RealRootReport,
-    _rational_roots,
+    _rational_roots_of_parts,
     _real_root_report,
     _squarefree_parts,
     discriminant,
@@ -87,11 +87,11 @@ class SuperellipticCurve:
             raise ValueError("n must be >= 2")
         if self.P.degree < 1:
             raise ValueError("P must be nonconstant")
-        _, parts, _ = _squarefree_parts(self.P)
+        _, parts, good = _squarefree_parts(self.P)
         if any(m >= self.n for _, m in parts):
             raise ValueError("P has a root of multiplicity >= n")
         report = _real_root_report(self.P, parts)
-        rational = report.distinct_real_roots > 0 and bool(_rational_roots(self.P))
+        rational = report.distinct_real_roots > 0 and bool(_rational_roots_of_parts(parts, good))
         object.__setattr__(self, "_sqf_parts", tuple(parts))
         object.__setattr__(self, "_real_report", report)
         object.__setattr__(self, "_has_rational_root", rational)

@@ -204,8 +204,9 @@ class TestCubic:
         assert rep2.group == "C3"  # x^3 - 3x - 1: disc 81
 
 
-# The Newton-Puiseux engine in Fraction arithmetic, as it was before the
-# integer-numerator fields, kept as oracle: OldNF and old_cycle_type_at.
+# The Newton-Puiseux engine over the branch point's field, in Fraction
+# arithmetic, kept as oracle for the closed form of cycle_type_at: OldNF and
+# old_cycle_type_at.
 
 
 class OldNF:
@@ -493,72 +494,6 @@ def old_cycle_type_at(cover, tau):
     return sorted(_old_branch_indices(K, F, only_positive=False))
 
 
-def x_coords(K, a):
-    """An element of covers._NF as Fraction coordinates in the basis x^i of
-    Q[x]/(m), as OldNF holds it: theta = L x."""
-    nums, den = a
-    return tuple(Fraction(n * K.L**i, den) for i, n in enumerate(nums))
-
-
-# irreducible minimal polynomials, low degree first: degree 1 (K = Q), a
-# non-monic quadratic, a monic and a non-monic quartic (Eisenstein at 2, 3)
-FIELDS = [[0, 1], [27, 4], [-2, 0, 3], [-2, 0, 0, 0, 1], [6, -3, 0, 3, 2]]
-
-
-@st.composite
-def field_elements(draw, d):
-    nums = draw(st.lists(st.integers(-60, 60), min_size=d, max_size=d))
-    return covers._reduced(nums, draw(st.integers(1, 40)))
-
-
-class TestNumberField:
-    @pytest.mark.parametrize("m", FIELDS)
-    def test_integral_generator(self, m):
-        K = covers._NF(m)
-        d = len(m) - 1
-        # m_int(theta) = 0 for theta = L x: L^d m(theta / L) / lc(m)
-        m_int = K.m_int + [1]
-        assert all(
-            Fraction(c, m[-1]) * K.L ** (d - i) == m_int[i] for i, c in enumerate(m)
-        )
-        old = OldNF([Fraction(c, m[-1]) for c in m])
-        want_gen = old.gen if d > 1 else (Fraction(-m[0], m[1]),)
-        assert x_coords(K, K.gen) == want_gen
-        assert x_coords(K, K.one) == old.one and K.is_zero(K.zero)
-        assert x_coords(K, K.elt(-3)) == old.elt(-3)
-
-    @pytest.mark.parametrize("m", FIELDS)
-    def test_inverse_of_zero_raises(self, m):
-        K = covers._NF(m)
-        with pytest.raises(ZeroDivisionError):
-            K.inv(K.zero)
-        with pytest.raises(ZeroDivisionError):
-            K.inv(K.scal(0, K.gen))
-
-    @pytest.mark.parametrize("m", FIELDS)
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_fraction_arithmetic(self, m, data):
-        K = covers._NF(m)
-        old = OldNF([Fraction(c, m[-1]) for c in m])
-        a = data.draw(field_elements(K.deg))
-        b = data.draw(field_elements(K.deg))
-        xa, xb = x_coords(K, a), x_coords(K, b)
-        for new, want in [
-            (K.add(a, b), old.add(xa, xb)),
-            (K.sub(a, b), old.sub(xa, xb)),
-            (K.mul(a, b), old.mul(xa, xb)),
-            (K.scal(-6, a), old.scal(-6, xa)),
-        ]:
-            assert x_coords(K, new) == want
-            # lowest terms with a positive denominator, so equal means equal
-            assert new[1] > 0 and math.gcd(new[1], *new[0]) == 1
-        if not K.is_zero(a):
-            inv = K.inv(a)
-            assert K.mul(a, inv) == K.one == K.mul(inv, a)
-            assert x_coords(K, inv) == old.inv(xa)
-
-
 @st.composite
 def cubic_covers(draw):
     """Y^3 + a2 Y^2 + a1 Y + a0 with coefficients of degree <= 3 in [-4, 4]."""
@@ -575,6 +510,14 @@ def cover_of(a2, a1, a0):
     return CubicCover(P(a2), P(a1), P(a0))
 
 
+def degenerate_cover(g, k):
+    """Y^3 - 3 g^2 Y + 2 g^3 + g^k = (Y - g)^2 (Y + 2g) + g^k for k >= 4:
+    p = -27 g^2 and q = 27 (2 g^3 + g^k) lie on the line 3 v_g(p) = 2 v_g(q)
+    = 6, where the residual cubic has a double root, and v_g(delta) = k + 3."""
+    g = P(g)
+    return CubicCover(IntPolynomial([]), -3 * g * g, 2 * g * g * g + math.prod([g] * k))
+
+
 class TestCycleTypes:
     # the cycle types at non-monic factors of delta of degree 2 and 4:
     # [3] with m = 2, [1, 2] with m = 3, a node [1, 1, 1] with m = 2, [1, 2]
@@ -584,6 +527,12 @@ class TestCycleTypes:
     @example(cover_of("0", "-2*T^2-2*T+1", "0"), Fraction(1, 2))
     @example(cover_of("-1*T^2-2*T+1", "-2*T^2-1", "0"), Fraction(0))
     @example(cover_of("0", "T+2", "T^2-2*T+2"), Fraction(-2))
+    # on the line 3 v(p) = 2 v(q): [1, 2] with m = 7, and [1, 1, 1] with m = 8
+    @example(degenerate_cover("T", 4), Fraction(0))
+    @example(degenerate_cover("T", 5), Fraction(0))
+    @example(degenerate_cover("T^2+1", 4), Fraction(0))
+    @example(degenerate_cover("T^2+1", 5), Fraction(0))
+    @example(degenerate_cover("2*T^3+T+1", 4), Fraction(0))
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_engine(self, cover, tau):
         for f, _ in cover._factors:
@@ -608,6 +557,20 @@ class TestCycleTypes:
                 if f.degree >= 2 and abs(f.lc) > 1:
                     shapes.add((f.degree, tuple(cover.cycle_type_at(f)), m))
         assert shapes == {(2, (3,), 2), (2, (1, 2), 3), (2, (1, 1, 1), 2), (4, (1, 2), 1)}
+
+    def test_examples_reach_the_degenerate_line(self):
+        # delta of degenerate_cover("2*T^3+T+1", 5) has degree 30, past the
+        # cap of factor_over_Q, so that cover is checked here at g alone
+        shapes = set()
+        for g in ("T", "T^2+1", "2*T^3+T+1"):
+            for k in (4, 5):
+                cover, f = degenerate_cover(g, k), P(g)
+                m, a, b = (covers._valuation_at(h, f) for h in (cover.delta, *cover._depressed))
+                assert 3 * a == 2 * b > 0
+                ct = cover.cycle_type_at(f)
+                assert ct == old_cycle_type_at(cover, f)
+                shapes.add((k, m, tuple(ct)))
+        assert shapes == {(4, 7, (1, 2)), (5, 8, (1, 1, 1))}
 
 
 def old_generic_group(cover):

@@ -56,13 +56,14 @@ CASES = {
         poly.resultant = lambda a, b: 3  # not divisible by lc = 2
         poly.discriminant(parse_poly("2*T^2+1"))
     """,
-    "covers._branch_indices": """
+    "covers.CubicCover.cycle_type_at": """
         from speclab import covers
-        recenter = covers._recenter
-        # dropping the Y^0 term divides out Y, so a continuing root is lost
-        covers._recenter = lambda K, F, lam, c: recenter(K, F, lam, c)[1:]
         t = parse_poly("T")
-        covers.CubicCover(parse_poly("0"), t, t).cycle_type_at(Fraction(-27, 4))
+        cov = covers.CubicCover(parse_poly("0"), t, t)  # delta = -T^2 (4T + 27)
+        # one more factor T: v(delta) = 3, where v(p) = v(q) = 1 force 2; the
+        # parity would then give [1, 2] where the type is [3]
+        object.__setattr__(cov, "delta", cov.delta * t)
+        cov.cycle_type_at(Fraction(0))
     """,
     "covers._dedekind_p_maximal": """
         from speclab import covers, fp

@@ -199,7 +199,10 @@ def test_projective_points():
 
 def test_homogenize_minpoly():
     form = homogenize_minpoly(INFINITY)
-    assert form.coeffs_low_v() if hasattr(form, "coeffs_low_v") else True
+    # the form V: zero at (U : V) = (1 : 0), which is infinity, and not at 0
+    assert form == HomogPolynomial([1, 0], degree=1)
+    assert form.eval_proj((1, 0)) == 0
+    assert form.eval_proj((0, 1)) != 0
     from fractions import Fraction
 
     f2 = homogenize_minpoly(Fraction(3, 2))

@@ -146,6 +146,27 @@ class TestSquarefreeParts:
         assert curve._real_report.distinct_real_roots == 2
         assert SuperellipticCurve(2, P("T^26 - 2") * P("3*T + 7"))._has_rational_root
 
+    def test_one_decomposition_per_curve(self, monkeypatch):
+        # the rational-root flag reads the parts that the curve keeps
+        calls = []
+        real = poly._squarefree_parts
+
+        def spy(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(poly, "_squarefree_parts", spy)
+        monkeypatch.setattr(twists, "_squarefree_parts", spy)
+        for p, rational in [
+            (P("T^4 - 2"), False),  # real roots, none rational
+            (P("T^4 - 2") * P("3*T + 7"), True),
+            (P("T - 1") * P("T - 1") * P("T^2 - 2"), True),  # parts from Yun
+            (PINNED8, False),  # no real root
+        ]:
+            calls.clear()
+            assert SuperellipticCurve(3, p)._has_rational_root == rational
+            assert calls == [p]
+
 
 class TestSearch:
     def test_known_point(self):
