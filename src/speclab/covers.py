@@ -37,10 +37,8 @@ from .poly import (
     _exact_quotient,
     _rational_roots,
     _squarefree_parts,
-    discriminant,
     factor_over_Q,
     format_poly,
-    homogenize_minpoly,
 )
 
 __all__ = [
@@ -105,7 +103,7 @@ class QuadraticCover:
         coefficient, so its homogenisation is the orbit's minimal form."""
         out = [(HomogPolynomial.from_poly(f), 2) for f, _ in self._factors]
         if self.infinity_branched:
-            out.append((homogenize_minpoly(INFINITY), 2))
+            out.append((HomogPolynomial([1, 0], degree=1), 2))  # the form V
         return out
 
     def hom_value(self, pt: ProjectivePoint) -> int:
@@ -194,12 +192,7 @@ class CubicCover:
     delta: IntPolynomial = field(init=False)
 
     def __post_init__(self):
-        a2, a1, a0 = self.a2, self.a1, self.a0
-        # disc_Y of Y^3 + a2 Y^2 + a1 Y + a0, in closed form
-        d = (
-            a2 * a2 * a1 * a1 - 4 * a1 * a1 * a1 - 4 * a2 * a2 * a2 * a0
-            - 27 * a0 * a0 + 18 * a2 * a1 * a0
-        )
+        d = _cubic_disc(self.a2, self.a1, self.a0)
         if d.degree < 0:
             raise ValueError("cover is not separable over Q(t)")
         object.__setattr__(self, "delta", d)
@@ -342,7 +335,7 @@ class CubicCover:
         ct = self.cycle_type_at(INFINITY)
         e = lcm(*ct)
         if e > 1:
-            out.append((homogenize_minpoly(INFINITY), e))
+            out.append((HomogPolynomial([1, 0], degree=1), e))  # the form V
         return out
 
     @property
@@ -368,6 +361,15 @@ class CubicCover:
         return IntPolynomial([A[0], A[1], A[2], 1])
 
 
+def _cubic_disc(a2, a1, a0):
+    """Discriminant of Y^3 + a2 Y^2 + a1 Y + a0; the a_i are ints or
+    IntPolynomials."""
+    return (
+        a2 * a2 * a1 * a1 - 4 * a1 * a1 * a1 - 4 * a2 * a2 * a2 * a0
+        - 27 * a0 * a0 + 18 * a2 * a1 * a0
+    )
+
+
 def _valuation_at(g: IntPolynomial, f: IntPolynomial) -> int | float:
     """How often the primitive irreducible f divides g (inf for g = 0); each
     quotient is exact in Z[T] by Gauss's lemma."""
@@ -387,15 +389,16 @@ def cubic_field_disc(f: IntPolynomial) -> int:
     p-index comes from the p-maximality reduction of that form (Belabas,
     A fast algorithm to compute cubic fields, Math. Comp. 66 (1997)); then
     v_p(d_K) = v_p(disc f) - 2 * (index exponent). Independent cross-check:
-    the Dedekind criterion at the same primes must agree on p-maximality of
-    Z[x]/(f); a disagreement raises ConsistencyError. sympy's round_two is
-    the tests' oracle, not a route here.
+    the Dedekind criterion at the same primes, from a multiple root found
+    without fp, must agree on p-maximality of Z[x]/(f); a disagreement raises
+    ConsistencyError. sympy's round_two is the tests' oracle, not a route
+    here.
     """
     if f.degree != 3 or f.lc != 1:
         raise ValueError("need a monic cubic")
     if _rational_roots(f):
         raise ValueError("cubic is reducible")
-    df = discriminant(f)
+    df = _cubic_disc(*f.coeffs[2::-1])
     return _field_disc(f, df, factorize(df))
 
 
@@ -449,31 +452,48 @@ def _cubic_index_exponent(form: tuple[int, int, int, int], p: int, v: int) -> in
 
 
 def _dedekind_p_maximal(f: IntPolynomial, p: int) -> bool:
-    """Dedekind's criterion: is Z[x]/(f) maximal at p? (f monic.)
+    """Dedekind's criterion for a monic cubic f: is Z[x]/(f) maximal at p?
 
-    With f = prod g_i^e_i mod p, g = prod g_i its radical and h = f / g, it
-    is p-maximal iff gcd((g h - f) / p, g, h) = 1 mod p. The squarefree
-    decomposition f = prod z_k^k mod p gives g = prod z_k and
-    h = prod z_k^(k - 1) without splitting the z_k into irreducibles."""
-    g = h = IntPolynomial([1])
-    for z, k in fp._sqf(fp.reduce(f.coeffs, p), p):
-        z = IntPolynomial(z)
-        g = g * z
-        for _ in range(k - 1):
-            h = h * z
-    T = g * h - f  # g * h = f mod p; the criterion holds for any monic lifts
-    if any(c % p for c in T.coeffs):
-        raise ConsistencyError(f"squarefree decomposition of {format_poly(f)} mod {p} "
-                               "does not multiply back")
-    d = fp.gcd(fp.reduce([c // p for c in T.coeffs], p), fp.reduce(g.coeffs, p), p)
-    return len(fp.gcd(d, fp.reduce(h.coeffs, p), p)) == 1
+    It is when p does not divide disc(f). Otherwise f has a multiple root r
+    mod p, and r is in F_p, for a cubic has no repeated irreducible quadratic
+    factor. Write f = g h + p T with g the radical of f mod p and h = f / g.
+    The only factor g and h can share is x - r, and f(r) = p T(r) for any lift
+    r. So Z[x]/(f) is p-maximal iff p^2 does not divide f(r). The first step
+    of _cubic_index_exponent tests the same divisibility at the root from
+    fp.double_root; this route finds r with _multiple_root and calls nothing
+    in fp, so the two stay independent."""
+    c, b, a = f.coeffs[:3]
+    if _cubic_disc(a, b, c) % p:
+        return True
+    r = _multiple_root(a, b, c, p)
+    if r is None or f(r) % p or ((3 * r + 2 * a) * r + b) % p:
+        raise ConsistencyError(f"no multiple root of {format_poly(f)} mod {p} at {r}")
+    return f(r) % (p * p) != 0
+
+
+def _multiple_root(a: int, b: int, c: int, p: int) -> int | None:
+    """The multiple root mod p of x^3 + a x^2 + b x + c when p divides its
+    discriminant. For p <= 3 it is searched for (None if there is none). For
+    p >= 5 it is a closed form: f = (x - r)^2 (x - s) gives h = a^2 - 3b =
+    (r - s)^2 and 9c - ab = 2 r h, so r = (9c - ab) / (2h) unless p | h, and
+    then r = s is a triple root, -a / 3."""
+    if p <= 3:
+        return next(
+            (r for r in range(p)
+             if (((r + a) * r + b) * r + c) % p == 0 and ((3 * r + 2 * a) * r + b) % p == 0),
+            None,
+        )
+    h = a * a - 3 * b
+    if h % p == 0:
+        return -a * pow(3, -1, p) % p
+    return (9 * c - a * b) * pow(2 * h, -1, p) % p
 
 
 def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
     """Splitting field data of P(t0, y) over Q at a rational t0."""
     pt = t0 if isinstance(t0, ProjectivePoint) else ProjectivePoint.from_rational(t0)
     spec = cover.specialized_cubic(pt)
-    disc = discriminant(spec)
+    disc = _cubic_disc(*spec.coeffs[2::-1])
     if disc == 0:
         raise ValueError(f"t0 = {pt} is a branch point of the discriminant locus")
     roots = _rational_roots(spec)
@@ -575,7 +595,7 @@ def _s3_witness(cover: CubicCover) -> int | None:
     for k in range(_WITNESS_RANGE + 1):
         for t0 in (k, -k) if k else (0,):
             spec = cover.specialized_cubic(ProjectivePoint(t0, 1))
-            disc = discriminant(spec)
+            disc = _cubic_disc(*spec.coeffs[2::-1])
             if disc == 0 or is_nth_power(disc, 2):
                 continue
             if not _rational_roots(spec):

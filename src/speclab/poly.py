@@ -26,7 +26,6 @@ __all__ = [
     "format_poly",
     "resultant",
     "discriminant",
-    "homogenize_minpoly",
     "factor_over_Q",
     "real_roots_sign_analysis",
     "RealRootReport",
@@ -367,37 +366,6 @@ class HomogPolynomial:
             if c:
                 terms.append(f"{c}*U^{k}*V^{self.degree - k}")
         return "HomogPolynomial(" + "+".join(terms).replace("+-", "-") + ")"
-
-
-def resultant_forms(a: HomogPolynomial, b: HomogPolynomial) -> int:
-    """Resultant of two binary forms (Sylvester in their full degrees)."""
-    return _bareiss_det(_sylvester(a.coeffs, a.degree, b.coeffs, b.degree))
-
-
-def homogenize_minpoly(t) -> HomogPolynomial:
-    """Minimal binary form of an algebraic branch point.
-
-    Input: INFINITY (gives the form V), a rational (gives v*U - u*V), or an
-    irreducible primitive IntPolynomial (gives its homogenization). The result
-    has content 1 and positive leading U-coefficient, except for INFINITY
-    where the form is V itself.
-    """
-    if t is INFINITY:
-        return HomogPolynomial([1, 0], degree=1)  # the form V
-    if isinstance(t, (int, Fraction)):
-        f = Fraction(t)
-        return HomogPolynomial([-f.numerator, f.denominator], degree=1)
-    if isinstance(t, IntPolynomial):
-        if t.degree < 1:
-            raise ValueError("constant polynomial has no root")
-        p = t.primitive()
-        if p.lc < 0:
-            p = -p
-        cont, factors = factor_over_Q(p)
-        if len(factors) != 1 or factors[0][1] != 1:
-            raise ValueError("minimal polynomial must be irreducible")
-        return HomogPolynomial.from_poly(p)
-    raise TypeError(f"cannot homogenize {t!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .poly import (
     IntPolynomial,
     ProjectivePoint,
     discriminant,
-    resultant_forms,
 )
 
 __all__ = [
@@ -79,12 +78,19 @@ def intersection_number(orbit: BranchOrbit, t0: ProjectivePoint, p: int) -> int:
     return valuation(val, p)
 
 
-def exceptional_superset(cover, orbits: list[BranchOrbit] | None = None) -> set[int]:
+def exceptional_superset(cover) -> set[int]:
     """A finite, guaranteed superset of the exceptional primes: primes
-    dividing the group order, the content/leading/trailing coefficients and
-    discriminant of the branch polynomial, the discriminants of the orbit
-    forms, and the pairwise resultants of distinct orbit forms. orbits, when
-    given, must be branch_orbits(cover)."""
+    dividing the group order, the content and the leading and trailing
+    coefficients of the branch polynomial (for a cubic, also the contents and
+    leading coefficients of a2, a1 and a0), and the discriminant of its
+    squarefree part.
+
+    The orbit forms add no prime. disc(fg) = disc(f) disc(g) Res(f, g)^2, so
+    the discriminant of each finite orbit and the resultant of two finite
+    orbits divide the discriminant of the squarefree part. The resultant of a
+    finite orbit f with the orbit V at infinity is +-lc(f). An orbit's leading
+    coefficients in U and in V divide the branch polynomial's leading and
+    trailing coefficients."""
     nums: set[int] = set()
 
     def absorb(n: int):
@@ -108,18 +114,6 @@ def exceptional_superset(cover, orbits: list[BranchOrbit] | None = None) -> set[
     sqf = prod((f for f, _ in cover._factors), start=IntPolynomial([1]))
     if sqf.degree >= 1:
         absorb(discriminant(sqf))
-    if orbits is None:
-        orbits = branch_orbits(cover)
-    for i, oi in enumerate(orbits):
-        if oi.form.lead_u:
-            absorb(oi.form.lead_u)
-        if oi.form.lead_v:
-            absorb(oi.form.lead_v)
-        deh = oi.form.dehomogenize()
-        if deh.degree >= 2:
-            absorb(discriminant(deh))
-        for oj in orbits[i + 1 :]:
-            absorb(resultant_forms(oi.form, oj.form))
     return nums
 
 
@@ -205,7 +199,7 @@ def consistency_check(
     """
     rng = random.Random(seed)
     orbits = branch_orbits(cover)
-    exc = exceptional_superset(cover, orbits)
+    exc = exceptional_superset(cover)
     mismatches = []
     checked = 0
     done = 0

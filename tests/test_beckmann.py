@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from speclab import covers, poly
 from speclab.covers import CubicCover, QuadraticCover, quad_cover
-from speclab.poly import ProjectivePoint, parse_poly
+from speclab.intutil import factorize
+from speclab.poly import IntPolynomial, ProjectivePoint, parse_poly
 from speclab.ramify import (
     ConsistencyReport,
     branch_orbits,
@@ -28,6 +32,78 @@ def test_exceptional_supersets_cover_known_bad_primes():
     assert {2} <= exceptional_superset(quad_cover(P("T^2 - 2")))
     assert {2, 3} <= exceptional_superset(quad_cover(P("3*T^2 - 2")))
     assert {2, 3} <= exceptional_superset(cubic_ttY())
+
+
+def old_exceptional_superset(cover):
+    """The exceptional superset with the orbit forms' own primes: their
+    leading coefficients in U and V, their discriminants and their pairwise
+    resultants (Sylvester in the forms' full degrees); the route before the
+    branch polynomial alone was shown to carry them, kept as oracle."""
+    nums = set(factorize(cover.group_order))
+    base = cover.P if isinstance(cover, QuadraticCover) else cover.delta
+    coeffs = [base.content, base.lc, base.trailing]
+    if isinstance(cover, CubicCover):
+        coeffs += [c for a in (cover.a0, cover.a1, cover.a2) if a.degree >= 0 for c in (a.content, a.lc)]
+    sqf = prod((f for f, _ in cover._factors), start=IntPolynomial([1]))
+    if sqf.degree >= 1:
+        coeffs.append(poly.discriminant(sqf))
+    forms = [orbit.form for orbit in branch_orbits(cover)]
+    for i, a in enumerate(forms):
+        coeffs += [a.lead_u, a.lead_v]
+        if a.degree >= 2:
+            coeffs.append(poly.discriminant(a.dehomogenize()))
+        for b in forms[i + 1 :]:
+            coeffs.append(poly._bareiss_det(poly._sylvester(a.coeffs, a.degree, b.coeffs, b.degree)))
+    for n in coeffs:
+        if n:
+            nums.update(factorize(n))
+    return nums
+
+
+@st.composite
+def quadratic_covers(draw):
+    """y^2 = c * f_1 * ... * f_k with k <= 3 factors of degree 1 to 3, so
+    P has degree <= 8, several irreducible factors and often lc(P) != +-1."""
+    factors = [
+        IntPolynomial(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=4)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    assume(all(f.degree >= 1 for f in factors))
+    P = draw(st.sampled_from([1, -1, 2, -3, 6])) * prod(factors, start=IntPolynomial([1]))
+    assume(P.degree <= 8)
+    try:
+        return QuadraticCover(P)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def cubic_covers(draw):
+    """Y^3 + a2 Y^2 + a1 Y + a0 with coefficients of degree <= 2; a0 is
+    often a multiple of T, which puts T into delta."""
+    a2, a1, a0 = (IntPolynomial(draw(st.lists(st.integers(-4, 4), max_size=3))) for _ in range(3))
+    if draw(st.booleans()):
+        a0 = a0 * IntPolynomial([0, 1])
+    try:
+        return CubicCover(a2, a1, a0)
+    except ValueError:
+        assume(False)
+
+
+class TestExceptionalSuperset:
+    @given(quadratic_covers())
+    @example(quad_cover(P("3*T^2 - 2")))
+    @example(quad_cover(P("2*T - 1") * P("3*T^2 + 5") * P("T^3 - 2")))  # lc 6, degree 6
+    @settings(max_examples=200, deadline=None)
+    def test_quadratic_matches_orbit_route(self, cover):
+        assert exceptional_superset(cover) == old_exceptional_superset(cover)
+
+    @given(cubic_covers())
+    @example(cubic_ttY())  # delta = -T^2 (4T + 27)
+    @example(CubicCover(P("T"), P("2*T^2 - 1"), P("3*T")))
+    @settings(max_examples=150, deadline=None)
+    def test_cubic_matches_orbit_route(self, cover):
+        assert exceptional_superset(cover) == old_exceptional_superset(cover)
 
 
 def test_intersection_numbers():

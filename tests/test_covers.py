@@ -24,6 +24,7 @@ from speclab.covers import (
 from speclab.intutil import factorize, is_nth_power, nth_root, primes_up_to, quad_disc, squarefree_part
 from speclab.poly import (
     INFINITY,
+    HomogPolynomial,
     IntPolynomial,
     _rational_roots,
     discriminant,
@@ -108,6 +109,14 @@ class TestQuadratic:
         even = quad_cover(P("T^2 - 2"))
         assert not even.infinity_branched
         assert even.branch_count == 2
+
+    def test_orbit_at_infinity_is_the_form_V(self):
+        # the last orbit of an odd-degree cover is infinity, with the form V:
+        # zero at (U : V) = (1 : 0), which is infinity, and not at 0
+        form, e = quad_cover(P("T^3 - 2")).branch_orbits()[-1]
+        assert (form, e) == (HomogPolynomial([1, 0], degree=1), 2)
+        assert form.eval_proj((1, 0)) == 0
+        assert form.eval_proj((0, 1)) != 0
 
     def test_specialize_values(self):
         rep = quad_specialize(quad_cover(P("T^3 - 2")), Fraction(1, 2))
@@ -753,7 +762,7 @@ class TestCubicFieldDisc:
         with pytest.raises(ConsistencyError):
             cubic_field_disc(P("T^3 - 2"))
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5])
     def test_dedekind_matches_factorisation_exhaustive(self, p):
         # every monic cubic mod p^2, which decides the criterion; x^3 - a too
         r = range(p * p)
@@ -767,10 +776,38 @@ class TestCubicFieldDisc:
     )
     @example(2, [-2, 0, 0])
     @example(3, [-10, 0, 0])  # x^3 - 10 = (x - 1)^3 mod 3
+    @example(5, [24, 3, -3])  # (x - 1)^3 + 25: a triple root, 5 | a^2 - 3b
+    @example(5, [4, 3, -3])  # (x - 1)^3 + 5
+    @example(7, [41, 12, -6])  # (x - 2)^3 + 49
     @settings(max_examples=500, deadline=None)
     def test_dedekind_matches_factorisation(self, p, cs):
         f = IntPolynomial(cs + [1])
         assert covers._dedekind_p_maximal(f, p) == old_dedekind_p_maximal(f, p)
+
+    def test_dedekind_calls_nothing_in_fp(self, monkeypatch):
+        # the cross-check must not find its multiple root the way
+        # _cubic_index_exponent does (fp.double_root), or it checks nothing
+        cases = [
+            (IntPolynomial([a0, a1, a2, 1]), p)
+            for p in (2, 3)
+            for a0, a1, a2 in itertools.product(range(p * p), repeat=3)
+        ] + [
+            (IntPolynomial([-r, 1]) * IntPolynomial([-r, 1]) * IntPolynomial([-s, 1]) + p * t, p)
+            for p in (5, 7)
+            for r, s, t in itertools.product(range(p), repeat=3)
+        ]
+        want = [old_dedekind_p_maximal(f, p) for f, p in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fp was called")
+
+        for name, value in vars(fp).items():
+            if callable(value) and getattr(value, "__module__", None) == fp.__name__:
+                monkeypatch.setattr(fp, name, refuse)
+        with pytest.raises(AssertionError):
+            fp.double_root([0, 0, 1], 5)
+        assert [covers._dedekind_p_maximal(f, p) for f, p in cases] == want
+        assert False in want and True in want
 
     # a_i = b_i * p^e_i: large p-indices, and forms that vanish mod p midway
     @given(

@@ -66,9 +66,10 @@ CASES = {
         cov.cycle_type_at(Fraction(0))
     """,
     "covers._dedekind_p_maximal": """
-        from speclab import covers, fp
-        fp._sqf = lambda a, p: [([1, 1], 1)]  # T + 1 is not T^2 + 1 mod 3
-        covers._dedekind_p_maximal(parse_poly("T^2+1"), 3)
+        from speclab import covers
+        # T^3 - 2 = (T - 2)^3 mod 3, and 0 is not its multiple root
+        covers._multiple_root = lambda a, b, c, p: 0
+        covers._dedekind_p_maximal(parse_poly("T^3-2"), 3)
     """,
     "twists.SuperellipticCurve.genus": """
         from speclab import twists

@@ -19,12 +19,10 @@ from speclab.poly import (
     discriminant,
     factor_over_Q,
     format_poly,
-    homogenize_minpoly,
     is_irreducible_over_Q,
     parse_poly,
     real_roots_sign_analysis,
     resultant,
-    resultant_forms,
 )
 
 coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=7)
@@ -195,27 +193,6 @@ def test_projective_points():
     assert (pt.u, pt.v) == (-2, 3)
     inf = ProjectivePoint.from_rational(INFINITY)
     assert (inf.u, inf.v) == (1, 0)
-
-
-def test_homogenize_minpoly():
-    form = homogenize_minpoly(INFINITY)
-    # the form V: zero at (U : V) = (1 : 0), which is infinity, and not at 0
-    assert form == HomogPolynomial([1, 0], degree=1)
-    assert form.eval_proj((1, 0)) == 0
-    assert form.eval_proj((0, 1)) != 0
-    from fractions import Fraction
-
-    f2 = homogenize_minpoly(Fraction(3, 2))
-    # vanishes exactly at [3 : 2]
-    assert f2.eval_proj(ProjectivePoint(3, 2)) == 0
-    assert f2.eval_proj(ProjectivePoint(1, 1)) != 0
-
-
-def test_resultant_forms_coprime_values():
-    a = homogenize_minpoly(parse_poly("T^2-2"))
-    b = homogenize_minpoly(parse_poly("T^2+1"))
-    r = resultant_forms(a, b)
-    assert r != 0
 
 
 def test_real_roots_sign_analysis():
