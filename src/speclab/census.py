@@ -20,8 +20,8 @@ import numpy as np
 from . import kernels
 from .covers import QuadraticCover, _rootless_primes, s3_survey_predicates
 from .intutil import (
+    _nfree_array,
     is_nfree,
-    nfree_sieve,
     nfree_table,
     primes_up_to,
     quad_disc,
@@ -190,11 +190,19 @@ def _count_forms(N: int, H: int) -> int:
 # Quadratic fields
 
 
+def _abs_disc(d: np.ndarray) -> np.ndarray:
+    """Elementwise |dF| for the fields Q(sqrt d), d squarefree (see quad_disc)."""
+    return np.where(d % 4 == 1, np.abs(d), 4 * np.abs(d))
+
+
 def _fields(x: int) -> list[tuple[int, int]]:
     """(|dF|, d) for every squarefree d != 1 whose field Q(sqrt d) has a
     discriminant dF with |dF| <= x, ascending (negative d first on ties)."""
-    pairs = ((abs(quad_disc(d)), d) for d in nfree_sieve(2, x))
-    return sorted(pair for pair in pairs if pair[0] <= x)
+    d = _nfree_array(2, x)
+    adF = _abs_disc(d)
+    d, adF = d[adF <= x], adF[adF <= x]
+    order = np.lexsort((d, adF))
+    return list(zip(adF[order].tolist(), d[order].tolist()))
 
 
 def quad_field_census(x: int) -> list[int]:
@@ -209,6 +217,12 @@ def quad_field_census(x: int) -> list[int]:
 
 # Pairs per block of v rows in the census sieve: bounds the arrays at a few MB.
 _BLOCK_PAIRS = 1 << 18
+# (prime, value) cells per divisibility pass of _small_cores: 256 KB of int64
+# remainders. Passes of 1 MB measured faster on 80k values that never retire,
+# but raised the peak memory of a census by about 1 MB.
+_SIEVE_CELLS = 1 << 15
+# Values a row must hold before _block_hits tests it by division, not remainder.
+_LONG_ROW = 1 << 12
 
 
 def _is_square(c: np.ndarray) -> np.ndarray:
@@ -225,45 +239,79 @@ def _settle(c: np.ndarray, core: np.ndarray, p: int, x: int) -> np.ndarray:
     """Squarefree parts core * sqf(c) of retired values, where every prime
     factor of the cofactor c is >= p: core for a square c, core * c for a
     prime c <= x (c < p^2 and not 1 means c is prime). Every other c has a
-    squarefree part >= p, which the caller retired because it puts |m| above x."""
+    squarefree part >= p, which the caller retired because it puts |m| above x.
+    Floats like core, exact up to x."""
     square = _is_square(c)
     prime = ~square & (c < p * p) & (c <= x)
-    return np.concatenate([core[square], core[prime] * c[prime].astype(np.int64)])
+    return np.concatenate([core[square], core[prime] * c[prime].astype(np.float64)])
+
+
+def _block_hits(c: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(k, j, c[j] // block[k]) over the cells where block[k] divides c[j],
+    ordered by k, then j. Along a row of _LONG_ROW or more int64 values,
+    numpy divides by the row's prime without a hardware division, so
+    q * p == c tests a cell in about 2 ns against 4 ns for a remainder; on
+    shorter rows a division costs as much as a remainder, and the remainder
+    test is 5 ns a cell against 7 (numpy 2.4, one Xeon core). Big-integer
+    values take one remainder a cell."""
+    b = block[:, None]
+    if c.dtype == object or c.size < _LONG_ROW:
+        rows, cols = np.divmod(np.flatnonzero(c % b == 0), c.size)
+        return rows, cols, c[cols] // block[rows]
+    q = c // b
+    flat = np.flatnonzero(q * b == c)
+    return *np.divmod(flat, c.size), q.ravel()[flat]
 
 
 def _small_cores(vals: np.ndarray, primes: list[int], x: int) -> np.ndarray:
-    """Squarefree parts of the nonzero values: all those m with |m| <= x,
-    and maybe some larger ones (the caller clips), found without factorising.
-    Each prime p up to x (primes lists them) is divided out in turn, keeping
-    the parity of its exponent in core. A value retires as soon as its
+    """Squarefree parts m of the nonzero values, those with |m| <= x, found
+    without factorising. The primes up to x (primes lists them) are divided
+    out a block at a time, keeping the parity of each exponent in core. One
+    divisibility pass (_block_hits) finds a block's (prime, value) hits, and
+    each value takes all its divisors from the block in one step. Blocks
+    start at one prime and double, capped at _SIEVE_CELLS cells over the
+    active values, so values that retire early cost few passes. A value
+    retires at the start of a block, with p its first prime, when its
     cofactor is below p^2 (so 1 or a prime) or |core| * p > x."""
     nz = vals != 0
     c = np.abs(vals[nz])
-    core = np.where(vals[nz] < 0, -1, 1).astype(np.int64)
+    # a float core is exact up to 2^53 > x and never wraps past x
+    core = np.where(vals[nz] < 0, -1.0, 1.0)
+    ps = np.array(primes, dtype=c.dtype)  # Python ints against big-integer values
     out = []
-    for p in primes:
-        if not c.size:
-            break
+    i = 0
+    width = 1
+    while i < len(primes) and c.size:
+        p = primes[i]
         # every prime factor of c is >= p; if c is not a square, |m| >= |core| * p
         done = (c < p * p) | (np.abs(core) * p > x)
         if done.any():
             out.append(_settle(c[done], core[done], p, x))
             c, core = c[~done], core[~done]
-        hit = np.flatnonzero(c % p == 0)
-        if not hit.size:
+        w = max(1, min(width, _SIEVE_CELLS // max(c.size, 1)))
+        block = ps[i : i + w]
+        i += w
+        width = 2 * w
+        rows, cols, ch = _block_hits(c, block)
+        if not cols.size:
             continue
-        ch = c[hit]
-        odd = np.zeros(hit.size, dtype=bool)
-        sub = np.arange(hit.size)
+        pr = block[rows]
+        # ch is a hit's value over its prime p, pk the power of p taken out of it
+        odd = np.ones(cols.size, dtype=bool)
+        pk = pr.copy()
+        sub = np.flatnonzero(ch % pr == 0)
         while sub.size:
-            ch[sub] //= p
+            ch[sub] //= pr[sub]
+            pk[sub] *= pr[sub]
             odd[sub] ^= True
-            sub = sub[ch[sub] % p == 0]
-        c[hit] = ch
-        core[hit[odd]] *= p
+            sub = sub[ch[sub] % pr[sub] == 0]
+        # a value hit by several primes of the block takes every divisor
+        np.floor_divide.at(c, cols, pk)
+        np.multiply.at(core, cols[odd], pr[odd].astype(np.float64))
     # every prime factor left is > x: only a square cofactor keeps |m| <= x
     out.append(_settle(c, core, x + 1, x))
-    return np.concatenate(out)
+    m = np.concatenate(out)
+    return m[np.abs(m) <= x].astype(np.int64)
 
 
 def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
@@ -273,8 +321,8 @@ def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
     discriminant has absolute value <= x.
 
     F is the cover's polynomial homogenised to even degree. No value is
-    factorised: a small-prime sieve over the primes up to x decides every m
-    with |m| <= x exactly (see _small_cores)."""
+    factorised: a sieve over the primes up to x, in blocks of primes, decides
+    every m with |m| <= x exactly (see _small_cores)."""
     if H < 1:
         raise ValueError("need H >= 1")
     N = cover.degree + (cover.degree % 2)  # even homogenization degree
@@ -291,8 +339,7 @@ def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
         )
         coprime = np.gcd(u, v) == 1
         m = _small_cores(kernels.form_values(cs, u[coprime], v[coprime]), primes, x)
-        absdF = np.where(m % 4 == 1, np.abs(m), 4 * np.abs(m))
-        found.update(m[(m != 1) & (absdF <= x)].tolist())
+        found.update(m[(m != 1) & (_abs_disc(m) <= x)].tolist())
     return found
 
 

@@ -209,12 +209,15 @@ def nfree_sieve(k: int, x: int) -> list[int]:
     These are exactly the twisting integers: -1 is included, 1 is the trivial
     twist and is excluded. Sorted ascending.
     """
+    return _nfree_array(k, x).tolist()
+
+
+def _nfree_array(k: int, x: int) -> np.ndarray:
+    """nfree_sieve(k, x) as an int64 array."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if x < 1:
-        return []
-    pos = np.flatnonzero(nfree_table(x, k)).tolist()  # 1, 2, 3, 5, ...
-    return [-d for d in reversed(pos)] + pos[1:]
+    pos = np.flatnonzero(nfree_table(max(x, 0), k)).astype(np.int64)  # 1, 2, 3, 5, ...
+    return np.concatenate([-pos[::-1], pos[1:]])
 
 
 def nfree_table(x: int, k: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from speclab.census import (
     twist_density_series,
 )
 from speclab.covers import _rootless_mod_p, quad_cover
-from speclab.intutil import factorize, nfree_sieve, quad_disc, squarefree_part
+from speclab.intutil import factorize, nfree_sieve, primes_up_to, quad_disc, squarefree_part
 from speclab.poly import IntPolynomial, factor_over_Q, parse_poly
 from speclab.twists import (
     INSOLUBLE,
@@ -61,6 +61,84 @@ def old_found_twists(cover, H, x):
             if gcd(u, v) == 1:
                 note(sum(c * u**j * v ** (N - j) for j, c in enumerate(cs)))
     return found
+
+
+def old_small_cores(vals, primes, x):
+    """The per-prime census sieve kept as oracle for the blocked one: each
+    prime divides out of the active values in turn, and a value retires
+    before each prime p once its cofactor is below p^2 or |core| * p > x."""
+
+    def settle(c, core, p):
+        square = census._is_square(c)
+        prime = ~square & (c < p * p) & (c <= x)
+        return np.concatenate([core[square], core[prime] * c[prime].astype(np.int64)])
+
+    nz = vals != 0
+    c = np.abs(vals[nz])
+    core = np.where(vals[nz] < 0, -1, 1).astype(np.int64)
+    out = []
+    for p in primes:
+        if not c.size:
+            break
+        done = (c < p * p) | (np.abs(core) * p > x)
+        if done.any():
+            out.append(settle(c[done], core[done], p))
+            c, core = c[~done], core[~done]
+        hit = np.flatnonzero(c % p == 0)
+        if not hit.size:
+            continue
+        ch = c[hit]
+        odd = np.zeros(hit.size, dtype=bool)
+        sub = np.arange(hit.size)
+        while sub.size:
+            ch[sub] //= p
+            odd[sub] ^= True
+            sub = sub[ch[sub] % p == 0]
+        c[hit] = ch
+        core[hit[odd]] *= p
+    out.append(settle(c, core, x + 1))
+    return np.concatenate(out)
+
+
+def cores_up_to(cores, x):
+    """The oracle's cores with |m| <= x, sorted: it may return larger ones."""
+    return sorted(m for m in cores.tolist() if abs(m) <= x)
+
+
+@st.composite
+def sieve_values(draw):
+    """(values, x, dtype) for the census sieve: zeros and signs, prime powers
+    with large exponents, products of consecutive primes (so of one block),
+    square cofactors of primes above x, and values whose squarefree part is
+    x itself when x is squarefree. int64 values stay below 2^62."""
+    dtype = draw(st.sampled_from([np.int64, object]))
+    limit = 2**62 if dtype is np.int64 else 2**90
+    x = draw(st.integers(2, 3000))
+    primes = primes_up_to(x)
+    above = [q for q in primes_up_to(2 * x + 60) if q > x][:4]
+    edge = squarefree_part(x)
+    vals = []
+    for kind in draw(st.lists(st.sampled_from("ipbse"), max_size=30)):
+        if kind == "i":
+            v = draw(st.integers(-(10**6), 10**6))
+        elif kind == "p":
+            p = draw(st.sampled_from(primes))
+            k = draw(st.integers(1, 90))
+            while p**k >= limit:
+                k -= 1
+            v = p**k * draw(st.sampled_from([1, 2, 3, 6, 35]))
+        elif kind == "b":
+            j = draw(st.integers(0, len(primes) - 1))
+            v = draw(st.integers(1, 12))
+            for p in primes[j : j + draw(st.integers(2, 6))]:
+                v *= p ** draw(st.integers(1, 3))
+        elif kind == "s":
+            v = draw(st.sampled_from(above)) ** 2 * draw(st.integers(1, 40))
+        else:
+            v = edge * draw(st.integers(1, 30)) ** 2
+        if abs(v) < limit:
+            vals.append(v * draw(st.sampled_from([1, -1])))
+    return vals, x, dtype
 
 
 def old_certifier(cover):
@@ -300,6 +378,15 @@ class TestFields:
         )
         assert quad_field_census(x) == want
 
+    @pytest.mark.parametrize("x", [-5, 0, 1, 7, 8, 9, 100, 3000])
+    def test_fields_match_sorted_pairs(self, x):
+        # d = 2 and d = -2 tie at |dF| = 8: negative d first
+        pairs = ((abs(quad_disc(d)), d) for d in nfree_sieve(2, x))
+        want = sorted(pair for pair in pairs if pair[0] <= x)
+        got = census._fields(x)
+        assert got == want
+        assert all(type(a) is int and type(d) is int for a, d in got)
+
 
 class TestFit:
     def test_recovers_exact_powers(self):
@@ -419,6 +506,31 @@ class TestTwistSeries:
         assert dtypes and all(dt == object for dt in dtypes)
         assert {2, 5} <= found
         assert found == old_found_twists(cov, 8, 3000)
+
+    @given(sieve_values())
+    # more active values than _SIEVE_CELLS: the first blocks hold one prime
+    @example((list(range(-census._SIEVE_CELLS, census._SIEVE_CELLS + 1)), 50, np.int64))
+    # x = 2: one block spans every prime
+    @example(([0, -1, 2, -8, 12, 2**61, -(3**38)], 2, np.int64))
+    # values that never retire: blocks double to 256 primes, and the last
+    # spans every prime left; 3001 and 3011 are primes above x
+    @example(([3001**2, -2 * 3011**2, 2 * 3 * 3001**2 * 5**2], 3000, np.int64))
+    # |m| = x = 2 * 3 * 5 * 7 * 11, and two primes of one block in one value
+    @example(([2310, -2310 * 49, 2310 * 4, 3 * 5 * 7 * 11 * 13], 2310, object))
+    @example(([2**89, -(7**31) * 11, 3001**2 * 2**70], 3000, object))
+    @settings(max_examples=300, deadline=None)
+    def test_blocked_sieve_matches_per_prime(self, case):
+        vals, x, dtype = case
+        arr = np.array(vals, dtype=dtype)
+        primes = primes_up_to(x)
+        want = cores_up_to(old_small_cores(arr.copy(), primes, x), x)
+        new = census._small_cores(arr.copy(), primes, x)
+        assert new.dtype == np.int64
+        assert sorted(new.tolist()) == want
+        if dtype is np.int64 and arr.size:
+            # the same values repeated into rows long enough for the division test
+            k = -(-census._LONG_ROW // arr.size)
+            assert sorted(census._small_cores(np.tile(arr, k), primes, x).tolist()) == sorted(want * k)
 
     def test_certifier_needs_d_in_its_sieve(self):
         cov = quad_cover(P6)
