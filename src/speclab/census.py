@@ -9,10 +9,9 @@ separately, never folded into either side.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from math import gcd, isqrt, log, sqrt
 
 import numpy as np
@@ -24,7 +23,6 @@ from .intutil import (
     is_nfree,
     nfree_table,
     primes_up_to,
-    quad_disc,
 )
 from .poly import IntPolynomial, _squarefree_parts
 from .twists import (
@@ -195,20 +193,22 @@ def _abs_disc(d: np.ndarray) -> np.ndarray:
     return np.where(d % 4 == 1, np.abs(d), 4 * np.abs(d))
 
 
-def _fields(x: int) -> list[tuple[int, int]]:
-    """(|dF|, d) for every squarefree d != 1 whose field Q(sqrt d) has a
-    discriminant dF with |dF| <= x, ascending (negative d first on ties)."""
+def _fields(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (|dF|, d) over every squarefree d != 1 whose field Q(sqrt d) has
+    a discriminant dF with |dF| <= x, ascending by |dF| (negative d first on
+    ties)."""
     d = _nfree_array(2, x)
     adF = _abs_disc(d)
     d, adF = d[adF <= x], adF[adF <= x]
     order = np.lexsort((d, adF))
-    return list(zip(adF[order].tolist(), d[order].tolist()))
+    return adF[order], d[order]
 
 
 def quad_field_census(x: int) -> list[int]:
     """Fundamental discriminants with absolute value <= x, ascending by
     absolute value (negative first on ties)."""
-    return [quad_disc(d) for _, d in _fields(x)]
+    adF, d = _fields(x)
+    return (np.sign(d) * adF).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -344,60 +344,62 @@ def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
 
 
 def _absence_certifier(cover: QuadraticCover, x: int):
-    """Cheap per-twist certificate of emptiness for 0 < |d| <= x: some p | d
+    """Cheap certificate of emptiness for twists by 0 < |d| <= x: some p | d
     with P rootless mod p and p prime to 2 * lc (valuation argument). The
-    multiples up to x of every such p are marked in one table. Only sound for
-    even degree; for odd degree returns a certifier that never certifies.
-    A rational root a/b of P has b | lc, so it is a root mod every p prime to
-    lc and the table stays empty."""
+    multiples up to x of every such p, found by _rootless_primes in one pass
+    over the primes, are marked in one table. Only sound for even degree;
+    for odd degree the table stays empty. A rational root a/b of P has
+    b | lc, so it is a root mod every p prime to lc and the table stays
+    empty. Returns certifies(d), which reads the table at |d| for an int d
+    or elementwise for an array of them."""
     P = cover.P
-    if cover.degree % 2:
-        return lambda d: False
-    bad = 2 * P.lc
     cert = np.zeros(x + 1, dtype=bool)
-    for p in _rootless_primes(P, [p for p in primes_up_to(x) if bad % p]):
-        cert[p::p] = True
+    if cover.degree % 2 == 0:
+        bad = 2 * P.lc
+        for p in _rootless_primes(P, [p for p in primes_up_to(x) if bad % p]):
+            cert[p::p] = True
 
-    def certifies(d: int) -> bool:
-        k = abs(d)
-        if not 0 < k <= x:
+    def certifies(d):
+        k = np.abs(d)
+        if not np.all((0 < k) & (k <= x)):
             raise ValueError(f"need 0 < |d| <= {x}")
-        return bool(cert[k])
+        return cert[k]
 
     return certifies
 
 
-def _census(cover: QuadraticCover, H: int, x: int, local: bool) -> list[tuple]:
-    """One row (|dF|, global, local) per field of _fields(x). global is
-    SOLUBLE when d is found at height H (_found_twists), INSOLUBLE when
-    certified absent, else UNKNOWN. With local, the local column is the
-    everywhere_locally_soluble verdict of the twist by d, and a locally
-    insoluble d is globally insoluble too; without, it is None."""
-    found = _found_twists(cover, H, x)
-    certifies = _absence_certifier(cover, x)
-    base = SuperellipticCurve(2, cover.P) if local else None
-    rows = []
-    for adF, d in _fields(x):
-        loc = everywhere_locally_soluble(base.twist(d))[0] if local else None
-        if d in found:
-            glob = SOLUBLE
-        elif loc == INSOLUBLE or certifies(d):
-            glob = INSOLUBLE
-        else:
-            glob = UNKNOWN
-        rows.append((adF, glob, loc))
-    return rows
+def _census(cover: QuadraticCover, H: int, x: int, local: bool):
+    """The census over the fields of _fields(x), as arrays (|dF|, global,
+    local). global is SOLUBLE where d is found at height H (_found_twists),
+    INSOLUBLE where certified absent, else UNKNOWN. With local, the local
+    column is the everywhere_locally_soluble verdict of the twist by each d,
+    and a locally insoluble d is globally insoluble too; without, it is
+    None."""
+    adF, d = _fields(x)
+    found = np.isin(d, np.fromiter(_found_twists(cover, H, x), dtype=np.int64))
+    insoluble = _absence_certifier(cover, x)(d)
+    loc = None
+    if local:
+        base = SuperellipticCurve(2, cover.P)
+        loc = np.array([everywhere_locally_soluble(base.twist(k))[0] for k in d.tolist()])
+        insoluble |= loc == INSOLUBLE
+    glob = np.where(found, SOLUBLE, np.where(insoluble, INSOLUBLE, UNKNOWN))
+    return adF, glob, loc
 
 
-def _series(grid: list[int], rows: list[tuple], column: int) -> DensitySeries:
-    """The census rows (sorted by |dF|, their first entry) counted up to each
-    x in grid: fields, SOLUBLE and UNKNOWN entries of the given column."""
-    keys = [row[0] for row in rows]
-    sol = list(accumulate((row[column] == SOLUBLE for row in rows), initial=0))
-    unk = list(accumulate((row[column] == UNKNOWN for row in rows), initial=0))
-    den = [bisect_right(keys, x) for x in grid]
+_NO_SERIES = DensitySeries((), (), (), ())
+
+
+def _series(grid: list[int], adF: np.ndarray, status: np.ndarray) -> DensitySeries:
+    """The census column status (its fields ascending by |dF|) counted up to
+    each x in grid: fields, SOLUBLE and UNKNOWN entries."""
+    den = np.searchsorted(adF, grid, side="right")
+
+    def upto(mask):
+        return tuple(np.concatenate([[0], np.cumsum(mask)])[den].tolist())
+
     return DensitySeries(
-        tuple(grid), tuple(sol[k] for k in den), tuple(den), tuple(unk[k] for k in den)
+        tuple(grid), upto(status == SOLUBLE), tuple(den.tolist()), upto(status == UNKNOWN)
     )
 
 
@@ -413,9 +415,11 @@ def twist_density_series(
     the small-prime sieve of _found_twists; certified absent by the
     rootless-prime valuation argument; unknown otherwise."""
     _check_grid(grid)
+    if not grid:
+        return _NO_SERIES
     H = 256 if schedule is None else max(schedule)
-    rows = _census(cover, H, max(grid), False) if grid else []
-    return _series(grid, rows, 1)
+    adF, glob, _ = _census(cover, H, max(grid), False)
+    return _series(grid, adF, glob)
 
 
 # ---------------------------------------------------------------------------
@@ -532,5 +536,7 @@ def local_global_ratio_series(
     Returns (global series, local series); local unknowns come from solver
     precision caps, global unknowns from the height bound."""
     _check_grid(grid)
-    rows = _census(cover, H, max(grid), True) if grid else []
-    return _series(grid, rows, 1), _series(grid, rows, 2)
+    if not grid:
+        return _NO_SERIES, _NO_SERIES
+    adF, glob, loc = _census(cover, H, max(grid), True)
+    return _series(grid, adF, glob), _series(grid, adF, loc)

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, inf, lcm, prod
+from math import gcd, inf, isqrt, lcm, prod
 
 import numpy as np
 
-from . import fp, kernels
+from . import fp
 from .intutil import (
     factorize,
     is_nfree,
@@ -634,15 +634,10 @@ def chebotarev_unramified_sieve(
     |C_sigma| / |G| for the fixed-point-free classes)."""
     if R.degree < 1:
         raise ValueError("R must be nonconstant")
-    out = []
-    considered = 0
-    for p in primes_up_to(bound):
-        if R.lc % p == 0 or R.content % p == 0:
-            continue
-        considered += 1
-        if _rootless_mod_p(R, p):
-            out.append(p)
-    density = len(out) / considered if considered else 0.0
+    bad = R.lc * R.content
+    considered = [p for p in primes_up_to(bound) if bad % p]
+    out = _rootless_primes(R, considered)
+    density = len(out) / len(considered) if considered else 0.0
     return out, density, density
 
 
@@ -651,32 +646,115 @@ def _rootless_mod_p(R: IntPolynomial, p: int) -> bool:
     return fp.root_count(R, p) == 0
 
 
-# Values of R per product in _rootless_primes: a few thousand bits per gcd.
-# They are evaluated a block at a time, so that few big ints are alive at once.
-_ROOT_CHUNK = 32
-_ROOT_BLOCK = 8 * _ROOT_CHUNK
-
-
 def _rootless_primes(R: IntPolynomial, primes: list[int]) -> list[int]:
     """The primes of the list (distinct) mod which R has no root, in list
     order: the answers of _rootless_mod_p prime by prime, with its ValueError
-    if R vanishes mod one of them. With X = max(primes), the
-    integers 0..X-1 cover every residue mod each p, so R has a root mod p
-    exactly when p divides R(0) * ... * R(X-1). The product of the primes is
-    divided by its gcd with the product of each chunk of values; the primes
-    left in it are the rootless ones."""
-    if any(R.content % p == 0 for p in primes):
+    if R vanishes mod one of them.
+
+    Take a prime p > D = deg R that does not divide lc(R). The trace of the
+    F_p-linear map a -> a^p on F_p[T]/(R) is the number of distinct roots of
+    R in F_p, read mod p: on the local factor of an irreducible f^e,
+    Frobenius induces zero on m^j / m^(j+1) for j >= 1, the identity on a
+    residue field F_p, and a cyclic shift of a normal basis of a larger
+    one. As that number is at most D < p, R is rootless mod p exactly when
+    the trace is 0 mod p (_frobenius_traces computes it for all such primes
+    at once). Primes p <= D (T^3 - T has 3 roots mod 3), primes dividing
+    lc(R) and primes above the float64 bound of _frobenius_traces go to
+    _rootless_mod_p."""
+    content = R.content
+    if content != 1 and any(content % p == 0 for p in primes):
         raise ValueError("R vanishes mod p")
-    if not primes:
-        return []
-    X = max(primes)
-    left = prod(primes)
-    for j in range(0, X, _ROOT_BLOCK):
-        t = np.arange(j, min(j + _ROOT_BLOCK, X), dtype=np.int64)
-        vals = kernels.form_values(R.coeffs, t, np.ones_like(t)).tolist()
-        for i in range(0, len(vals), _ROOT_CHUNK):
-            left //= gcd(prod(vals[i : i + _ROOT_CHUNK]), left)
-    return [p for p in primes if left % p == 0]
+    D = R.degree
+    if D <= 0:
+        return list(primes)  # a nonzero constant mod every prime of the list
+    limit = _trace_prime_limit(D)
+    ps = np.array([p for p in primes if D < p <= limit], dtype=np.int64)
+    # R mod each p; a coefficient beyond int64 is reduced prime by prime
+    c = np.array(
+        [np.remainder(a, ps) if abs(a) < 1 << 62 else [a % p for p in ps.tolist()]
+         for a in R.coeffs],
+        dtype=np.int64,
+    ).reshape(D + 1, ps.size)
+    unit = c[D] != 0
+    ps, c = ps[unit], c[:, unit]
+    # R / lc mod p is monic; lc^-1 = lc^(p - 2), products below p^2 < 2^53
+    inv = np.ones_like(ps)
+    base, e = c[D], ps - 2
+    while e.any():
+        inv = np.where(e & 1, inv * base % ps, inv)
+        base = base * base % ps
+        e >>= 1
+    traces = _frobenius_traces(c[:D] * inv % ps, ps)
+    fast = dict(zip(ps.tolist(), (traces == 0).tolist()))
+    return [p for p in primes if (fast[p] if p in fast else _rootless_mod_p(R, p))]
+
+
+def _trace_prime_limit(D: int) -> int:
+    """The largest p with 4 D p^2 < 2^53, the bound _frobenius_traces needs."""
+    return isqrt((2**53 - 1) // (4 * D))
+
+
+def _frobenius_traces(r: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """For each column k, Tr(a -> a^p) mod p on F_p[T]/(M) with p = ps[k] and
+    M = T^D + r[D-1, k] T^(D-1) + ... + r[0, k]. r holds residues in [0, p),
+    and every prime is at most _trace_prime_limit(D).
+
+    Residue classes mod M are (D, n) float64 arrays, the primes along the
+    contiguous axis. A = T^p mod M comes from a left-to-right binary ladder
+    over the bits of the primes, and the trace is sum_i [T^i] A^i. Values
+    are reduced lazily as c - floor(c / p) p, which leaves them in
+    (-p, 2p): a product of two classes sums at most D terms below 4 p^2, and
+    folding its reduced high half back with the table of T^(D + j) mod M
+    sums at most D terms below 2 p^2, so every intermediate is an integer
+    below 4 D p^2 < 2^53 and all arithmetic is exact."""
+    D, n = r.shape
+    pf = ps.astype(np.float64)
+    inv = 1.0 / pf
+
+    def reduce(c):
+        c -= np.floor(c * inv) * pf
+        return c
+
+    # fold[j] = T^(D + j) mod M in [0, p), for j < D
+    fold = np.empty((D, D, n), dtype=np.int64)
+    fold[0] = (ps - r) % ps
+    for j in range(1, D):
+        fold[j, 0] = 0
+        fold[j, 1:] = fold[j - 1, :-1]
+        fold[j] += fold[j - 1, -1] * fold[0]
+        fold[j] %= ps
+    fold = fold.astype(np.float64)
+
+    def mul(a, b):
+        full = np.zeros((2 * D - 1, n))
+        for i in range(D):
+            full[i : i + D] += a[i] * b
+        reduce(full)
+        out = full[:D]
+        for j in range(D - 1):
+            out += full[D + j] * fold[j]
+        return reduce(out)
+
+    def times_T(a):
+        out = np.empty_like(a)
+        out[0] = 0
+        out[1:] = a[:-1]
+        out += a[-1] * fold[0]
+        return reduce(out)
+
+    A = np.zeros((D, n))
+    A[0] = 1
+    bits = int(ps.max(initial=0)).bit_length()
+    for b in range(bits - 1, -1, -1):
+        A = mul(A, A)
+        A = np.where(((ps >> b) & 1).astype(bool), times_T(A), A)
+    trace = np.ones(n)
+    power = A
+    for i in range(1, D):
+        trace += power[i]
+        if i + 1 < D:
+            power = mul(power, A)
+    return np.remainder(trace, pf).astype(np.int64)
 
 
 def splits_completely(R: IntPolynomial, p: int) -> bool:

@@ -383,9 +383,9 @@ class TestFields:
         # d = 2 and d = -2 tie at |dF| = 8: negative d first
         pairs = ((abs(quad_disc(d)), d) for d in nfree_sieve(2, x))
         want = sorted(pair for pair in pairs if pair[0] <= x)
-        got = census._fields(x)
-        assert got == want
-        assert all(type(a) is int and type(d) is int for a, d in got)
+        adF, d = census._fields(x)
+        assert adF.dtype == d.dtype == np.int64
+        assert list(zip(adF.tolist(), d.tolist())) == want
 
 
 class TestFit:

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
@@ -50,6 +51,22 @@ def old_rootless_mod_p(R, p):
     return bool(diff) and len(fp.gcd(diff, a, p)) == 1
 
 
+def old_rootless_primes(R, primes):
+    """The rootless primes by the product route kept as oracle. With
+    X = max(primes), the integers 0..X-1 cover every residue mod each p, so
+    R has a root mod p exactly when p divides R(0) * ... * R(X-1); the
+    product of the primes is divided by its gcd with each chunk of values."""
+    if any(R.content % p == 0 for p in primes):
+        raise ValueError("R vanishes mod p")
+    if not primes:
+        return []
+    left = math.prod(primes)
+    vals = [R(t) for t in range(max(primes))]
+    for i in range(0, len(vals), 32):
+        left //= math.gcd(math.prod(vals[i : i + 32]), left)
+    return [p for p in primes if left % p == 0]
+
+
 def old_splits_completely(R, p):
     """The split test kept as oracle: a full factorisation mod p."""
     if R.lc % p == 0:
@@ -62,6 +79,13 @@ def old_splits_completely(R, p):
 
 # primes on both sides of the numpy cutoff of fp.root_count
 ROOT_TEST_PRIMES = [2, 3, 5, 7, 11, 101, 1009, 4093, 4099, 5003]
+
+
+def primes_around_trace_limit(D):
+    """The two primes below and the two above covers._trace_prime_limit(D)."""
+    below = sympy.prevprime(covers._trace_prime_limit(D) + 1)
+    above = sympy.nextprime(below)
+    return [sympy.prevprime(below), below, above, sympy.nextprime(above)]
 
 
 @st.composite
@@ -886,25 +910,53 @@ class TestSieve:
             with pytest.raises(ValueError):
                 rootless(IntPolynomial(vanishing), p)
 
-    # x = 2999 is prime: the largest prime needs t = 0 and t = 2998 = X - 1,
-    # the last value of a partial chunk (2999 = 93 * 32 + 23)
+    # x = 2999 is prime: the largest prime needs t = 0 and t = 2998 = X - 1
     @given(
         st.lists(st.integers(-60, 60), min_size=2, max_size=9).filter(lambda c: c[-1] != 0),
-        st.integers(0, 5000),
+        st.integers(0, 5000).map(primes_up_to),
     )
-    @example([1, 1], 2999)  # T + 1: root X - 1 mod the largest prime
-    @example([2999, 0, 1], 2999)  # T^2 + 2999: only root 0 mod 2999, which divides trailing
-    @example([1, 0, 1, 2999], 2999)  # 2999T^3 + T^2 + 1: mod 2999 the degree drops
-    @example([3, 0, 7], 100)  # 7T^2 + 3: constant mod 7
-    @example([-1234, 1, -1234, 1], 5000)  # (T - 1234)(T^2 + 1): an integer root in [0, x)
-    @example([3, 2**70, 0, 0, 1], 3000)  # values beyond int64: object dtype
-    @example([5, 1], 1)  # no primes
+    @example([1, 1], primes_up_to(2999))  # T + 1: root X - 1 mod the largest prime
+    @example([2999, 0, 1], primes_up_to(2999))  # T^2 + 2999: only root 0 mod 2999
+    @example([1, 0, 1, 2999], primes_up_to(2999))  # 2999T^3 + T^2 + 1: mod 2999 the degree drops
+    @example([3, 0, 7], primes_up_to(100))  # 7T^2 + 3: constant mod 7
+    @example([-1234, 1, -1234, 1], primes_up_to(5000))  # (T - 1234)(T^2 + 1): an integer root in [0, x)
+    @example([3, 2**70, 0, 0, 1], primes_up_to(3000))  # a coefficient beyond int64
+    @example([-(2**62) - 7, 0, 2**64 + 1], primes_up_to(3000))  # big lc, reduced per prime
+    @example([5, 1], [])  # no primes
+    @example([7], primes_up_to(100))  # degree 0
+    @example([1, -2, 2, -2, 1], primes_up_to(3000))  # (T - 1)^2 (T^2 + 1): a repeated root mod every p
+    @example([0, -1, 0, 1], [3, 2, 5, 7])  # T^3 - T: 3 roots mod 3, trace 3 = 0
+    @example([0, -1, 0, 0, 0, 1], primes_up_to(50))  # T^5 - T: 5 roots mod 5
+    @example([-5, 3, 0, 0, 0, 0, 6], primes_up_to(3000))  # 6T^6 + 3T - 5: lc inverted mod p
+    @example([1, 1] + [0] * 8 + [1], primes_up_to(10**4))  # T^10 + T + 1
+    # primes on both sides of the float64 bound, rootless except the last
+    @example([-3, 0, 1], primes_around_trace_limit(2))
+    @example([-9, 1, 0, 0, 0, 0, 1], primes_around_trace_limit(6))
     @settings(max_examples=100, deadline=None)
-    def test_rootless_primes_match_root_test(self, coeffs, x):
+    def test_rootless_primes_match_root_test(self, coeffs, primes):
         R = IntPolynomial(coeffs)
-        primes = [p for p in primes_up_to(x) if R.content % p]
+        primes = [p for p in primes if R.content % p]
         want = [p for p in primes if covers._rootless_mod_p(R, p)]
         assert covers._rootless_primes(R, primes) == want
+        if max(primes, default=0) <= 10**4:
+            assert old_rootless_primes(R, primes) == want
+
+    @given(
+        st.lists(st.integers(-60, 60), min_size=2, max_size=9).filter(lambda c: c[-1] != 0),
+        # the last prime is just below the float64 bound for degree 8
+        st.sampled_from([11, 101, 1009, 4099, 5003, sympy.prevprime(covers._trace_prime_limit(8) + 1)]),
+    )
+    @example([0, -1, 0, 0, 0, 1], 7)  # T^5 - T: roots 0, 1, -1
+    @example([1, -2, 2, -2, 1], 13)  # (T - 1)^2 (T^2 + 1): roots 1, 5, 8
+    @settings(max_examples=100, deadline=None)
+    def test_frobenius_trace_counts_roots(self, coeffs, p):
+        R = IntPolynomial(coeffs)
+        assume(R.lc % p)
+        c = [a % p for a in coeffs]
+        lc_inv = pow(c[-1], -1, p)
+        r = np.array([[a * lc_inv % p] for a in c[:-1]], dtype=np.int64)
+        trace = covers._frobenius_traces(r, np.array([p], dtype=np.int64))
+        assert trace.tolist() == [fp.root_count(R, p)]
 
     def test_rootless_primes_order_and_vanishing(self):
         assert covers._rootless_primes(P("T^2 + 1"), [13, 3, 5, 7]) == [3, 7]
