@@ -23,6 +23,7 @@ from .intutil import (
     is_nfree,
     nfree_table,
     primes_up_to,
+    quad_disc,
 )
 from .poly import IntPolynomial, _squarefree_parts
 from .twists import (
@@ -188,17 +189,12 @@ def _count_forms(N: int, H: int) -> int:
 # Quadratic fields
 
 
-def _abs_disc(d: np.ndarray) -> np.ndarray:
-    """Elementwise |dF| for the fields Q(sqrt d), d squarefree (see quad_disc)."""
-    return np.where(d % 4 == 1, np.abs(d), 4 * np.abs(d))
-
-
 def _fields(x: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (|dF|, d) over every squarefree d != 1 whose field Q(sqrt d) has
     a discriminant dF with |dF| <= x, ascending by |dF| (negative d first on
     ties)."""
     d = _nfree_array(2, x)
-    adF = _abs_disc(d)
+    adF = np.abs(quad_disc(d))
     d, adF = d[adF <= x], adF[adF <= x]
     order = np.lexsort((d, adF))
     return adF[order], d[order]
@@ -314,20 +310,18 @@ def _small_cores(vals: np.ndarray, primes: list[int], x: int) -> np.ndarray:
     return m[np.abs(m) <= x].astype(np.int64)
 
 
-def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
+def _found_twists(cover: QuadraticCover, H: int, x: int, primes: list[int]) -> set[int]:
     """Squarefree parts m != 1 of the cover's values F(u, v) over coprime pairs
     with |u| <= H and 0 <= v <= H (v = 0 is the fiber above infinity, which
     has a nonzero value only for even degree), clipped to twists whose field
-    discriminant has absolute value <= x.
+    discriminant has absolute value <= x; primes lists the primes up to x.
 
-    F is the cover's polynomial homogenised to even degree. No value is
-    factorised: a sieve over the primes up to x, in blocks of primes, decides
-    every m with |m| <= x exactly (see _small_cores)."""
+    F is the cover's even-degree model (QuadraticCover._even_model). No value
+    is factorised: a sieve over the primes up to x, in blocks of primes,
+    decides every m with |m| <= x exactly (see _small_cores)."""
     if H < 1:
         raise ValueError("need H >= 1")
-    N = cover.degree + (cover.degree % 2)  # even homogenization degree
-    cs = list(cover.P.coeffs) + [0] * (N + 1 - len(cover.P.coeffs))
-    primes = primes_up_to(x)
+    cs = list(cover._even_model.coeffs)
     width = 2 * H + 1
     rows = max(1, _BLOCK_PAIRS // width)
     found: set[int] = set()
@@ -339,24 +333,24 @@ def _found_twists(cover: QuadraticCover, H: int, x: int) -> set[int]:
         )
         coprime = np.gcd(u, v) == 1
         m = _small_cores(kernels.form_values(cs, u[coprime], v[coprime]), primes, x)
-        found.update(m[(m != 1) & (_abs_disc(m) <= x)].tolist())
+        found.update(m[(m != 1) & (np.abs(quad_disc(m)) <= x)].tolist())
     return found
 
 
-def _absence_certifier(cover: QuadraticCover, x: int):
+def _absence_certifier(cover: QuadraticCover, x: int, primes: list[int]):
     """Cheap certificate of emptiness for twists by 0 < |d| <= x: some p | d
     with P rootless mod p and p prime to 2 * lc (valuation argument). The
     multiples up to x of every such p, found by _rootless_primes in one pass
-    over the primes, are marked in one table. Only sound for even degree;
-    for odd degree the table stays empty. A rational root a/b of P has
-    b | lc, so it is a root mod every p prime to lc and the table stays
-    empty. Returns certifies(d), which reads the table at |d| for an int d
-    or elementwise for an array of them."""
+    over primes (the primes up to x), are marked in one table. Only sound
+    for even degree; for odd degree the table stays empty. A rational root
+    a/b of P has b | lc, so it is a root mod every p prime to lc and the
+    table stays empty. Returns certifies(d), which reads the table at |d|
+    for an int d or elementwise for an array of them."""
     P = cover.P
     cert = np.zeros(x + 1, dtype=bool)
     if cover.degree % 2 == 0:
         bad = 2 * P.lc
-        for p in _rootless_primes(P, [p for p in primes_up_to(x) if bad % p]):
+        for p in _rootless_primes(P, [p for p in primes if bad % p]):
             cert[p::p] = True
 
     def certifies(d):
@@ -376,8 +370,9 @@ def _census(cover: QuadraticCover, H: int, x: int, local: bool):
     and a locally insoluble d is globally insoluble too; without, it is
     None."""
     adF, d = _fields(x)
-    found = np.isin(d, np.fromiter(_found_twists(cover, H, x), dtype=np.int64))
-    insoluble = _absence_certifier(cover, x)(d)
+    primes = primes_up_to(x)
+    found = np.isin(d, np.fromiter(_found_twists(cover, H, x, primes), dtype=np.int64))
+    insoluble = _absence_certifier(cover, x, primes)(d)
     loc = None
     if local:
         base = SuperellipticCurve(2, cover.P)

@@ -106,13 +106,16 @@ class QuadraticCover:
             out.append((HomogPolynomial([1, 0], degree=1), 2))  # the form V
         return out
 
+    @cached_property
+    def _even_model(self) -> HomogPolynomial:
+        """P homogenised to the even degree deg P + deg P mod 2, the form F
+        of the model y^2 = F(u, v); computed on first use, no part of repr,
+        equality or hash."""
+        return HomogPolynomial.from_poly(self.P, self.P.degree + self.P.degree % 2)
+
     def hom_value(self, pt: ProjectivePoint) -> int:
         """P_hom(u, v) * v^(deg P mod 2): d with E_t0 = Q(sqrt d) up to squares."""
-        form = HomogPolynomial.from_poly(self.P)
-        val = form.eval_proj(pt)
-        if self.P.degree % 2 == 1:
-            val *= pt.v
-        return val
+        return self._even_model.eval_proj(pt)
 
 
 def quad_cover(P: IntPolynomial) -> QuadraticCover:
@@ -763,6 +766,27 @@ def splits_completely(R: IntPolynomial, p: int) -> bool:
     return R.lc % p != 0 and fp.root_count(R, p) == R.degree
 
 
+def _specializations(cover, height: int, seed: int):
+    """Endless (t0, report) pairs at random t0 = u / v with |u| <= height,
+    1 <= v <= height and gcd(u, v) = 1, drawn by random.Random(seed); the
+    report is quad_specialize's or cubic_specialize's by the cover's type. A
+    t0 where the specialisation raises ValueError is skipped."""
+    rng = random.Random(seed)
+    while True:
+        u = rng.randint(-height, height)
+        v = rng.randint(1, height)
+        if gcd(u, v) != 1:
+            continue
+        pt = ProjectivePoint(u, v)
+        # looked up at each call, so a wrapper bound in their place is seen
+        specialize = quad_specialize if isinstance(cover, QuadraticCover) else cubic_specialize
+        try:
+            rep = specialize(cover, pt)
+        except ValueError:
+            continue
+        yield pt, rep
+
+
 def verify_unramified(
     cover,
     sieve_primes: list[int],
@@ -773,25 +797,10 @@ def verify_unramified(
 ) -> list[tuple[ProjectivePoint, int]]:
     """Empirical check that no sampled specialization ramifies at a sieve
     prime outside the exceptional set. Returns the violations (want: none)."""
-    rng = random.Random(seed)
-    bad: list[tuple[ProjectivePoint, int]] = []
+    points = _specializations(cover, height, seed)
     pset = [p for p in sieve_primes if p not in exceptional]
-    done = 0
-    while done < n_samples:
-        u = rng.randint(-height, height)
-        v = rng.randint(1, height)
-        if gcd(u, v) != 1:
-            continue
-        pt = ProjectivePoint(u, v)
-        try:
-            if isinstance(cover, QuadraticCover):
-                rep = quad_specialize(cover, pt)
-            else:
-                rep = cubic_specialize(cover, pt)
-        except ValueError:
-            continue
-        done += 1
-        for p in pset:
-            if p in rep.ramified_primes:
-                bad.append((pt, p))
+    bad: list[tuple[ProjectivePoint, int]] = []
+    for _ in range(n_samples):
+        pt, rep = next(points)
+        bad += [(pt, p) for p in pset if p in rep.ramified_primes]
     return bad

@@ -270,6 +270,8 @@ def legendre(a: int, p: int) -> int:
     return 1 if s == 1 else -1
 
 
-def quad_disc(m: int) -> int:
-    """Discriminant of Q(sqrt m) for squarefree m != 1; m is not checked."""
-    return m if m % 4 == 1 else 4 * m
+def quad_disc(m):
+    """Discriminant of Q(sqrt m) for squarefree m != 1; m is not checked. m is
+    an int (giving an int) or, elementwise, an int64 array: m when m = 1 mod
+    4, else 4m, written without a branch."""
+    return m * (4 - 3 * (m % 4 == 1))

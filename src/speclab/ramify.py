@@ -11,17 +11,10 @@ must see zero mismatches.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .covers import (
-    CubicCover,
-    QuadraticCover,
-    SpecializationReport,
-    cubic_specialize,
-    quad_specialize,
-)
+from .covers import CubicCover, QuadraticCover, _specializations
 from .intutil import factorize, valuation
 from .poly import (
     HomogPolynomial,
@@ -197,23 +190,15 @@ def consistency_check(
     specialization discriminant, hence bounds it from below. The branch
     orbits are computed once and shared by every prediction.
     """
-    rng = random.Random(seed)
     orbits = branch_orbits(cover)
     exc = exceptional_superset(cover)
     mismatches = []
     checked = 0
     done = 0
-    is_quad = isinstance(cover, QuadraticCover)
+    points = _specializations(cover, height, seed)
     while done < n_samples:
-        u = rng.randint(-height, height)
-        v = rng.randint(1, height)
-        if gcd(u, v) != 1:
-            continue
-        pt = ProjectivePoint(u, v)
+        pt, rep = next(points)
         try:
-            rep: SpecializationReport = (
-                quad_specialize(cover, pt) if is_quad else cubic_specialize(cover, pt)
-            )
             pred = predict(cover, pt, orbits)
         except ValueError:
             continue

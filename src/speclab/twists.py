@@ -10,7 +10,7 @@ reported; for n not dividing N the single point at z = 0 is trivial too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from math import gcd, isqrt, prod
 
@@ -36,7 +36,6 @@ from .intutil import (
     valuation,
 )
 from .poly import (
-    HomogPolynomial,
     IntPolynomial,
     RealRootReport,
     _rational_roots_of_parts,
@@ -55,7 +54,6 @@ __all__ = [
     "obstruction_certificate",
     "local_solubility",
     "everywhere_locally_soluble",
-    "map_twist_point",
     "admissible_prime_scan",
     "hasse_failure_candidates",
     "HasseScanResult",
@@ -106,10 +104,6 @@ class SuperellipticCurve:
         return self.N if r == 0 else self.N + self.n - r
 
     @property
-    def weight(self) -> int:
-        return self.model_degree // self.n
-
-    @property
     def model_coeffs(self) -> tuple[int, ...]:
         cs = list(self.P.coeffs)
         return tuple(cs + [0] * (self.model_degree + 1 - len(cs)))
@@ -157,14 +151,10 @@ class TwistedCurve:
 class CurvePoint:
     """Weighted point [y : u : v]; z_zero marks the fiber above z = 0."""
 
-    y: int | Fraction
+    y: int
     u: int
     v: int
     z_zero: bool = False
-
-    @property
-    def trivial(self) -> bool:
-        return self.y == 0
 
 
 def _as_twist(c) -> TwistedCurve:
@@ -264,29 +254,38 @@ def obstruction_certificate(curve) -> ObstructionCertificate | None:
 
 def _is_nth_power_qp(val: int, p: int, n: int) -> bool:
     """Exact membership of a nonzero integer in (Q_p^*)^n."""
+    return _qp_class(val, p, n) == (0, 1)
+
+
+def _qp_class(val: int, p: int, n: int) -> tuple[int, int]:
+    """The class of a nonzero integer val = p^w u in Q_p^* / (Q_p^*)^n, as
+    (w mod n, key of the class of the unit u); the key is 1 exactly on the
+    n-th powers of Z_p^*. For p not dividing n the units reduce to
+    F_p^* / (F_p^*)^n (trivial for p = 2: odd n acts invertibly on Z_2^*),
+    keyed by fp.power_class. Otherwise, with s = v_p(n), Hensel's lemma puts
+    1 + p^(2s+1) Z_p inside (Z_p^*)^n, and the key is read from
+    _unit_classes(p, n)."""
     w = valuation(val, p)
-    if w % n:
-        return False
     u = val // p**w
-    s = valuation(n, p) if n % p == 0 else 0
-    if s == 0:
-        if p == 2:
-            return True  # odd n acts invertibly on Z_2^*
-        return power_class(u, p, n) == 1
-    mod = p ** (2 * s + 1)
-    um = u % mod
-    return any(pow(x, n, mod) == um for x in range(1, mod) if x % p)
+    if n % p:
+        return w % n, 1 if p == 2 else power_class(u, p, n)
+    table = _unit_classes(p, n)
+    return w % n, table[u % len(table)]
 
 
-def _unit_class_key(d: int, p: int, n: int) -> tuple:
-    """Cache key determining the class of d in Q_p^* / (Q_p^*)^n."""
-    w = valuation(d, p)
-    u = d // p**w
-    s = valuation(n, p) if n % p == 0 else 0
-    if s == 0 and p != 2:
-        return (w % n, power_class(u, p, n))
-    mod = p ** (2 * s + 1)
-    return (w % n, u % mod)
+@cache
+def _unit_classes(p: int, n: int) -> tuple[int, ...]:
+    """For p | n and s = v_p(n): entry r, for r prime to p, is the least
+    residue of r * (units mod p^(2s+1))^n, the canonical member of the class
+    of r modulo n-th powers (entries at multiples of p stay 0)."""
+    mod = p ** (2 * valuation(n, p) + 1)
+    powers = {pow(x, n, mod) for x in range(1, mod) if x % p}
+    key = [0] * mod
+    for r in range(1, mod):
+        if r % p and not key[r]:  # r is the least member of a new class
+            for h in powers:
+                key[r * h % mod] = r
+    return tuple(key)
 
 
 # Hensel levels searched past the valuations that can hide a root, before a
@@ -310,7 +309,6 @@ class LocalSolver:
         if g is None:
             n, M = base.n, base.model_degree
             g = (n - 1) * (M - 1) // 2  # arithmetic-genus fallback, bound only
-        self._g_bound = g
         m = (base.n + 1) * (base.N + 1)
         self._weil_floor = (g + isqrt(g * g + m) + 1) ** 2
 
@@ -330,7 +328,7 @@ class LocalSolver:
     def at_prime(self, d: int, p: int, allow_shortcut: bool = True) -> str:
         if not allow_shortcut:
             return self._decide(d, p, allow_shortcut=False)
-        key = (p,) + _unit_class_key(d, p, n=self.base.n)
+        key = (p,) + _qp_class(d, p, self.base.n)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -478,54 +476,6 @@ def everywhere_locally_soluble(curve) -> tuple[str, dict]:
         if st == UNKNOWN:
             status = UNKNOWN
     return status, detail
-
-
-# ---------------------------------------------------------------------------
-# Reduction of composite-exponent twists
-
-
-def map_twist_point(source: TwistedCurve, alpha: int, point: CurvePoint):
-    """Push a point of y^n = 2 alpha^n1 P down to y^n1 = 2 P (n1 the least
-    prime factor of the composite n) via y -> y^(n2) / alpha.
-
-    Returns (target twist, mapped point). Raises when the source twist is not
-    2 * alpha^n1, when alpha does not divide y^n2, or when the identity fails.
-    """
-    base = source.base
-    n = base.n
-    fac = sorted(factorize(n))
-    if len(fac) == 0 or is_probable_prime(n):
-        raise ValueError("n must be composite")
-    n1 = fac[0]
-    n2 = n // n1
-    if not is_nfree(alpha, 2) or source.d != 2 * alpha**n1:
-        raise ValueError("source twist must be 2 * alpha^n1 with alpha squarefree")
-    target_base = SuperellipticCurve(n1, base.P)
-    target = TwistedCurve(target_base, 2)
-    y, u, v = point.y, point.u, point.v
-    if point.z_zero:
-        if target_base.N % n1 != 0:
-            raise ValueError("z = 0 point has no image on the target model")
-        ynum = y**n2
-        if ynum % alpha:
-            raise ValueError("alpha does not divide y^n2")
-        yt = ynum // alpha
-        if yt**n1 != 2 * base.P.lc:
-            raise ConsistencyError("mapped z = 0 point fails the curve equation")
-        return target, CurvePoint(yt, 1, 0, z_zero=True)
-    if isinstance(y, int) and v == 1:
-        ynum = y**n2
-        if ynum % alpha:
-            raise ValueError("alpha does not divide y^n2")
-    Ms, Mt = base.model_degree, target_base.model_degree
-    y_aff = Fraction(y) ** n2 / (alpha * Fraction(v) ** (Ms * n2 // n))
-    yt = y_aff * Fraction(v) ** (Mt // n1)
-    val = 2 * HomogPolynomial(target_base.model_coeffs).eval_proj((u, v))
-    if yt**n1 != val:
-        raise ConsistencyError("mapped point fails the curve equation")
-    if yt.denominator == 1:
-        yt = int(yt)
-    return target, CurvePoint(yt, u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -161,8 +161,8 @@ def old_twist_density_series(cover, grid, schedule=None):
     if schedule is None:
         schedule = [16, 64, 256]
     x_max = max(grid)
-    found = census._found_twists(cover, max(schedule), x_max)
-    certifies = census._absence_certifier(cover, x_max)
+    found = census._found_twists(cover, max(schedule), x_max, primes_up_to(x_max))
+    certifies = census._absence_certifier(cover, x_max, primes_up_to(x_max))
     num = []
     den = []
     unk = []
@@ -201,8 +201,8 @@ def old_local_global_ratio_series(cover, grid, H):
         return empty, empty
     x_max = max(grid)
     base = SuperellipticCurve(2, cover.P)
-    found = census._found_twists(cover, H, x_max)
-    certifies = census._absence_certifier(cover, x_max)
+    found = census._found_twists(cover, H, x_max, primes_up_to(x_max))
+    certifies = census._absence_certifier(cover, x_max, primes_up_to(x_max))
     rows = []
     for d in nfree_sieve(2, x_max):
         adF = abs(quad_disc(d))
@@ -459,8 +459,8 @@ class TestTwistSeries:
     @example(quad_cover(P("T^3-2")), 4, 300)  # odd degree: rootless mod 7, yet never certifies
     @settings(max_examples=200, deadline=None)
     def test_sieve_matches_factorisation(self, cov, H, x):
-        assert census._found_twists(cov, H, x) == old_found_twists(cov, H, x)
-        new = census._absence_certifier(cov, x)
+        assert census._found_twists(cov, H, x, primes_up_to(x)) == old_found_twists(cov, H, x)
+        new = census._absence_certifier(cov, x, primes_up_to(x))
         old = old_certifier(cov)
         ds = nfree_sieve(2, x)
         assert [new(d) for d in ds] == [old(d) for d in ds]
@@ -481,7 +481,7 @@ class TestTwistSeries:
             for d in nfree_sieve(2, x)
             if abs(quad_disc(d)) <= x and search_points(base.twist(d), H, max_points=1)
         }
-        assert census._found_twists(quad_cover(poly), H, x) == want
+        assert census._found_twists(quad_cover(poly), H, x, primes_up_to(x)) == want
 
     def test_is_square_near_int64_limit(self):
         k = np.arange(2**31 - 40, 2**31 - 1, dtype=np.int64)
@@ -502,7 +502,7 @@ class TestTwistSeries:
             return vals
 
         monkeypatch.setattr(kernels, "form_values", spy)
-        found = census._found_twists(cov, 8, 3000)
+        found = census._found_twists(cov, 8, 3000, primes_up_to(3000))
         assert dtypes and all(dt == object for dt in dtypes)
         assert {2, 5} <= found
         assert found == old_found_twists(cov, 8, 3000)
@@ -534,7 +534,7 @@ class TestTwistSeries:
 
     def test_certifier_needs_d_in_its_sieve(self):
         cov = quad_cover(P6)
-        certifies = census._absence_certifier(cov, 100)
+        certifies = census._absence_certifier(cov, 100, primes_up_to(100))
         assert [certifies(d) for d in (-100, 77, 100)] == [old_certifier(cov)(d) for d in (-100, 77, 100)]
         with pytest.raises(ValueError):
             certifies(101)
@@ -577,8 +577,8 @@ class TestTwistSeries:
         x = 1000
         cov = quad_cover(poly)
         base = SuperellipticCurve(2, poly)
-        found = census._found_twists(cov, 24, x)
-        certifies = census._absence_certifier(cov, x)
+        found = census._found_twists(cov, 24, x, primes_up_to(x))
+        certifies = census._absence_certifier(cov, x, primes_up_to(x))
         certified = [d for d in nfree_sieve(2, x) if certifies(d)]
         assert found and certified
         for d in found:

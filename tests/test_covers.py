@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.numberfields.basis import round_two
 
-from speclab import covers, fp, twists
+from speclab import covers, fp, kernels, twists
 from speclab.covers import (
     ConsistencyError,
     CubicCover,
@@ -27,11 +27,13 @@ from speclab.poly import (
     INFINITY,
     HomogPolynomial,
     IntPolynomial,
+    ProjectivePoint,
     _rational_roots,
     discriminant,
     factor_over_Q,
     parse_poly,
 )
+from speclab.ramify import consistency_check
 
 
 def P(text):
@@ -150,6 +152,33 @@ class TestQuadratic:
         rep3 = quad_specialize(quad_cover(P("T^2 - 2")), 3)
         assert rep3.m == 7 and rep3.disc_field == 28
         assert rep3.ramified_primes == (2, 7)
+
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=7).map(lambda cs: cs + [1]),
+        st.lists(st.tuples(st.integers(-10**4, 10**4), st.integers(0, 10**4)), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hom_value_is_the_census_model(self, cs, pairs):
+        """hom_value is P_hom(u, v) * v^(deg P mod 2), for odd and even
+        degree, and equals the census's values of the even-degree model."""
+        R = IntPolynomial(cs)
+        assume(R.degree >= 1)
+        try:
+            cov = quad_cover(R)
+        except ValueError:
+            assume(False)
+        pairs = [(u, v) for u, v in pairs if math.gcd(u, v) == 1]
+        assume(pairs)
+        N = R.degree
+        want = [
+            sum(a * u**j * v ** (N - j) for j, a in enumerate(R.coeffs)) * v ** (N % 2)
+            for u, v in pairs
+        ]
+        assert [cov.hom_value(ProjectivePoint(u, v)) for u, v in pairs] == want
+        u, v = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+        model = list(cov._even_model.coeffs)
+        assert len(model) == N + N % 2 + 1
+        assert kernels.form_values(model, u, v).tolist() == want
 
     def test_field_disc_rule(self):
         assert quad_specialize(quad_cover(P("T^2 - 2")), 5).m == 23
@@ -971,6 +1000,47 @@ class TestSieve:
         assert density == 240 / 669
         want = [p for p in sympy.primerange(2, 5001) if old_rootless_mod_p(R, p)]
         assert primes == want
+
+    @pytest.mark.parametrize(
+        "cover, calls",
+        [
+            # T^2 - 1 at height 3: (+-1, 1) are branch points and are skipped
+            (
+                quad_cover(P("T^2 - 1")),
+                [(-1, 1, "raised"), (-3, 1), (-3, 2), (1, 1, "raised"), (1, 1, "raised"),
+                 (-3, 1), (-3, 1), (0, 1)],
+            ),
+            (
+                CubicCover(IntPolynomial([0]), P("T"), P("T")),
+                [(-1, 1), (-3, 1), (-3, 2), (1, 1), (1, 1)],
+            ),
+        ],
+        ids=["T^2-1", "Y^3+TY+T"],
+    )
+    def test_samplers_draw_pinned_points(self, monkeypatch, cover, calls):
+        """The first five points that verify_unramified and consistency_check
+        draw for seed 7 at height 3, pinned from the two samplers they had
+        before sharing one. The specialisers are looked up where they are
+        called, so a wrapper bound in covers sees every call."""
+        seen = []
+        for name in ("quad_specialize", "cubic_specialize"):
+            orig = getattr(covers, name)
+
+            def record(c, pt, orig=orig):
+                try:
+                    rep = orig(c, pt)
+                except ValueError:
+                    seen.append((pt.u, pt.v, "raised"))
+                    raise
+                seen.append((pt.u, pt.v))
+                return rep
+
+            monkeypatch.setattr(covers, name, record)
+        verify_unramified(cover, [3, 5], {2}, n_samples=5, height=3, seed=7)
+        assert seen == calls
+        seen.clear()
+        assert consistency_check(cover, n_samples=5, height=3, seed=7).samples == 5
+        assert seen == calls
 
     def test_verify_unramified(self):
         cov = quad_cover(P("T^2 - 2"))

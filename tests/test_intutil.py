@@ -17,6 +17,7 @@ from speclab.intutil import (
     nfree_sieve,
     nth_root,
     primes_up_to,
+    quad_disc,
     squarefree_part,
     valuation,
 )
@@ -262,3 +263,14 @@ def test_nth_root_matches_bisection_near_powers(k_y, offset, negate):
 @settings(max_examples=300)
 def test_nth_root_matches_bisection(n, k):
     assert nth_root(n, k) == old_nth_root(n, k)
+
+
+@given(st.lists(st.integers(-(2**40), 2**40), max_size=30))
+def test_quad_disc_on_ints_and_int64_arrays(ms):
+    """m when m = 1 mod 4, else 4m: an int gives an int (reports write it
+    to JSON), and an int64 array gives that rule at every element."""
+    want = [m if m % 4 == 1 else 4 * m for m in ms]
+    assert [quad_disc(m) for m in ms] == want
+    assert all(type(quad_disc(m)) is int for m in ms)
+    arr = quad_disc(np.array(ms, dtype=np.int64))
+    assert arr.dtype == np.int64 and arr.tolist() == want

@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 from math import prod
 
 import pytest
@@ -21,7 +20,6 @@ from speclab.twists import (
     SOLUBLE,
     UNKNOWN,
     ConsistencyError,
-    CurvePoint,
     HasseScanResult,
     SuperellipticCurve,
     TwistedCurve,
@@ -29,11 +27,10 @@ from speclab.twists import (
     everywhere_locally_soluble,
     hasse_failure_candidates,
     local_solubility,
-    map_twist_point,
     obstruction_certificate,
     search_points,
 )
-from speclab.twists import LocalSolver, _is_nth_power_qp
+from speclab.twists import LocalSolver, _is_nth_power_qp, _qp_class
 
 
 def P(text):
@@ -46,7 +43,7 @@ PINNED8 = P("T^2+1") * P("T^2+2") * P("T^4+2")
 class TestModels:
     def test_degrees_and_genus(self):
         c = SuperellipticCurve(2, P("T^3 - 2"))
-        assert (c.N, c.model_degree, c.weight, c.genus) == (3, 4, 2, 1)
+        assert (c.N, c.model_degree, c.genus) == (3, 4, 1)
         c2 = SuperellipticCurve(2, PINNED8)
         assert (c2.model_degree, c2.genus) == (8, 3)
         c3 = SuperellipticCurve(3, P("T^4 + 1"))
@@ -172,7 +169,7 @@ class TestSearch:
     def test_known_point(self):
         pts = search_points(SuperellipticCurve(2, P("T^3 - 2")), 10)
         assert any((pt.u, pt.v) == (3, 1) for pt in pts)
-        assert all(not pt.trivial for pt in pts)
+        assert all(pt.y != 0 for pt in pts)
 
     def test_z_zero_point(self):
         # y^2 = 4 T^2 + 1: above z = 0 the value is the leading coefficient 4
@@ -270,6 +267,38 @@ class TestLocal:
         assert _is_nth_power_qp(10, 3, 3) == any(
             pow(x, 3, 27) == 10 % 27 for x in range(27) if x % 3)
 
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11, 13]),
+        st.sampled_from([2, 3, 4, 6]),
+        st.integers(-3000, 3000).filter(bool),
+        st.integers(-3000, 3000).filter(bool),
+        st.integers(1, 500),
+        st.integers(0, 2),
+    )
+    @example(2, 3, 3, 1, 1, 0)  # p = 2 with s = 0: every odd unit is a cube
+    @example(2, 2, -7, 1, 1, 0)  # -7 = 1 mod 8 is a square in Q_2
+    @example(2, 4, 9, 1, 3, 1)  # 9 = 3^2 is a square in Q_2 but not a fourth power
+    @example(3, 6, -3**6 * 10, 10, 2, 1)  # p | n and a negative value
+    @settings(max_examples=400, deadline=None)
+    def test_qp_class_against_brute_force(self, p, n, a, b, x, j):
+        """The class key against n-th powers mod p^(2s+3), s = v_p(n): an
+        integer is an n-th power in Q_p iff its valuation is 0 mod n and its
+        unit part is an n-th power of a unit mod p^k for any k > 2s."""
+        s = valuation(n, p) if n % p == 0 else 0
+        mod = p ** (2 * s + 3)
+        powers = {pow(y, n, mod) for y in range(1, mod) if y % p}
+
+        def is_power(val):
+            w = valuation(val, p)
+            return w % n == 0 and (val // p**w) % mod in powers
+
+        assert (_qp_class(a, p, n) == (0, 1)) == is_power(a)
+        assert _is_nth_power_qp(a, p, n) == is_power(a)
+        # a and b share a class iff a / b, like a * b^(n-1), is an n-th power
+        assert (_qp_class(a, p, n) == _qp_class(b, p, n)) == is_power(a * b ** (n - 1))
+        if x % p:
+            assert _qp_class(a * x**n * p ** (n * j), p, n) == _qp_class(a, p, n)
+
     def test_real_place(self):
         assert local_solubility(SuperellipticCurve(2, P("T^2+1")).twist(-1), "infinity") == INSOLUBLE
         assert local_solubility(SuperellipticCurve(3, P("T^2+1")).twist(-1), "infinity") == SOLUBLE
@@ -332,26 +361,6 @@ class TestLocal:
         finally:
             tracemalloc.stop()
         assert peak < 10**5
-
-
-class TestMapping:
-    def test_push_down(self):
-        src = SuperellipticCurve(4, P("T^4 + 71")).twist(18)
-        pts = search_points(src, 3)
-        tgt, q = map_twist_point(src, 3, [pt for pt in pts if pt.u == 1][0])
-        assert tgt.d == 2 and q.y == 12 and (q.u, q.v) == (1, 1)
-        assert q.y**2 == 2 * (1**4 + 71)
-
-    def test_rejects_wrong_alpha(self):
-        src = SuperellipticCurve(4, P("T^4 + 71")).twist(18)
-        pt = search_points(src, 3)[0]
-        with pytest.raises(ValueError):
-            map_twist_point(src, 5, pt)
-
-    def test_rejects_prime_exponent(self):
-        src = SuperellipticCurve(3, P("T^4 + 1")).twist(2)
-        with pytest.raises(ValueError):
-            map_twist_point(src, 1, CurvePoint(1, 0, 1))
 
 
 class TestScans:
