@@ -16,8 +16,8 @@ from math import gcd, isqrt, log, sqrt
 
 import numpy as np
 
-from . import kernels
-from .covers import QuadraticCover, _rootless_primes, s3_survey_predicates
+from . import fp, kernels
+from .covers import QuadraticCover, s3_survey_predicates
 from .intutil import (
     _nfree_array,
     is_nfree,
@@ -340,7 +340,7 @@ def _found_twists(cover: QuadraticCover, H: int, x: int, primes: list[int]) -> s
 def _absence_certifier(cover: QuadraticCover, x: int, primes: list[int]):
     """Cheap certificate of emptiness for twists by 0 < |d| <= x: some p | d
     with P rootless mod p and p prime to 2 * lc (valuation argument). The
-    multiples up to x of every such p, found by _rootless_primes in one pass
+    multiples up to x of every such p, found by fp._rootless_primes in one pass
     over primes (the primes up to x), are marked in one table. Only sound
     for even degree; for odd degree the table stays empty. A rational root
     a/b of P has b | lc, so it is a root mod every p prime to lc and the
@@ -350,7 +350,7 @@ def _absence_certifier(cover: QuadraticCover, x: int, primes: list[int]):
     cert = np.zeros(x + 1, dtype=bool)
     if cover.degree % 2 == 0:
         bad = 2 * P.lc
-        for p in _rootless_primes(P, [p for p in primes if bad % p]):
+        for p in fp._rootless_primes(P, [p for p in primes if bad % p]):
             cert[p::p] = True
 
     def certifies(d):

@@ -14,10 +14,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import gcd, inf, isqrt, lcm, prod
-
-import numpy as np
+from itertools import islice, product
+from math import gcd, inf, lcm, prod
 
 from . import fp
 from .intutil import (
@@ -639,7 +637,7 @@ def chebotarev_unramified_sieve(
         raise ValueError("R must be nonconstant")
     bad = R.lc * R.content
     considered = [p for p in primes_up_to(bound) if bad % p]
-    out = _rootless_primes(R, considered)
+    out = fp._rootless_primes(R, considered)
     density = len(out) / len(considered) if considered else 0.0
     return out, density, density
 
@@ -647,117 +645,6 @@ def chebotarev_unramified_sieve(
 def _rootless_mod_p(R: IntPolynomial, p: int) -> bool:
     """No root in F_p. Assumes p prime; raises ValueError if R vanishes mod p."""
     return fp.root_count(R, p) == 0
-
-
-def _rootless_primes(R: IntPolynomial, primes: list[int]) -> list[int]:
-    """The primes of the list (distinct) mod which R has no root, in list
-    order: the answers of _rootless_mod_p prime by prime, with its ValueError
-    if R vanishes mod one of them.
-
-    Take a prime p > D = deg R that does not divide lc(R). The trace of the
-    F_p-linear map a -> a^p on F_p[T]/(R) is the number of distinct roots of
-    R in F_p, read mod p: on the local factor of an irreducible f^e,
-    Frobenius induces zero on m^j / m^(j+1) for j >= 1, the identity on a
-    residue field F_p, and a cyclic shift of a normal basis of a larger
-    one. As that number is at most D < p, R is rootless mod p exactly when
-    the trace is 0 mod p (_frobenius_traces computes it for all such primes
-    at once). Primes p <= D (T^3 - T has 3 roots mod 3), primes dividing
-    lc(R) and primes above the float64 bound of _frobenius_traces go to
-    _rootless_mod_p."""
-    content = R.content
-    if content != 1 and any(content % p == 0 for p in primes):
-        raise ValueError("R vanishes mod p")
-    D = R.degree
-    if D <= 0:
-        return list(primes)  # a nonzero constant mod every prime of the list
-    limit = _trace_prime_limit(D)
-    ps = np.array([p for p in primes if D < p <= limit], dtype=np.int64)
-    # R mod each p; a coefficient beyond int64 is reduced prime by prime
-    c = np.array(
-        [np.remainder(a, ps) if abs(a) < 1 << 62 else [a % p for p in ps.tolist()]
-         for a in R.coeffs],
-        dtype=np.int64,
-    ).reshape(D + 1, ps.size)
-    unit = c[D] != 0
-    ps, c = ps[unit], c[:, unit]
-    # R / lc mod p is monic; lc^-1 = lc^(p - 2), products below p^2 < 2^53
-    inv = np.ones_like(ps)
-    base, e = c[D], ps - 2
-    while e.any():
-        inv = np.where(e & 1, inv * base % ps, inv)
-        base = base * base % ps
-        e >>= 1
-    traces = _frobenius_traces(c[:D] * inv % ps, ps)
-    fast = dict(zip(ps.tolist(), (traces == 0).tolist()))
-    return [p for p in primes if (fast[p] if p in fast else _rootless_mod_p(R, p))]
-
-
-def _trace_prime_limit(D: int) -> int:
-    """The largest p with 4 D p^2 < 2^53, the bound _frobenius_traces needs."""
-    return isqrt((2**53 - 1) // (4 * D))
-
-
-def _frobenius_traces(r: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """For each column k, Tr(a -> a^p) mod p on F_p[T]/(M) with p = ps[k] and
-    M = T^D + r[D-1, k] T^(D-1) + ... + r[0, k]. r holds residues in [0, p),
-    and every prime is at most _trace_prime_limit(D).
-
-    Residue classes mod M are (D, n) float64 arrays, the primes along the
-    contiguous axis. A = T^p mod M comes from a left-to-right binary ladder
-    over the bits of the primes, and the trace is sum_i [T^i] A^i. Values
-    are reduced lazily as c - floor(c / p) p, which leaves them in
-    (-p, 2p): a product of two classes sums at most D terms below 4 p^2, and
-    folding its reduced high half back with the table of T^(D + j) mod M
-    sums at most D terms below 2 p^2, so every intermediate is an integer
-    below 4 D p^2 < 2^53 and all arithmetic is exact."""
-    D, n = r.shape
-    pf = ps.astype(np.float64)
-    inv = 1.0 / pf
-
-    def reduce(c):
-        c -= np.floor(c * inv) * pf
-        return c
-
-    # fold[j] = T^(D + j) mod M in [0, p), for j < D
-    fold = np.empty((D, D, n), dtype=np.int64)
-    fold[0] = (ps - r) % ps
-    for j in range(1, D):
-        fold[j, 0] = 0
-        fold[j, 1:] = fold[j - 1, :-1]
-        fold[j] += fold[j - 1, -1] * fold[0]
-        fold[j] %= ps
-    fold = fold.astype(np.float64)
-
-    def mul(a, b):
-        full = np.zeros((2 * D - 1, n))
-        for i in range(D):
-            full[i : i + D] += a[i] * b
-        reduce(full)
-        out = full[:D]
-        for j in range(D - 1):
-            out += full[D + j] * fold[j]
-        return reduce(out)
-
-    def times_T(a):
-        out = np.empty_like(a)
-        out[0] = 0
-        out[1:] = a[:-1]
-        out += a[-1] * fold[0]
-        return reduce(out)
-
-    A = np.zeros((D, n))
-    A[0] = 1
-    bits = int(ps.max(initial=0)).bit_length()
-    for b in range(bits - 1, -1, -1):
-        A = mul(A, A)
-        A = np.where(((ps >> b) & 1).astype(bool), times_T(A), A)
-    trace = np.ones(n)
-    power = A
-    for i in range(1, D):
-        trace += power[i]
-        if i + 1 < D:
-            power = mul(power, A)
-    return np.remainder(trace, pf).astype(np.int64)
 
 
 def splits_completely(R: IntPolynomial, p: int) -> bool:
@@ -770,7 +657,17 @@ def _specializations(cover, height: int, seed: int):
     """Endless (t0, report) pairs at random t0 = u / v with |u| <= height,
     1 <= v <= height and gcd(u, v) = 1, drawn by random.Random(seed); the
     report is quad_specialize's or cubic_specialize's by the cover's type. A
-    t0 where the specialisation raises ValueError is skipped."""
+    t0 where the specialisation raises ValueError is skipped.
+
+    Raises ValueError when every such t0 is a branch point, a root of the
+    branch polynomial (P, or delta for a cubic cover). Distinct pairs give
+    distinct t0, so a box with more pairs than that degree has a t0 off the
+    branch locus, and only a smaller box is enumerated."""
+    R = cover.P if isinstance(cover, QuadraticCover) else cover.delta
+    box = ((u, v) for v in range(1, height + 1) for u in range(-height, height + 1))
+    box = list(islice(((u, v) for u, v in box if gcd(u, v) == 1), R.degree + 1))
+    if len(box) <= R.degree and all(R(Fraction(u, v)) == 0 for u, v in box):
+        raise ValueError(f"no coprime u/v with |u|, v <= {height} is off the branch locus")
     rng = random.Random(seed)
     while True:
         u = rng.randint(-height, height)

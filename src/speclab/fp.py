@@ -1,29 +1,31 @@
-"""Arithmetic modulo a prime p: polynomials over F_p, their roots and
-factorisation, the Hensel lift of a factorisation to Z/p^k, and
-power-residue classes.
+"""Arithmetic modulo a prime p: polynomials over F_p, their distinct-degree
+and equal-degree splitting, the Hensel lift of a factorisation to Z/p^k, root
+tests one prime at a time and over many primes at once, and power-residue
+classes.
 
 A polynomial over F_p is a list of coefficients in [0, p), low degree first,
 with no trailing zeros; [] is the zero polynomial. `reduce` makes one from
-integer coefficients. root_count and factor_mod_p take an IntPolynomial.
-_add, _sub, _mul and _quo_rem work modulo any m > 1, as long as the divisor
-of _quo_rem has a leading coefficient prime to m.
+integer coefficients. root_count and _rootless_primes take an IntPolynomial
+(they read its coeffs, content and degree). _add, _sub, _mul and _quo_rem
+work modulo any m > 1, as long as the divisor of _quo_rem has a leading
+coefficient prime to m. The module imports nothing else from speclab, so
+speclab.poly can build on it.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from itertools import zip_longest
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .intutil import is_probable_prime
-from .poly import IntPolynomial
+if TYPE_CHECKING:
+    from .poly import IntPolynomial
 
 __all__ = [
     "reduce",
     "gcd",
-    "factor_mod_p",
     "hensel_lift",
     "root_count",
     "double_root",
@@ -117,36 +119,8 @@ def _deriv(a, p):
 
 
 # ---------------------------------------------------------------------------
-# Factorisation: seeded Cantor-Zassenhaus
-
-
-def _sqf(a, p):
-    """Squarefree decomposition via repeated exact division; returns
-    [(monic squarefree poly, multiplicity)] with distinct pairwise-coprime polys."""
-    inv = pow(a[-1], -1, p)
-    a = [c * inv % p for c in a]
-    result: list[tuple[list[int], int]] = []
-    if len(a) == 1:
-        return result
-    d = _deriv(a, p)
-    if not d:
-        # a(x) = b(x^p) = b(x)^p over F_p
-        return [(f, m * p) for f, m in _sqf(a[::p], p)]
-    g = gcd(a, d, p)
-    w = _quo_rem(a, g, p)[0]  # product of distinct factors with p∤mult
-    mult = 1
-    while len(w) > 1:
-        y = gcd(w, g, p)
-        z = _quo_rem(w, y, p)[0]  # factors with exactly this multiplicity
-        if len(z) > 1:
-            result.append((z, mult))
-        w = y
-        g = _quo_rem(g, y, p)[0]
-        mult += 1
-    if len(g) > 1:
-        # what is left has every multiplicity divisible by p
-        result.extend(_sqf(g, p))
-    return result
+# Splitting a squarefree polynomial: distinct-degree, then equal-degree
+# (Cantor-Zassenhaus; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14)
 
 
 def _ddf(a, p):
@@ -170,51 +144,18 @@ def _ddf(a, p):
 
 def _edf(a, d, p, rng):
     """Equal-degree splitting (Cantor-Zassenhaus) of squarefree monic a whose
-    irreducible factors all have degree d."""
+    irreducible factors all have degree d, for an odd prime p; the random
+    polynomials are drawn from rng."""
     n = len(a) - 1
     if n == d:
         return [a]
     while True:
         r = _trim([rng.randrange(p) for _ in range(n)] + [1])
-        if p == 2:
-            # trace map sum_{i<d} r^(2^i) mod a
-            t = acc = r
-            for _ in range(d - 1):
-                t = _quo_rem(_mul(t, t, p), a, p)[1]
-                acc = _add(acc, t, p)
-            g = gcd(acc, a, p)
-        else:
-            t = _pow_mod(r, (p**d - 1) // 2, a, p)
-            g = gcd(_add(t, [p - 1], p), a, p)
+        t = _pow_mod(r, (p**d - 1) // 2, a, p)
+        g = gcd(_add(t, [p - 1], p), a, p)
         if 1 < len(g) < len(a):
             b = _quo_rem(a, g, p)[0]
             return _edf(g, d, p, rng) + _edf(b, d, p, rng)
-
-
-def factor_mod_p(poly: IntPolynomial, p: int) -> tuple[int, list[tuple[IntPolynomial, int]]]:
-    """Complete factorization of poly mod p.
-
-    Returns (leading unit, [(monic irreducible IntPolynomial with coefficients
-    in [0, p), multiplicity)]), sorted. The Cantor-Zassenhaus splitting draws
-    from random.Random(f"0,{p}"), so the run is reproducible. Raises
-    ValueError if the reduction vanishes identically or p is not prime.
-    """
-    if not is_probable_prime(p):
-        raise ValueError("p must be prime")
-    a = reduce(poly.coeffs, p)
-    if not a:
-        raise ValueError("polynomial vanishes mod p")
-    unit = a[-1]
-    if len(a) == 1:
-        return unit, []
-    rng = random.Random(f"0,{p}")
-    factors: list[tuple[IntPolynomial, int]] = []
-    for sq, mult in _sqf(a, p):
-        for part, d in _ddf(sq, p):
-            for irr in _edf(part, d, p, rng):
-                factors.append((IntPolynomial(irr), mult))
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return unit, factors
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +235,117 @@ def root_count(R: IntPolynomial, p: int) -> int:
         return p - int(np.count_nonzero(np.remainder(acc, p, out=acc)))
     xp_x = _add(_pow_mod([0, 1], p, a, p), [0, p - 1], p)  # x^p - x mod a
     return len(gcd(xp_x, a, p)) - 1
+
+
+def _rootless_primes(R: IntPolynomial, primes: list[int]) -> list[int]:
+    """The primes of the list (distinct) mod which R has no root, in list
+    order: those where root_count is 0, with its ValueError if R vanishes
+    mod one of them.
+
+    Take a prime p > D = deg R that does not divide lc(R). The trace of the
+    F_p-linear map a -> a^p on F_p[T]/(R) is the number of distinct roots of
+    R in F_p, read mod p: on the local factor of an irreducible f^e,
+    Frobenius induces zero on m^j / m^(j+1) for j >= 1, the identity on a
+    residue field F_p, and a cyclic shift of a normal basis of a larger
+    one. As that number is at most D < p, R is rootless mod p exactly when
+    the trace is 0 mod p (_frobenius_traces computes it for all such primes
+    at once). Primes p <= D (T^3 - T has 3 roots mod 3), primes dividing
+    lc(R) and primes above the float64 bound of _frobenius_traces go to
+    root_count."""
+    content = R.content
+    if content != 1 and any(content % p == 0 for p in primes):
+        raise ValueError("R vanishes mod p")
+    D = R.degree
+    if D <= 0:
+        return list(primes)  # a nonzero constant mod every prime of the list
+    limit = _trace_prime_limit(D)
+    ps = np.array([p for p in primes if D < p <= limit], dtype=np.int64)
+    # R mod each p; a coefficient beyond int64 is reduced prime by prime
+    c = np.array(
+        [np.remainder(a, ps) if abs(a) < 1 << 62 else [a % p for p in ps.tolist()]
+         for a in R.coeffs],
+        dtype=np.int64,
+    ).reshape(D + 1, ps.size)
+    unit = c[D] != 0
+    ps, c = ps[unit], c[:, unit]
+    # R / lc mod p is monic; lc^-1 = lc^(p - 2), products below p^2 < 2^53
+    inv = np.ones_like(ps)
+    base, e = c[D], ps - 2
+    while e.any():
+        inv = np.where(e & 1, inv * base % ps, inv)
+        base = base * base % ps
+        e >>= 1
+    traces = _frobenius_traces(c[:D] * inv % ps, ps)
+    fast = dict(zip(ps.tolist(), (traces == 0).tolist()))
+    return [p for p in primes if (fast[p] if p in fast else root_count(R, p) == 0)]
+
+
+def _trace_prime_limit(D: int) -> int:
+    """The largest p with 4 D p^2 < 2^53, the bound _frobenius_traces needs."""
+    return math.isqrt((2**53 - 1) // (4 * D))
+
+
+def _frobenius_traces(r: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """For each column k, Tr(a -> a^p) mod p on F_p[T]/(M) with p = ps[k] and
+    M = T^D + r[D-1, k] T^(D-1) + ... + r[0, k]. r holds residues in [0, p),
+    and every prime is at most _trace_prime_limit(D).
+
+    Residue classes mod M are (D, n) float64 arrays, the primes along the
+    contiguous axis. A = T^p mod M comes from a left-to-right binary ladder
+    over the bits of the primes, and the trace is sum_i [T^i] A^i. Values
+    are reduced lazily as c - floor(c / p) p, which leaves them in
+    (-p, 2p): a product of two classes sums at most D terms below 4 p^2, and
+    folding its reduced high half back with the table of T^(D + j) mod M
+    sums at most D terms below 2 p^2, so every intermediate is an integer
+    below 4 D p^2 < 2^53 and all arithmetic is exact."""
+    D, n = r.shape
+    pf = ps.astype(np.float64)
+    inv = 1.0 / pf
+
+    def lazy_reduce(c):
+        c -= np.floor(c * inv) * pf
+        return c
+
+    # fold[j] = T^(D + j) mod M in [0, p), for j < D
+    fold = np.empty((D, D, n), dtype=np.int64)
+    fold[0] = (ps - r) % ps
+    for j in range(1, D):
+        fold[j, 0] = 0
+        fold[j, 1:] = fold[j - 1, :-1]
+        fold[j] += fold[j - 1, -1] * fold[0]
+        fold[j] %= ps
+    fold = fold.astype(np.float64)
+
+    def mul(a, b):
+        full = np.zeros((2 * D - 1, n))
+        for i in range(D):
+            full[i : i + D] += a[i] * b
+        lazy_reduce(full)
+        out = full[:D]
+        for j in range(D - 1):
+            out += full[D + j] * fold[j]
+        return lazy_reduce(out)
+
+    def times_T(a):
+        out = np.empty_like(a)
+        out[0] = 0
+        out[1:] = a[:-1]
+        out += a[-1] * fold[0]
+        return lazy_reduce(out)
+
+    A = np.zeros((D, n))
+    A[0] = 1
+    bits = int(ps.max(initial=0)).bit_length()
+    for b in range(bits - 1, -1, -1):
+        A = mul(A, A)
+        A = np.where(((ps >> b) & 1).astype(bool), times_T(A), A)
+    trace = np.ones(n)
+    power = A
+    for i in range(1, D):
+        trace += power[i]
+        if i + 1 < D:
+            power = mul(power, A)
+    return np.remainder(trace, pf).astype(np.int64)
 
 
 def double_root(coeffs, p: int) -> int:

@@ -7,6 +7,7 @@ parse_poly/format_poly.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +15,7 @@ from itertools import chain, combinations, count, islice
 from math import gcd, isqrt, prod
 from typing import Sequence
 
+from . import fp
 from .intutil import ConsistencyError, is_probable_prime
 
 __all__ = [
@@ -445,8 +447,6 @@ def _reductions(f: IntPolynomial):
     p does not divide lc(f) and f mod p is squarefree, else None. Such a p
     does not divide disc(f), so one of them proves f squarefree; for a
     squarefree f all but finitely many primes give one."""
-    from . import fp
-
     for p in filter(is_probable_prime, count(3, 2)):
         if f.lc % p == 0:
             yield None
@@ -460,23 +460,27 @@ def _reductions(f: IntPolynomial):
 def _zassenhaus(f: IntPolynomial, good) -> list[IntPolynomial]:
     """Irreducible factors of a squarefree primitive f of positive degree and
     positive leading coefficient. good yields (p, f mod p made monic) at
-    primes p where that is squarefree and p does not divide lc(f)."""
-    from . import fp
-
+    primes p where that is squarefree and p does not divide lc(f). The
+    irreducible factors mod the prime with the fewest of them are its
+    distinct-degree parts split by equal degree, seeded by the prime."""
     n = f.degree
     sums = None  # degrees a factor over Z can have, by every pattern so far
-    best = None  # (number of factors, p)
+    best = None  # (number of factors, p, distinct-degree parts)
     for p, a in islice(good, _DDF_PRIMES):
-        degs = [d for part, d in fp._ddf(a, p) for _ in range((len(part) - 1) // d)]
+        parts = fp._ddf(a, p)
+        degs = [d for part, d in parts for _ in range((len(part) - 1) // d)]
         reach = {0}
         for d in degs:
             reach |= {x + d for x in reach}
         sums = reach if sums is None else sums & reach
         if len(sums) == 2:  # {0, n}: irreducible mod some p or by the patterns
             return [f]
-        best = min(best, (len(degs), p)) if best else (len(degs), p)
-    p = best[1]
-    mods = [list(g.coeffs) for g, _ in fp.factor_mod_p(f, p)[1]]
+        if best is None or len(degs) < best[0]:  # the first such prime on a tie
+            best = (len(degs), p, parts)
+    _, p, parts = best
+    rng = random.Random(f"0,{p}")
+    mods = [g for part, d in parts for g in fp._edf(part, d, p, rng)]
+    mods.sort(key=lambda g: (len(g), g))
     # Mignotte: a factor of f of degree m has coefficients of size at most
     # 2^m ||f||_2, and its multiple with leading coefficient lc(f) at most
     # lc(f) times that; pk must exceed twice that for the symmetric range
@@ -492,8 +496,6 @@ def _recombine(f: IntPolynomial, lifted, pk: int, sums) -> list[IntPolynomial]:
     a subset of the lifted factors mod pk, in the symmetric range), subsets
     by increasing size, each with a degree in sums. pk exceeds twice lc(f)
     times the Mignotte bound, so every factor over Z is such a product."""
-    from . import fp
-
     out = []
     s = 1
     while 2 * s <= len(lifted):

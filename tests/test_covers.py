@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -69,11 +70,19 @@ def old_rootless_primes(R, primes):
     return [p for p in primes if left % p == 0]
 
 
+def sympy_factors_mod_p(f, p):
+    """The monic irreducible factors of f mod p with their multiplicities, by
+    sympy's factorisation over GF(p), with coefficients in [0, p)."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(f.coeffs[::-1]), x, modulus=p).factor_list()
+    return [(IntPolynomial([int(c) % p for c in g.all_coeffs()[::-1]]), int(m)) for g, m in factors]
+
+
 def old_splits_completely(R, p):
     """The split test kept as oracle: a full factorisation mod p."""
     if R.lc % p == 0:
         return False
-    _, facs = fp.factor_mod_p(R, p)
+    facs = sympy_factors_mod_p(R, p)
     return all(f.degree == 1 and m == 1 for f, m in facs) and sum(
         f.degree * m for f, m in facs
     ) == R.degree
@@ -84,8 +93,8 @@ ROOT_TEST_PRIMES = [2, 3, 5, 7, 11, 101, 1009, 4093, 4099, 5003]
 
 
 def primes_around_trace_limit(D):
-    """The two primes below and the two above covers._trace_prime_limit(D)."""
-    below = sympy.prevprime(covers._trace_prime_limit(D) + 1)
+    """The two primes below and the two above fp._trace_prime_limit(D)."""
+    below = sympy.prevprime(fp._trace_prime_limit(D) + 1)
     above = sympy.nextprime(below)
     return [sympy.prevprime(below), below, above, sympy.nextprime(above)]
 
@@ -782,7 +791,7 @@ class TestReducibleSpecialization:
 def old_dedekind_p_maximal(f, p):
     """Dedekind's criterion from the full factorisation of f mod p, kept as
     oracle."""
-    _, factors = fp.factor_mod_p(f, p)
+    factors = sympy_factors_mod_p(f, p)
     one = IntPolynomial([1])
     g = math.prod((fac for fac, _ in factors), start=one)
     h = math.prod((fac for fac, m in factors for _ in range(m - 1)), start=one)
@@ -966,14 +975,14 @@ class TestSieve:
         R = IntPolynomial(coeffs)
         primes = [p for p in primes if R.content % p]
         want = [p for p in primes if covers._rootless_mod_p(R, p)]
-        assert covers._rootless_primes(R, primes) == want
+        assert fp._rootless_primes(R, primes) == want
         if max(primes, default=0) <= 10**4:
             assert old_rootless_primes(R, primes) == want
 
     @given(
         st.lists(st.integers(-60, 60), min_size=2, max_size=9).filter(lambda c: c[-1] != 0),
         # the last prime is just below the float64 bound for degree 8
-        st.sampled_from([11, 101, 1009, 4099, 5003, sympy.prevprime(covers._trace_prime_limit(8) + 1)]),
+        st.sampled_from([11, 101, 1009, 4099, 5003, sympy.prevprime(fp._trace_prime_limit(8) + 1)]),
     )
     @example([0, -1, 0, 0, 0, 1], 7)  # T^5 - T: roots 0, 1, -1
     @example([1, -2, 2, -2, 1], 13)  # (T - 1)^2 (T^2 + 1): roots 1, 5, 8
@@ -984,13 +993,13 @@ class TestSieve:
         c = [a % p for a in coeffs]
         lc_inv = pow(c[-1], -1, p)
         r = np.array([[a * lc_inv % p] for a in c[:-1]], dtype=np.int64)
-        trace = covers._frobenius_traces(r, np.array([p], dtype=np.int64))
+        trace = fp._frobenius_traces(r, np.array([p], dtype=np.int64))
         assert trace.tolist() == [fp.root_count(R, p)]
 
     def test_rootless_primes_order_and_vanishing(self):
-        assert covers._rootless_primes(P("T^2 + 1"), [13, 3, 5, 7]) == [3, 7]
+        assert fp._rootless_primes(P("T^2 + 1"), [13, 3, 5, 7]) == [3, 7]
         with pytest.raises(ValueError):
-            covers._rootless_primes(P("6*T^2 + 6"), [2, 5])
+            fp._rootless_primes(P("6*T^2 + 6"), [2, 5])
 
     def test_chebotarev_sieve_unchanged(self):
         R = P("T^6 - T - 1")
@@ -1041,6 +1050,32 @@ class TestSieve:
         seen.clear()
         assert consistency_check(cover, n_samples=5, height=3, seed=7).samples == 5
         assert seen == calls
+
+    @pytest.mark.parametrize(
+        "cover",
+        [quad_cover(P("T^3 - T")), CubicCover(P("0"), P("T^3 - T"), P("0"))],
+        ids=["T^3-T", "Y^3+(T^3-T)Y"],
+    )
+    def test_samplers_raise_on_a_box_of_branch_points(self, cover):
+        """At height 1 the coprime points are -1, 0 and 1, all roots of the
+        branch polynomial (P, and delta = -4 (T^3 - T)^3): both samplers
+        raise, naming the height, instead of drawing forever. At height 2
+        there is a point to draw."""
+
+        def hung(signum, frame):
+            raise AssertionError("the sampler did not return")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match=r"<= 1 "):
+                consistency_check(cover, n_samples=1, height=1)
+            with pytest.raises(ValueError, match=r"<= 1 "):
+                verify_unramified(cover, [3, 5], set(), n_samples=1, height=1)
+            assert consistency_check(cover, n_samples=1, height=2).samples == 1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_verify_unramified(self):
         cov = quad_cover(P("T^2 - 2"))

@@ -1,12 +1,15 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speclab import fp
+from speclab.intutil import primes_up_to
 from speclab.poly import IntPolynomial
 
 # primes on both sides of the numpy cutoff of root_count
@@ -73,6 +76,48 @@ def test_power_class_is_one_on_nth_powers(p, n):
         assert fp.power_class(a - 5 * p, p, n) == fp.power_class(a, p, n)
 
 
+def split_mod_p(coeffs, p, seed=0):
+    """The irreducible factors mod an odd prime p of a polynomial that is
+    squarefree mod p, by distinct-degree then equal-degree splitting of its
+    monic reduction; None when p divides the leading coefficient or the
+    reduction is not squarefree."""
+    a = fp.reduce(coeffs, p)
+    if len(a) != len(coeffs) or fp.gcd(a, fp._deriv(a, p), p) != [1]:
+        return None
+    inv = pow(a[-1], -1, p)
+    a = [c * inv % p for c in a]
+    rng = random.Random(seed)
+    return [g for part, d in fp._ddf(a, p) for g in fp._edf(part, d, p, rng)]
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=2, max_size=9).filter(lambda c: c[-1]),
+    st.sampled_from(primes_up_to(60)[1:]),
+    st.integers(0, 3),
+)
+@example([-1, 0, 0, 0, 0, 0, 1], 7, 0)  # T^6 - 1: six linear factors mod 7
+@example([1, 0, 0, 0, 1], 17, 0)  # T^4 + 1: four linear factors mod 17
+@example([2, 0, 3, 0, 1], 3, 0)  # (T^2 + 1)(T^2 + 2) mod 3: two quadratics
+@settings(max_examples=200, deadline=None)
+def test_ddf_edf_split_reassembles(coeffs, p, seed):
+    """Monic irreducible factors whose product is the monic reduction of f,
+    and which are the factors of sympy's factorisation mod p."""
+    factors = split_mod_p(coeffs, p, seed)
+    if factors is None:
+        return
+    prod = [1]
+    for g in factors:
+        assert g[-1] == 1
+        prod = fp._mul(prod, g, p)
+    inv = pow(coeffs[-1], -1, p)
+    assert prod == fp.reduce([c * inv for c in coeffs], p)
+    x = sympy.Symbol("x")
+    _, want = sympy.Poly(coeffs[::-1], x, modulus=p).factor_list()
+    assert all(m == 1 for _, m in want)
+    want = [[int(c) % p for c in g.all_coeffs()[::-1]] for g, _ in want]
+    assert sorted(factors) == sorted(want)
+
+
 @given(
     st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=13).filter(lambda c: c[-1]),
     st.sampled_from([3, 5, 7, 101]),
@@ -81,10 +126,9 @@ def test_power_class_is_one_on_nth_powers(p, n):
 @settings(max_examples=200, deadline=None)
 def test_hensel_lift_reassembles(coeffs, p, k):
     f = IntPolynomial(coeffs)
-    a = fp.reduce(coeffs, p)
-    if len(a) != len(coeffs) or fp.gcd(a, fp._deriv(a, p), p) != [1]:
+    factors = split_mod_p(coeffs, p, seed=f"0,{p}")
+    if factors is None:
         return  # p divides lc(f), or f mod p is not squarefree
-    factors = [list(g.coeffs) for g, _ in fp.factor_mod_p(f, p)[1]]
     pk = p**k
     lifted = fp.hensel_lift(coeffs, factors, p, pk)
     prod = [f.lc % pk]
@@ -143,4 +187,34 @@ def test_core_modules_do_not_import_sympy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", NO_SYMPY_RUN, str(tmp_path)], capture_output=True, text=True, env=env
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+# Run in a fresh interpreter: fp is the bottom F_p layer, so importing it
+# loads no other speclab module; poly imports fp at module level and none of
+# its functions imports a module; covers leaves the vectorised F_p ladder,
+# and numpy with it, to fp.
+LAYERING_RUN = """
+import ast, inspect, sys
+import speclab.fp
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "speclab")
+assert loaded == ["speclab", "speclab.fp"], loaded
+import speclab.covers, speclab.poly
+
+def imports(node):
+    return [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+tree = ast.parse(inspect.getsource(speclab.poly))
+functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+assert [n.lineno for f in functions for n in imports(f)] == []
+names = {a.name for n in imports(ast.parse(inspect.getsource(speclab.covers))) for a in n.names}
+assert "numpy" not in names, names
+"""
+
+
+def test_fp_is_the_bottom_layer():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAYERING_RUN], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

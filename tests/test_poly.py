@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from speclab import poly as poly_module
 from speclab.covers import CubicCover
-from speclab.fp import factor_mod_p
 from speclab.intutil import is_probable_prime, primes_up_to
 from speclab.poly import (
     INFINITY,
@@ -92,6 +91,14 @@ def old_factor_over_Q(p):
     return cont, out
 
 
+def sympy_factors_mod_p(f, p):
+    """The monic irreducible factors of f mod p with their multiplicities, by
+    sympy's factorisation over GF(p)."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(f.coeffs[::-1]), x, modulus=p).factor_list()
+    return [(IntPolynomial([int(c) % p for c in g.all_coeffs()[::-1]]), int(m)) for g, m in factors]
+
+
 SD4 = "T^4-10*T^2+1"  # minimal polynomial of sqrt 2 + sqrt 3
 SD8 = "T^8-40*T^6+352*T^4-960*T^2+576"  # of sqrt 2 + sqrt 3 + sqrt 5
 
@@ -134,7 +141,7 @@ def test_factor_over_Q_recombines(text):
     p = parse_poly(text)
     for q in primes_up_to(60):
         if discriminant(p) % q:
-            assert all(g.degree <= 2 for g, _ in factor_mod_p(p, q)[1])
+            assert all(g.degree <= 2 for g, _ in sympy_factors_mod_p(p, q))
     assert factor_over_Q(p) == (1, [(p, 1)])
     shifted = p.shift(2)
     for m in (1, 2):  # squarefree, and through Yun's algorithm
@@ -155,32 +162,6 @@ def test_factor_over_Q_checks_the_product(monkeypatch):
     monkeypatch.setattr(poly_module, "_zassenhaus", lambda f, good: [f, poly(1, 1)])
     with pytest.raises(ConsistencyError):
         factor_over_Q(parse_poly("T^2+1"))
-
-
-@given(coeff_lists, st.sampled_from(primes_up_to(60)))
-@settings(max_examples=80)
-def test_factor_mod_p_reassembles(cs, p):
-    f = IntPolynomial(cs)
-    if f.degree < 1 or f.lc % p == 0:
-        return
-    unit, factors = factor_mod_p(f, p)
-    prod = [unit]
-    for g, m in factors:
-        assert g.lc == 1
-        for _ in range(m):
-            acc = [0] * (len(prod) + g.degree)
-            for i, x in enumerate(prod):
-                for j, y in enumerate(g.coeffs):
-                    acc[i + j] = (acc[i + j] + x * y) % p
-            prod = acc
-    want = [c % p for c in f.coeffs]
-    got = prod + [0] * (len(want) - len(prod))
-    assert got[: len(want)] == want
-
-
-def test_factor_mod_p_deterministic():
-    f = parse_poly("T^6 + T + 12")
-    assert factor_mod_p(f, 101) == factor_mod_p(f, 101)
 
 
 def test_irreducibility():
