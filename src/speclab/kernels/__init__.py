@@ -7,9 +7,17 @@ check. The sieve (_purepy.survivors) is bit-packed numpy, as in ratpoints:
 each prime's allowed u for one v mod p is a row of uint64 words, and a block
 of v rows is the AND of one such row per prime.
 
-The exact check evaluates F at the survivors with form_values, the one array
-evaluator of a binary form (the census uses it too), and takes n-th roots of
-the nonzero values in (v, u) order until max_points points are found.
+The survivors are checked in (v, u) order, in chunks, until max_points
+points are found. In each chunk the pairs with gcd(u, v) > 1 go first. A
+chunk of more than a few dozen pairs then goes through a second residue
+stage (_residue_stage): the same test as the sieve's, at up to 8 more primes
+from 67 up that sieve for n, with F(u, v) mod p from one vectorised Horner
+pass instead of a table. Like the sieve it tests only mod p at primes p not
+dividing d. It keeps a few pairs in a thousand when there is no point, and
+stops running once a pass keeps more than half of a chunk, where the pairs
+are mostly points. What is left gets the exact check: form_values, the one
+array evaluator of a binary form (the census uses it too), then an n-th root
+of each nonzero value.
 
 The sieve tables are split by what they depend on. Per prime, shared by
 every curve in the process: the allowed mask of each class -- which values
@@ -49,11 +57,26 @@ _FALLBACK_PRIMES = 4
 _KEPT_ROWS_BYTES = 4096
 # Key of the sub-dict of packed rows in a curve's cache: {(p, class, H): rows}.
 _ROWS = "rows"
+# The second residue stage, on the sieve's survivors: up to _STAGE_PRIMES
+# primes from 67 to 1021 that sieve for n and are not sieve primes.
+_STAGE_PRIMES = 8
+_STAGE_CANDIDATES = [p for p in range(67, 1024, 2) if is_probable_prime(p)]
+# The exact check takes the survivors in (v, u) order: a first chunk of
+# _FIRST_CHUNK, small so that a search whose first point lies in its first
+# rows stops early, then chunks of _CHUNK; it stops at max_points. A chunk of
+# more than _STAGE_MIN coprime pairs goes through the stage first. On a
+# 2-core host a pass over 8 primes costs about 50 us + 0.35-0.6 us per pair
+# (form degree 4 to 8), and the exact check about 30 us + 0.35 us per pair on
+# int64 values and 1.2-1.7 us per pair on larger ones: the stage pays from a
+# few dozen pairs on, most where the values leave int64.
+_FIRST_CHUNK = 256
+_CHUNK = 4096
+_STAGE_MIN = 32
 
 
 # Per-prime masks shared by every curve, read-only. It stays small: keys are
-# the sieve primes (17 candidates plus 4 fallbacks per n) times the classes
-# of d.
+# the sieve primes (17 candidates plus 4 fallbacks per n) and the stage
+# primes (at most the 154 primes from 67 to 1021) times the classes of d.
 _masks: dict[tuple[int, int, int], np.ndarray] = {}  # (p, n, class) -> mask
 
 
@@ -140,6 +163,50 @@ def _residue_tables(
     return keys, tables
 
 
+def _stage_primes(n: int, d: int, sieved: list[int]) -> list[int]:
+    """The first _STAGE_PRIMES primes of _STAGE_CANDIDATES that sieve for
+    (n, d) and are not among the sieve's primes; fewer, or none, when the
+    candidates run out (for n = 59 the only ones, 709 and 827, are fallback
+    sieve primes)."""
+    out = []
+    for p in _STAGE_CANDIDATES:
+        if p not in sieved and _sieve_fraction(p, n, d) < 0.99:
+            out.append(p)
+            if len(out) == _STAGE_PRIMES:
+                break
+    return out
+
+
+def _residue_stage(cs: list[int], n: int, d: int, sieved: list[int]):
+    """keep(u, v) -> boolean array: which pairs pass every stage prime p, that
+    is d * F(u, v) mod p is an n-th power residue or 0 (the shared masks of
+    _allowed_residues). F(u, v) mod p comes from one homogeneous Horner pass
+    over a (primes x pairs) int32 array: every factor is reduced below
+    p < 2^10, so every product and sum stays below 2 p^2 < 2^21."""
+    primes = _stage_primes(n, d, sieved)
+    if not primes:
+        return lambda u, v: np.ones(len(u), dtype=bool)
+    p = np.array(primes, dtype=np.int32)[:, None]
+    c = np.array([[cj % q for q in primes] for cj in cs], dtype=np.int32)[:, :, None]
+    masks = np.concatenate([_allowed_residues(q, n, d) for q in primes])
+    offsets = np.cumsum([0] + primes[:-1], dtype=np.int32)[:, None]
+
+    def keep(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        um = (u % p).astype(np.int32)
+        vm = (v % p).astype(np.int32)
+        acc = np.repeat(c[-1], len(u), axis=1)
+        vk = np.ones_like(vm)
+        for cj in c[-2::-1]:
+            acc *= um
+            vk *= vm
+            vk %= p
+            acc += cj * vk
+            acc %= p
+        return masks[acc + offsets].all(axis=0)
+
+    return keep
+
+
 def backend_name() -> str:
     """The sieve's name, kept for result metadata: there is one sieve."""
     return "purepy"
@@ -152,9 +219,10 @@ def available_backends() -> list[str]:
 def form_values(cs: list[int], u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Exact values sum_j cs[j] u^j v^(N-j) by homogeneous Horner: int64 when
     sum |cs[j]| * max(|u|, v)^N < 2^62 bounds every partial sum, else Python
-    ints in an object array (the same arithmetic, without wrap-around)."""
+    ints in an object array (the same arithmetic, without wrap-around). The
+    bound takes max(|u|, v) as at least 1, so that the coefficients fit too."""
     N = len(cs) - 1
-    H = max(int(np.abs(u).max(initial=0)), int(v.max(initial=0)))
+    H = max(1, int(np.abs(u).max(initial=0)), int(v.max(initial=0)))
     dtype = np.int64 if sum(abs(c) for c in cs) * H**N < 2**62 else object
     u = u.astype(dtype)
     v = v.astype(dtype)
@@ -182,7 +250,8 @@ def search_pairs(
     signs of y solve; only y > 0 is reported.
 
     max_points, when given, keeps the first max_points of that list (none for
-    0): the whole box is sieved, and the exact check stops at the last one.
+    0): the whole box is sieved, and the survivors are checked in (v, u)
+    order, a chunk at a time, up to the last one.
     cache: the curve's table cache. It holds the value and sieve tables (see
     _residue_tables) and, in its sub-dict under _ROWS, each sieve table's
     packed rows under (p, class of d, H) when they take at most
@@ -202,12 +271,28 @@ def search_pairs(
         if k not in kept and packed[p].nbytes <= _KEPT_ROWS_BYTES:
             packed[p].flags.writeable = False  # shared by every twist in the class
             kept[k] = packed[p]
-    pairs = pairs[np.gcd(pairs[:, 0], pairs[:, 1]) == 1]
-    vals = form_values(coeffs[: M + 1], pairs[:, 0], pairs[:, 1])
-    for (u, v), val in zip(pairs.tolist(), vals.tolist()):
-        y = nth_root(d * val, n) if val else None
-        if y:
-            out.append((y, u, v))
-            if len(out) == max_points:
-                break
+    cs = coeffs[: M + 1]
+    stage = None  # built at the first chunk that needs it
+    staging = True
+    edges = [0, *range(_FIRST_CHUNK, len(pairs), _CHUNK), len(pairs)]
+    for lo, hi in zip(edges, edges[1:]):
+        chunk = pairs[lo:hi]
+        chunk = chunk[np.gcd(chunk[:, 0], chunk[:, 1]) == 1]
+        if staging and len(chunk) > _STAGE_MIN:
+            if stage is None:
+                stage = _residue_stage(cs, n, d, primes)
+            keep = stage(chunk[:, 0], chunk[:, 1])
+            # Once a pass keeps most of its input the survivors are mostly
+            # points, and the stage costs more than it saves.
+            staging = 2 * np.count_nonzero(keep) <= len(chunk)
+            chunk = chunk[keep]
+        if not len(chunk):
+            continue
+        vals = form_values(cs, chunk[:, 0], chunk[:, 1])
+        for (u, v), val in zip(chunk.tolist(), vals.tolist()):
+            y = nth_root(d * val, n) if val else None
+            if y:
+                out.append((y, u, v))
+                if len(out) == max_points:
+                    return out
     return out

@@ -124,6 +124,15 @@ def test_search_rejects_exponent_one():
         kernels.search_pairs([1, 1], 1, 1, 1, 5)
 
 
+def test_form_values_of_no_pairs_with_big_coefficients():
+    # no pair to bound: the coefficients alone decide the dtype, so a
+    # coefficient past 2^63 gives an empty object array, not an OverflowError
+    none = np.empty(0, dtype=np.int64)
+    assert kernels.form_values([1, 0, 2**64], none, none).size == 0
+    # no coprime survivor at all, with a leading coefficient 2^64
+    assert kernels.search_pairs([1, 0, 2**64], 2, 4, 67 * 71, 150) == []
+
+
 # -- the tables as they were built before the per-curve cache, kept as oracle
 
 
@@ -253,7 +262,18 @@ def test_shared_masks_are_read_only():
 
 
 def test_module_masks_bounded_by_their_keys(monkeypatch):
+    # every chunk with a coprime pair is staged, so most searches build the
+    # stage; the masks are exactly the sieve primes' and the stage primes'
     monkeypatch.setattr(kernels, "_masks", {})
+    monkeypatch.setattr(kernels, "_STAGE_MIN", 0)
+    staged = []
+    build = kernels._residue_stage
+
+    def spy(cs, n, d, sieved):
+        staged.append((n, d, sieved))
+        return build(cs, n, d, sieved)
+
+    monkeypatch.setattr(kernels, "_residue_stage", spy)
     curves = [([a, 1, 0, b, 0, 0, 1], 6) for a in range(-3, 4) for b in (0, 2)]
     curves += [([-2, 0, 0, 1, 0], 4), ([1, 0, 2**17 - 1], 2)]
     mask_keys = set()
@@ -265,6 +285,14 @@ def test_module_masks_bounded_by_their_keys(monkeypatch):
                     kernels.search_pairs(coeffs, M, n, d, 10, cache=cache)
                     for p in kernels._select_primes(n, d):
                         mask_keys.add((p, n, fp.power_class(d, p, n)))
+    sieve_keys = set(mask_keys)
+    for n, d, sieved in staged:
+        for p in kernels._stage_primes(n, d, sieved):
+            mask_keys.add((p, n, fp.power_class(d, p, n)))
+    assert {n for n, _, _ in staged} == {2, 3, 17}
+    assert {p for p, _, _ in mask_keys - sieve_keys} == {
+        67, 71, 73, 79, 83, 89, 97, 101, 103, 109, 127, 139, 409, 443, 613, 647, 919, 953, 1021
+    }
     assert set(kernels._masks) == mask_keys
 
 
@@ -376,3 +404,136 @@ def test_packed_sieve_matches_old_past_one_period(coeffs, M, n, d, H):
     # repeat with period p in w, which H <= 200 reaches only for p <= 5.
     _, tables = kernels._residue_tables(coeffs, M, n, d, kernels._select_primes(n, d))
     np.testing.assert_array_equal(_purepy.survivors(tables, 1000), old_survivors(tables, 1000))
+
+
+# -- the exact check as it was before the residue stage (every coprime
+# survivor evaluated at once, then n-th roots in (v, u) order), kept as oracle
+
+
+def old_search_pairs(coeffs, M, n, d, H, max_points=None):
+    out = []
+    if H < 1 or (max_points is not None and max_points < 1):
+        return out
+    _, tables = kernels._residue_tables(coeffs, M, n, d, kernels._select_primes(n, d))
+    pairs = _purepy.survivors(tables, H)
+    pairs = pairs[np.gcd(pairs[:, 0], pairs[:, 1]) == 1]
+    vals = kernels.form_values(coeffs[: M + 1], pairs[:, 0], pairs[:, 1])
+    for (u, v), val in zip(pairs.tolist(), vals.tolist()):
+        y = nth_root(d * val, n) if val else None
+        if y:
+            out.append((y, u, v))
+            if len(out) == max_points:
+                break
+    return out
+
+
+@pytest.fixture
+def stage_passes(monkeypatch):
+    """(pairs in, pairs kept) of every pass of the residue stage."""
+    passes = []
+    build = kernels._residue_stage
+
+    def spy(*args):
+        keep = build(*args)
+
+        def counted(u, v):
+            mask = keep(u, v)
+            passes.append((len(u), int(mask.sum())))
+            return mask
+
+        return counted
+
+    monkeypatch.setattr(kernels, "_residue_stage", spy)
+    return passes
+
+
+def small_chunks(monkeypatch):
+    # chunks of 150, then 100 survivors, every one staged: chunk edges fall
+    # inside v rows and between them
+    monkeypatch.setattr(kernels, "_FIRST_CHUNK", 150)
+    monkeypatch.setattr(kernels, "_CHUNK", 100)
+    monkeypatch.setattr(kernels, "_STAGE_MIN", 0)
+
+
+S4 = (5 * 13 * 17 * 29 * 37 * 41 * 53 * 61) ** 4
+# Heights at which chunks of the default size hold hundreds of survivors and
+# the stage runs. A coefficient factor that is 0 mod a sieve prime makes that
+# prime's table pass every pair, so the stage has more to remove.
+STAGE_CASES = [
+    ([-2, 0, 0, 1, 0], 4, 2, 1, 1200),  # y^2 = t^3 - 2: 2 points among 1303 survivors
+    ([1, 0, 0, 0, 1], 4, 2, 2, 1600),  # y^2 = 2(u^4 + v^4) at (+-1, 1); 2 is no square mod 67
+    ([9, 0, 0, 0, 1], 4, 2, 1, 1600),  # y^2 = u^4 + 9 v^4 at (0, 1), (+-2, 1), ...: F(u, v) != F(v, u)
+    ([67**2 - 1, 0, 0, 0, 1], 4, 2, 1, 800),  # (+-1, 1) gives y = 67, which is 0 mod 67
+    ([-5, 3, 0, 1], 3, 3, 67 * 71, 500),  # d divisible by two stage primes
+    ([1, 0, 1, 1], 3, 3, 2, 400),
+    # s^4 (u^2 + 2 v^2), s the product of the sieve primes 1 (mod 4): points
+    # at (+-7, 4), (+-287, 24), ..., values above 2^62
+    ([2 * S4, 0, S4], 2, 4, 1, 300),
+    ([103 * 137, 0, 103 * 137 * (2**17 - 1)], 2, 17, 1, 300),  # 0 mod the sieve primes 103 and 137
+    ([2**70, 0, 0, 0, 1], 4, 2, 1, 800),  # values above 2^62: object path, y = 2^35 at (0, 1)
+]
+
+
+@pytest.mark.parametrize("coeffs,M,n,d,H", STAGE_CASES)
+@pytest.mark.parametrize("chunks", ["default", "small"])
+def test_stage_gives_the_old_search(coeffs, M, n, d, H, chunks, stage_passes, monkeypatch):
+    if chunks == "small":
+        small_chunks(monkeypatch)
+    full = old_search_pairs(coeffs, M, n, d, H)
+    assert kernels.search_pairs(coeffs, M, n, d, H) == full
+    # the stage ran, on chunks above its threshold, and removed pairs
+    assert stage_passes and all(k > kernels._STAGE_MIN for k, _ in stage_passes)
+    assert sum(k - kept for k, kept in stage_passes) > 0
+    for k in (0, 1, 3):
+        assert kernels.search_pairs(coeffs, M, n, d, H, max_points=k) == full[:k]
+
+
+@given(
+    st.one_of(
+        # s^2 u^2 + b uv + c v^2: points in many rows, so chunks of points
+        st.tuples(
+            st.integers(min_value=-9, max_value=9),
+            st.integers(min_value=-9, max_value=9),
+            st.integers(min_value=1, max_value=4).map(lambda s: s * s),
+        ).map(list),
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=7),
+    ),
+    st.sampled_from([2, 3, 4, 17]),
+    st.integers(min_value=-6, max_value=6).filter(lambda d: d != 0),
+    st.sampled_from([1, 67 * 71]),
+    st.sampled_from([1, 2**64]),
+    st.sampled_from([150, 300]),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_stage_gives_the_old_search_randomized(coeffs, n, d, stage_divisor, big, H, small):
+    # big multiplies the leading coefficient past 2^62 (object path)
+    coeffs = coeffs[:-1] + [coeffs[-1] * big]
+    M, d = len(coeffs) - 1, d * stage_divisor
+    with pytest.MonkeyPatch.context() as mp:
+        if small:
+            small_chunks(mp)
+        full = kernels.search_pairs(coeffs, M, n, d, H)
+        assert full == old_search_pairs(coeffs, M, n, d, H)
+        for k in (0, 1, 3):
+            assert kernels.search_pairs(coeffs, M, n, d, H, max_points=k) == full[:k]
+
+
+def test_stage_without_primes_is_a_no_op(stage_passes):
+    # below 1024 the only primes 1 (mod 59) are 709 and 827, both sieve
+    # primes: y^59 = u^59 has a point at every coprime pair with u != 0
+    coeffs, M, n, d, H = [0] * 59 + [1], 59, 59, 1, 12
+    assert kernels._stage_primes(n, d, kernels._select_primes(n, d)) == []
+    full = kernels.search_pairs(coeffs, M, n, d, H)
+    assert full == old_search_pairs(coeffs, M, n, d, H) == by_v(brute_points(coeffs, M, n, d, H))
+    assert stage_passes == [(k, k) for k, _ in stage_passes] and len(stage_passes) == 1
+    assert kernels.search_pairs(coeffs, M, n, d, H, max_points=3) == full[:3]
+
+
+def test_stage_stops_where_pairs_are_points(stage_passes, monkeypatch):
+    # y^2 = u^2: every coprime pair with u != 0 is a point. The first pass
+    # keeps all of them, and no later chunk is staged.
+    small_chunks(monkeypatch)
+    full = kernels.search_pairs([0, 0, 1], 2, 2, 1, 60)
+    assert full == old_search_pairs([0, 0, 1], 2, 2, 1, 60)
+    assert len(stage_passes) == 1 and stage_passes[0][0] == stage_passes[0][1]
