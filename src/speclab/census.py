@@ -16,7 +16,7 @@ from math import gcd, isqrt, log, sqrt
 
 import numpy as np
 
-from . import fp, kernels
+from . import kernels
 from .covers import QuadraticCover, s3_survey_predicates
 from .intutil import (
     _nfree_array,
@@ -31,6 +31,7 @@ from .twists import (
     SOLUBLE,
     UNKNOWN,
     SuperellipticCurve,
+    _certifying_primes,
     everywhere_locally_soluble,
 )
 
@@ -338,19 +339,18 @@ def _found_twists(cover: QuadraticCover, H: int, x: int, primes: list[int]) -> s
 
 
 def _absence_certifier(cover: QuadraticCover, x: int, primes: list[int]):
-    """Cheap certificate of emptiness for twists by 0 < |d| <= x: some p | d
-    with P rootless mod p and p prime to 2 * lc (valuation argument). The
-    multiples up to x of every such p, found by fp._rootless_primes in one pass
-    over primes (the primes up to x), are marked in one table. Only sound
-    for even degree; for odd degree the table stays empty. A rational root
-    a/b of P has b | lc, so it is a root mod every p prime to lc and the
-    table stays empty. Returns certifies(d), which reads the table at |d|
-    for an int d or elementwise for an array of them."""
-    P = cover.P
+    """Cheap certificate of emptiness for twists by 0 < |d| <= x: some odd
+    p | d among the certifying primes of the valuation argument
+    (twists._certifying_primes over primes, the primes up to x; none for odd
+    degree). Their multiples up to x are marked in one table. A rational
+    root a/b of P has b | lc, so it is a root mod every p prime to lc and
+    the table stays empty. p = 2 is sound but left out, which keeps the
+    pinned density digests: it would certify more twists. Returns
+    certifies(d), which reads the table at |d| for an int d or elementwise
+    for an array of them."""
     cert = np.zeros(x + 1, dtype=bool)
-    if cover.degree % 2 == 0:
-        bad = 2 * P.lc
-        for p in fp._rootless_primes(P, [p for p in primes if bad % p]):
+    for p in _certifying_primes(cover.P, 2, primes):
+        if p != 2:
             cert[p::p] = True
 
     def certifies(d):
@@ -410,6 +410,8 @@ def twist_density_series(
     the small-prime sieve of _found_twists; certified absent by the
     rootless-prime valuation argument; unknown otherwise."""
     _check_grid(grid)
+    if schedule is not None and not schedule:
+        raise ValueError("schedule must name at least one height")
     if not grid:
         return _NO_SERIES
     H = 256 if schedule is None else max(schedule)

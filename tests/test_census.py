@@ -28,6 +28,8 @@ from speclab.twists import (
     UNKNOWN,
     SuperellipticCurve,
     everywhere_locally_soluble,
+    local_solubility,
+    obstruction_certificate,
     search_points,
 )
 
@@ -553,6 +555,45 @@ class TestTwistSeries:
     def test_empty_grid(self):
         s = twist_density_series(quad_cover(P6), ())
         assert s.grid == () and s.lower() == ()
+
+    @pytest.mark.parametrize("grid", [[100, 300], []])
+    def test_empty_schedule_fails_before_census(self, grid, monkeypatch):
+        calls = []
+        monkeypatch.setattr(census, "_census", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="schedule"):
+            twist_density_series(quad_cover(P6), grid, [])
+        assert calls == []
+
+    # p = 2 certifies 498 twists of T^6-T-1 with |d| <= 3000, and 332 of
+    # 3T^4+T^2+1 (T^4+T^2+1 = (T^2+T+1)^2 mod 2); the census leaves them unknown
+    @pytest.mark.parametrize(
+        "poly,only_at_2",
+        [(P6, 0), (P("T^6-T-1"), 498), (P("T^4+1"), 0), (P("3*T^4+T^2+1"), 332)],
+    )
+    def test_certifier_is_the_certificate_without_2(self, poly, only_at_2):
+        """The census table certifies d exactly when obstruction_certificate
+        certifies d with its factor 2 removed: both read
+        twists._certifying_primes, and the census leaves out p = 2. Every d
+        certified only at 2 is insoluble over Q_2, as the argument says."""
+        x = 3000
+        base = SuperellipticCurve(2, poly)
+        certifies = census._absence_certifier(quad_cover(poly), x, primes_up_to(x))
+        ds = nfree_sieve(2, x)
+        for d in ds:
+            odd = d // 2 if d % 2 == 0 else d
+            assert bool(certifies(d)) == (obstruction_certificate(base.twist(odd)) is not None), d
+        at_2 = [d for d in ds if not certifies(d) and obstruction_certificate(base.twist(d))]
+        assert len(at_2) == only_at_2
+        for d in at_2:
+            assert obstruction_certificate(base.twist(d)).p == 2
+            assert local_solubility(base.twist(d), 2) == INSOLUBLE, d
+
+    @pytest.mark.parametrize("poly", [P("T^3-2"), P("T^4+2*T")])
+    def test_certifier_table_empty(self, poly):
+        """Odd degree, and a rational root (here 0), leave nothing to certify."""
+        x = 3000
+        certifies = census._absence_certifier(quad_cover(poly), x, primes_up_to(x))
+        assert not certifies(np.array(nfree_sieve(2, x))).any()
 
     @given(census_covers(), st.lists(st.integers(1, 300), max_size=4, unique=True), st.integers(1, 24))
     @example(quad_cover(P("T^3-2")), [10, 120], 8)  # odd degree: the certifier never certifies

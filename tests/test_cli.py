@@ -157,6 +157,12 @@ class TestExitCodes:
         assert "need at least 4 grid points" in capsys.readouterr().err
 
 
+    def test_empty_schedule_is_named(self, capsys):
+        argv = ["density", "--cover", "T^6-T-1", "--grid", "100,200", "--schedule", ","]
+        assert run(argv) == 1
+        assert "schedule" in capsys.readouterr().err
+
+
 class TestManifest:
     def test_replay_is_byte_identical(self, tmp_path, capsys):
         args = [

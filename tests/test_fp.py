@@ -218,3 +218,54 @@ def test_fp_is_the_bottom_layer():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", LAYERING_RUN], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# Run in a fresh interpreter: the valuation argument has one home. Outside
+# fp, only twists._certifying_primes and covers.chebotarev_unramified_sieve
+# name fp._rootless_primes, only twists._certifying_primes names
+# covers._rootless_mod_p, and census imports no part of fp.
+VALUATION_RUN = """
+import ast, importlib, inspect, pkgutil
+import speclab
+
+watched = ("_rootless_primes", "_rootless_mod_p")
+users = {name: set() for name in watched}
+
+def visit(node, module, scope):
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        name = child.attr if isinstance(child, ast.Attribute) else getattr(child, "id", None)
+        if isinstance(child, (ast.Name, ast.Attribute)) and name in users:
+            users[name].add(".".join((module,) + inner))
+        visit(child, module, inner)
+
+trees = {}
+for info in pkgutil.walk_packages(speclab.__path__, "speclab."):
+    tree = ast.parse(inspect.getsource(importlib.import_module(info.name)))
+    trees[info.name] = tree
+    if info.name != "speclab.fp":
+        visit(tree, info.name.removeprefix("speclab."), ())
+assert users == {
+    "_rootless_primes": {"twists._certifying_primes", "covers.chebotarev_unramified_sieve"},
+    "_rootless_mod_p": {"twists._certifying_primes"},
+}, users
+
+imported = set()
+for n in ast.walk(trees["speclab.census"]):
+    if isinstance(n, ast.ImportFrom):
+        imported.update((n.module or "").split("."))
+    if isinstance(n, (ast.Import, ast.ImportFrom)):
+        imported.update(part for a in n.names for part in a.name.split("."))
+assert "fp" not in imported, imported
+assert not hasattr(importlib.import_module("speclab.census"), "fp")
+"""
+
+
+def test_valuation_argument_has_one_home():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", VALUATION_RUN], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

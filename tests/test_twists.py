@@ -1,13 +1,14 @@
+import random
 import tracemalloc
-from math import prod
+from math import gcd, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from speclab import covers, poly, twists
+from speclab import census, covers, poly, twists
 from speclab.covers import quad_cover
-from speclab.intutil import factorize, nfree_sieve, valuation
+from speclab.intutil import factorize, nfree_part, nfree_sieve, nth_root, primes_up_to, valuation
 from speclab.poly import (
     IntPolynomial,
     discriminant,
@@ -254,6 +255,138 @@ class TestCertificate:
         certs = [obstruction_certificate(base.twist(d)) for d in nfree_sieve(n, 60)]
         assert certs == [old_certificate(base.twist(d)) for d in nfree_sieve(n, 60)]
         assert any(certs)
+
+
+def _rootless_by_brute_force(R, p):
+    """No t in 0..p-1 with R(t) = 0 mod p, by Horner at every residue."""
+    for t in range(p):
+        acc = 0
+        for c in reversed(R.coeffs):
+            acc = (acc * t + c) % p
+        if acc == 0:
+            return False
+    return True
+
+
+class TestCertifyingPrimes:
+    """twists._certifying_primes takes one root test per prime for a short
+    list of candidates and the trace route of fp._rootless_primes from
+    _TRACE_ROUTE_PRIMES candidates on; both routes meet a brute-force root
+    test."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = {"per_prime": 0, "trace": []}
+        per_prime, trace = twists._rootless_mod_p, twists._rootless_primes
+
+        def per_prime_spy(R, p):
+            calls["per_prime"] += 1
+            return per_prime(R, p)
+
+        def trace_spy(R, primes):
+            calls["trace"].append(list(primes))
+            return trace(R, primes)
+
+        monkeypatch.setattr(twists, "_rootless_mod_p", per_prime_spy)
+        monkeypatch.setattr(twists, "_rootless_primes", trace_spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "n,text",
+        [
+            (2, "T^6 - T - 1"),
+            (2, "T^8 + 3*T^6 + 4*T^4 + 6*T^2 + 4"),  # P8
+            (2, "3*T^4 + T^2 + 1"),
+            (2, "15*T^4 + 7*T + 1"),
+            (3, "T^3 - 2"),
+            (3, "5*T^3 + 7"),
+        ],
+    )
+    @pytest.mark.parametrize("short", [1, 0])
+    def test_routes_meet_brute_force(self, monkeypatch, n, text, short):
+        """Candidates are the primes prime to lc(P), one short of the
+        threshold or at it; the primes dividing lc(P) ride along and are
+        dropped. The list is shuffled: the result keeps its order."""
+        R = P(text)
+        k = twists._TRACE_ROUTE_PRIMES - short
+        kept = [p for p in primes_up_to(1000) if R.lc % p][:k]
+        primes = kept + list(factorize(R.lc))
+        random.Random(k).shuffle(primes)
+        kept = [p for p in primes if R.lc % p]
+        calls = self.spy(monkeypatch)
+        got = twists._certifying_primes(R, n, primes)
+        assert got == [p for p in kept if _rootless_by_brute_force(R, p)]
+        assert got and len(got) < len(kept)
+        if short:
+            assert calls == {"per_prime": k, "trace": []}
+        else:
+            assert calls == {"per_prime": 0, "trace": [kept]}
+
+    def test_lc_filter_drops_below_threshold(self, monkeypatch):
+        R = P("15*T^4 + 7*T + 1")
+        primes = primes_up_to(1000)[: twists._TRACE_ROUTE_PRIMES]
+        calls = self.spy(monkeypatch)
+        got = twists._certifying_primes(R, 2, primes)
+        kept = [p for p in primes if p not in (3, 5)]
+        assert got == [p for p in kept if _rootless_by_brute_force(R, p)]
+        assert calls == {"per_prime": len(kept), "trace": []}
+
+    def test_degree_not_divisible_by_n(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        primes = primes_up_to(1000)
+        assert twists._certifying_primes(P("T^3 - 2"), 2, primes) == []
+        assert twists._certifying_primes(P("T^4 + 1"), 3, primes[:3]) == []
+        assert calls == {"per_prime": 0, "trace": []}
+
+
+def _form_value(R, u, v):
+    """F(u, v) = v^deg R * R(u / v) for the form F of R."""
+    return sum(c * u**j * v ** (R.degree - j) for j, c in enumerate(R.coeffs))
+
+
+@st.composite
+def points_on_twists(draw):
+    """(n, P, u, v, d) with n | deg P and a coprime (u, v), v >= 0, where d
+    is the n-free part of F(u, v)^(n - 1) for the form F of P: then
+    d * F(u, v) is an n-th power, and y^n = d * P(t) has a point over u / v."""
+    n = draw(st.sampled_from([2, 3]))
+    N = n * draw(st.integers(1, 6 // n))
+    lc = draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1]))
+    R = IntPolynomial(draw(st.lists(st.integers(-30, 30), min_size=N, max_size=N)) + [lc])
+    u, v = draw(st.integers(-40, 40)), draw(st.integers(0, 40))
+    assume(gcd(u, v) == 1)
+    value = _form_value(R, u, v)
+    assume(value != 0)
+    try:
+        SuperellipticCurve(n, R)
+    except ValueError:  # a root of multiplicity >= n
+        assume(False)
+    return n, R, u, v, nfree_part(value ** (n - 1), n)
+
+
+@given(points_on_twists())
+@example((2, P("T^4 + 1"), 1, 2, 17))  # 17 = 1 mod 8: T^4 + 1 has roots mod 17
+@example((2, P("3*T^4 + T^2 + 1"), 1, 1, 5))
+@example((3, P("T^3 - 2"), 1, 1, 1))  # d = 1, the untwisted curve
+@settings(max_examples=300, deadline=None)
+def test_twists_with_a_point_are_never_certified(case):
+    """A proof of "no rational point" must never reject a twist that has
+    one: neither obstruction_certificate nor the census table certifies the
+    twist through a known point."""
+    n, R, u, v, d = case
+    value = _form_value(R, u, v)
+    y = nth_root(d * value, n)
+    assert y is not None and y**n == d * value
+    base = SuperellipticCurve(n, R)
+    if base.separable and not base._has_rational_root:
+        assert obstruction_certificate(base.twist(d)) is None
+    if n == 2 and abs(d) <= 10**4:
+        try:
+            cov = quad_cover(R)
+        except ValueError:  # not separable, or content not squarefree
+            return
+        x = max(abs(d), 2)
+        assert not census._absence_certifier(cov, x, primes_up_to(x))(d)
 
 
 class TestLocal:
