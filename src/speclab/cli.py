@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--poly", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--place", help="prime or 'infinity'; default: all relevant")
+    p.add_argument("--place", help="prime or 'infinity' ('oo'); default: all relevant")
 
     p = add("certify", help="no-point certificate for a twist")
     p.add_argument("--n", type=int, default=2)
@@ -218,7 +218,7 @@ def _execute(ns) -> tuple[dict, bool, DensitySeries | None]:
     elif ns.cmd == "local":
         tw = SuperellipticCurve(ns.n, parse_poly(ns.poly)).twist(ns.d)
         if ns.place:
-            st = local_solubility(tw, ns.place if ns.place == "infinity" else int(ns.place))
+            st = local_solubility(tw, ns.place)
             out = {"place": ns.place, "status": st}
             unknowns = st == UNKNOWN
         else:

@@ -25,7 +25,6 @@ __all__ = [
     "squarefree_part",
     "is_nth_power",
     "nth_root",
-    "legendre",
     "quad_disc",
     "primes_up_to",
 ]
@@ -257,17 +256,6 @@ def nth_root(n: int, k: int) -> int | None:
     if y**k != m:
         return None
     return -y if n < 0 else y
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p; values in {-1, 0, 1}."""
-    if p == 2 or not is_probable_prime(p):
-        raise ValueError("p must be an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    s = pow(a, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
 
 
 def quad_disc(m):

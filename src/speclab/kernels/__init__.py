@@ -37,7 +37,7 @@ from math import gcd
 import numpy as np
 
 from ..fp import power_class
-from ..intutil import is_probable_prime, nth_root
+from ..intutil import is_probable_prime, nth_root, primes_up_to
 from . import _purepy
 
 __all__ = ["search_pairs", "form_values", "backend_name", "available_backends"]
@@ -60,7 +60,7 @@ _ROWS = "rows"
 # The second residue stage, on the sieve's survivors: up to _STAGE_PRIMES
 # primes from 67 to 1021 that sieve for n and are not sieve primes.
 _STAGE_PRIMES = 8
-_STAGE_CANDIDATES = [p for p in range(67, 1024, 2) if is_probable_prime(p)]
+_STAGE_CANDIDATES = [p for p in primes_up_to(1021) if p >= 67]
 # The exact check takes the survivors in (v, u) order: a first chunk of
 # _FIRST_CHUNK, small so that a search whose first point lies in its first
 # rows stops early, then chunks of _CHUNK; it stops at max_points. A chunk of

@@ -28,7 +28,6 @@ from .intutil import (
     factorize,
     is_nfree,
     is_probable_prime,
-    legendre,
     nfree_sieve,
     nth_root,
     primes_up_to,
@@ -326,12 +325,24 @@ class LocalSolver:
         self.tables: dict = {}
         sqf = prod((f for f, _ in base._sqf_parts), start=IntPolynomial([1]))
         self._disc_sqf = discriminant(sqf) if sqf.degree >= 1 else 1
+        # n * lc * content * disc of the radical: with d, it names the primes
+        # of possibly bad reduction. It is factorised on the first bad_primes
+        # call, so a solver that never lists places (a point search) never is.
+        self._constants = base.n * base.P.lc * base.P.content * self._disc_sqf
+        self._bad: set[int] | None = None
         g = base.genus
         if g is None:
             n, M = base.n, base.model_degree
             g = (n - 1) * (M - 1) // 2  # arithmetic-genus fallback, bound only
         m = (base.n + 1) * (base.N + 1)
         self._weil_floor = (g + isqrt(g * g + m) + 1) ** 2
+        # The two charts of the model, as (g, g', start_at_multiple): z = 1
+        # with g = P(t) over Z_p, and t = 1 with g the reversed model form
+        # over z in pZ_p.
+        self._charts = tuple(
+            (f, f.derivative(), start)
+            for f, start in ((base.P, False), (IntPolynomial(base.model_coeffs[::-1]), True))
+        )
 
     # -- real place
 
@@ -361,7 +372,7 @@ class LocalSolver:
         base = self.base
         if p == 2 or not base.separable:
             return False
-        if (base.n * d * base.P.lc * base.P.content * self._disc_sqf) % p == 0:
+        if self._constants * d % p == 0:
             return False
         return p >= self._weil_floor
 
@@ -376,35 +387,29 @@ class LocalSolver:
             + (valuation(base.P.content, p) if base.P.content % p == 0 else 0)
             + _DEPTH_MARGIN
         )
-        unknown = False
         # z = 0 rational point of the model (only nontrivial when n | N)
         if base.N % n == 0:
             v0 = d * base.P.lc
             if _is_nth_power_qp(v0, p, n):
                 return SOLUBLE
-        g_aff = list(base.model_coeffs)  # chart z = 1: poly in t
-        st = self._chart(g_aff[: base.N + 1], d, p, cap, start_at_multiple=False)
-        if st == SOLUBLE:
-            return SOLUBLE
-        unknown |= st == UNKNOWN
-        # chart t = 1, z in pZ_p
-        h = list(base.model_coeffs)[::-1]  # poly in z of degree M
-        st = self._chart(h, d, p, cap, start_at_multiple=True)
-        if st == SOLUBLE:
-            return SOLUBLE
-        unknown |= st == UNKNOWN
+        unknown = False
+        for g, gp, start_at_multiple in self._charts:
+            st = self._chart(g, gp, d, p, cap, start_at_multiple)
+            if st == SOLUBLE:
+                return SOLUBLE
+            unknown |= st == UNKNOWN
         return UNKNOWN if unknown else INSOLUBLE
 
-    def _chart(self, coeffs: list[int], c: int, p: int, cap: int, start_at_multiple: bool) -> str:
+    def _chart(
+        self, g: IntPolynomial, gp: IntPolynomial, c: int, p: int, cap: int, start_at_multiple: bool
+    ) -> str:
         """Is c * g(t) an n-th power of Q_p^* for some t in Z_p (t in pZ_p when
-        start_at_multiple)? Adaptive residue refinement, depth first: the
-        stack holds one lazy iterator over the p children per open level, so
-        a large bad prime costs memory in the depth, not in p."""
+        start_at_multiple)? gp is g'. Adaptive residue refinement, depth
+        first: the stack holds one lazy iterator over the p children per open
+        level, so a large bad prime costs memory in the depth, not in p."""
         n = self.base.n
         k0 = 2 * (valuation(n, p) if n % p == 0 else 0) + 1
         vc = valuation(c, p)
-        g = IntPolynomial(coeffs)
-        gp = g.derivative()
         unknown = False
         stack = [iter([(0, 1) if start_at_multiple else (0, 0)])]
         while stack:
@@ -439,11 +444,11 @@ class LocalSolver:
         return UNKNOWN if unknown else INSOLUBLE
 
     def bad_primes(self, d: int) -> list[int]:
-        base = self.base
-        nums = base.n * d * base.P.lc * base.P.content * self._disc_sqf
-        ps = set(factorize(nums))
-        ps.update(p for p in primes_up_to(self._weil_floor))
-        return sorted(ps)
+        """The primes of n * d * lc * content * disc of the radical, and every
+        prime below the Weil floor; a call past the first factorises d only."""
+        if self._bad is None:
+            self._bad = set(factorize(self._constants)).union(primes_up_to(self._weil_floor))
+        return sorted(self._bad.union(factorize(d)))
 
 
 _solver_cache: dict[tuple, LocalSolver] = {}
@@ -535,27 +540,25 @@ def admissible_prime_scan(
     # The class of d = sqfree(m0 p) at such q is class(m0) * class(p); the
     # class(m0) twist is soluble at q (it owns the point above t0), so q only
     # constrains p when the other class is locally insoluble. Those q join the
-    # square conditions: legendre(q, p) = 1 forces class(p) trivial at q.
+    # square conditions: q a square mod p forces class(p) trivial at q. The
+    # twist m0 * n0, n0 the least nonsquare mod q, stands for the other class
+    # (q does not divide m0, or q would be in S1).
     restrictive = set()
     for q in primes_up_to(solver._weil_floor):
         if q in S or q in S1:
             continue
-        n0 = next(c for c in range(2, q) if legendre(c, q) != 1)
-        c = m0 * n0 + (q if (m0 * n0) % q == 0 else 0)
-        if solver.at_prime(c, q) != SOLUBLE:
+        n0 = next(c for c in range(2, q) if power_class(c, q, 2) != 1)
+        if solver.at_prime(m0 * n0, q) != SOLUBLE:
             restrictive.add(q)
-    ell_set = (S | S1 | restrictive) - {2}
-    need_two = 2 in (S | S1)
+    ell_set = S | S1 | restrictive
     orbit_poly = cover.branch_orbits()[0][0].dehomogenize()
     out = []
     for p in primes_up_to(bound):
         if p in S or p in S1 or p % 4 != 1:
             continue
-        if legendre(m0, p) != 1:
+        if power_class(m0, p, 2) != 1:
             continue
-        if need_two and legendre(2, p) != 1:
-            continue
-        if any(legendre(ell, p) != 1 for ell in ell_set if ell != p):
+        if any(power_class(ell, p, 2) != 1 for ell in ell_set if ell != p):
             continue
         if not splits_completely(orbit_poly, p):
             continue

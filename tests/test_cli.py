@@ -63,6 +63,18 @@ class TestExamples:
         assert code == 0
         assert data["results"]["status"] == "insoluble"
 
+    def test_local_place_oo_is_infinity(self, tmp_path):
+        statuses = []
+        for place in ("oo", "infinity"):
+            code, data = out_json(
+                tmp_path,
+                f"l_{place}.json",
+                ["local", "--poly", "T^2 + 1", "--d", "-1", "--place", place],
+            )
+            assert code == 0
+            statuses.append(data["results"]["status"])
+        assert statuses == ["insoluble", "insoluble"]
+
     def test_local_past_the_factoring_cap(self, tmp_path):
         # P of degree 26 with real roots: the curve is built without factorising P
         code, data = out_json(

@@ -12,7 +12,6 @@ from speclab.intutil import (
     is_nfree,
     is_nth_power,
     is_probable_prime,
-    legendre,
     nfree_part,
     nfree_sieve,
     nth_root,
@@ -212,14 +211,6 @@ def test_nth_root_roundtrip(n, k):
 def test_nth_root_negative_odd():
     assert nth_root(-27, 3) == -3
     assert nth_root(-4, 2) is None
-
-
-def test_legendre_against_squares():
-    for p in (3, 5, 7, 11, 13):
-        squares = {pow(x, 2, p) for x in range(1, p)}
-        for a in range(1, p):
-            assert legendre(a, p) == (1 if a in squares else -1)
-        assert legendre(p, p) == 0
 
 
 def old_nth_root(n, k):

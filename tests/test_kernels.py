@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab import fp, kernels
-from speclab.intutil import nth_root
+from speclab.intutil import is_probable_prime, nth_root
 from speclab.kernels import _purepy
 
 
@@ -117,6 +117,11 @@ def test_every_exponent_gets_sieve_primes():
                 assert primes == old
             else:  # the smallest primes p = 1 (mod n) that do not divide d
                 assert all(p % n == 1 and d % p for p in primes)
+
+
+def test_stage_candidates_are_the_primes_from_67_to_1021():
+    want = [p for p in range(67, 1024, 2) if is_probable_prime(p)]
+    assert kernels._STAGE_CANDIDATES == want and len(want) == 154
 
 
 def test_search_rejects_exponent_one():

@@ -6,9 +6,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from speclab import census, covers, poly, twists
+from speclab import census, covers, poly, ramify, twists
 from speclab.covers import quad_cover
-from speclab.intutil import factorize, nfree_part, nfree_sieve, nth_root, primes_up_to, valuation
+from speclab.intutil import (
+    factorize,
+    nfree_part,
+    nfree_sieve,
+    nth_root,
+    primes_up_to,
+    squarefree_part,
+    valuation,
+)
 from speclab.poly import (
     IntPolynomial,
     discriminant,
@@ -496,12 +504,93 @@ class TestLocal:
         assert peak < 10**5
 
 
+def _old_bad_primes(solver, d):
+    """bad_primes as it stood: one factorisation of the whole product per d."""
+    base = solver.base
+    nums = base.n * d * base.P.lc * base.P.content * solver._disc_sqf
+    return sorted(set(factorize(nums)) | set(primes_up_to(solver._weil_floor)))
+
+
+def _old_shortcut(solver, d, p):
+    """The good-reduction shortcut predicate as it stood."""
+    base = solver.base
+    if p == 2 or not base.separable:
+        return False
+    if (base.n * d * base.P.lc * base.P.content * solver._disc_sqf) % p == 0:
+        return False
+    return p >= solver._weil_floor
+
+
+@st.composite
+def curves_with_twists(draw):
+    """y^n = P with content >= 2 (so |lc| >= 2), multiplicities up to n - 1
+    (P is not separable when one is above 1), and up to 6 n-free |d| <= 500."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    factors = draw(st.lists(st.sampled_from(FACTOR_POOL), min_size=1, max_size=3,
+                            unique_by=lambda f: f.coeffs))
+    parts = [(f, draw(st.integers(1, n - 1))) for f in factors]
+    content = draw(st.integers(2, 12)) * draw(st.sampled_from([1, -1]))
+    ds = draw(st.lists(st.integers(-500, 500).filter(bool), min_size=1, max_size=6))
+    return n, _product(content, parts), [nfree_part(d, n) for d in ds]
+
+
+def _legendre(a, p):
+    """Euler's criterion at an odd prime p: 1, -1, or 0 when p | a."""
+    a %= p
+    return 0 if a == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
+
+
+def _old_admissible_prime_scan(cover, t0, bound):
+    """admissible_prime_scan as it stood with a Legendre symbol that proved p
+    prime, a guard on q | m0 n0 and a separate test of 2, kept as an oracle."""
+    base = SuperellipticCurve(2, cover.P)
+    rep = covers.quad_specialize(cover, t0)
+    m0 = rep.m
+    S = ramify.exceptional_superset(cover) | {2}
+    S1 = set(rep.ramified_primes)
+    solver = twists._solver(base)
+    restrictive = set()
+    for q in primes_up_to(solver._weil_floor):
+        if q in S or q in S1:
+            continue
+        n0 = next(c for c in range(2, q) if _legendre(c, q) != 1)
+        c = m0 * n0 + (q if (m0 * n0) % q == 0 else 0)
+        if solver.at_prime(c, q) != SOLUBLE:
+            restrictive.add(q)
+    ell_set = (S | S1 | restrictive) - {2}
+    need_two = 2 in (S | S1)
+    orbit_poly = cover.branch_orbits()[0][0].dehomogenize()
+    out = []
+    for p in primes_up_to(bound):
+        if p in S or p in S1 or p % 4 != 1:
+            continue
+        if _legendre(m0, p) != 1:
+            continue
+        if need_two and _legendre(2, p) != 1:
+            continue
+        if any(_legendre(ell, p) != 1 for ell in ell_set if ell != p):
+            continue
+        if not covers.splits_completely(orbit_poly, p):
+            continue
+        d = squarefree_part(m0 * p)
+        status, _detail = everywhere_locally_soluble(base.twist(d))
+        out.append((p, d, status))
+    return out
+
+
 class TestScans:
     def test_admissible_scan_pinned(self):
         cov = quad_cover(PINNED8)
         rows = admissible_prime_scan(cov, 1, 1200)
         assert [(p, d) for p, d, _ in rows][:3] == [(193, 386), (337, 674), (457, 914)]
         assert all(st_ == SOLUBLE for _, _, st_ in rows)
+
+    @pytest.mark.parametrize("shift,t0", [(0, 1), (1, 1), (2, -3)])
+    def test_admissible_scan_matches_old_scan(self, shift, t0):
+        cov = quad_cover(PINNED8.shift(shift))
+        rows = admissible_prime_scan(cov, t0, 3000)
+        assert rows  # the comparison sees emitted primes
+        assert rows == _old_admissible_prime_scan(cov, t0, 3000)
 
     def test_admissible_scan_empty_below_least(self):
         cov = quad_cover(PINNED8)
@@ -580,6 +669,131 @@ class TestScans:
         assert {(H, k) for _, H, k in calls} == {(300, 1)}
         assert set(res.candidates) <= {d for d, _, _ in calls}
         assert not set(res.unknown) & {d for d, _, _ in calls}
+
+
+class TestOneHomePerFact:
+    """The solver derives each fact of its curve once: the bad-prime set,
+    the curve's constant product and the two charts."""
+
+    @given(curves_with_twists())
+    @settings(max_examples=150, deadline=None)
+    @example((3, 2 * P("T^2 + 1") * P("T^2 + 1") * P("T^2 + T + 1"), [1, -2, 6, 9]))
+    @example((4, -6 * P("T - 1") * P("T - 1") * P("T - 1") * P("T^2 - 2"), [2, -3, 4, 500]))
+    @example((2, 4 * P("3*T^2 + 1") * P("T^4 + 2"), [-1, 3, 5, -7]))
+    def test_match_old_formulas(self, case):
+        n, poly, ds = case
+        solver = LocalSolver(SuperellipticCurve(n, poly))
+        floor = solver._weil_floor
+        base = solver.base
+        constants = n * base.P.lc * base.P.content * solver._disc_sqf
+        # 2, the primes of n and of the constants, composites and primes
+        # around the Weil floor, and the primes of each d
+        places = {2, 4, 6, *factorize(n), *factorize(constants), *range(floor - 3, floor + 40)}
+        for d in ds:
+            places.update(factorize(d))
+        for d in ds:
+            assert solver.bad_primes(d) == _old_bad_primes(solver, d)
+            for p in sorted(places):
+                assert solver._good_reduction_shortcut(d, p) == _old_shortcut(solver, d, p), p
+
+    @staticmethod
+    def _spy_factorize(monkeypatch):
+        calls = []
+        real = twists.factorize
+
+        def spy(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(twists, "factorize", spy)
+        return calls
+
+    def test_bad_primes_factorise_d_only(self, monkeypatch):
+        base = SuperellipticCurve(2, PINNED8)
+        product = 2 * base.P.lc * base.P.content * discriminant(PINNED8)
+        calls = self._spy_factorize(monkeypatch)
+        solver = LocalSolver(base)
+        ds = nfree_sieve(2, 40)[:50]
+        assert len(ds) == 50
+        lists = [solver.bad_primes(d) for d in ds]
+        assert lists == [_old_bad_primes(solver, d) for d in ds]
+        assert calls.count(product) == 1
+        assert [m for m in calls if m != product] == ds
+
+    def test_single_place_and_search_never_factorise_the_curve(self, monkeypatch):
+        base = SuperellipticCurve(2, P("T^4 + 1"))
+        product = 2 * discriminant(base.P)
+        calls = self._spy_factorize(monkeypatch)
+        twists._solver_cache.clear()
+        tw = base.twist(3)
+        assert local_solubility(tw, 5) == SOLUBLE
+        assert local_solubility(tw, 3) == INSOLUBLE
+        assert obstruction_certificate(tw).p == 3
+        assert search_points(tw, 200) == []
+        assert search_points(base.twist(2), 50, max_points=1)
+        assert calls and all(m % product for m in calls)
+
+    def test_derivatives_built_once_per_solver(self, monkeypatch):
+        bases = [SuperellipticCurve(2, PINNED8), SuperellipticCurve(3, P("T^4 + T + 3"))]
+        derived = []
+        real = IntPolynomial.derivative
+
+        def spy(f):
+            derived.append(f)
+            return real(f)
+
+        monkeypatch.setattr(IntPolynomial, "derivative", spy)
+        charts = []
+        chart = LocalSolver._chart
+
+        def chart_spy(self, *args):
+            charts.append(args)
+            return chart(self, *args)
+
+        monkeypatch.setattr(LocalSolver, "_chart", chart_spy)
+        for base in bases:
+            radical = prod((f for f, _ in base._sqf_parts), start=IntPolynomial([1]))
+            derived.clear()
+            discriminant(radical)
+            by_disc = len(derived)
+            derived.clear()
+            twists._solver_cache.clear()
+            solver = twists._solver(base)
+            assert len(derived) == 2 + by_disc
+            charts.clear()
+            for d in (-7, -2, -1, 2, 3, 5, 6, 7, 10, 11):
+                for p in solver.bad_primes(d):
+                    solver.at_prime(d, p, allow_shortcut=False)
+                everywhere_locally_soluble(base.twist(d))
+                search_points(base.twist(d), 30)
+            assert len(charts) > 100
+            assert len(derived) == 2 + by_disc
+
+
+# Non-separable P: the shortcut refuses them, yet everywhere_locally_soluble
+# lists only bad_primes(d), so the walk must itself find the primes past
+# them soluble.
+NON_SEPARABLE = [
+    (3, P("T^2 + 1") * P("T^2 + 1") * P("T^2 + 2")),
+    (3, P("T^3 - 2") * P("T^3 - 2")),
+    (4, P("T^2 + 3") * P("T^2 + 3") * P("T^2 + 3") * P("T^2 + 1")),
+    (3, P("T - 1") * P("T - 1") * P("T^4 + T + 1")),
+]
+
+
+@pytest.mark.parametrize(
+    "n,poly", NON_SEPARABLE,
+    ids=["(T^2+1)^2(T^2+2)", "(T^3-2)^2", "(T^2+3)^3(T^2+1)", "(T-1)^2(T^4+T+1)"],
+)
+def test_non_separable_places_past_the_list_are_soluble(n, poly):
+    base = SuperellipticCurve(n, poly)
+    solver = LocalSolver(base)
+    assert not base.separable
+    listed = set(solver.bad_primes(1))
+    past = [p for p in primes_up_to(10 * solver._weil_floor) if p not in listed][:25]
+    assert len(past) == 25 and not any(solver._good_reduction_shortcut(1, p) for p in past)
+    for d in (1, 2, 5, -7):
+        assert [solver.at_prime(d, p, allow_shortcut=False) for p in past] == [SOLUBLE] * 25
 
 
 @given(st.integers(min_value=-60, max_value=60).filter(lambda d: d != 0))
