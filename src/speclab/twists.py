@@ -380,6 +380,12 @@ class LocalSolver:
         base, n = self.base, self.base.n
         if allow_shortcut and self._good_reduction_shortcut(d, p):
             return SOLUBLE
+        # Closed form at a tame p | d (p prime to the constants, so to n):
+        # the valuation argument read both ways. A root of P mod p is simple
+        # and lifts, and near it d * P(t) meets every class of Q_p^*.
+        tame = allow_shortcut and base.separable and base.N % n == 0 and self._constants % p
+        if tame and valuation(d, p) % n:
+            return INSOLUBLE if _certifying_primes(base.P, n, [p]) else SOLUBLE
         cap = (
             2 * (valuation(n, p) if n % p == 0 else 0)
             + (valuation(self._disc_sqf, p) if self._disc_sqf % p == 0 else 0)
@@ -406,10 +412,15 @@ class LocalSolver:
         """Is c * g(t) an n-th power of Q_p^* for some t in Z_p (t in pZ_p when
         start_at_multiple)? gp is g'. Adaptive residue refinement, depth
         first: the stack holds one lazy iterator over the p children per open
-        level, so a large bad prime costs memory in the depth, not in p."""
+        level, so a large bad prime costs memory in the depth, not in p.
+
+        The branch a + p^j Z_p is closed, its class decided at a, once
+        min(v(g'(a)) + j, 2j) >= v(g(a)) + k0, with k0 = 2 v_p(n) + 1: as
+        g(a + p^j x) - g(a) = g'(a) p^j x + sum_{i>=2} c_i p^(ij) x^i with
+        integers c_i = g^(i)(a) / i!, every value is g(a) (1 + p^k0 Z_p),
+        and 1 + p^k0 Z_p lies in (Z_p^*)^n."""
         n = self.base.n
         k0 = 2 * (valuation(n, p) if n % p == 0 else 0) + 1
-        vc = valuation(c, p)
         unknown = False
         stack = [iter([(0, 1) if start_at_multiple else (0, 0)])]
         while stack:
@@ -426,12 +437,13 @@ class LocalSolver:
                 unknown = True
                 continue
             vga = valuation(ga, p)
+            spread = 2 * j  # g(a + p^j x) - g(a) lies in p^spread Z_p
             if gpa != 0:
                 vgpa = valuation(gpa, p)
                 if vga > 2 * vgpa and vga - vgpa >= j:
                     return SOLUBLE  # Hensel root inside this branch
-            w = vc + vga
-            if vc + j >= w + k0:
+                spread = min(spread, vgpa + j)
+            if spread >= vga + k0:
                 # value class constant on the branch: decide it
                 if _is_nth_power_qp(c * ga, p, n):
                     return SOLUBLE
@@ -471,7 +483,10 @@ def local_solubility(curve, place) -> str:
     solver = _solver(tw.base)
     if place in ("infinity", "oo", None):
         return solver.at_infinity(tw.d)
-    p = int(place)
+    try:
+        p = int(place)
+    except (TypeError, ValueError):
+        p = 0
     if not is_probable_prime(p):
         raise ValueError("place must be 'infinity' or a prime")
     return solver.at_prime(tw.d, p)

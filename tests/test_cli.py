@@ -169,6 +169,11 @@ class TestExitCodes:
         assert "need at least 4 grid points" in capsys.readouterr().err
 
 
+    def test_bad_place_is_named(self, capsys):
+        argv = ["local", "--poly", "T^2 + 1", "--d", "-1", "--place", "abc"]
+        assert run(argv) == 1
+        assert "place must be 'infinity' or a prime" in capsys.readouterr().err
+
     def test_empty_schedule_is_named(self, capsys):
         argv = ["density", "--cover", "T^6-T-1", "--grid", "100,200", "--schedule", ","]
         assert run(argv) == 1

@@ -1,5 +1,7 @@
 import random
 import tracemalloc
+from itertools import repeat
+from unittest import mock
 from math import gcd, prod
 
 import pytest
@@ -440,6 +442,12 @@ class TestLocal:
         if x % p:
             assert _qp_class(a * x**n * p ** (n * j), p, n) == _qp_class(a, p, n)
 
+    @pytest.mark.parametrize("place", ["abc", "", "2.5", 4, -3])
+    def test_bad_place_is_named(self, place):
+        tw = SuperellipticCurve(2, P("T^2 + 1")).twist(-1)
+        with pytest.raises(ValueError, match="place must be 'infinity' or a prime"):
+            local_solubility(tw, place)
+
     def test_real_place(self):
         assert local_solubility(SuperellipticCurve(2, P("T^2+1")).twist(-1), "infinity") == INSOLUBLE
         assert local_solubility(SuperellipticCurve(3, P("T^2+1")).twist(-1), "infinity") == SOLUBLE
@@ -810,3 +818,262 @@ def test_found_point_implies_soluble_everywhere(d):
     if pts:
         st_, _ = everywhere_locally_soluble(tw)
         assert st_ == SOLUBLE
+
+
+# ---------------------------------------------------------------------------
+# The closed form at tame primes dividing d, and the walk's closing test
+
+
+def old_chart(self, g, gp, c, p, cap, start_at_multiple):
+    """LocalSolver._chart as it stood, closing a branch only once
+    j >= v(g(a)) + k0; kept as the oracle of the sharper closing test."""
+    n = self.base.n
+    k0 = 2 * (valuation(n, p) if n % p == 0 else 0) + 1
+    vc = valuation(c, p)
+    unknown = False
+    stack = [iter([(0, 1) if start_at_multiple else (0, 0)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        a, j = node
+        ga = g(a)
+        gpa = gp(a)
+        if ga == 0:
+            if gpa != 0:
+                return SOLUBLE
+            unknown = True
+            continue
+        vga = valuation(ga, p)
+        if gpa != 0:
+            vgpa = valuation(gpa, p)
+            if vga > 2 * vgpa and vga - vgpa >= j:
+                return SOLUBLE
+        w = vc + vga
+        if vc + j >= w + k0:
+            if _is_nth_power_qp(c * ga, p, n):
+                return SOLUBLE
+            continue
+        if j >= cap:
+            unknown = True
+            continue
+        step = p**j
+        stack.append(zip(range(a + (p - 1) * step, a - 1, -step), repeat(j + 1)))
+    return UNKNOWN if unknown else INSOLUBLE
+
+
+@st.composite
+def local_cases(draw):
+    """y^n = P, separable or not (multiplicities up to n - 1), a prime
+    p <= 13 and d = p^v * u with v in 0..3 and u prime to p."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    factors = draw(st.lists(st.sampled_from(FACTOR_POOL), min_size=1, max_size=3,
+                            unique_by=lambda f: f.coeffs))
+    parts = [(f, draw(st.integers(1, n - 1))) for f in factors]
+    content = draw(st.sampled_from([1, -1, 2, -3, 5, 6]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    u = draw(st.integers(-40, 40).filter(lambda u: u % p))
+    return n, _product(content, parts), p, p ** draw(st.integers(0, 3)) * u
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _budgeted(chart, nodes):
+    """chart, stopped with _OverBudget once a walk has visited `nodes`
+    nodes: at p = 13 with a deep cap the old walk can take a minute."""
+
+    def run(self, g, *args):
+        left = iter(range(nodes))
+
+        def counted(a):
+            if next(left, None) is None:
+                raise _OverBudget
+            return g(a)
+
+        return chart(self, counted, *args)
+
+    return run
+
+
+def _walks(n, poly, p, d, nodes=5000):
+    """The walk's verdict at p (no closed form, no shortcut) with the current
+    _chart, and with old_chart, None where the old walk ran over budget."""
+    solver = LocalSolver(SuperellipticCurve(n, poly))
+    new = solver.at_prime(d, p, allow_shortcut=False)
+    try:
+        with mock.patch.object(LocalSolver, "_chart", _budgeted(old_chart, nodes)):
+            old = solver.at_prime(d, p, allow_shortcut=False)
+    except _OverBudget:
+        old = None
+    return new, old
+
+
+@given(local_cases())
+@settings(max_examples=300, deadline=None)
+@example((2, PINNED8, 2, -1))
+@example((2, PINNED8, 2, 6))
+@example((3, P("T^3 - 2"), 3, 9))
+@example((4, P("T^2 + 1") * P("T^2 + 1") * P("T^2 + 1") * P("T^4 + 2"), 2, 8))
+def test_sharper_closing_agrees_with_old_walk(case):
+    """Wherever the old walk decides, the new one gives the same verdict."""
+    new, old = _walks(*case)
+    if old in (SOLUBLE, INSOLUBLE):
+        assert new == old
+
+
+def test_sharper_closing_decides_where_old_walk_capped():
+    # y^4 = 175 (T^2 + 1)^3 at 5: the old walk leaves a branch at its cap
+    cube = P("T^2 + 1") * P("T^2 + 1") * P("T^2 + 1")
+    assert _walks(4, cube, 5, 175) == (SOLUBLE, UNKNOWN)
+
+
+def _spy_charts(monkeypatch):
+    charts = []
+    chart = LocalSolver._chart
+
+    def spy(self, *args):
+        charts.append(args)
+        return chart(self, *args)
+
+    monkeypatch.setattr(LocalSolver, "_chart", spy)
+    return charts
+
+
+@st.composite
+def tame_cases(draw):
+    """y^n = P with P separable and n | deg P, and a prime p <= 97 dividing
+    neither n * lc * content * disc nor d / p^v, with v = v_p(d) not 0 mod n."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    factors = draw(st.lists(st.sampled_from(FACTOR_POOL), min_size=1, max_size=4,
+                            unique_by=lambda f: f.coeffs))
+    poly = _product(draw(st.sampled_from([1, -1, 2, -3])), [(f, 1) for f in factors])
+    assume(poly.degree % n == 0)
+    solver = LocalSolver(SuperellipticCurve(n, poly))
+    primes = [p for p in primes_up_to(97) if solver._constants % p]
+    p = draw(st.sampled_from(primes))
+    v = draw(st.integers(1, 2 * n - 1).filter(lambda v: v % n))
+    u = draw(st.integers(-30, 30).filter(lambda u: u % p))
+    return solver, p, p**v * u
+
+
+@given(tame_cases())
+@settings(max_examples=200, deadline=None)
+@example((LocalSolver(SuperellipticCurve(2, P("T^4 + 1"))), 3, 3))  # rootless: insoluble
+@example((LocalSolver(SuperellipticCurve(2, P("T^2 - 2"))), 7, -7))  # 3^2 = 2 mod 7: soluble
+def test_closed_form_matches_walk(case):
+    """The closed form decides without a walk, as the walk decides."""
+    solver, p, d = case
+    with mock.patch.object(LocalSolver, "_chart", side_effect=AssertionError("walked")):
+        closed = solver._decide(d, p)
+    walk = solver.at_prime(d, p, allow_shortcut=False)
+    assert closed in (SOLUBLE, INSOLUBLE)
+    assert walk in (closed, UNKNOWN)
+
+
+@pytest.mark.parametrize(
+    "n,poly,p,d",
+    [
+        (2, P("T^3 - 2"), 7, 7),  # n does not divide deg P (2 is no cube mod 7)
+        (4, P("T^2 + 1"), 3, 3),  # n does not divide deg P; the walk leaves z = 0 open
+        (3, P("T^2 + 1") * P("T^2 + 1") * P("T^2 + 2"), 7, 7),  # not separable
+        (2, P("T^4 + 2"), 2, 2),  # p | n
+        (3, P("T^3 - 3"), 3, 3),  # p | n
+        (2, P("T^2 + 3"), 3, -3),  # p | disc: a double root mod 3, yet insoluble
+        (2, P("T^2 + 5"), 5, 5),  # p | disc: a double root mod 5
+    ],
+    ids=["T^3-2", "T^2+1,n=4", "non-separable", "p=n=2", "p=n=3", "T^2+3,p=3", "T^2+5,p=5"],
+)
+def test_closed_form_does_not_fire(monkeypatch, n, poly, p, d):
+    solver = LocalSolver(SuperellipticCurve(n, poly))
+    charts = _spy_charts(monkeypatch)
+    verdict = solver.at_prime(d, p)
+    assert charts, "decided without a walk"
+    assert verdict == solver.at_prime(d, p, allow_shortcut=False)
+
+
+def _residue_witness(n, poly, p, d):
+    """A t mod p^K, p^K <= 4096 the largest such power, on either chart of
+    the model (t in Z_p with g = P, or t in pZ_p with g the reversed model
+    form), with v(g(t)) + k0 <= K and d * g(t) an n-th power of Q_p^*, or
+    None. Such a t makes y^n = d * P soluble over Q_p: the class of d * g is
+    constant on t + p^(v(g(t)) + k0) Z_p. Integer arithmetic only; the unit
+    n-th powers are listed mod p^k0."""
+    K = 1
+    while p ** (K + 1) <= 4096:
+        K += 1
+    mod = p**K
+    k0 = 2 * (valuation(n, p) if n % p == 0 else 0) + 1
+    powers = {pow(x, n, p**k0) for x in range(p**k0) if x % p}
+    vd = valuation(d, p)
+    ud = d // p**vd
+    model = SuperellipticCurve(n, poly).model_coeffs
+    for coeffs, start in ((model, 0), (model[::-1], p)):
+        for t in range(start, mod, max(start, 1)):
+            val = 0
+            for c in reversed(coeffs):
+                val = (val * t + c) % mod
+            if val == 0:
+                continue
+            v = valuation(val, p)
+            if v + k0 <= K and (vd + v) % n == 0 and ud * (val // p**v) % p**k0 in powers:
+                return t, start
+    return None
+
+
+@given(local_cases())
+@settings(max_examples=150, deadline=None)
+@example((2, P("T^4 + 1"), 3, 3))
+@example((2, PINNED8, 2, 3))
+@example((3, P("T^3 - 2") * P("T^3 - 2"), 7, 14))
+def test_insoluble_verdicts_have_no_residue_witness(case):
+    """An insoluble verdict, closed form or walk, is refuted by no residue."""
+    n, poly, p, d = case
+    if LocalSolver(SuperellipticCurve(n, poly)).at_prime(d, p) == INSOLUBLE:
+        assert _residue_witness(n, poly, p, d) is None
+
+
+def test_residue_check_on_pinned8_at_2():
+    base = SuperellipticCurve(2, PINNED8)
+    solver = LocalSolver(base)
+    ds = [d for d in range(-20, 21) if d and squarefree_part(d) == d]
+    verdicts = {d: solver.at_prime(d, 2) for d in ds}
+    insoluble = [d for d in ds if verdicts[d] == INSOLUBLE]
+    assert len(insoluble) == 9
+    assert all(_residue_witness(2, PINNED8, 2, d) is None for d in insoluble)
+    # the check is not empty: every soluble twist here meets a residue witness
+    assert all(_residue_witness(2, PINNED8, 2, d) for d in ds if verdicts[d] == SOLUBLE)
+
+
+def test_chart_nodes_at_2_on_pinned8(monkeypatch):
+    """Work-count guard: g(a) and g'(a) at each node of the 2-adic walks of
+    y^2 = d * P8, |d| <= 20 squarefree. The walk closing at
+    j >= v(g(a)) + k0 evaluated 1692 times, the closing test
+    min(v(g'(a)) + j, 2j) >= v(g(a)) + k0 618 times."""
+    calls = []
+    walking = []
+    evaluate = IntPolynomial.__call__
+
+    def count(f, x):
+        if walking:
+            calls.append(x)
+        return evaluate(f, x)
+
+    chart = LocalSolver._chart
+
+    def walk(self, *args):
+        walking.append(True)
+        try:
+            return chart(self, *args)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(IntPolynomial, "__call__", count)
+    monkeypatch.setattr(LocalSolver, "_chart", walk)
+    solver = LocalSolver(SuperellipticCurve(2, PINNED8))
+    ds = [d for d in range(-20, 21) if d and squarefree_part(d) == d]
+    verdicts = [solver.at_prime(d, 2, allow_shortcut=False) for d in ds]
+    assert len(ds) == 26 and UNKNOWN not in verdicts
+    assert 0 < len(calls) <= 650
