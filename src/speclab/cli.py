@@ -60,7 +60,10 @@ __all__ = ["main", "run", "run_manifest"]
 def _parse_t0(text: str):
     if text in ("oo", "inf", "infinity"):
         return INFINITY
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"t0 = {text} has denominator 0; write oo for infinity") from None
 
 
 def _jsonable(obj):

@@ -132,6 +132,11 @@ class SpecializationReport:
     d_k: int | None = None  # quadratic resolvent discriminant (S3)
     disc_field: int = 1  # discriminant of the specialization field (signed)
     ramified_primes: tuple[int, ...] = ()
+    # The primes of the number the specialiser factored, which every branch
+    # orbit's value at t0 divides (see ramify.predict); None when only a
+    # smaller number was factored. _carrying sets it after construction; it
+    # is not a field, so it is no part of repr, equality, hash or asdict.
+    _primes = None
 
     def inertia_order(self, p: int) -> int:
         """Order of (tame) inertia at p in the Galois group of the
@@ -159,12 +164,19 @@ def quad_specialize(cover: QuadraticCover, t0) -> SpecializationReport:
     val = cover.hom_value(pt)
     if val == 0:
         raise ValueError(f"t0 = {pt} is a branch point")
-    m, d, ram = _quad_field(val, factorize(val))
+    nfac = factorize(val)
+    m, d, ram = _quad_field(val, nfac)
     if m == 1:
-        return SpecializationReport("quadratic", pt, "C1", m=1, disc_field=1)
-    return SpecializationReport(
-        "quadratic", pt, "C2", m=m, disc_field=d, ramified_primes=ram
-    )
+        rep = SpecializationReport("quadratic", pt, "C1", m=1, disc_field=1)
+    else:
+        rep = SpecializationReport("quadratic", pt, "C2", m=m, disc_field=d, ramified_primes=ram)
+    return _carrying(rep, nfac)
+
+
+def _carrying(rep: SpecializationReport, nfac: dict[int, int]) -> SpecializationReport:
+    """rep with _primes set to the primes of nfac."""
+    object.__setattr__(rep, "_primes", tuple(nfac))
+    return rep
 
 
 def _quad_field(n: int, nfac: dict[int, int]) -> tuple[int, int, tuple[int, ...]]:
@@ -346,19 +358,25 @@ class CubicCover:
             r += form.degree
         return r
 
+    @cached_property
+    def _coeff_forms(self) -> tuple[HomogPolynomial | None, ...]:
+        """a0, a1 and a2 homogenised to degree D, None for a zero one;
+        computed on first use, no part of repr, equality or hash."""
+        D = self.coeff_degree
+        return tuple(
+            HomogPolynomial.from_poly(a, D) if a.degree >= 0 else None
+            for a in (self.a0, self.a1, self.a2)
+        )
+
     def specialized_cubic(self, pt: ProjectivePoint) -> IntPolynomial:
         """Monic integer cubic with root v^D * y(t0), t0 = u/v (v != 0)."""
         if pt.is_infinity:
             raise ValueError("cubic specialization at infinity is unsupported")
-        D = self.coeff_degree
-        u, v = pt.u, pt.v
-        A = []
-        for i, a in enumerate((self.a0, self.a1, self.a2)):
-            if a.degree < 0:
-                A.append(0)
-                continue
-            hom = HomogPolynomial.from_poly(a, D)
-            A.append(hom.eval_proj(pt) * v ** ((2 - i) * D))
+        D, v = self.coeff_degree, pt.v
+        A = [
+            0 if hom is None else hom.eval_proj(pt) * v ** ((2 - i) * D)
+            for i, hom in enumerate(self._coeff_forms)
+        ]
         return IntPolynomial([A[0], A[1], A[2], 1])
 
 
@@ -514,15 +532,17 @@ def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
     dK = _field_disc(spec, disc, dfac)
     dK_primes = {p for p in dfac if dK % p == 0}
     if is_nth_power(disc, 2):
-        return SpecializationReport(
+        rep = SpecializationReport(
             "cubic", pt, "C3", d_K=dK, disc_field=dK, ramified_primes=tuple(sorted(dK_primes))
         )
-    _, dk, dk_primes = _quad_field(disc, dfac)
-    dF = abs(dk) * dK * dK
-    ram = tuple(sorted(dK_primes.union(dk_primes)))
-    return SpecializationReport(
-        "cubic", pt, "S3", d_K=dK, d_k=dk, disc_field=dF, ramified_primes=ram
-    )
+    else:
+        _, dk, dk_primes = _quad_field(disc, dfac)
+        dF = abs(dk) * dK * dK
+        ram = tuple(sorted(dK_primes.union(dk_primes)))
+        rep = SpecializationReport(
+            "cubic", pt, "S3", d_K=dK, d_k=dk, disc_field=dF, ramified_primes=ram
+        )
+    return _carrying(rep, dfac)
 
 
 # ---------------------------------------------------------------------------

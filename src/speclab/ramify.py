@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .covers import CubicCover, QuadraticCover, _specializations
-from .intutil import factorize, valuation
+from .intutil import ConsistencyError, factorize, valuation
 from .poly import (
     HomogPolynomial,
     IntPolynomial,
@@ -127,7 +127,12 @@ class RamificationReport:
         return [p for p, _, _, _ in self.entries]
 
 
-def predict(cover, t0, orbits: list[BranchOrbit] | None = None) -> RamificationReport:
+def predict(
+    cover,
+    t0,
+    orbits: list[BranchOrbit] | None = None,
+    primes: tuple[int, ...] | None = None,
+) -> RamificationReport:
     """Beckmann-style prediction at every prime meeting some branch orbit.
 
     For each prime dividing an orbit value, the orbit with positive
@@ -135,6 +140,20 @@ def predict(cover, t0, orbits: list[BranchOrbit] | None = None) -> RamificationR
     e / gcd(e, I_p). A prime meeting several orbits is recorded with
     orbit_index None and order 0 (undetermined; such primes are exceptional).
     orbits, when given, must be branch_orbits(cover).
+
+    primes, when given, must contain every prime of every orbit value; then
+    no orbit value is factorised. The specialisers factor a number every
+    orbit value divides and leave its primes on their report (see
+    consistency_check). For a quadratic cover that number is hom_value(t0) =
+    P_hom(u, v) v^(deg P mod 2), and P = content * f_1 * ... * f_k, whose
+    factors' forms are the finite orbits; the orbit V, present for odd
+    deg P, has the value v. For a cubic cover it is the discriminant of
+    specialized_cubic(t0), which is delta_hom(u, v) v^(6D - deg delta), and
+    the finite orbits are forms of factors of delta; V is an orbit only when
+    infinity is branched, which needs 6D - deg delta >= 1. Each orbit value
+    is divided by the given primes it has, and a cofactor other than +-1
+    raises ConsistencyError, so a prime set that misses a prime never
+    passes silently.
     """
     pt = t0 if isinstance(t0, ProjectivePoint) else ProjectivePoint.from_rational(t0)
     if orbits is None:
@@ -145,22 +164,32 @@ def predict(cover, t0, orbits: list[BranchOrbit] | None = None) -> RamificationR
         if v == 0:
             raise ValueError(f"t0 = {pt} is a branch point")
         vals.append(v)
-    primeset: set[int] = set()
-    for v in vals:
-        primeset.update(factorize(v))
+    if primes is None:
+        facs = [factorize(v) for v in vals]
+    else:
+        facs = [_factor_over(v, primes) for v in vals]
     entries = []
-    for p in sorted(primeset):
-        hits = [
-            (i, valuation(vals[i], p))
-            for i in range(len(orbits))
-            if vals[i] % p == 0
-        ]
+    for p in sorted(set().union(*facs)):
+        hits = [(i, fac[p]) for i, fac in enumerate(facs) if p in fac]
         if len(hits) == 1:
             i, ip = hits[0]
             entries.append((p, i, ip, orbits[i].inertia_order(ip)))
         else:
             entries.append((p, None, sum(ip for _, ip in hits), 0))
     return RamificationReport(pt, tuple(entries))
+
+
+def _factor_over(n: int, primes: tuple[int, ...]) -> dict[int, int]:
+    """factorize(n) for a nonzero n whose primes are all in primes; raises
+    ConsistencyError when they are not."""
+    out = {}
+    for p in primes:
+        if n % p == 0:
+            out[p] = k = valuation(n, p)
+            n //= p**k
+    if abs(n) != 1:
+        raise ConsistencyError(f"the given primes leave the cofactor {n} of an orbit value")
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,6 +218,14 @@ def consistency_check(
     non-exceptional primes with intersection number exactly 1 divides the
     specialization discriminant, hence bounds it from below. The branch
     orbits are computed once and shared by every prediction.
+
+    Each sample point is factorised once. Every orbit value at t0 divides
+    the number its specialiser factors: hom_value(t0) for a quadratic cover,
+    disc(specialized_cubic(t0)) = delta_hom(u, v) v^(6D - deg delta) for a
+    cubic one (see predict). The report carries that number's primes, and
+    predict reads the orbit values' primes from them. A cubic report with a
+    rational root carries none, for only the discriminant of its quadratic
+    factor was factorised; its orbit values are factorised one by one.
     """
     orbits = branch_orbits(cover)
     exc = exceptional_superset(cover)
@@ -199,7 +236,7 @@ def consistency_check(
     while done < n_samples:
         pt, rep = next(points)
         try:
-            pred = predict(cover, pt, orbits)
+            pred = predict(cover, pt, orbits, rep._primes)
         except ValueError:
             continue
         done += 1

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from fractions import Fraction
 from math import prod
 
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from speclab import covers, poly
+from speclab import covers, poly, ramify
 from speclab.covers import CubicCover, QuadraticCover, quad_cover
-from speclab.intutil import factorize
+from speclab.intutil import ConsistencyError, factorize
 from speclab.poly import IntPolynomial, ProjectivePoint, parse_poly
 from speclab.ramify import (
     ConsistencyReport,
@@ -194,3 +195,105 @@ def test_consistency_check_factors_branch_polynomial_once(monkeypatch, cover):
     base = cover.delta if isinstance(cover, CubicCover) else cover.P
     assert factored == [base]
     assert bivariate == []  # Y^3 + TY + T has an S3 witness
+
+
+def specialize(cover, pt):
+    if isinstance(cover, QuadraticCover):
+        return covers.quad_specialize(cover, pt)
+    return covers.cubic_specialize(cover, pt)
+
+
+def assert_shared_primes_agree(cover, pt):
+    """predict given the specialiser's primes equals predict that factorises
+    each orbit value, entry by entry."""
+    try:
+        rep = specialize(cover, pt)
+    except ValueError:
+        assume(False)
+    orbits = branch_orbits(cover)
+    want = predict(cover, pt, orbits)
+    got = predict(cover, pt, orbits, rep._primes)
+    assert got.entries == want.entries
+    return rep
+
+
+class TestSharedPrimes:
+    @given(quadratic_covers(), st.integers(-60, 60), st.integers(0, 60))
+    @example(quad_cover(P("2*T^2 - 4")), 2, 1)  # content 2 meets the orbit T^2 - 2 at 2
+    @example(quad_cover(P("2*T^2 - 4")), 1, 0)  # t0 = oo: the value is lc(P) = 2
+    @example(quad_cover(P("6*T^3 - 3*T + 3")), 7, 12)  # odd degree: V meets 2 and 3
+    @example(quad_cover(P("2*T - 1") * P("3*T^2 + 5") * P("T^3 - 2")), 1, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_quadratic_matches_orbit_route(self, cover, u, v):
+        assume(u or v)
+        rep = assert_shared_primes_agree(cover, ProjectivePoint(u, v))
+        assert rep._primes is not None
+
+    @given(cubic_covers(), st.integers(-60, 60), st.integers(1, 60))
+    @example(cubic_ttY(), 7, 3)
+    @example(CubicCover(P("0"), P("0"), P("-T")), 5, 2)  # Y^3 - T: infinity branched, e = 3
+    @example(CubicCover(P("0"), P("0"), P("-T")), 8, 1)  # Y^3 - 8 has the root 2: C2
+    @settings(max_examples=150, deadline=None)
+    def test_cubic_matches_orbit_route(self, cover, u, v):
+        assert_shared_primes_agree(cover, ProjectivePoint(u, v))
+
+    def test_rational_root_keeps_orbit_route(self):
+        rep = covers.cubic_specialize(CubicCover(P("0"), P("0"), P("-T")), Fraction(8))
+        assert rep.group == "C2" and rep._primes is None
+
+    @pytest.mark.parametrize(
+        "cover, t0",
+        [
+            (quad_cover(P("2*T^2 - 4")), Fraction(2)),
+            (quad_cover(P("6*T^3 - 3*T + 3")), Fraction(7, 12)),
+            (quad_cover(P("T^6 - T - 1")), Fraction(-13, 10)),
+            (cubic_ttY(), Fraction(7, 3)),
+            (CubicCover(P("0"), P("0"), P("-T")), Fraction(5, 2)),
+        ],
+    )
+    def test_a_missing_prime_raises(self, cover, t0):
+        pt = ProjectivePoint.from_rational(t0)
+        rep = specialize(cover, pt)
+        orbits = branch_orbits(cover)
+        needed = set(predict(cover, pt, orbits).primes())
+        assert needed
+        for p in needed:
+            with pytest.raises(ConsistencyError):
+                predict(cover, pt, orbits, tuple(q for q in rep._primes if q != p))
+
+    def test_reports_compare_without_primes(self):
+        rep = covers.quad_specialize(quad_cover(P("T^2 - 2")), Fraction(3))
+        plain = covers.SpecializationReport(
+            "quadratic", ProjectivePoint(3, 1), "C2", m=7, disc_field=28, ramified_primes=(2, 7)
+        )
+        assert rep._primes == (7,) and plain._primes is None
+        assert rep == plain and hash(rep) == hash(plain)
+        assert repr(rep) == repr(plain) and asdict(rep) == asdict(plain)
+
+
+def test_consistency_check_calls_through_module_attributes(monkeypatch):
+    """consistency_check reaches the specialisers and predict by looking them
+    up on their modules, where perfbench's tracer binds its wrappers; each
+    quadratic report hands predict its primes."""
+    calls = {"quad_specialize": 0, "cubic_specialize": 0}
+    for name in calls:
+        orig = getattr(covers, name)
+
+        def counted(c, pt, orig=orig, name=name):
+            calls[name] += 1
+            return orig(c, pt)
+
+        monkeypatch.setattr(covers, name, counted)
+    given_primes = []
+    orig_predict = ramify.predict
+
+    def counted_predict(cover, t0, orbits=None, primes=None):
+        given_primes.append(primes)
+        return orig_predict(cover, t0, orbits, primes)
+
+    monkeypatch.setattr(ramify, "predict", counted_predict)
+    assert consistency_check(quad_cover(P("T^3 - 2")), n_samples=6, height=20, seed=1).ok
+    assert calls == {"quad_specialize": 6, "cubic_specialize": 0}
+    assert len(given_primes) == 6 and None not in given_primes
+    assert consistency_check(cubic_ttY(), n_samples=4, height=20, seed=1).ok
+    assert calls["cubic_specialize"] >= 4 and len(given_primes) == 10

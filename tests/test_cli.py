@@ -156,6 +156,12 @@ class TestExitCodes:
         assert code == 2
         assert "unknowns present" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cmd", ["specialize", "beckmann"])
+    def test_zero_denominator_is_error(self, capsys, cmd):
+        assert run([cmd, "--cover", "T^2-2", "--t0", "1/0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "denominator 0" in err
+
     def test_missing_subcommand(self):
         assert run([]) == 1
 
