@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
-from .intutil import ConsistencyError, factorize, is_probable_prime, valuation
+from .intutil import ConsistencyError, factorize, is_probable_prime
 
 __all__ = [
     "GroupDescriptor",
@@ -40,15 +40,12 @@ class GroupDescriptor:
     """Order arithmetic and user-asserted structure of a finite group.
 
     Only data the case analysis consumes; nothing here is a group object.
-    center_q: least prime with a central element of that order lying in some
-    inertia group (user-supplied, cannot be derived from the order).
     """
 
     order: int
     rank_lower: int | None = None
     cyclic_quotient_orders: tuple[int, ...] = ()
     nilpotent: bool | None = None
-    center_q: int | None = None
 
     def __post_init__(self):
         if self.order < 2:
@@ -56,8 +53,6 @@ class GroupDescriptor:
         for n in self.cyclic_quotient_orders:
             if n < 1 or self.order % n:
                 raise ValueError("cyclic quotient orders must divide the order")
-        if self.center_q is not None and self.order % self.center_q:
-            raise ValueError("center_q must divide the order")
 
     @property
     def least_prime(self) -> int:
@@ -228,24 +223,19 @@ def bcl_cyclic_check(n: int, rt: RamificationType) -> list[str]:
     """
     out = []
     es = rt.indices
-    lcm = 1
-    for e in es:
-        lcm = lcm * e // gcd(lcm, e)
-    if lcm != n:
-        out.append(f"inertia generates a proper subgroup (lcm {lcm} != {n})")
-    for p0 in sorted(factorize(n)):
-        m = valuation(n, p0)
+    ell = lcm(*es)
+    if ell != n:
+        out.append(f"inertia generates a proper subgroup (lcm {ell} != {n})")
+    phi_n = 1
+    for p0, m in sorted(factorize(n).items()):
         q = p0**m
         have = sum(1 for e in es if e % q == 0)
         need = q - q // p0  # phi(p0^m)
+        phi_n *= need
         if 0 < have < need:
             out.append(
                 f"only {have} branch points with index divisible by {q}, need {need}"
             )
-    phi_n = 1
-    for p0 in sorted(factorize(n)):
-        m = valuation(n, p0)
-        phi_n *= p0**m - p0 ** (m - 1)
     if n in es and rt.r < phi_n:
         out.append(f"an index-{n} point needs r >= phi({n}) = {phi_n}")
     if n == 2 and rt.r % 2:

@@ -481,6 +481,8 @@ def s3_survey(D: int, H: int, sample_size: int = 10**4, seed: int = 0) -> Survey
     sampling, reproducible per index from (seed, index)."""
     if D < 0 or H < 1:
         raise ValueError("need D >= 0 and H >= 1")
+    if sample_size < 1:
+        raise ValueError("need sample_size >= 1")
     width = 2 * H + 1
     space = width ** (3 * (D + 1))
     exhaustive = space <= sample_size
@@ -492,14 +494,8 @@ def s3_survey(D: int, H: int, sample_size: int = 10**4, seed: int = 0) -> Survey
             for i in range(3)
         )
         pred = s3_survey_predicates(a2, a1, a0)
-        counts["separable"] += pred.separable
-        counts["galois_S3"] += pred.galois_S3
-        counts["delta_irreducible"] += pred.delta_irreducible
-        counts["leading_form_ok"] += pred.leading_form_ok
-        counts["infinity_unbranched"] += pred.infinity_unbranched
-        counts["branch_conjugate"] += pred.branch_conjugate
-        counts["regular"] += pred.regular
-        counts["all"] += pred.all_conditions
+        for f in _S3_FLAGS:
+            counts[f] += getattr(pred, "all_conditions" if f == "all" else f)
 
     if exhaustive:
         total = 0

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, product
+from itertools import count, islice, product
 from math import gcd, inf, lcm, prod
 
 from . import fp
@@ -221,17 +221,10 @@ class CubicCover:
         return factor_over_Q(self.delta)[1]
 
     def generic_group(self) -> str:
-        """Galois group of the splitting field over Q(T): S3, C3, C2 or C1.
-
-        An S3 witness (see _s3_witness) proves S3 without factorising;
-        without one the bivariate route decides."""
-        if _s3_witness(self) is not None:
-            return "S3"
-        return self._group_over_QT()
-
-    def _group_over_QT(self) -> str:
-        """The group from the factorisation of P(T, Y) over Q(T) and whether
-        delta is a square in Q(T)."""
+        """Galois group of the splitting field over Q(T): S3, C3, C2 or C1,
+        from whether P(T, Y) has a root in Q(T) and whether delta is a square
+        in Q(T). The square test factors delta, so this raises factor_over_Q's
+        ValueError past its degree cap."""
         if self._reducible_over_QT():
             # a Q(T)-root exists; quotient is the quadratic cofactor
             return "C1" if self._delta_is_square() else "C2"
@@ -254,11 +247,13 @@ class CubicCover:
         so such a root r lies in Z[T], and the leading terms of P(T, r) can
         cancel only if deg r <= max(deg a2, deg a1 / 2, deg a0 / 3). Then r(t)
         is an integer root of P(t, Y) at every integer t (a rational root of
-        the monic cubic): interpolate each choice of those roots at
-        deg r + 1 points and test it exactly."""
+        the monic cubic): interpolate each choice of those roots at the first
+        e + 1 integers t >= 0 with delta(t) != 0, e that bound on deg r, and
+        test it exactly. Off the branch locus P(t, Y) is squarefree, so its
+        roots come from a squarefree reduction, not Yun's algorithm."""
         a2, a1, a0 = self.a2, self.a1, self.a0
         e = max(a2.degree, a1.degree // 2, a0.degree // 3, 0)
-        ts = list(range(e + 1))
+        ts = list(islice((t for t in count() if self.delta(t)), e + 1))
         choices = []
         for t in ts:
             roots = [int(r) for r in _rational_roots(IntPolynomial([a0(t), a1(t), a2(t), 1]))]
@@ -553,7 +548,6 @@ def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
 class SurveyPredicates:
     separable: bool
     galois_S3: bool
-    s3_witness: int | None
     delta_irreducible: bool
     leading_form_ok: bool
     infinity_unbranched: bool
@@ -570,16 +564,12 @@ class SurveyPredicates:
         )
 
 
-_WITNESS_RANGE = 12
-
-
 def s3_survey_predicates(
     a2: IntPolynomial, a1: IntPolynomial, a0: IntPolynomial
 ) -> SurveyPredicates:
     """Decide the survey conditions for y^3 + a2 y^2 + a1 y + a0.
 
-    galois_S3 is decided exactly (specialization witness fast path, bivariate
-    factorization + discriminant-square fallback). leading_form_ok asks the
+    galois_S3 is the cover's generic_group. leading_form_ok asks the
     degree-D leading coefficients to form an irreducible quadratic, which
     forces the fiber above infinity to be unbranched; infinity_unbranched
     itself is the exact cycle type at infinity (CubicCover.cycle_type_at).
@@ -587,10 +577,8 @@ def s3_survey_predicates(
     try:
         cover = CubicCover(a2, a1, a0)
     except ValueError:
-        false = False
-        return SurveyPredicates(false, false, None, false, false, false, false, false)
-    witness = _s3_witness(cover)
-    galois_S3 = witness is not None or cover._group_over_QT() == "S3"
+        return SurveyPredicates(*[False] * 7)
+    galois_S3 = cover.generic_group() == "S3"
     dfac = cover._factors
     delta_irred = len(dfac) == 1 and dfac[0][1] == 1 and dfac[0][0].degree >= 1
 
@@ -604,24 +592,8 @@ def s3_survey_predicates(
     branch_conj = delta_irred and inf_unbranched
     regular = galois_S3 and any(m % 2 and f.degree >= 1 for f, m in dfac)
     return SurveyPredicates(
-        True, galois_S3, witness, delta_irred, lf_ok, inf_unbranched, branch_conj, regular
+        True, galois_S3, delta_irred, lf_ok, inf_unbranched, branch_conj, regular
     )
-
-
-def _s3_witness(cover: CubicCover) -> int | None:
-    """The first t0 in 0, 1, -1, ..., _WITNESS_RANGE, -_WITNESS_RANGE at which
-    the specialised cubic is irreducible with a nonsquare discriminant, or
-    None. Its group is then S3, and the group of an unramified
-    specialisation is a subgroup of the generic one, so that is S3 too."""
-    for k in range(_WITNESS_RANGE + 1):
-        for t0 in (k, -k) if k else (0,):
-            spec = cover.specialized_cubic(ProjectivePoint(t0, 1))
-            disc = _cubic_disc(*spec.coeffs[2::-1])
-            if disc == 0 or is_nth_power(disc, 2):
-                continue
-            if not _rational_roots(spec):
-                return t0
-    return None
 
 
 def _interpolate(ts: list[int], values) -> IntPolynomial | None:

@@ -425,6 +425,15 @@ class TestSurvey:
         res = s3_survey(1, 5, sample_size=2000, seed=0)
         assert "all" in res.proportions
 
+    @pytest.mark.parametrize("sample_size", [0, -3])
+    def test_sample_size_checked_before_work(self, monkeypatch, sample_size):
+        def surveyed(*args):
+            raise AssertionError("surveyed before checking sample_size")
+
+        monkeypatch.setattr("speclab.census.s3_survey_predicates", surveyed)
+        with pytest.raises(ValueError, match="need sample_size >= 1"):
+            s3_survey(1, 2, sample_size=sample_size)
+
 
 class TestTwistSeries:
     def test_direct_regression(self):

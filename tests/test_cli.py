@@ -165,6 +165,11 @@ class TestExitCodes:
     def test_missing_subcommand(self):
         assert run([]) == 1
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_empty_survey_is_error(self, capsys, samples):
+        assert run(["s3-survey", "--D", "1", "--H", "2", "--samples", samples]) == 1
+        assert capsys.readouterr().err.startswith("error: need sample_size >= 1")
+
     def test_fit_grid_checked_before_search(self, monkeypatch, capsys):
         def searched(*args, **kwargs):
             raise AssertionError("searched before checking the grid")

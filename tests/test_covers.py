@@ -692,7 +692,6 @@ class TestGenericGroup:
     def test_known_groups(self, a2, a1, a0, group):
         cover = CubicCover(P(a2), P(a1), P(a0))
         assert cover.generic_group() == group == old_generic_group(cover)
-        assert cover._group_over_QT() == group  # the route without a witness
         assert cover.group_order == {"S3": 6, "C3": 3, "C2": 2, "C1": 1}[group]
 
     @given(small_cubic_covers())
@@ -705,12 +704,13 @@ class TestGenericGroup:
     @example(cover_of("-1*T^3", "1", "-1*T^3"))  # (Y - T^3)(Y^2 + 1): root of degree deg a2
     @example(cover_of("0", "-1*T^4+1", "-1*T^2"))  # (Y - T^2)(Y^2 + T^2 Y + 1): deg a1 / 2
     @example(cover_of("0", "0", "-1*T^6"))  # Y^3 - T^6: degree deg a0 / 3
-    @example(cover_of("0", "0", "-1*T^3-7*T^2+7*T"))  # irreducible; roots 0, 1 at T = 0, 1
+    # irreducible, delta(0) = 0, roots 1, 2 at T = 1, 2: interpolated, then rejected
+    @example(cover_of("0", "0", "T^3-6*T^2+4*T"))
     @settings(max_examples=300, deadline=None)
     def test_integer_root_route_matches_bivariate_route(self, cover):
         """_reducible_over_QT by integer roots at a few points agrees with
-        sympy's factorisation of P(T, Y), on every cover, witness or not."""
-        assert cover._group_over_QT() == old_generic_group(cover)
+        sympy's factorisation of P(T, Y), on every cover."""
+        assert cover.generic_group() == old_generic_group(cover)
 
 
 def old_reducible_class(f):
@@ -896,6 +896,34 @@ class TestSurvey:
     def test_inseparable_fails(self):
         pred = s3_survey_predicates(P("0"), P("0"), P("0"))
         assert not pred.separable and not pred.all_conditions
+
+    @given(small_cubic_covers())
+    @example(cover_of("0", "T", "T"))
+    @example(cover_of("0", "0", "T^3-6*T^2+4*T"))
+    @settings(max_examples=150, deadline=None)
+    def test_flags_are_the_covers_answers(self, cover):
+        """Each flag is what the cover itself answers, and what sympy and the
+        Fraction-arithmetic cycle type give independently."""
+        pred = s3_survey_predicates(cover.a2, cover.a1, cover.a0)
+        group = cover.generic_group()
+        assert pred.separable
+        assert pred.galois_S3 == (group == "S3") == (old_generic_group(cover) == "S3")
+        dfac = cover._factors
+        assert pred.delta_irreducible == (len(dfac) == 1 and dfac[0][1] == 1)
+        T, x = sympy.symbols("T x")
+        _, sym = sympy.factor_list(sum(int(c) * T**i for i, c in enumerate(cover.delta.coeffs)))
+        assert pred.delta_irreducible == (len(sym) == 1 and sym[0][1] == 1)
+        D = cover.coeff_degree
+        l0, l1, l2 = (a.coeffs[D] if a.degree == D else 0 for a in (cover.a0, cover.a1, cover.a2))
+        form = sympy.Poly(l2 * x**2 + l1 * x + l0, x)
+        assert pred.leading_form_ok == (form.degree() == 2 and form.is_irreducible)
+        ct = cover.cycle_type_at(INFINITY)
+        assert pred.infinity_unbranched == (ct == [1, 1, 1]) == (old_cycle_type_at(cover, INFINITY) == [1, 1, 1])
+        assert pred.branch_conjugate == (pred.delta_irreducible and pred.infinity_unbranched)
+        assert pred.regular == (group == "S3" and any(m % 2 for _, m in dfac))
+        assert pred.all_conditions == (
+            pred.galois_S3 and pred.delta_irreducible and pred.leading_form_ok
+        )
 
 
 class TestSieve:

@@ -71,6 +71,46 @@ CASES = {
         covers._multiple_root = lambda a, b, c, p: 0
         covers._dedekind_p_maximal(parse_poly("T^3-2"), 3)
     """,
+    "covers.CubicCover.branch_orbits": """
+        from speclab import covers
+        t = parse_poly("T")
+        cov = covers.CubicCover(parse_poly("0"), t, t)  # delta = -T^2 (4T + 27)
+        # unramified at the simple root -27/4, where the parity asks for [1, 2]
+        covers.CubicCover.cycle_type_at = lambda self, tau: [1, 1, 1]
+        cov.branch_orbits()
+    """,
+    "covers._field_disc.index_dropped": """
+        from speclab import covers
+        # Dedekind's x^3 + x^2 - 2x + 8 has index 2: v_2 drops from 2 to 0
+        covers._dedekind_p_maximal = lambda f, p: True
+        covers.cubic_field_disc(parse_poly("T^3+T^2-2*T+8"))
+    """,
+    "covers._field_disc.index_kept": """
+        from speclab import covers
+        # x^3 - 2 is Eisenstein at 2, so 2-maximal although 4 | disc = -108
+        covers._dedekind_p_maximal = lambda f, p: False
+        covers.cubic_field_disc(parse_poly("T^3-2"))
+    """,
+    "poly._check_product": """
+        from speclab import poly
+        poly._zassenhaus = lambda f, good: [f, f]  # one factor too many
+        poly.factor_over_Q(parse_poly("T^2+1"))
+    """,
+    "twists.admissible_prime_scan": """
+        from speclab import twists
+        from speclab.covers import quad_cover
+        twists.everywhere_locally_soluble = lambda curve: (twists.INSOLUBLE, {})
+        # the first admissible prime of this cover at t0 = 1 is 193
+        twists.admissible_prime_scan(quad_cover(parse_poly("T^8+3*T^6+4*T^4+6*T^2+4")), 1, 200)
+    """,
+    "ramify._factor_over": """
+        from speclab import covers, ramify
+        carrying = covers._carrying
+        # the specialiser leaves no primes, so every orbit value keeps a cofactor
+        covers._carrying = lambda rep, nfac: carrying(rep, {})
+        cov = covers.quad_cover(parse_poly("T^2-2"))
+        ramify.predict(cov, 3, None, covers.quad_specialize(cov, 3)._primes)
+    """,
     "twists.SuperellipticCurve.genus": """
         from speclab import twists
         curve = twists.SuperellipticCurve(2, parse_poly("T-1"))
