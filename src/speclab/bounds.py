@@ -8,6 +8,7 @@ All exponent arithmetic is exact rational; no floats on any contract path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -118,10 +119,11 @@ def best_abc_exponent(
     indices (each a selection, as a tuple), including the full type."""
     best = abc_exponent(rt, order)
     pick = rt.indices
+    pool = Counter(rt.indices)
     for sub in subsets:
-        srt = RamificationType(tuple(sub), rt.group)
-        if any_not_sub(sub, rt.indices):
+        if Counter(sub) - pool:
             raise ValueError("subset is not a sub-multiset of the branch indices")
+        srt = RamificationType(tuple(sub), rt.group)
         try:
             e = abc_exponent(srt, order)
         except ValueError:
@@ -129,16 +131,6 @@ def best_abc_exponent(
         if e < best:
             best, pick = e, tuple(sub)
     return best, pick
-
-
-def any_not_sub(sub, full) -> bool:
-    pool = list(full)
-    for x in sub:
-        if x in pool:
-            pool.remove(x)
-        else:
-            return True
-    return False
 
 
 def condition_eq1(rt: RamificationType) -> tuple[bool, int | None]:

@@ -92,10 +92,10 @@ def _dump(payload: dict, path: str | None) -> str:
     return text
 
 
-def _series_csv(path: str, series: DensitySeries, label: str = "ratio"):
+def _series_csv(path: str, series: DensitySeries):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["x", f"{label}_lower", f"{label}_upper", "unknowns"])
+        w.writerow(["x", "ratio_lower", "ratio_upper", "unknowns"])
         for row in series.csv_rows():
             w.writerow(row)
 

@@ -618,20 +618,18 @@ def _interpolate(ts: list[int], values) -> IntPolynomial | None:
 # Chebotarev unramified sieve
 
 
-def chebotarev_unramified_sieve(
-    R: IntPolynomial, bound: int
-) -> tuple[list[int], float, float]:
+def chebotarev_unramified_sieve(R: IntPolynomial, bound: int) -> tuple[list[int], float]:
     """Primes p <= bound (p not dividing lc(R)*content) where R has no root
-    mod p. Returns (primes, density among considered primes, derangement
-    estimate = that density; Chebotarev's theorem makes it converge to
-    |C_sigma| / |G| for the fixed-point-free classes)."""
+    mod p. Returns (primes, density among considered primes); by Chebotarev's
+    theorem the density converges to |C_sigma| / |G| summed over the
+    fixed-point-free classes."""
     if R.degree < 1:
         raise ValueError("R must be nonconstant")
     bad = R.lc * R.content
     considered = [p for p in primes_up_to(bound) if bad % p]
     out = fp._rootless_primes(R, considered)
     density = len(out) / len(considered) if considered else 0.0
-    return out, density, density
+    return out, density
 
 
 def _rootless_mod_p(R: IntPolynomial, p: int) -> bool:

@@ -16,59 +16,15 @@ from math import gcd, prod
 
 from .covers import CubicCover, QuadraticCover, _specializations
 from .intutil import ConsistencyError, factorize, valuation
-from .poly import (
-    HomogPolynomial,
-    IntPolynomial,
-    ProjectivePoint,
-    discriminant,
-)
+from .poly import HomogPolynomial, IntPolynomial, ProjectivePoint, discriminant
 
 __all__ = [
-    "BranchOrbit",
     "RamificationReport",
     "ConsistencyReport",
-    "branch_orbits",
     "exceptional_superset",
-    "intersection_number",
     "predict",
     "consistency_check",
 ]
-
-
-@dataclass(frozen=True)
-class BranchOrbit:
-    """A Galois orbit of branch points: minimal binary form and the order of
-    the distinguished inertia generator above it."""
-
-    form: HomogPolynomial
-    e: int
-
-    def inertia_order(self, intersection: int) -> int:
-        """Order of inertia predicted by intersection number k: e / gcd(e, k)."""
-        return self.e // gcd(self.e, intersection)
-
-
-def branch_orbits(cover) -> list[BranchOrbit]:
-    return [BranchOrbit(form, e) for form, e in cover.branch_orbits()]
-
-
-def intersection_number(orbit: BranchOrbit, t0: ProjectivePoint, p: int) -> int:
-    """I_p(t0, orbit) = v_p of the orbit form at t0.
-
-    Requires the orbit to be p-integral: p must divide neither the leading
-    U-coefficient nor the leading V-coefficient of the form.
-    """
-    # Forms like U or V have one edge coefficient equal to 0 (the orbit sits
-    # at 0 or infinity); only a prime dividing a nonzero edge coefficient
-    # breaks p-integrality.
-    if (orbit.form.lead_u != 0 and orbit.form.lead_u % p == 0) or (
-        orbit.form.lead_v != 0 and orbit.form.lead_v % p == 0
-    ):
-        raise ValueError(f"orbit not {p}-integral")
-    val = orbit.form.eval_proj(t0)
-    if val == 0:
-        raise ValueError(f"t0 = {t0} lies on the branch orbit")
-    return valuation(val, p)
 
 
 def exceptional_superset(cover) -> set[int]:
@@ -87,7 +43,7 @@ def exceptional_superset(cover) -> set[int]:
     nums: set[int] = set()
 
     def absorb(n: int):
-        if n not in (0,):
+        if n:
             nums.update(factorize(n))
 
     absorb(cover.group_order)
@@ -130,7 +86,7 @@ class RamificationReport:
 def predict(
     cover,
     t0,
-    orbits: list[BranchOrbit] | None = None,
+    orbits: list[tuple[HomogPolynomial, int]] | None = None,
     primes: tuple[int, ...] | None = None,
 ) -> RamificationReport:
     """Beckmann-style prediction at every prime meeting some branch orbit.
@@ -139,7 +95,9 @@ def predict(
     intersection is recorded with the predicted inertia order
     e / gcd(e, I_p). A prime meeting several orbits is recorded with
     orbit_index None and order 0 (undetermined; such primes are exceptional).
-    orbits, when given, must be branch_orbits(cover).
+    orbits, when given, must be cover.branch_orbits(): (form, e) pairs, the
+    orbit's minimal binary form and the order e of the distinguished inertia
+    generator above it. I_p is the p-valuation of the form at t0.
 
     primes, when given, must contain every prime of every orbit value; then
     no orbit value is factorised. The specialisers factor a number every
@@ -157,10 +115,10 @@ def predict(
     """
     pt = t0 if isinstance(t0, ProjectivePoint) else ProjectivePoint.from_rational(t0)
     if orbits is None:
-        orbits = branch_orbits(cover)
+        orbits = cover.branch_orbits()
     vals = []
-    for ob in orbits:
-        v = ob.form.eval_proj(pt)
+    for form, _ in orbits:
+        v = form.eval_proj(pt)
         if v == 0:
             raise ValueError(f"t0 = {pt} is a branch point")
         vals.append(v)
@@ -173,7 +131,8 @@ def predict(
         hits = [(i, fac[p]) for i, fac in enumerate(facs) if p in fac]
         if len(hits) == 1:
             i, ip = hits[0]
-            entries.append((p, i, ip, orbits[i].inertia_order(ip)))
+            e = orbits[i][1]
+            entries.append((p, i, ip, e // gcd(e, ip)))
         else:
             entries.append((p, None, sum(ip for _, ip in hits), 0))
     return RamificationReport(pt, tuple(entries))
@@ -227,7 +186,7 @@ def consistency_check(
     rational root carries none, for only the discriminant of its quadratic
     factor was factorised; its orbit values are factorised one by one.
     """
-    orbits = branch_orbits(cover)
+    orbits = cover.branch_orbits()
     exc = exceptional_superset(cover)
     mismatches = []
     checked = 0
@@ -240,17 +199,16 @@ def consistency_check(
         except ValueError:
             continue
         done += 1
-        relevant = set(pred.primes()) | set(rep.ramified_primes)
+        predicted = {p: (ip, order) for p, _, ip, order in pred.entries}
         bound = 1
-        for p in sorted(relevant):
+        for p in sorted(predicted.keys() | set(rep.ramified_primes)):
             if p in exc:
                 continue
             checked += 1
-            want = pred.predicted_order(p)
+            ip, want = predicted.get(p, (0, 1))
             got = rep.inertia_order(p)
             if want != got:
                 mismatches.append((pt, p, want, got))
-            ip = next((e[2] for e in pred.entries if e[0] == p), 0)
             if p != 2 and ip == 1:
                 bound *= p
         if abs(rep.disc_field) < bound:

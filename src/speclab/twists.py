@@ -173,6 +173,8 @@ def search_points(
 
     Complete for the box |u| <= H, 1 <= v <= H, gcd(u, v) = 1, plus the
     z = 0 fiber (which is height-free). Sorted with the z = 0 point first.
+    max_points, when given, keeps the first max_points of that list (none for
+    0 or less).
     """
     tw = _as_twist(curve)
     base, d = tw.base, tw.d
@@ -183,7 +185,7 @@ def search_points(
         if y:
             out.append(CurvePoint(y, 1, 0, z_zero=True))
     if max_points is not None and len(out) >= max_points:
-        return out
+        return out[: max(max_points, 0)]
     budget = None if max_points is None else max_points - len(out)
     hits = kernels.search_pairs(
         list(base.model_coeffs),
@@ -341,7 +343,7 @@ class LocalSolver:
         # over z in pZ_p.
         self._charts = tuple(
             (f, f.derivative(), start)
-            for f, start in ((base.P, False), (IntPolynomial(base.model_coeffs[::-1]), True))
+            for f, start in ((base.P, False), (base.P.reverse(base.model_degree), True))
         )
 
     # -- real place
@@ -357,9 +359,7 @@ class LocalSolver:
 
     # -- finite places
 
-    def at_prime(self, d: int, p: int, allow_shortcut: bool = True) -> str:
-        if not allow_shortcut:
-            return self._decide(d, p, allow_shortcut=False)
+    def at_prime(self, d: int, p: int) -> str:
         key = (p,) + _qp_class(d, p, self.base.n)
         hit = self._cache.get(key)
         if hit is not None:
@@ -376,16 +376,22 @@ class LocalSolver:
             return False
         return p >= self._weil_floor
 
-    def _decide(self, d: int, p: int, allow_shortcut: bool = True) -> str:
+    def _decide(self, d: int, p: int) -> str:
         base, n = self.base, self.base.n
-        if allow_shortcut and self._good_reduction_shortcut(d, p):
+        if self._good_reduction_shortcut(d, p):
             return SOLUBLE
         # Closed form at a tame p | d (p prime to the constants, so to n):
         # the valuation argument read both ways. A root of P mod p is simple
         # and lifts, and near it d * P(t) meets every class of Q_p^*.
-        tame = allow_shortcut and base.separable and base.N % n == 0 and self._constants % p
+        tame = base.separable and base.N % n == 0 and self._constants % p
         if tame and valuation(d, p) % n:
             return INSOLUBLE if _certifying_primes(base.P, n, [p]) else SOLUBLE
+        return self._walk(d, p)
+
+    def _walk(self, d: int, p: int) -> str:
+        """The verdict at p without the shortcuts of _decide: the z = 0
+        point, then both charts, each walked to a depth cap."""
+        base, n = self.base, self.base.n
         cap = (
             2 * (valuation(n, p) if n % p == 0 else 0)
             + (valuation(self._disc_sqf, p) if self._disc_sqf % p == 0 else 0)
@@ -507,8 +513,6 @@ def everywhere_locally_soluble(curve) -> tuple[str, dict]:
     detail["infinity"] = st
     if st == INSOLUBLE:
         return INSOLUBLE, detail
-    if st == UNKNOWN:
-        status = UNKNOWN
     for p in solver.bad_primes(tw.d):
         st = solver.at_prime(tw.d, p)
         detail[p] = st
@@ -604,6 +608,8 @@ def hasse_failure_candidates(cover: QuadraticCover, x: int, H: int) -> HasseScan
 
     Each everywhere locally soluble twist gets one point search at height H,
     capped at its first point (search_points with max_points=1)."""
+    if H < 1:
+        raise ValueError("need H >= 1")
     if cover.degree % 2 or cover.degree < 4:
         raise ValueError("scan needs even degree >= 4")
     base = SuperellipticCurve(2, cover.P)

@@ -272,7 +272,7 @@ def test_criterion_08_odd_degree_local_fullness():
             p += 1
             if not is_probable_prime(p) or not solver._good_reduction_shortcut(d, p):
                 continue
-            assert solver.at_prime(d, p) == solver.at_prime(d, p, allow_shortcut=False)
+            assert solver.at_prime(d, p) == solver._walk(d, p)
             agreed += 1
             checked += 1
     assert checked >= 400
@@ -306,7 +306,7 @@ def test_criterion_09_local_global_candidates():
 def test_criterion_10_chebotarev_sieve():
     t = time.monotonic()
     cov = quad_cover(parse_poly("T^2 + 1"))
-    primes, density, _ = chebotarev_unramified_sieve(cov.P, 10**5)
+    primes, density = chebotarev_unramified_sieve(cov.P, 10**5)
     assert abs(density - 0.5) < 0.02
     assert verify_unramified(cov, primes[:200], {2}, n_samples=500, height=1000, seed=4) == []
     report("criterion 10 (Chebotarev sieve)", time.monotonic() - t, 300)

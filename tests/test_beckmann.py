@@ -12,10 +12,8 @@ from speclab.intutil import ConsistencyError, factorize
 from speclab.poly import IntPolynomial, ProjectivePoint, parse_poly
 from speclab.ramify import (
     ConsistencyReport,
-    branch_orbits,
     consistency_check,
     exceptional_superset,
-    intersection_number,
     predict,
 )
 
@@ -48,7 +46,7 @@ def old_exceptional_superset(cover):
     sqf = prod((f for f, _ in cover._factors), start=IntPolynomial([1]))
     if sqf.degree >= 1:
         coeffs.append(poly.discriminant(sqf))
-    forms = [orbit.form for orbit in branch_orbits(cover)]
+    forms = [form for form, _ in cover.branch_orbits()]
     for i, a in enumerate(forms):
         coeffs += [a.lead_u, a.lead_v]
         if a.degree >= 2:
@@ -109,19 +107,16 @@ class TestExceptionalSuperset:
 
 def test_intersection_numbers():
     cov = quad_cover(P("T^2 - 2"))
-    (orbit,) = branch_orbits(cov)
-    # t0 = 3: t^2 - 2 = 7, so I_7 = 1 and I_5 = 0
-    assert intersection_number(orbit, ProjectivePoint(3, 1), 7) == 1
-    assert intersection_number(orbit, ProjectivePoint(3, 1), 5) == 0
+    # t0 = 3: t^2 - 2 = 7, so I_7 = 1 (order 2) and no other prime meets
+    assert predict(cov, 3).entries == ((7, 0, 1, 2),)
     # higher contact: 108^2 - 2 = 11662 = 2 * 7^3 * 17
-    assert intersection_number(orbit, ProjectivePoint(108, 1), 7) == 3
+    assert (7, 0, 3, 2) in predict(cov, 108).entries
 
 
 def test_intersection_rejects_branch_point():
     cov = quad_cover(P("T^2 - 4"))
-    orbit = next(o for o in branch_orbits(cov) if o.form.eval_proj(ProjectivePoint(2, 1)) == 0)
     with pytest.raises(ValueError):
-        intersection_number(orbit, ProjectivePoint(2, 1), 5)
+        predict(cov, ProjectivePoint(2, 1))
 
 
 def test_predict_matches_specialization_quadratic():
@@ -207,7 +202,7 @@ def assert_shared_primes_agree(cover, pt):
         rep = specialize(cover, pt)
     except ValueError:
         assume(False)
-    orbits = branch_orbits(cover)
+    orbits = cover.branch_orbits()
     want = predict(cover, pt, orbits)
     got = predict(cover, pt, orbits, rep._primes)
     assert got.entries == want.entries
@@ -251,7 +246,7 @@ class TestSharedPrimes:
     def test_a_missing_prime_raises(self, cover, t0):
         pt = ProjectivePoint.from_rational(t0)
         rep = specialize(cover, pt)
-        orbits = branch_orbits(cover)
+        orbits = cover.branch_orbits()
         needed = set(predict(cover, pt, orbits).primes())
         assert needed
         for p in needed:

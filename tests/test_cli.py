@@ -185,6 +185,12 @@ class TestExitCodes:
         assert run(argv) == 1
         assert "place must be 'infinity' or a prime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["hasse-scan", "lgratio"])
+    def test_zero_height_is_error(self, capsys, cmd):
+        grid = ["--x", "10"] if cmd == "hasse-scan" else ["--grid", "10"]
+        assert run([cmd, "--cover", "T^4+1", *grid, "--height", "0"]) == 1
+        assert capsys.readouterr().err == "error: need H >= 1\n"
+
     def test_empty_schedule_is_named(self, capsys):
         argv = ["density", "--cover", "T^6-T-1", "--grid", "100,200", "--schedule", ","]
         assert run(argv) == 1

@@ -943,7 +943,7 @@ class TestSieve:
         assert splits_completely(R, p) == old_splits_completely(R, p)
 
     def test_sieve_density(self):
-        primes, density, _ = chebotarev_unramified_sieve(P("T^2 + 1"), 10**4)
+        primes, density = chebotarev_unramified_sieve(P("T^2 + 1"), 10**4)
         assert abs(float(density) - 0.5) < 0.03
 
     def test_rootless_cutoff_between_test_primes(self):
@@ -1031,7 +1031,7 @@ class TestSieve:
 
     def test_chebotarev_sieve_unchanged(self):
         R = P("T^6 - T - 1")
-        primes, density, _ = chebotarev_unramified_sieve(R, 5000)
+        primes, density = chebotarev_unramified_sieve(R, 5000)
         # pinned from the gcd-only root test
         assert (len(primes), sum(primes), primes[:6]) == (240, 563469, [2, 3, 7, 11, 23, 41])
         assert density == 240 / 669
@@ -1107,6 +1107,6 @@ class TestSieve:
 
     def test_verify_unramified(self):
         cov = quad_cover(P("T^2 - 2"))
-        primes, _, _ = chebotarev_unramified_sieve(P("T^2 - 2"), 200)
+        primes, _ = chebotarev_unramified_sieve(P("T^2 - 2"), 200)
         bad = verify_unramified(cov, primes, {2}, n_samples=60, height=40, seed=5)
         assert bad == []

@@ -1,10 +1,13 @@
-"""Every speclab function that perfbench/tracer.py wraps still exists.
+"""Every speclab name that perfbench/ wraps, imports or reads still exists.
 
 The tracer skips a target it cannot resolve, so a rename in the package
-would silently blank that layer of the benchmark; this test fails instead.
-It only reads perfbench/.
+would silently blank that layer of the benchmark; the workloads, the runner
+and the self-check would fail only when the benchmark runs. These tests fail
+instead. They only read perfbench/.
 """
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -33,3 +36,54 @@ def test_speclab_targets_resolve():
         if owner is None or not (attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr)):
             missing.append(f"{owner_path}.{attr}")
     assert missing == []
+
+
+def _is_module(dotted: str) -> bool:
+    try:
+        return importlib.util.find_spec(dotted) is not None
+    except ModuleNotFoundError:  # a parent is a module, not a package
+        return False
+
+
+def _speclab_names(tree: ast.AST) -> set[str]:
+    """Dotted speclab names a module imports or reads: every name of a
+    ``from speclab... import x``, and every attribute read on a name bound to
+    a speclab module (``twists.x`` after ``from speclab import twists``)."""
+    modules: dict[str, str] = {}
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "speclab":
+                    # import speclab.x binds speclab; import speclab.x as y binds y
+                    modules[alias.asname or "speclab"] = alias.name if alias.asname else "speclab"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "speclab":
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                names.add(full)
+                if _is_module(full):
+                    modules[alias.asname or alias.name] = full
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                names.add(f"{modules[node.value.id]}.{node.attr}")
+    return names
+
+
+def _resolves(dotted: str) -> bool:
+    module, attr = dotted.rsplit(".", 1)
+    return _is_module(dotted) or hasattr(importlib.import_module(module), attr)
+
+
+def test_speclab_names_read_by_perfbench_resolve():
+    names = set()
+    for path in sorted(TRACER.parent.glob("*.py")):
+        names |= _speclab_names(ast.parse(path.read_text(), str(path)))
+    # names only the benchmark reads
+    assert {
+        "speclab.kernels.backend_name",
+        "speclab.kernels.available_backends",
+        "speclab.poly.is_irreducible_over_Q",
+        "speclab.twists._solver_cache",
+    } <= names
+    assert sorted(n for n in names if not _resolves(n)) == []

@@ -184,9 +184,14 @@ class TestSearch:
 
     def test_z_zero_point(self):
         # y^2 = 4 T^2 + 1: above z = 0 the value is the leading coefficient 4
-        pts = search_points(SuperellipticCurve(2, P("4*T^2 + 1")), 3)
+        curve = SuperellipticCurve(2, P("4*T^2 + 1"))
+        pts = search_points(curve, 3)
         zs = [pt for pt in pts if pt.z_zero]
         assert len(zs) == 1 and zs[0].y == 2
+        assert search_points(curve, 3, max_points=1) == zs
+        # no cap below 1 lets the z = 0 point through
+        for cap in (0, -1):
+            assert search_points(curve, 3, max_points=cap) == []
 
     def test_lind_has_no_small_points(self):
         tw = SuperellipticCurve(2, P("T^4 - 17")).twist(2)
@@ -488,7 +493,7 @@ class TestLocal:
         checked = 0
         for p in (101, 103, 107, 109, 113):
             if solver._good_reduction_shortcut(5, p):
-                assert solver.at_prime(5, p, allow_shortcut=False) == SOLUBLE
+                assert solver._walk(5, p) == SOLUBLE
                 checked += 1
         assert checked >= 3
 
@@ -631,6 +636,17 @@ class TestScans:
         )
 
 
+    @pytest.mark.parametrize("H", [0, -1])
+    def test_hasse_scan_rejects_height_below_1(self, monkeypatch, H):
+        # at H = 0 no twist has a searched point, so y^2 = 2(t^4 + 1), with
+        # the point (1 : 1), would be reported as a candidate
+        cov = quad_cover(P("T^4 + 1"))
+        assert search_points(SuperellipticCurve(2, cov.P).twist(2), 1)
+        assert 2 not in hasse_failure_candidates(cov, 10, 1).candidates
+        monkeypatch.setattr(twists, "everywhere_locally_soluble", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match=r"need H >= 1"):
+            hasse_failure_candidates(cov, 10, H)
+
     def test_hasse_scan_below_height_100(self):
         # y^2 = 43(t^4 + 3) is everywhere locally soluble; its smallest
         # points are (+-20 : 1), so it has a point of height 10 only when
@@ -771,7 +787,7 @@ class TestOneHomePerFact:
             charts.clear()
             for d in (-7, -2, -1, 2, 3, 5, 6, 7, 10, 11):
                 for p in solver.bad_primes(d):
-                    solver.at_prime(d, p, allow_shortcut=False)
+                    solver._walk(d, p)
                 everywhere_locally_soluble(base.twist(d))
                 search_points(base.twist(d), 30)
             assert len(charts) > 100
@@ -801,7 +817,7 @@ def test_non_separable_places_past_the_list_are_soluble(n, poly):
     past = [p for p in primes_up_to(10 * solver._weil_floor) if p not in listed][:25]
     assert len(past) == 25 and not any(solver._good_reduction_shortcut(1, p) for p in past)
     for d in (1, 2, 5, -7):
-        assert [solver.at_prime(d, p, allow_shortcut=False) for p in past] == [SOLUBLE] * 25
+        assert [solver._walk(d, p) for p in past] == [SOLUBLE] * 25
 
 
 @given(st.integers(min_value=-60, max_value=60).filter(lambda d: d != 0))
@@ -902,10 +918,10 @@ def _walks(n, poly, p, d, nodes=5000):
     """The walk's verdict at p (no closed form, no shortcut) with the current
     _chart, and with old_chart, None where the old walk ran over budget."""
     solver = LocalSolver(SuperellipticCurve(n, poly))
-    new = solver.at_prime(d, p, allow_shortcut=False)
+    new = solver._walk(d, p)
     try:
         with mock.patch.object(LocalSolver, "_chart", _budgeted(old_chart, nodes)):
-            old = solver.at_prime(d, p, allow_shortcut=False)
+            old = solver._walk(d, p)
     except _OverBudget:
         old = None
     return new, old
@@ -968,7 +984,7 @@ def test_closed_form_matches_walk(case):
     solver, p, d = case
     with mock.patch.object(LocalSolver, "_chart", side_effect=AssertionError("walked")):
         closed = solver._decide(d, p)
-    walk = solver.at_prime(d, p, allow_shortcut=False)
+    walk = solver._walk(d, p)
     assert closed in (SOLUBLE, INSOLUBLE)
     assert walk in (closed, UNKNOWN)
 
@@ -991,7 +1007,7 @@ def test_closed_form_does_not_fire(monkeypatch, n, poly, p, d):
     charts = _spy_charts(monkeypatch)
     verdict = solver.at_prime(d, p)
     assert charts, "decided without a walk"
-    assert verdict == solver.at_prime(d, p, allow_shortcut=False)
+    assert verdict == solver._walk(d, p)
 
 
 def _residue_witness(n, poly, p, d):
@@ -1074,6 +1090,6 @@ def test_chart_nodes_at_2_on_pinned8(monkeypatch):
     monkeypatch.setattr(LocalSolver, "_chart", walk)
     solver = LocalSolver(SuperellipticCurve(2, PINNED8))
     ds = [d for d in range(-20, 21) if d and squarefree_part(d) == d]
-    verdicts = [solver.at_prime(d, 2, allow_shortcut=False) for d in ds]
+    verdicts = [solver._walk(d, 2) for d in ds]
     assert len(ds) == 26 and UNKNOWN not in verdicts
     assert 0 < len(calls) <= 650
