@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -51,6 +51,7 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 _SMALL_PRIMES = primes_up_to(_TRIAL_BOUND)
+_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
 def valuation(n: int | Fraction, p: int) -> int:
@@ -69,16 +70,38 @@ def valuation(n: int | Fraction, p: int) -> int:
     return v
 
 
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with deterministic small bases plus 64 random rounds
-    seeded by n.
+# (psi_k, k) for k the number of leading prime bases that make Miller-Rabin
+# deterministic below psi_k, the least odd composite that is a strong
+# probable prime to all k of them (Jaeschke, Math. Comp. 61, 1993; OEIS
+# A014233). psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so 8, 10 and 11 bases
+# never come first.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
 
-    Deterministic (correct, not merely probable) below 3.3*10^24 via the known
-    base set; beyond that the error probability is <= 4^-64.
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin on the fewest leading prime bases that are proved
+    deterministic for n's size (see _MR_BOUNDS): 2, 3, 5 and 7 below
+    3,215,031,751, all 13 primes up to 41 below 3.3*10^24. From there on it
+    runs those 13 bases plus 64 random rounds seeded by n.
+
+    Deterministic (correct, not merely probable) below 3.3*10^24; beyond that
+    the error probability is <= 4^-64.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -97,10 +120,11 @@ def is_probable_prime(n: int) -> bool:
                 return False
         return True
 
-    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
-    if n >= 3317044064679887385961981:
-        rng = random.Random(f"0,{n}")
-        bases += [rng.randrange(2, n - 1) for _ in range(64)]
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            return not any(witness(a) for a in _MR_BASES[:k])
+    rng = random.Random(f"0,{n}")
+    bases = [*_MR_BASES, *(rng.randrange(2, n - 1) for _ in range(64))]
     return not any(witness(a) for a in bases)
 
 
@@ -137,21 +161,44 @@ def _brent_rho(n: int, seed: int) -> int:
             return g
 
 
+def _small_prime_divisors(g: int) -> list[int]:
+    """The primes of a positive squarefree g whose primes are all below 2^10,
+    in increasing order; once p^2 exceeds what is left, that is a prime."""
+    out = []
+    for p in _SMALL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            out.append(p)
+            g //= p
+    if g > 1:
+        out.append(g)
+    return out
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {p: e}. n must be nonzero; units give {}.
 
-    Trial division by the primes up to _TRIAL_BOUND = 2^10 first. What is
-    left has no prime factor below 2^10, so a cofactor below 2^20 is prime;
-    a larger one is tested with is_probable_prime, and composites are split
-    by Brent's rho (perfect squares by isqrt) until every part passes it.
-    The result is exact below 3.3*10^24, where the Miller-Rabin base set is
-    deterministic; above, each prime factor carries that test's error bound.
+    First the primes up to _TRIAL_BOUND = 2^10 are divided out, in increasing
+    order until p^2 exceeds what is left. Below 2^20 each of them is tried.
+    From 2^20 up, g = gcd(n, _PRIMORIAL), the product of those primes, picks
+    out the ones that divide n (by trial division of g), and only they are
+    tried; g = 1 tries none. What is left has no prime factor below 2^10, so
+    a cofactor below 2^20 is prime; a larger one is tested with
+    is_probable_prime, and composites are split by Brent's rho (perfect
+    squares by isqrt) until every part passes it. The result is exact below
+    3.3*10^24, where Miller-Rabin is deterministic; above, each prime factor
+    carries that test's error bound.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    if n < _TRIAL_BOUND * _TRIAL_BOUND:
+        trial = _SMALL_PRIMES
+    else:
+        trial = _small_prime_divisors(gcd(n, _PRIMORIAL))
+    for p in trial:
         if p * p > n:
             break
         if n % p == 0:

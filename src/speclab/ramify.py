@@ -73,15 +73,6 @@ class RamificationReport:
     t0: ProjectivePoint
     entries: tuple  # of (p, orbit_index | None, I_p, predicted_order)
 
-    def predicted_order(self, p: int) -> int:
-        for q, _idx, _ip, order in self.entries:
-            if q == p:
-                return order
-        return 1
-
-    def primes(self) -> list[int]:
-        return [p for p, _, _, _ in self.entries]
-
 
 def predict(
     cover,

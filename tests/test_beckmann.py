@@ -134,17 +134,16 @@ def test_predict_matches_specialization_cubic():
 def test_predict_report_shape():
     cov = quad_cover(P("T^2 - 2"))
     rep = predict(cov, ProjectivePoint(3, 1))
-    ps = rep.primes()
-    assert 7 in ps
-    assert rep.predicted_order(7) == 2
-    assert rep.predicted_order(5) == 1
+    # t0 = 3: P = 7 meets the orbit T^2 - 2 once, so 7 has order 2 and 5 is absent
+    assert rep.entries == ((7, 0, 1, 2),)
 
 
 def test_cubic_inertia_orders():
     cov = cubic_ttY()
     rep = predict(cov, ProjectivePoint(1, 1))
-    # t0 = 1: delta = -31: 31 meets the conjugate-pair orbit 4U + 27V at order 1
-    assert rep.predicted_order(31) == 2
+    # t0 = 1: delta = -31: 31 meets the conjugate-pair orbit 4U + 27V (index 1)
+    # at order 1, so its inertia has order 2
+    assert rep.entries == ((31, 1, 1, 2),)
 
 
 def test_consistency_reports_pinned():
@@ -247,7 +246,7 @@ class TestSharedPrimes:
         pt = ProjectivePoint.from_rational(t0)
         rep = specialize(cover, pt)
         orbits = cover.branch_orbits()
-        needed = set(predict(cover, pt, orbits).primes())
+        needed = {p for p, _, _, _ in predict(cover, pt, orbits).entries}
         assert needed
         for p in needed:
             with pytest.raises(ConsistencyError):

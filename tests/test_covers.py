@@ -773,6 +773,34 @@ class TestMonicCubicRoots:
         assert {int(r) for r in roots} == old_cubic_integer_roots(f)
         assert bool(roots) == (old_monic_cubic_root(f) is not None)
 
+    def test_root_tables_match_brute_force(self):
+        for q, table in covers._ROOT_TABLES:
+            for a2, a1, a0 in itertools.product(range(q), repeat=3):
+                has_root = any((r**3 + a2 * r * r + a1 * r + a0) % q == 0 for r in range(q))
+                assert table[(a2 * q + a1) * q + a0] == has_root, (q, a2, a1, a0)
+
+    @given(monic_cubics())
+    @example(P("T^3 + 2*T^2 + 2*T + 1"))  # (x + 1)(x^2 + x + 1): its one root mod 2 is 1
+    @example(P("T^3 - 2"))
+    @settings(max_examples=500, deadline=None)
+    def test_prefiltered_route_matches(self, f):
+        assume(discriminant(f) != 0)
+        assert covers._cubic_roots(f) == _rational_roots(f)
+
+    @given(
+        st.integers(-(10**12), 10**12),
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**12), 10**12),
+    )
+    @example(-1, 1, 1)  # (x + 1)(x^2 + x + 1)
+    @example(10**12, 0, 3)
+    @example(-(10**12), 1, 1)
+    @settings(max_examples=500, deadline=None)
+    def test_a_rational_root_is_never_filtered_out(self, r, b, c):
+        f = IntPolynomial([-r, 1]) * IntPolynomial([c, b, 1])
+        assume(discriminant(f) != 0)
+        assert Fraction(r) in covers._cubic_roots(f)
+
 
 class TestReducibleSpecialization:
     @given(st.integers(-30, 30), st.integers(-12, 12), st.integers(-40, 40))

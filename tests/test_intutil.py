@@ -67,11 +67,47 @@ def test_valuation_rejects_zero_and_small_p():
 
 def test_primes_and_primality():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-    small = set(primes_up_to(2000))
-    for n in range(2, 2000):
-        assert is_probable_prime(n) == (n in small)
+    bound = 2 * 10**6  # past psi_2 = 1373653, so the one- and two-base ranges are covered
+    prime = bytearray(bound)
+    for p in primes_up_to(bound - 1):
+        prime[p] = 1
+    assert [n for n in range(bound) if is_probable_prime(n) != prime[n]] == []
     assert is_probable_prime(2**61 - 1)
     assert not is_probable_prime(2**67 - 1)
+
+
+# OEIS A014233: psi_k, the least odd composite that is a strong probable
+# prime to each of the first k prime bases, k = 1..13
+STRONG_PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+]
+
+
+def strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+@pytest.mark.parametrize("k, n", enumerate(STRONG_PSEUDOPRIMES, start=1))
+def test_a014233_pseudoprimes_are_rejected(k, n):
+    assert all(strong_probable_prime(n, a) for a in primes_up_to(41)[:k])
+    assert not is_probable_prime(n)
+    assert factorize(n) == old_factorize(n) and len(factorize(n)) >= 2
 
 
 @given(nonzero)
@@ -128,8 +164,40 @@ EDGE_PRIMES = [2, 3, 1009, 1013, 1019, 1021, 1031, 1033, 1039]
 
 def test_trial_bound_edges():
     assert intutil._TRIAL_BOUND == 1024 and max(intutil._SMALL_PRIMES) == 1021
+    assert intutil._PRIMORIAL == math.prod(primes_up_to(1024))
     for n in (1021**2, 1031**2, 1031 * 1033, 1021 * 1031, 1024**2 - 1, 1024**2 + 1, 2**90 - 1):
         assert factorize(n) == old_factorize(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2**40 * 1021**3,
+        2**20,
+        3**13 * 5**7 * 1019**2,
+        1009 * 1013 * 1019 * 1021 * 1031 * 1033 * 1039,  # both sides of 1024
+        1019 * 1021,  # below 2^20
+        1013 * 1031,  # below 2^20
+        1021 * 1031,  # just above 2^20
+        1019 * 1031 * 2**21,
+        1031**2 * 1021**2,
+        2**20 - 3,  # prime
+        2**20 - 1,
+        2**20 + 1,
+        2**20 + 7,  # prime
+        1021 * 1031 * 1033 * 2**64 + 1021,
+        math.prod(primes_up_to(1024)),
+    ],
+)
+def test_factorize_around_the_primorial_route(n):
+    assert factorize(n) == old_factorize(n)
+    assert factorize(-n) == old_factorize(n)
+
+
+@given(st.integers(2**20 - 2000, 2**20 + 2000))
+@settings(max_examples=200, deadline=None)
+def test_factorize_both_sides_of_2_20(n):
+    assert factorize(n) == old_factorize(n)
 
 
 @given(st.lists(st.sampled_from(EDGE_PRIMES), min_size=1, max_size=8), st.sampled_from([1, -1]))
