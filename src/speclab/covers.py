@@ -33,7 +33,7 @@ from .poly import (
     IntPolynomial,
     ProjectivePoint,
     _exact_quotient,
-    _rational_roots_of_parts,
+    _rational_roots,
     _squarefree_parts,
     factor_over_Q,
     format_poly,
@@ -249,8 +249,8 @@ class CubicCover:
         is an integer root of P(t, Y) at every integer t (a rational root of
         the monic cubic): interpolate each choice of those roots at the first
         e + 1 integers t >= 0 with delta(t) != 0, e that bound on deg r, and
-        test it exactly. Off the branch locus P(t, Y) is squarefree, as
-        _cubic_roots needs."""
+        test it exactly. Off the branch locus P(t, Y) is squarefree, so its
+        roots come from a squarefree reduction, not Yun's algorithm."""
         a2, a1, a0 = self.a2, self.a1, self.a0
         e = max(a2.degree, a1.degree // 2, a0.degree // 3, 0)
         ts = list(islice((t for t in count() if self.delta(t)), e + 1))
@@ -388,19 +388,18 @@ _ROOT_TABLES = tuple((q, _root_table(q)) for q in (2, 3, 5, 7, 11))
 
 
 def _cubic_roots(f: IntPolynomial) -> list[Fraction]:
-    """The distinct rational roots of a monic integer cubic f with nonzero
-    discriminant, in increasing order, as _rational_roots gives them.
+    """The distinct rational roots of a monic integer cubic f, in increasing
+    order, as _rational_roots gives them.
 
     f is monic, so its rational roots are integers, and an integer root is
     a root mod every q. So f has none when it has no root mod one of q = 2,
     3, 5, 7 and 11, which is a lookup in _ROOT_TABLES; about 7 of 8 cubics
-    drawn at random stop there. f is squarefree, so the others skip the
-    squarefree proof and go straight to _rational_roots_of_parts."""
+    drawn at random stop there. The others go on to _rational_roots."""
     a0, a1, a2, _ = f.coeffs
     for q, table in _ROOT_TABLES:
         if not table[(a2 % q * q + a1 % q) * q + a0 % q]:
             return []
-    return _rational_roots_of_parts([(f, 1)], None)
+    return _rational_roots(f)
 
 
 def _cubic_disc(a2, a1, a0):
@@ -438,10 +437,9 @@ def cubic_field_disc(f: IntPolynomial) -> int:
     """
     if f.degree != 3 or f.lc != 1:
         raise ValueError("need a monic cubic")
-    df = _cubic_disc(*f.coeffs[2::-1])
-    # a repeated root is a root of gcd(f, f') of degree 1 or 2, so f is reducible
-    if df == 0 or _cubic_roots(f):
+    if _cubic_roots(f):
         raise ValueError("cubic is reducible")
+    df = _cubic_disc(*f.coeffs[2::-1])
     return _field_disc(f, df, factorize(df))
 
 

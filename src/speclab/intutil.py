@@ -72,9 +72,11 @@ def valuation(n: int | Fraction, p: int) -> int:
 
 # (psi_k, k) for k the number of leading prime bases that make Miller-Rabin
 # deterministic below psi_k, the least odd composite that is a strong
-# probable prime to all k of them (Jaeschke, Math. Comp. 61, 1993; OEIS
-# A014233). psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so 8, 10 and 11 bases
-# never come first.
+# probable prime to all k of them (OEIS A014233). psi_1 to psi_8 are from
+# Jaeschke (Math. Comp. 61, 1993), psi_9 = psi_10 = psi_11 from Jiang and
+# Deng (Math. Comp. 83, 2014), and psi_12 and psi_13 from Sorenson and
+# Webster (Math. Comp. 86, 2017). psi_7 = psi_8, so 8, 10 and 11 bases never
+# come first.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUNDS = (
     (2047, 1),
@@ -179,12 +181,11 @@ def _small_prime_divisors(g: int) -> list[int]:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {p: e}. n must be nonzero; units give {}.
 
-    First the primes up to _TRIAL_BOUND = 2^10 are divided out, in increasing
-    order until p^2 exceeds what is left. Below 2^20 each of them is tried.
-    From 2^20 up, g = gcd(n, _PRIMORIAL), the product of those primes, picks
-    out the ones that divide n (by trial division of g), and only they are
-    tried; g = 1 tries none. What is left has no prime factor below 2^10, so
-    a cofactor below 2^20 is prime; a larger one is tested with
+    First g = gcd(n, _PRIMORIAL), the product of the primes up to
+    _TRIAL_BOUND = 2^10, picks out the small primes that divide n (by trial
+    division of g, until p^2 exceeds what is left of g), and only they are
+    divided out; g = 1 tries none. What is left has no prime factor below
+    2^10, so a cofactor below 2^20 is prime; a larger one is tested with
     is_probable_prime, and composites are split by Brent's rho (perfect
     squares by isqrt) until every part passes it. The result is exact below
     3.3*10^24, where Miller-Rabin is deterministic; above, each prime factor
@@ -194,19 +195,12 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    if n < _TRIAL_BOUND * _TRIAL_BOUND:
-        trial = _SMALL_PRIMES
-    else:
-        trial = _small_prime_divisors(gcd(n, _PRIMORIAL))
-    for p in trial:
-        if p * p > n:
-            break
-        if n % p == 0:
-            v = 0
-            while n % p == 0:
-                n //= p
-                v += 1
-            out[p] = v
+    for p in _small_prime_divisors(gcd(n, _PRIMORIAL)):
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        out[p] = v
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

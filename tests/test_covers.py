@@ -782,9 +782,10 @@ class TestMonicCubicRoots:
     @given(monic_cubics())
     @example(P("T^3 + 2*T^2 + 2*T + 1"))  # (x + 1)(x^2 + x + 1): its one root mod 2 is 1
     @example(P("T^3 - 2"))
+    @example(P("T^3 - 3*T + 2"))  # (x - 1)^2 (x + 2)
+    @example(P("T^3 + T^2"))  # a double root at 0
     @settings(max_examples=500, deadline=None)
     def test_prefiltered_route_matches(self, f):
-        assume(discriminant(f) != 0)
         assert covers._cubic_roots(f) == _rational_roots(f)
 
     @given(
@@ -795,10 +796,10 @@ class TestMonicCubicRoots:
     @example(-1, 1, 1)  # (x + 1)(x^2 + x + 1)
     @example(10**12, 0, 3)
     @example(-(10**12), 1, 1)
+    @example(7, -14, 49)  # (x - 7)^3
     @settings(max_examples=500, deadline=None)
     def test_a_rational_root_is_never_filtered_out(self, r, b, c):
         f = IntPolynomial([-r, 1]) * IntPolynomial([c, b, 1])
-        assume(discriminant(f) != 0)
         assert Fraction(r) in covers._cubic_roots(f)
 
 
