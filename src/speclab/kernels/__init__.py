@@ -12,22 +12,27 @@ points are found. In each chunk the pairs with gcd(u, v) > 1 go first. A
 chunk of more than a few dozen pairs then goes through a second residue
 stage (_residue_stage): the same test as the sieve's, at up to 8 more primes
 from 67 up that sieve for n, with F(u, v) mod p from one vectorised Horner
-pass instead of a table. Like the sieve it tests only mod p at primes p not
-dividing d. It keeps a few pairs in a thousand when there is no point, and
-stops running once a pass keeps more than half of a chunk, where the pairs
-are mostly points. What is left gets the exact check: form_values, the one
-array evaluator of a binary form (the census uses it too), then an n-th root
-of each nonzero value.
+pass instead of a table. Like the sieve it tests only mod p. It keeps a few
+pairs in a thousand when there is no point, and stops running once a pass
+keeps more than half of a chunk, where the pairs are mostly points. What is
+left gets the exact check: form_values, the one array evaluator of a binary
+form (the census uses it too), then an n-th root of each nonzero value.
 
-The sieve tables are split by what they depend on. Per prime, shared by
+The sieve's inputs are split by what they depend on. Per prime, shared by
 every curve in the process: the allowed mask of each class -- which values
 are allowed depends on d only through its class in F_p^*/(F_p^*)^n (or
 d = 0 mod p). Per curve: the table of F(u, v) mod p, one integer matrix
-product of the powers r^k mod p with the coefficients; for each class the
-mask indexed by that value table, which is a twist's sieve table; and for
-each class and height H the sieve table's packed rows, when they take at
-most _KEPT_ROWS_BYTES. A caller that searches many twists of one curve
-passes one dict as `cache` to keep the per-curve tables between calls.
+product of the powers r^k mod p with the coefficients, and for each class
+and height H the packed rows of the mask indexed by that value table (a
+twist's sieve table), when they take at most _KEPT_ROWS_BYTES.
+_residue_tables builds those rows; the sieve only ANDs them. A caller that
+searches many twists of one curve passes one dict as `cache` to keep the
+per-curve tables between calls.
+
+A prime that divides d or the content of F passes every pair, so it is
+neither a sieve nor a stage prime. Nor is a fallback prime whose value
+table would cost more than checking the box: with no sieve prime left, the
+whole box goes to the residue stage and the exact check.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ _CANDIDATE_PRIMES = [
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 ]
 # Primes p = 1 (mod n) taken when no candidate prime sieves for n (n = 17,
-# 19, 31, ...). Each passes about 1/n of the pairs, so a few suffice.
+# 19, 31, ...). Each passes about 1/n of the pairs, so a few suffice; only
+# those with p^2 <= (2H + 1) H, whose value table costs no more than the box.
 _FALLBACK_PRIMES = 4
 # The packed rows of a sieve table are kept in the curve's cache only up to
 # this size: p rows of ceil((2H + 1) / 64) words. At H = 200 every candidate
@@ -55,8 +61,6 @@ _FALLBACK_PRIMES = 4
 # twists of one curve packs each (p, class, H) once. From H = 5440 on not even
 # p = 3 fits, so a large search keeps no rows.
 _KEPT_ROWS_BYTES = 4096
-# Key of the sub-dict of packed rows in a curve's cache: {(p, class, H): rows}.
-_ROWS = "rows"
 # The second residue stage, on the sieve's survivors: up to _STAGE_PRIMES
 # primes from 67 to 1021 that sieve for n and are not sieve primes.
 _STAGE_PRIMES = 8
@@ -98,7 +102,9 @@ def _sieve_fraction(p: int, n: int, d: int) -> float:
     return (1 + (p - 1) // gcd(n, p - 1)) / p
 
 
-def _select_primes(n: int, d: int) -> list[int]:
+def _select_primes(n: int, d: int, H: int) -> list[int]:
+    """Sieve primes for n at height H, none dividing d (the caller passes d
+    times the content of F): candidates best first, else fallback primes."""
     scored = []
     for p in _CANDIDATE_PRIMES:
         frac = _sieve_fraction(p, n, d)
@@ -108,22 +114,24 @@ def _select_primes(n: int, d: int) -> list[int]:
         scored.sort()
         return [p for _, p in scored[:_MAX_SIEVE_PRIMES]]
     primes: list[int] = []
-    p = 1
-    while len(primes) < _FALLBACK_PRIMES:
-        p += n
+    p = 1 + n
+    while len(primes) < _FALLBACK_PRIMES and p * p <= (2 * H + 1) * H:
         if is_probable_prime(p) and d % p:
             primes.append(p)
+        p += n
     return primes
 
 
-def _value_table(coeffs: list[int], M: int, p: int) -> np.ndarray:
+def _value_table(coeffs: list[int], p: int) -> np.ndarray:
     """F(u, v) mod p, shape (p, p), indexed [v % p][u % p]:
-    sum_j (v^(M-j) c_j mod p) * u^j as one int64 matrix product."""
+    sum_j (v^(M-j) c_j mod p) * u^j as one int64 matrix product, M the
+    degree len(coeffs) - 1."""
+    M = len(coeffs) - 1
     r = np.arange(p, dtype=np.int64)
     pw = np.ones((p, M + 1), dtype=np.int64)
     for k in range(1, M + 1):
         pw[:, k] = pw[:, k - 1] * r % p
-    c = np.array([cj % p for cj in coeffs[: M + 1]], dtype=np.int64)
+    c = np.array([cj % p for cj in coeffs], dtype=np.int64)
     # Both factors are reduced below p, so each entry of the product is a sum
     # of M + 1 terms below p^2: under (M + 1) p^2, far below 2^63.
     val = ((pw[:, ::-1] * c) % p) @ pw.T % p
@@ -132,35 +140,36 @@ def _value_table(coeffs: list[int], M: int, p: int) -> np.ndarray:
 
 def _residue_tables(
     coeffs: list[int],
-    M: int,
     n: int,
     d: int,
     primes: list[int],
+    H: int,
     cache: dict | None = None,
-):
-    """(keys, ok): keys[p] is (p, class of d), and ok[p] has shape (p, p):
-    ok[p][v % p][u % p] == sieve passes.
+) -> dict[int, np.ndarray]:
+    """rows[p]: the sieve table of p at height H, packed by
+    _purepy._packed_rows. The sieve table ok[v % p][u % p] is True where
+    d * F(u, v) mod p is an n-th power residue or 0: the shared per-prime
+    mask (see _allowed_residues) indexed by the curve's value table.
 
-    cache, when given, must only ever see one (coeffs, M, n): it keeps the
-    curve's value table under p and, under (p, class of d), the sieve table
-    of that class: the shared per-prime mask (see _allowed_residues) indexed
-    by the value table. The masks themselves are kept per prime, not here.
-    search_pairs keeps the packed rows of these tables in the same cache,
-    in the sub-dict under _ROWS, keyed by keys[p] and the height."""
+    cache, when given, must only ever see one (coeffs, n): it keeps the value
+    table under p, and the rows under (p, class of d, H) when they take at
+    most _KEPT_ROWS_BYTES. The masks themselves are kept per prime, not here."""
     if cache is None:
         cache = {}
-    keys = {p: (p, power_class(d, p, n)) for p in primes}
-    tables = {}
-    for p, key in keys.items():
-        ok = cache.get(key)
-        if ok is None:
+    out = {}
+    for p in primes:
+        key = (p, power_class(d, p, n), H)
+        rows = cache.get(key)
+        if rows is None:
             val = cache.get(p)
             if val is None:
-                val = cache[p] = _value_table(coeffs, M, p)
-            ok = cache[key] = _allowed_residues(p, n, d)[val]
-            ok.flags.writeable = False  # shared by every twist in the class
-        tables[p] = ok
-    return keys, tables
+                val = cache[p] = _value_table(coeffs, p)
+            rows = _purepy._packed_rows(_allowed_residues(p, n, d)[val], H)
+            if rows.nbytes <= _KEPT_ROWS_BYTES:
+                rows.flags.writeable = False  # shared by every twist in the class
+                cache[key] = rows
+        out[p] = rows
+    return out
 
 
 def _stage_primes(n: int, d: int, sieved: list[int]) -> list[int]:
@@ -177,13 +186,13 @@ def _stage_primes(n: int, d: int, sieved: list[int]) -> list[int]:
     return out
 
 
-def _residue_stage(cs: list[int], n: int, d: int, sieved: list[int]):
-    """keep(u, v) -> boolean array: which pairs pass every stage prime p, that
-    is d * F(u, v) mod p is an n-th power residue or 0 (the shared masks of
-    _allowed_residues). F(u, v) mod p comes from one homogeneous Horner pass
-    over a (primes x pairs) int32 array: every factor is reduced below
-    p < 2^10, so every product and sum stays below 2 p^2 < 2^21."""
-    primes = _stage_primes(n, d, sieved)
+def _residue_stage(cs: list[int], n: int, d: int, primes: list[int]):
+    """keep(u, v) -> boolean array: which pairs pass every stage prime p (see
+    _stage_primes), that is d * F(u, v) mod p is an n-th power residue or 0
+    (the shared masks of _allowed_residues). F(u, v) mod p comes from one
+    homogeneous Horner pass over a (primes x pairs) int32 array: every factor
+    is reduced below p < 2^10, so every product and sum stays below
+    2 p^2 < 2^21."""
     if not primes:
         return lambda u, v: np.ones(len(u), dtype=bool)
     p = np.array(primes, dtype=np.int32)[:, None]
@@ -238,7 +247,6 @@ def form_values(cs: list[int], u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def search_pairs(
     coeffs: list[int],
-    M: int,
     n: int,
     d: int,
     H: int,
@@ -246,32 +254,23 @@ def search_pairs(
     cache: dict | None = None,
 ) -> list[tuple[int, int, int]]:
     """All (y, u, v) with gcd(u, v)=1, |u| <= H, 1 <= v <= H, y != 0 integer and
-    y^n = d * sum_j coeffs[j] u^j v^(M-j). Sorted by (v, u, y). For even n both
-    signs of y solve; only y > 0 is reported.
+    y^n = d * sum_j coeffs[j] u^j v^(M-j), M = len(coeffs) - 1. Sorted by
+    (v, u, y). For even n both signs of y solve; only y > 0 is reported.
 
     max_points, when given, keeps the first max_points of that list (none for
     0): the whole box is sieved, and the survivors are checked in (v, u)
     order, a chunk at a time, up to the last one.
-    cache: the curve's table cache. It holds the value and sieve tables (see
-    _residue_tables) and, in its sub-dict under _ROWS, each sieve table's
-    packed rows under (p, class of d, H) when they take at most
-    _KEPT_ROWS_BYTES."""
+    cache: the curve's table cache, which keeps its value tables and each
+    twist class's packed rows at each height (see _residue_tables)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     out: list[tuple[int, int, int]] = []
     if H < 1 or (max_points is not None and max_points < 1):
         return out
-    primes = _select_primes(n, d)
-    classes, tables = _residue_tables(coeffs, M, n, d, primes, cache)
-    kept = {} if cache is None else cache.setdefault(_ROWS, {})
-    keys = {p: key + (H,) for p, key in classes.items()}
-    packed = {p: kept[k] for p, k in keys.items() if k in kept}
-    pairs = _purepy.survivors(tables, H, packed)
-    for p, k in keys.items():
-        if k not in kept and packed[p].nbytes <= _KEPT_ROWS_BYTES:
-            packed[p].flags.writeable = False  # shared by every twist in the class
-            kept[k] = packed[p]
-    cs = coeffs[: M + 1]
+    # a prime dividing d or the content of F passes every pair
+    passes_all = d * gcd(*coeffs)
+    primes = _select_primes(n, passes_all, H)
+    pairs = _purepy.survivors(_residue_tables(coeffs, n, d, primes, H, cache), H)
     stage = None  # built at the first chunk that needs it
     staging = True
     edges = [0, *range(_FIRST_CHUNK, len(pairs), _CHUNK), len(pairs)]
@@ -280,7 +279,7 @@ def search_pairs(
         chunk = chunk[np.gcd(chunk[:, 0], chunk[:, 1]) == 1]
         if staging and len(chunk) > _STAGE_MIN:
             if stage is None:
-                stage = _residue_stage(cs, n, d, primes)
+                stage = _residue_stage(coeffs, n, d, _stage_primes(n, passes_all, primes))
             keep = stage(chunk[:, 0], chunk[:, 1])
             # Once a pass keeps most of its input the survivors are mostly
             # points, and the stage costs more than it saves.
@@ -288,7 +287,7 @@ def search_pairs(
             chunk = chunk[keep]
         if not len(chunk):
             continue
-        vals = form_values(cs, chunk[:, 0], chunk[:, 1])
+        vals = form_values(coeffs, chunk[:, 0], chunk[:, 1])
         for (u, v), val in zip(chunk.tolist(), vals.tolist()):
             y = nth_root(d * val, n) if val else None
             if y:

@@ -1,8 +1,8 @@
 """The residue sieve, bit-packed: one bit per u in a uint64 word (ratpoints).
 
 For each prime p the p rows of allowed u over [-H, H], one per v mod p, are
-packed into words, once per call unless the caller passes rows packed
-before. A block of v rows gathers each prime's row v % p and ANDs them; only
+packed into words by _packed_rows; the caller builds them (and may keep
+them). A block of v rows gathers each prime's row v % p and ANDs them; only
 the nonzero words of the result are unpacked.
 """
 
@@ -15,10 +15,12 @@ import numpy as np
 _BLOCK_BYTES = 1 << 18
 
 
-def _packed_rows(ok: np.ndarray, H: int, nwords: int) -> np.ndarray:
-    """ok[v % p][u % p] packed over u = -H .. H: shape (p, nwords), bit b of
-    word w is u = -H + 64w + b; bits past u = H are 0."""
+def _packed_rows(ok: np.ndarray, H: int) -> np.ndarray:
+    """ok[v % p][u % p] packed over u = -H .. H: shape (p, ceil((2H + 1) / 64)),
+    bit b of word w is u = -H + 64w + b. Bits past u = H continue the period;
+    survivors clears them."""
     p = ok.shape[0]
+    nwords = (2 * H + 64) // 64
     # Word w + p starts at u + 64p, the same residue as word w: pack one period.
     period = min(p, nwords)
     nbits = 64 * period
@@ -30,33 +32,24 @@ def _packed_rows(ok: np.ndarray, H: int, nwords: int) -> np.ndarray:
         # Tiled rows are contiguous, which packbits handles far faster than a gather.
         tiled = np.tile(ok[r : r + step], (1, (start + nbits) // p + 1))
         word_bytes[r : r + step] = np.packbits(tiled[:, start : start + nbits], axis=1, bitorder="little")
-    rows = words if period == nwords else words[:, np.arange(nwords) % period]
-    rows[:, -1] &= np.uint64((1 << (2 * H + 1 - 64 * (nwords - 1))) - 1)
-    return rows
+    return words if period == nwords else words[:, np.arange(nwords) % period]
 
 
-def survivors(tables: dict[int, np.ndarray], H: int, packed: dict | None = None) -> np.ndarray:
-    """Pairs (u, v) with |u| <= H, 1 <= v <= H passing every residue table, as
-    an int64 array of shape (k, 2) sorted by v then u. tables[p] is boolean
-    with [v % p][u % p] indexing.
-
-    packed, when given, holds the packed rows of tables[p] at this H under p:
-    rows found there are used as they are, and rows packed here are added."""
+def survivors(rows: dict[int, np.ndarray], H: int) -> np.ndarray:
+    """Pairs (u, v) with |u| <= H, 1 <= v <= H whose bit is set in row v % p
+    of every rows[p] (rows packed by _packed_rows at this H), as an int64
+    array of shape (k, 2) sorted by v then u. With no rows every pair survives."""
     if H < 1:
         return np.empty((0, 2), dtype=np.int64)
-    nwords = (2 * H + 64) // 64  # ceil((2H + 1) / 64)
-    if packed is None:
-        packed = {}
-    for p, ok in tables.items():
-        if p not in packed:
-            packed[p] = _packed_rows(ok, H, nwords)
-    rows = [(p, packed[p]) for p in tables]
+    nwords = (2 * H + 64) // 64
+    tail = np.uint64((1 << (2 * H + 1 - 64 * (nwords - 1))) - 1)  # bits up to u = H
     step = max(1, _BLOCK_BYTES // (8 * nwords))
     out = []
     for v0 in range(1, H + 1, step):
         v = np.arange(v0, min(v0 + step, H + 1), dtype=np.int64)
         acc = np.full((v.size, nwords), ~np.uint64(0), dtype="<u8")
-        for p, packed in rows:
+        acc[:, -1] = tail
+        for p, packed in rows.items():
             acc &= packed[v % p]
         vi, wi = np.nonzero(acc)
         if not vi.size:

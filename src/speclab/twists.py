@@ -189,10 +189,9 @@ def search_points(
     budget = None if max_points is None else max_points - len(out)
     hits = kernels.search_pairs(
         list(base.model_coeffs),
-        base.model_degree,
         base.n,
         d,
-        H,
+        H=H,
         max_points=budget,
         cache=_solver(base).tables,
     )

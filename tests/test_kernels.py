@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ CASES = [
 
 @pytest.mark.parametrize("coeffs,M,n,d,H", CASES)
 def test_backends_match_bruteforce(coeffs, M, n, d, H):
-    got = kernels.search_pairs(coeffs, M, n, d, H)
+    got = kernels.search_pairs(coeffs, n, d, H)
     assert sorted(got) == brute_points(coeffs, M, n, d, H)
 
 
@@ -51,22 +51,22 @@ def test_backends_match_bruteforce(coeffs, M, n, d, H):
 @settings(max_examples=40, deadline=None)
 def test_backends_agree_randomized(coeffs, n, d):
     M = len(coeffs) - 1
-    got = kernels.search_pairs(coeffs, M, n, d, 15)
+    got = kernels.search_pairs(coeffs, n, d, 15)
     assert sorted(got) == brute_points(coeffs, M, n, d, 15)
 
 
 def test_points_verified_exactly():
     coeffs = [-2, 0, 0, 1, 0]
-    for y, u, v in kernels.search_pairs(coeffs, 4, 2, 1, 60):
+    for y, u, v in kernels.search_pairs(coeffs, 2, 1, 60):
         assert y**2 == sum(c * u**j * v ** (4 - j) for j, c in enumerate(coeffs))
         assert gcd(u, v) == 1 and v >= 1 and y > 0
 
 
 def test_max_points_cap():
     for coeffs, M, n, d, H in [([-2, 0, 0, 1, 0], 4, 2, 1, 200), ([1, 0, 1], 2, 2, 1, 60)] + CASES:
-        full = kernels.search_pairs(coeffs, M, n, d, H)
+        full = kernels.search_pairs(coeffs, n, d, H)
         for k in range(4):
-            assert kernels.search_pairs(coeffs, M, n, d, H, max_points=k) == full[:k]
+            assert kernels.search_pairs(coeffs, n, d, H, max_points=k) == full[:k]
 
 
 def by_v(points):
@@ -95,10 +95,10 @@ def test_max_points_across_sieve_blocks(coeffs, n, d, block_bytes):
     M, H = len(coeffs) - 1, 30
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_purepy, "_BLOCK_BYTES", block_bytes)
-        full = kernels.search_pairs(coeffs, M, n, d, H)
+        full = kernels.search_pairs(coeffs, n, d, H)
         assert full == by_v(brute_points(coeffs, M, n, d, H))
         for k in range(4):
-            assert kernels.search_pairs(coeffs, M, n, d, H, max_points=k) == full[:k]
+            assert kernels.search_pairs(coeffs, n, d, H, max_points=k) == full[:k]
 
 
 def test_backend_names():
@@ -107,9 +107,10 @@ def test_backend_names():
 
 
 def test_every_exponent_gets_sieve_primes():
+    # at H = 10^4 a fallback prime may be up to 14142, so every n <= 40 has some
     for n in range(2, 41):
         for d in (1, -2, 3 * 103 * 137 * 239 * 307):
-            primes = kernels._select_primes(n, d)
+            primes = kernels._select_primes(n, d, 10**4)
             assert primes
             assert all(kernels._sieve_fraction(p, n, d) < 0.99 for p in primes)
             old = old_select_primes(n, d)
@@ -119,6 +120,14 @@ def test_every_exponent_gets_sieve_primes():
                 assert all(p % n == 1 and d % p for p in primes)
 
 
+@pytest.mark.parametrize("n", [17, 31, 101, 1009])
+@pytest.mark.parametrize("H", [1, 10, 60, 200, 1000])
+def test_fallback_primes_cost_no_more_than_the_box(n, H):
+    # the first primes p = 1 (mod n), at most _FALLBACK_PRIMES, while p^2 <= (2H + 1) H
+    want = [p for p in range(n + 1, 2 * n * 10**3, n) if p * p <= (2 * H + 1) * H and is_probable_prime(p)]
+    assert kernels._select_primes(n, 1, H) == want[: kernels._FALLBACK_PRIMES]
+
+
 def test_stage_candidates_are_the_primes_from_67_to_1021():
     want = [p for p in range(67, 1024, 2) if is_probable_prime(p)]
     assert kernels._STAGE_CANDIDATES == want and len(want) == 154
@@ -126,7 +135,7 @@ def test_stage_candidates_are_the_primes_from_67_to_1021():
 
 def test_search_rejects_exponent_one():
     with pytest.raises(ValueError):
-        kernels.search_pairs([1, 1], 1, 1, 1, 5)
+        kernels.search_pairs([1, 1], 1, 1, 5)
 
 
 def test_form_values_of_no_pairs_with_big_coefficients():
@@ -135,7 +144,61 @@ def test_form_values_of_no_pairs_with_big_coefficients():
     none = np.empty(0, dtype=np.int64)
     assert kernels.form_values([1, 0, 2**64], none, none).size == 0
     # no coprime survivor at all, with a leading coefficient 2^64
-    assert kernels.search_pairs([1, 0, 2**64], 2, 4, 67 * 71, 150) == []
+    assert kernels.search_pairs([1, 0, 2**64], 4, 67 * 71, 150) == []
+
+
+CANDIDATES = prod(kernels._CANDIDATE_PRIMES)
+
+
+@pytest.mark.parametrize(
+    "coeffs,n,d,c,H",
+    [
+        ([1, 0, 0, 0, 1], 2, 1, CANDIDATES, 300),  # y^2 = c (u^4 + v^4): no candidate prime sieves
+        ([1, 0, 0, 0, 1], 2, -11 * 13, 3 * 5 * 7, 200),
+        ([2, 0, 0, 1], 3, 1, 7 * 13 * 19 * 31 * 37 * 43 * 61, 300),  # every candidate = 1 (mod 3)
+        # y = 3 * 67 * 71 * u at every coprime pair; 67 and 71 are stage candidates
+        ([0, 0, 3 * 67 * 71], 2, 1, 3 * 67 * 71, 60),
+    ],
+    ids=["every-candidate", "d-and-content", "cubic", "stage-candidates"],
+)
+def test_content_passes_every_pair(coeffs, n, d, c, H, monkeypatch):
+    # y^n = d * (c F) is y^n = (d c) * F: the same points, and the primes that
+    # divide c sieve neither search, so the contentful one has no more survivors
+    small_chunks(monkeypatch)  # every chunk is staged
+    counts, staged = [], []
+    sieve, build = _purepy.survivors, kernels._residue_stage
+
+    def sieve_spy(rows, H):
+        out = sieve(rows, H)
+        counts.append(len(out))
+        return out
+
+    def stage_spy(cs, n, d, primes):
+        staged.append(primes)
+        return build(cs, n, d, primes)
+
+    monkeypatch.setattr(_purepy, "survivors", sieve_spy)
+    monkeypatch.setattr(kernels, "_residue_stage", stage_spy)
+    contentful = kernels.search_pairs([c * a for a in coeffs], n, d, H)
+    assert contentful == kernels.search_pairs(coeffs, n, d * c, H)
+    assert counts[0] <= counts[1]
+    assert staged and all(c % p for primes in staged for p in primes)
+    if H <= 60:
+        assert contentful == by_v(brute_points(coeffs, len(coeffs) - 1, n, d * c, H))
+
+
+@pytest.mark.parametrize("n", [101, 1009])
+@pytest.mark.parametrize("coeffs", [[1, 0, 1], "u^n"])
+def test_large_exponent_matches_bruteforce(n, coeffs):
+    # no prime p = 1 (mod n) has p^2 <= 21 * 10: no sieve prime, so no p x p
+    # value table, and the box goes to the stage (607 and 809 for n = 101,
+    # none for n = 1009) and the exact check. y^n = u^n has a point at every
+    # coprime pair with u != 0.
+    coeffs = [0] * n + [1] if coeffs == "u^n" else coeffs
+    M, H, cache = len(coeffs) - 1, 10, {}
+    full = kernels.search_pairs(coeffs, n, 1, H, cache=cache)
+    assert full == by_v(brute_points(coeffs, M, n, 1, H))
+    assert cache == {}
 
 
 # -- the tables as they were built before the per-curve cache, kept as oracle
@@ -190,37 +253,42 @@ def class_representatives(p, n):
     return [0, p] + sorted(set(first.values()) | set(last.values()))
 
 
+def assert_rows_pack(rows, tables, H):
+    """rows[p] is the oracle's table tables[p] packed at height H."""
+    assert rows.keys() == tables.keys()
+    for p, table in tables.items():
+        assert rows[p].dtype == np.uint64
+        np.testing.assert_array_equal(rows[p], _purepy._packed_rows(table, H))
+
+
 @given(
     st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=2, max_size=6),
     st.integers(min_value=2, max_value=6),
     st.integers(min_value=-(2**66), max_value=2**66),
+    st.sampled_from([1, 30, 200]),
 )
 @settings(max_examples=8, deadline=None)
-def test_residue_tables_match_oracle(coeffs, n, shift):
+def test_residue_tables_match_oracle(coeffs, n, shift, H):
     M = len(coeffs) - 1
     cache = {}
     for p in kernels._CANDIDATE_PRIMES + [103]:
         for r in class_representatives(p, n):
             d = r + p * shift
-            got = kernels._residue_tables(coeffs, M, n, d, [p], cache)[1][p]
-            want = old_residue_tables(coeffs, M, n, d, [p])[p]
-            assert got.shape == want.shape and got.dtype == bool
-            np.testing.assert_array_equal(got, want)
+            rows = kernels._residue_tables(coeffs, n, d, [p], H, cache)
+            assert_rows_pack(rows, old_residue_tables(coeffs, M, n, d, [p]), H)
             assert kernels._sieve_fraction(p, n, d) == old_allowed_residues(p, n, d).sum() / p
 
 
 def test_residue_tables_match_oracle_on_fallback_primes():
-    # n = 17 has no candidate prime: the tables are 239 x 239 to 443 x 443
-    coeffs, M, n = [3, -(2**70), 0, 5, 7], 4, 17
-    primes = kernels._select_primes(n, 103 * 137)
+    # n = 17 has no candidate prime: the tables are 239 x 239 to 443 x 443,
+    # and at H = 400 every one of them costs less than the box
+    coeffs, M, n, H = [3, -(2**70), 0, 5, 7], 4, 17, 400
+    primes = kernels._select_primes(n, 103 * 137, H)
     assert primes == [239, 307, 409, 443]
     cache = {}
     for d in (103 * 137, -5 * 239):  # the second is 0 mod 239: that table passes everything
-        _, got = kernels._residue_tables(coeffs, M, n, d, primes, cache)
-        want = old_residue_tables(coeffs, M, n, d, primes)
-        for p in primes:
-            assert got[p].dtype == bool
-            np.testing.assert_array_equal(got[p], want[p])
+        rows = kernels._residue_tables(coeffs, n, d, primes, H, cache)
+        assert_rows_pack(rows, old_residue_tables(coeffs, M, n, d, primes), H)
 
 
 @given(
@@ -234,10 +302,8 @@ def test_residue_tables_match_oracle_on_fallback_primes():
 def test_residue_tables_match_oracle_high_degree(coeffs, n, d):
     # model degree up to 40: the value table's product sums M + 1 terms below p^2
     M = len(coeffs) - 1
-    _, got = kernels._residue_tables(coeffs, M, n, d, kernels._CANDIDATE_PRIMES)
-    want = old_residue_tables(coeffs, M, n, d, kernels._CANDIDATE_PRIMES)
-    for p in kernels._CANDIDATE_PRIMES:
-        np.testing.assert_array_equal(got[p], want[p])
+    rows = kernels._residue_tables(coeffs, n, d, kernels._CANDIDATE_PRIMES, 100)
+    assert_rows_pack(rows, old_residue_tables(coeffs, M, n, d, kernels._CANDIDATE_PRIMES), 100)
 
 
 def test_masks_shared_across_curves(monkeypatch):
@@ -252,9 +318,9 @@ def test_masks_shared_across_curves(monkeypatch):
 
     monkeypatch.setattr(kernels, "_allowed_residues", spy)
     n = 2
-    primes = kernels._select_primes(n, 1)
-    kernels._residue_tables([5, 1, 0, 0, 2, 0, 0, 0, 1], 8, n, 1, primes, {})
-    kernels._residue_tables([-2, 0, 0, 1, 0], 4, n, 4, primes, {})
+    primes = kernels._select_primes(n, 1, 30)
+    kernels._residue_tables([5, 1, 0, 0, 2, 0, 0, 0, 1], n, 1, primes, 30, {})
+    kernels._residue_tables([-2, 0, 0, 1, 0], n, 4, primes, 30, {})
     assert len(seen) == 2 * len(primes)
     for first, second in zip(seen[: len(primes)], seen[len(primes) :]):
         assert first is second
@@ -268,46 +334,48 @@ def test_shared_masks_are_read_only():
 
 def test_module_masks_bounded_by_their_keys(monkeypatch):
     # every chunk with a coprime pair is staged, so most searches build the
-    # stage; the masks are exactly the sieve primes' and the stage primes'
+    # stage; the masks are exactly the sieve primes' and the stage primes'.
+    # At H = 10 no prime = 1 (mod 17) is a sieve prime: n = 17 is all stage.
     monkeypatch.setattr(kernels, "_masks", {})
     monkeypatch.setattr(kernels, "_STAGE_MIN", 0)
     staged = []
     build = kernels._residue_stage
 
-    def spy(cs, n, d, sieved):
-        staged.append((n, d, sieved))
-        return build(cs, n, d, sieved)
+    def spy(cs, n, d, primes):
+        staged.append((n, d, primes))
+        return build(cs, n, d, primes)
 
     monkeypatch.setattr(kernels, "_residue_stage", spy)
-    curves = [([a, 1, 0, b, 0, 0, 1], 6) for a in range(-3, 4) for b in (0, 2)]
-    curves += [([-2, 0, 0, 1, 0], 4), ([1, 0, 2**17 - 1], 2)]
+    curves = [[a, 1, 0, b, 0, 0, 1] for a in range(-3, 4) for b in (0, 2)]
+    curves += [[-2, 0, 0, 1, 0], [1, 0, 2**17 - 1]]
     mask_keys = set()
-    for coeffs, M in curves:
+    for coeffs in curves:
         for n in (2, 3, 17):
             cache = {}
             for d in range(-12, 13):
                 if d:
-                    kernels.search_pairs(coeffs, M, n, d, 10, cache=cache)
-                    for p in kernels._select_primes(n, d):
+                    kernels.search_pairs(coeffs, n, d, 10, cache=cache)
+                    for p in kernels._select_primes(n, d, 10):
                         mask_keys.add((p, n, fp.power_class(d, p, n)))
     sieve_keys = set(mask_keys)
-    for n, d, sieved in staged:
-        for p in kernels._stage_primes(n, d, sieved):
+    for n, d, primes in staged:
+        for p in primes:
             mask_keys.add((p, n, fp.power_class(d, p, n)))
     assert {n for n, _, _ in staged} == {2, 3, 17}
     assert {p for p, _, _ in mask_keys - sieve_keys} == {
-        67, 71, 73, 79, 83, 89, 97, 101, 103, 109, 127, 139, 409, 443, 613, 647, 919, 953, 1021
+        67, 71, 73, 79, 83, 89, 97, 101, 103, 109, 127, 137, 139, 239, 307, 409, 443, 613, 647
     }
     assert set(kernels._masks) == mask_keys
 
 
 def test_tables_shared_within_a_class():
-    coeffs, M, n = [5, 1, 0, 0, 2, 0, 0, 0, 1], 8, 2
-    primes = kernels._select_primes(n, 1)
+    # at H = 30 every row table is kept: a twist in a class reads its rows
+    coeffs, n, H = [5, 1, 0, 0, 2, 0, 0, 0, 1], 2, 30
+    primes = kernels._select_primes(n, 1, H)
     cache = {}
-    _, one = kernels._residue_tables(coeffs, M, n, 1, primes, cache)
-    _, four = kernels._residue_tables(coeffs, M, n, 4, primes, cache)
-    _, minus = kernels._residue_tables(coeffs, M, n, -1, primes, cache)
+    one = kernels._residue_tables(coeffs, n, 1, primes, H, cache)
+    four = kernels._residue_tables(coeffs, n, 4, primes, H, cache)
+    minus = kernels._residue_tables(coeffs, n, -1, primes, H, cache)
     for p in primes:
         assert four[p] is one[p]  # 4 is a square mod every odd p
         if p % 4 == 1:
@@ -325,19 +393,24 @@ def test_kept_rows_give_the_uncached_search(coeffs, M, n):
     # one cache for every twist and both heights, searched twice so that the
     # second pass reads kept rows; d runs over every class at each sieve prime
     cache = {}
-    classes = set()
+    classes = {}  # (p, class of d) -> the first such d
     for _ in range(2):
         for H in (30, 200):
             for d in range(-40, 41):
                 if d:
-                    assert kernels.search_pairs(coeffs, M, n, d, H, cache=cache) == \
-                        kernels.search_pairs(coeffs, M, n, d, H)
-                    classes |= {(p, fp.power_class(d, p, n)) for p in kernels._select_primes(n, d)}
+                    assert kernels.search_pairs(coeffs, n, d, H, cache=cache) == \
+                        kernels.search_pairs(coeffs, n, d, H)
+                    for p in kernels._select_primes(n, d, H):
+                        classes.setdefault((p, fp.power_class(d, p, n)), d)
     for p in {p for p, _ in classes}:
         assert sum(q == p for q, _ in classes) == gcd(n, p - 1)
-    kept = cache[kernels._ROWS]
-    assert {(p, c) for p, c, _ in kept} == classes  # every table fits at these heights
+    assert {k for k in cache if isinstance(k, int)} == {p for p, _ in classes}
+    kept = {k: rows for k, rows in cache.items() if isinstance(k, tuple)}
+    # every table fits at these heights, and is kept at each one
+    assert kept.keys() == {(p, c, H) for p, c in classes for H in (30, 200)}
     for (p, c, H), rows in kept.items():
+        table = old_residue_tables(coeffs, M, n, classes[p, c], [p])[p]
+        np.testing.assert_array_equal(rows, _purepy._packed_rows(table, H))
         assert rows.shape == (p, (2 * H + 64) // 64)
         assert rows.nbytes <= kernels._KEPT_ROWS_BYTES
         assert not rows.flags.writeable
@@ -346,18 +419,18 @@ def test_kept_rows_give_the_uncached_search(coeffs, M, n):
 def test_no_rows_kept_above_the_cap():
     # d = 385 = 5 * 7 * 11 leaves p = 3, the smallest table, among the sieve
     # primes; its rows fit up to the largest H with 3 * 8 * nwords <= cap
-    coeffs, M, n, d = [-2, 0, 0, 1, 0], 4, 2, 385
-    assert 3 in kernels._select_primes(n, d)
+    coeffs, n, d = [-2, 0, 0, 1, 0], 2, 385
     H = 32 * (kernels._KEPT_ROWS_BYTES // 24) - 1
+    assert 3 in kernels._select_primes(n, d, H)
     cache = {}
-    kernels.search_pairs(coeffs, M, n, d, H, cache=cache)
-    kept = cache[kernels._ROWS]
+    kernels.search_pairs(coeffs, n, d, H, cache=cache)
+    kept = {k: rows for k, rows in cache.items() if isinstance(k, tuple)}
     assert (3, fp.power_class(d, 3, n), H) in kept
     assert all(rows.nbytes <= kernels._KEPT_ROWS_BYTES for rows in kept.values())
-    before = dict(kept)
-    assert kernels.search_pairs(coeffs, M, n, d, H + 1, cache=cache) == \
-        kernels.search_pairs(coeffs, M, n, d, H + 1)
-    assert kept.keys() == before.keys()  # from H + 1 on no table fits, whatever the prime
+    before = dict(cache)
+    assert kernels.search_pairs(coeffs, n, d, H + 1, cache=cache) == \
+        kernels.search_pairs(coeffs, n, d, H + 1)
+    assert cache.keys() == before.keys()  # from H + 1 on no table fits, whatever the prime
 
 
 # -- the sieve as it was before bit packing (one v row at a time), kept as oracle
@@ -370,9 +443,8 @@ def old_survivors(tables, H):
     out_u = []
     out_v = []
     for v in range(1, H + 1):
-        p0 = primes[0]
-        idx = np.nonzero(tables[p0][v % p0][umod[p0]])[0]
-        for p in primes[1:]:
+        idx = np.arange(u_arr.size)
+        for p in primes:
             if not idx.size:
                 break
             idx = idx[tables[p][v % p][umod[p][idx]]]
@@ -393,22 +465,25 @@ def old_survivors(tables, H):
 )
 @settings(max_examples=60, deadline=None)
 def test_packed_sieve_matches_old(coeffs, n, d, H, divisor):
+    # n = 17: the primes 103, 137, ... = 1 (mod 17) with p^2 <= (2H + 1) H,
+    # none up to H = 65, so the whole box survives
     M = len(coeffs) - 1
-    primes = kernels._select_primes(n, d)  # n = 17: primes 103, 137, ... = 1 (mod 17)
-    if divisor is not None:  # some sieve prime divides d: its table passes every u
+    primes = kernels._select_primes(n, d, H)
+    if divisor is not None and primes:  # some sieve prime divides d: its table passes every u
         d *= primes[divisor % len(primes)]
-    _, tables = kernels._residue_tables(coeffs, M, n, d, primes)
-    got = _purepy.survivors(tables, H)
+    got = _purepy.survivors(kernels._residue_tables(coeffs, n, d, primes, H), H)
     assert got.dtype == np.int64 and got.shape[1] == 2
-    np.testing.assert_array_equal(got, old_survivors(tables, H))
+    np.testing.assert_array_equal(got, old_survivors(old_residue_tables(coeffs, M, n, d, primes), H))
 
 
 @pytest.mark.parametrize("coeffs,M,n,d,H", CASES)
 def test_packed_sieve_matches_old_past_one_period(coeffs, M, n, d, H):
     # At H = 1000 a row has 32 words, more than many of its primes: the words
     # repeat with period p in w, which H <= 200 reaches only for p <= 5.
-    _, tables = kernels._residue_tables(coeffs, M, n, d, kernels._select_primes(n, d))
-    np.testing.assert_array_equal(_purepy.survivors(tables, 1000), old_survivors(tables, 1000))
+    primes = kernels._select_primes(n, d, 1000)
+    rows = kernels._residue_tables(coeffs, n, d, primes, 1000)
+    tables = old_residue_tables(coeffs, M, n, d, primes)
+    np.testing.assert_array_equal(_purepy.survivors(rows, 1000), old_survivors(tables, 1000))
 
 
 # -- the exact check as it was before the residue stage (every coprime
@@ -419,8 +494,8 @@ def old_search_pairs(coeffs, M, n, d, H, max_points=None):
     out = []
     if H < 1 or (max_points is not None and max_points < 1):
         return out
-    _, tables = kernels._residue_tables(coeffs, M, n, d, kernels._select_primes(n, d))
-    pairs = _purepy.survivors(tables, H)
+    primes = kernels._select_primes(n, d, H)
+    pairs = _purepy.survivors(kernels._residue_tables(coeffs, n, d, primes, H), H)
     pairs = pairs[np.gcd(pairs[:, 0], pairs[:, 1]) == 1]
     vals = kernels.form_values(coeffs[: M + 1], pairs[:, 0], pairs[:, 1])
     for (u, v), val in zip(pairs.tolist(), vals.tolist()):
@@ -461,9 +536,10 @@ def small_chunks(monkeypatch):
 
 
 S4 = (5 * 13 * 17 * 29 * 37 * 41 * 53 * 61) ** 4
+P17 = 103 * 137 * 239 * 307 * 409
 # Heights at which chunks of the default size hold hundreds of survivors and
-# the stage runs. A coefficient factor that is 0 mod a sieve prime makes that
-# prime's table pass every pair, so the stage has more to remove.
+# the stage runs. A prime that divides the content of F passes every pair, so
+# it is no sieve prime, and the stage has more to remove.
 STAGE_CASES = [
     ([-2, 0, 0, 1, 0], 4, 2, 1, 1200),  # y^2 = t^3 - 2: 2 points among 1303 survivors
     ([1, 0, 0, 0, 1], 4, 2, 2, 1600),  # y^2 = 2(u^4 + v^4) at (+-1, 1); 2 is no square mod 67
@@ -471,10 +547,12 @@ STAGE_CASES = [
     ([67**2 - 1, 0, 0, 0, 1], 4, 2, 1, 800),  # (+-1, 1) gives y = 67, which is 0 mod 67
     ([-5, 3, 0, 1], 3, 3, 67 * 71, 500),  # d divisible by two stage primes
     ([1, 0, 1, 1], 3, 3, 2, 400),
-    # s^4 (u^2 + 2 v^2), s the product of the sieve primes 1 (mod 4): points
-    # at (+-7, 4), (+-287, 24), ..., values above 2^62
+    # s^4 (u^2 + 2 v^2), s the product of the candidate primes 1 (mod 4):
+    # points at (+-7, 4), (+-287, 24), ..., values above 2^62
     ([2 * S4, 0, S4], 2, 4, 1, 300),
-    ([103 * 137, 0, 103 * 137 * (2**17 - 1)], 2, 17, 1, 300),  # 0 mod the sieve primes 103 and 137
+    # 0 mod every prime = 1 (mod 17) up to 409: at H = 300 no prime is left to
+    # sieve (443^2 > 601 * 300), so the stage gets the whole box
+    ([P17, 0, P17 * (2**17 - 1)], 2, 17, 1, 300),
     ([2**70, 0, 0, 0, 1], 4, 2, 1, 800),  # values above 2^62: object path, y = 2^35 at (0, 1)
 ]
 
@@ -485,12 +563,12 @@ def test_stage_gives_the_old_search(coeffs, M, n, d, H, chunks, stage_passes, mo
     if chunks == "small":
         small_chunks(monkeypatch)
     full = old_search_pairs(coeffs, M, n, d, H)
-    assert kernels.search_pairs(coeffs, M, n, d, H) == full
+    assert kernels.search_pairs(coeffs, n, d, H) == full
     # the stage ran, on chunks above its threshold, and removed pairs
     assert stage_passes and all(k > kernels._STAGE_MIN for k, _ in stage_passes)
     assert sum(k - kept for k, kept in stage_passes) > 0
     for k in (0, 1, 3):
-        assert kernels.search_pairs(coeffs, M, n, d, H, max_points=k) == full[:k]
+        assert kernels.search_pairs(coeffs, n, d, H, max_points=k) == full[:k]
 
 
 @given(
@@ -518,27 +596,28 @@ def test_stage_gives_the_old_search_randomized(coeffs, n, d, stage_divisor, big,
     with pytest.MonkeyPatch.context() as mp:
         if small:
             small_chunks(mp)
-        full = kernels.search_pairs(coeffs, M, n, d, H)
+        full = kernels.search_pairs(coeffs, n, d, H)
         assert full == old_search_pairs(coeffs, M, n, d, H)
         for k in (0, 1, 3):
-            assert kernels.search_pairs(coeffs, M, n, d, H, max_points=k) == full[:k]
+            assert kernels.search_pairs(coeffs, n, d, H, max_points=k) == full[:k]
 
 
 def test_stage_without_primes_is_a_no_op(stage_passes):
-    # below 1024 the only primes 1 (mod 59) are 709 and 827, both sieve
-    # primes: y^59 = u^59 has a point at every coprime pair with u != 0
-    coeffs, M, n, d, H = [0] * 59 + [1], 59, 59, 1, 12
-    assert kernels._stage_primes(n, d, kernels._select_primes(n, d)) == []
-    full = kernels.search_pairs(coeffs, M, n, d, H)
+    # below 1024 the only primes 1 (mod 59) are 709 and 827. At H = 12 neither
+    # is a sieve prime, and both divide d, so the stage has none:
+    # y^59 = (709 * 827 u)^59 has a point at every coprime pair with u != 0
+    coeffs, M, n, d, H = [0] * 59 + [1], 59, 59, (709 * 827) ** 59, 12
+    assert kernels._select_primes(n, d, H) == kernels._stage_primes(n, d, []) == []
+    full = kernels.search_pairs(coeffs, n, d, H)
     assert full == old_search_pairs(coeffs, M, n, d, H) == by_v(brute_points(coeffs, M, n, d, H))
     assert stage_passes == [(k, k) for k, _ in stage_passes] and len(stage_passes) == 1
-    assert kernels.search_pairs(coeffs, M, n, d, H, max_points=3) == full[:3]
+    assert kernels.search_pairs(coeffs, n, d, H, max_points=3) == full[:3]
 
 
 def test_stage_stops_where_pairs_are_points(stage_passes, monkeypatch):
     # y^2 = u^2: every coprime pair with u != 0 is a point. The first pass
     # keeps all of them, and no later chunk is staged.
     small_chunks(monkeypatch)
-    full = kernels.search_pairs([0, 0, 1], 2, 2, 1, 60)
+    full = kernels.search_pairs([0, 0, 1], 2, 1, 60)
     assert full == old_search_pairs([0, 0, 1], 2, 2, 1, 60)
     assert len(stage_passes) == 1 and stage_passes[0][0] == stage_passes[0][1]

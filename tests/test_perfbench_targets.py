@@ -87,3 +87,32 @@ def test_speclab_names_read_by_perfbench_resolve():
         "speclab.twists._solver_cache",
     } <= names
     assert sorted(n for n in names if not _resolves(n)) == []
+
+
+def test_tracer_counts_one_search(monkeypatch):
+    # the tracer reads H from search_pairs' keyword or its fifth positional
+    # argument, and counts the survivors as what the sieve returns
+    from speclab import twists
+    from speclab.kernels import _purepy
+    from speclab.poly import parse_poly
+
+    lengths = []
+    sieve = _purepy.survivors
+
+    def spy(rows, H):
+        out = sieve(rows, H)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(_purepy, "survivors", spy)
+    curve = twists.SuperellipticCurve(2, parse_poly("T^4 + 1")).twist(2)
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        points = twists.search_points(curve, 30)
+    finally:
+        tracer.uninstall()
+    assert points and not any(pt.z_zero for pt in points)
+    assert tracer.counts["kernels.pairs"] == 30 * 61
+    assert tracer.counts["kernels.points"] == len(points)
+    assert len(lengths) == 1 and tracer.counts["kernels.survivors"] == lengths[0]

@@ -203,10 +203,11 @@ class TestSearch:
         for d in (-7, -3, -1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21):
             search_points(base.twist(d), 20)
         tables = twists._solver(base).tables
-        primes = {k for k in tables if isinstance(k, int)}
-        classes = [k for k in tables if isinstance(k, tuple)]
-        assert primes == {p for p, _ in classes}
-        assert len(classes) <= 2 * len(primes)  # squares and nonsquares mod p
+        primes = {k for k in tables if isinstance(k, int)}  # one value table per prime
+        rows = [k for k in tables if isinstance(k, tuple)]  # packed rows per (p, class of d, H)
+        assert primes == {p for p, _, _ in rows}
+        assert {H for _, _, H in rows} == {20}
+        assert len(rows) <= 2 * len(primes)  # squares and nonsquares mod p
         before = dict(tables)
         for d in (-5, 22, 23, 26, 29, 30, 31):
             search_points(base.twist(d), 20)
