@@ -5,7 +5,11 @@ A per-prime residue sieve (allowed residues: n-th power residues of d*F and 0)
 prunes almost everything; the few survivors get an exact bigint n-th power
 check. The sieve (_purepy.survivors) is bit-packed numpy, as in ratpoints:
 each prime's allowed u for one v mod p is a row of uint64 words, and a block
-of v rows is the AND of one such row per prime.
+of v rows is the AND of one such row per prime. A 2-adic row joins them, like
+ratpoints' tables of squares mod 16 (Bruin and Stoll): a packed word spans
+exactly 64 consecutive u, so the u where d*F(u, v) is no n-th power mod 64,
+or where u and v are both even, are one word per v mod 64, a (64, 1) table
+that the sieve ANDs into every word of the row by broadcasting.
 
 The survivors are checked in (v, u) order, in chunks, until max_points
 points are found. In each chunk the pairs with gcd(u, v) > 1 go first. A
@@ -21,18 +25,22 @@ form (the census uses it too), then an n-th root of each nonzero value.
 The sieve's inputs are split by what they depend on. Per prime, shared by
 every curve in the process: the allowed mask of each class -- which values
 are allowed depends on d only through its class in F_p^*/(F_p^*)^n (or
-d = 0 mod p). Per curve: the table of F(u, v) mod p, one integer matrix
-product of the powers r^k mod p with the coefficients, and for each class
-and height H the packed rows of the mask indexed by that value table (a
-twist's sieve table), when they take at most _KEPT_ROWS_BYTES.
-_residue_tables builds those rows; the sieve only ANDs them. A caller that
-searches many twists of one curve passes one dict as `cache` to keep the
-per-curve tables between calls.
+d = 0 mod p) -- and, for the candidate primes, the index u * v^-1 mod p
+into a value row. Per curve: the value row f(t) = F(t, 1) mod p, from one
+Horner pass over all the primes a search is missing, read through that index
+since F(u, v) = v^M f(u / v); a fallback prime's index; F(u, v) mod 64 as
+uint8; and for each class and height H the packed rows of the sieve table
+(the mask read through the value row), when they take at most
+_KEPT_ROWS_BYTES, and the 2-adic row.
+_residue_tables and _two_adic_row build those rows; the sieve only ANDs them.
+A caller that searches many twists of one curve passes one dict as `cache`
+to keep the per-curve tables between calls. The shared masks and index
+outlive every such cache: they last as long as the process.
 
 A prime that divides d or the content of F passes every pair, so it is
-neither a sieve nor a stage prime. Nor is a fallback prime whose value
-table would cost more than checking the box: with no sieve prime left, the
-whole box goes to the residue stage and the exact check.
+neither a sieve nor a stage prime. Nor is a fallback prime whose p x p
+sieve table would cost more than checking the box: with no sieve prime left,
+the whole box goes to the 2-adic row, the residue stage and the exact check.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ _CANDIDATE_PRIMES = [
 ]
 # Primes p = 1 (mod n) taken when no candidate prime sieves for n (n = 17,
 # 19, 31, ...). Each passes about 1/n of the pairs, so a few suffice; only
-# those with p^2 <= (2H + 1) H, whose value table costs no more than the box.
+# those with p^2 <= (2H + 1) H, whose sieve table costs no more than the box.
 _FALLBACK_PRIMES = 4
 # The packed rows of a sieve table are kept in the curve's cache only up to
 # this size: p rows of ceil((2H + 1) / 64) words. At H = 200 every candidate
@@ -82,6 +90,13 @@ _STAGE_MIN = 32
 # the sieve primes (17 candidates plus 4 fallbacks per n) and the stage
 # primes (at most the 154 primes from 67 to 1021) times the classes of d.
 _masks: dict[tuple[int, int, int], np.ndarray] = {}  # (p, n, class) -> mask
+# The value-row index of each candidate prime, shared by every curve and
+# read-only: 17 tables of p x p bytes, about 25 KB. A fallback prime's index
+# (up to p^2 <= (2H + 1) H entries) is kept in the curve's cache instead:
+# kept here, n = 101 at H = 10^4 would hold about 5 M entries for the life of
+# the process.
+_index: dict[int, np.ndarray] = {}  # p -> see _value_index
+_R64 = np.arange(64, dtype=np.uint8)
 
 
 def _allowed_residues(p: int, n: int, d: int) -> np.ndarray:
@@ -122,20 +137,59 @@ def _select_primes(n: int, d: int, H: int) -> list[int]:
     return primes
 
 
-def _value_table(coeffs: list[int], p: int) -> np.ndarray:
-    """F(u, v) mod p, shape (p, p), indexed [v % p][u % p]:
-    sum_j (v^(M-j) c_j mod p) * u^j as one int64 matrix product, M the
-    degree len(coeffs) - 1."""
-    M = len(coeffs) - 1
-    r = np.arange(p, dtype=np.int64)
-    pw = np.ones((p, M + 1), dtype=np.int64)
-    for k in range(1, M + 1):
-        pw[:, k] = pw[:, k - 1] * r % p
-    c = np.array([cj % p for cj in coeffs], dtype=np.int64)
-    # Both factors are reduced below p, so each entry of the product is a sum
-    # of M + 1 terms below p^2: under (M + 1) p^2, far below 2^63.
-    val = ((pw[:, ::-1] * c) % p) @ pw.T % p
-    return val.astype(np.min_scalar_type(p - 1))
+def _powmod(r: np.ndarray, e: int, p: int) -> np.ndarray:
+    """r^e mod p elementwise, for int64 r in [0, p) and p < 2^31 (every
+    product stays below p^2 < 2^62)."""
+    out = np.ones_like(r)
+    while e:
+        if e & 1:
+            out = out * r % p
+        r = r * r % p
+        e >>= 1
+    return out
+
+
+def _value_index(p: int, cache: dict) -> np.ndarray:
+    """(p, p) index into a value row (see _value_rows), [v % p][u % p]:
+    u * v^-1 mod p where v != 0, p (the point at infinity) where v = 0 and
+    u != 0, p + 1 at u = v = 0. Read-only, shared by every curve for the
+    candidate primes; a fallback prime's is kept in the curve's cache under
+    ("index", p)."""
+    store, key = (_index, p) if p in _CANDIDATE_PRIMES else (cache, ("index", p))
+    idx = store.get(key)
+    if idx is None:
+        r = np.arange(p, dtype=np.int64)
+        inv = _powmod(r, p - 2, p)
+        idx = np.empty((p, p), dtype=np.min_scalar_type(p + 1))
+        step = max(1, _purepy._BLOCK_BYTES // (8 * p))
+        for v0 in range(1, p, step):  # int64 temporaries of one block of rows
+            idx[v0 : v0 + step] = np.outer(inv[v0 : v0 + step], r) % p
+        idx[0] = p
+        idx[0, 0] = p + 1
+        idx.flags.writeable = False
+        store[key] = idx
+    return idx
+
+
+def _value_rows(coeffs: list[int], primes: list[int]) -> dict[int, np.ndarray]:
+    """rows[p]: F at the points of P^1(F_p) read by _value_index -- f(t) =
+    F(t, 1) mod p at t = 0 .. p - 1, then F(1, 0) (the leading coefficient),
+    then F(0, 0) (0 unless F is a constant). One Horner pass over all the
+    primes at once, with a per-element modulus: every factor is below p, so
+    each step stays below p^2 + p."""
+    sizes = np.array(primes, dtype=np.int64) + 2
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(len(primes)), sizes)
+    q = sizes[owner] - 2
+    t = np.arange(ends[-1], dtype=np.int64) - (ends - sizes)[owner]
+    c = np.array([[cj % p for p in primes] for cj in coeffs], dtype=np.int64)[:, owner]
+    acc = c[-1]
+    for cj in c[-2::-1]:
+        acc = (acc * t + cj) % q
+    acc[ends - 2] = c[-1, ends - 2]
+    acc[ends - 1] = c[0, ends - 1] if len(coeffs) == 1 else 0
+    acc = acc.astype(np.min_scalar_type(max(primes) - 1))
+    return {p: acc[e - p - 2 : e] for p, e in zip(primes, ends.tolist())}
 
 
 def _residue_tables(
@@ -149,27 +203,73 @@ def _residue_tables(
     """rows[p]: the sieve table of p at height H, packed by
     _purepy._packed_rows. The sieve table ok[v % p][u % p] is True where
     d * F(u, v) mod p is an n-th power residue or 0: the shared per-prime
-    mask (see _allowed_residues) indexed by the curve's value table.
+    mask (see _allowed_residues) read through the curve's value row at the
+    shared index u * v^-1 (see _value_index), for F(u, v) = v^M f(u / v).
+    When gcd(n, p - 1) divides the degree M, v^M (and u^M at v = 0) is an
+    n-th power residue and leaves the class unchanged; otherwise the values
+    are scaled by it first.
 
     cache, when given, must only ever see one (coeffs, n): it keeps the value
-    table under p, and the rows under (p, class of d, H) when they take at
-    most _KEPT_ROWS_BYTES. The masks themselves are kept per prime, not here."""
+    row under p, a fallback prime's index, and the rows under (p, class of d,
+    H) when they take at most _KEPT_ROWS_BYTES. The masks themselves are kept
+    per prime, not here."""
     if cache is None:
         cache = {}
+    M = len(coeffs) - 1
+    keys = {p: (p, power_class(d, p, n), H) for p in primes}
+    missing = [p for p in primes if keys[p] not in cache and p not in cache]
+    if missing:
+        cache.update(_value_rows(coeffs, missing))
     out = {}
     for p in primes:
-        key = (p, power_class(d, p, n), H)
-        rows = cache.get(key)
+        rows = cache.get(keys[p])
         if rows is None:
-            val = cache.get(p)
-            if val is None:
-                val = cache[p] = _value_table(coeffs, p)
-            rows = _purepy._packed_rows(_allowed_residues(p, n, d)[val], H)
+            allowed, val, idx = _allowed_residues(p, n, d), cache[p], _value_index(p, cache)
+            if M % gcd(n, p - 1):
+                scale = _powmod(np.arange(p, dtype=np.int64), M, p)
+                vals = val[idx].astype(np.int64)
+                vals[1:] *= scale[1:, None]
+                vals[0] *= scale
+                ok = allowed[vals % p]
+            else:
+                ok = np.take(allowed[val], idx)  # faster than [idx] on a uint8 index
+            rows = _purepy._packed_rows(ok, H)
             if rows.nbytes <= _KEPT_ROWS_BYTES:
                 rows.flags.writeable = False  # shared by every twist in the class
-                cache[key] = rows
+                cache[keys[p]] = rows
         out[p] = rows
     return out
+
+
+def _two_adic_row(coeffs: list[int], n: int, d: int, H: int, cache: dict) -> np.ndarray:
+    """The sieve's 2-adic table at height H, shape (64, 1): word v % 64 has
+    bit b clear where u = -H + b (mod 64) has d * F(u, v) no n-th power mod
+    64, or u and v both even. A packed word spans exactly 64 consecutive u,
+    so the one word serves every word of row v, by broadcasting.
+
+    cache keeps F(u, v) mod 64 under 64, as uint8 indexed [v % 64][u % 64],
+    and the table under (64, allowed residues of d mod 64, H)."""
+    powers = np.zeros(64, dtype=bool)
+    powers[[pow(y, n, 64) for y in range(64)]] = True
+    allowed = powers[d % 64 * _R64 % 64]
+    key = (64, allowed.tobytes(), H)
+    words = cache.get(key)
+    if words is None:
+        val = cache.get(64)
+        if val is None:
+            # uint8 arithmetic wraps mod 256, which 64 divides
+            acc = np.full((64, 64), coeffs[-1] % 64, dtype=np.uint8)
+            vk = np.ones((64, 1), dtype=np.uint8)
+            for c in coeffs[-2::-1]:
+                vk = vk * _R64[:, None]
+                acc = acc * _R64 + c % 64 * vk
+            val = cache[64] = acc % 64
+        ok = np.take(allowed, val)  # faster than allowed[val] on a uint8 index
+        ok[::2, ::2] = False  # gcd(u, v) even
+        # bit b is u = -H + b: column (b - H) % 64 of ok
+        words = cache[key] = np.packbits(np.roll(ok, H, axis=1), axis=1, bitorder="little").view("<u8")
+        words.flags.writeable = False
+    return words
 
 
 def _stage_primes(n: int, d: int, sieved: list[int]) -> list[int]:
@@ -260,8 +360,9 @@ def search_pairs(
     max_points, when given, keeps the first max_points of that list (none for
     0): the whole box is sieved, and the survivors are checked in (v, u)
     order, a chunk at a time, up to the last one.
-    cache: the curve's table cache, which keeps its value tables and each
-    twist class's packed rows at each height (see _residue_tables)."""
+    cache: the curve's table cache, which keeps its value rows and each twist
+    class's packed rows at each height (see _residue_tables and
+    _two_adic_row)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     out: list[tuple[int, int, int]] = []
@@ -270,7 +371,11 @@ def search_pairs(
     # a prime dividing d or the content of F passes every pair
     passes_all = d * gcd(*coeffs)
     primes = _select_primes(n, passes_all, H)
-    pairs = _purepy.survivors(_residue_tables(coeffs, n, d, primes, H, cache), H)
+    if cache is None:
+        cache = {}
+    rows = _residue_tables(coeffs, n, d, primes, H, cache)
+    rows[64] = _two_adic_row(coeffs, n, d, H, cache)
+    pairs = _purepy.survivors(rows, H)
     stage = None  # built at the first chunk that needs it
     staging = True
     edges = [0, *range(_FIRST_CHUNK, len(pairs), _CHUNK), len(pairs)]

@@ -2,8 +2,11 @@
 
 For each prime p the p rows of allowed u over [-H, H], one per v mod p, are
 packed into words by _packed_rows; the caller builds them (and may keep
-them). A block of v rows gathers each prime's row v % p and ANDs them; only
-the nonzero words of the result are unpacked.
+them). The rows may also hold a (64, 1) table under 64, one word per v mod
+64: a word spans 64 consecutive u, so that word is the same in every word
+of the row, and the AND broadcasts it. A block of v rows gathers each
+table's row v % p and ANDs them; only the nonzero words of the result are
+unpacked.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ def _packed_rows(ok: np.ndarray, H: int) -> np.ndarray:
 
 def survivors(rows: dict[int, np.ndarray], H: int) -> np.ndarray:
     """Pairs (u, v) with |u| <= H, 1 <= v <= H whose bit is set in row v % p
-    of every rows[p] (rows packed by _packed_rows at this H), as an int64
-    array of shape (k, 2) sorted by v then u. With no rows every pair survives."""
+    of every rows[p] (rows packed by _packed_rows at this H, or a (p, 1)
+    table of one word per row for p = 64), as an int64 array of shape (k, 2)
+    sorted by v then u. With no rows every pair survives."""
     if H < 1:
         return np.empty((0, 2), dtype=np.int64)
     nwords = (2 * H + 64) // 64

@@ -2,11 +2,11 @@ from math import gcd, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from speclab import fp, kernels
-from speclab.intutil import is_probable_prime, nth_root
+from speclab.intutil import is_probable_prime, nth_root, squarefree_part
 from speclab.kernels import _purepy
 
 
@@ -153,8 +153,10 @@ CANDIDATES = prod(kernels._CANDIDATE_PRIMES)
 @pytest.mark.parametrize(
     "coeffs,n,d,c,H",
     [
-        ([1, 0, 0, 0, 1], 2, 1, CANDIDATES, 300),  # y^2 = c (u^4 + v^4): no candidate prime sieves
-        ([1, 0, 0, 0, 1], 2, -11 * 13, 3 * 5 * 7, 200),
+        # y^2 = 3c (u^4 + v^4): no candidate prime sieves. 3c = 1 (mod 8), so
+        # the 2-adic row passes the pairs with u^4 + v^4 odd (c alone is 3 mod 8)
+        ([1, 0, 0, 0, 1], 2, 3, CANDIDATES, 300),
+        ([1, 0, 0, 0, 1], 2, -11 * 13, 3 * 5 * 7, 600),  # no coprime survivor below H = 600
         ([2, 0, 0, 1], 3, 1, 7 * 13 * 19 * 31 * 37 * 43 * 61, 300),  # every candidate = 1 (mod 3)
         # y = 3 * 67 * 71 * u at every coprime pair; 67 and 71 are stage candidates
         ([0, 0, 3 * 67 * 71], 2, 1, 3 * 67 * 71, 60),
@@ -191,14 +193,20 @@ def test_content_passes_every_pair(coeffs, n, d, c, H, monkeypatch):
 @pytest.mark.parametrize("coeffs", [[1, 0, 1], "u^n"])
 def test_large_exponent_matches_bruteforce(n, coeffs):
     # no prime p = 1 (mod n) has p^2 <= 21 * 10: no sieve prime, so no p x p
-    # value table, and the box goes to the stage (607 and 809 for n = 101,
+    # sieve table, and the box goes to the stage (607 and 809 for n = 101,
     # none for n = 1009) and the exact check. y^n = u^n has a point at every
-    # coprime pair with u != 0.
+    # coprime pair with u != 0. The cache holds the 2-adic row alone.
     coeffs = [0] * n + [1] if coeffs == "u^n" else coeffs
     M, H, cache = len(coeffs) - 1, 10, {}
     full = kernels.search_pairs(coeffs, n, 1, H, cache=cache)
     assert full == by_v(brute_points(coeffs, M, n, 1, H))
-    assert cache == {}
+    assert cache and all(two_adic(k) for k in cache)
+
+
+def two_adic(key):
+    """Whether a cache key is the 2-adic row's: F mod 64 under 64, the rows
+    under (64, allowed residues of d mod 64, H)."""
+    return key == 64 or isinstance(key, tuple) and key[0] == 64
 
 
 # -- the tables as they were built before the per-curve cache, kept as oracle
@@ -267,6 +275,9 @@ def assert_rows_pack(rows, tables, H):
     st.integers(min_value=-(2**66), max_value=2**66),
     st.sampled_from([1, 30, 200]),
 )
+@example([3, -5], 2, 1, 30)  # M = 1: v^M is no square, so the values are scaled
+@example([7, 0, -1, 4 * CANDIDATES], 3, -1, 30)  # every p divides lc(F): F(1, 0) = 0
+@example([CANDIDATES, -2 * CANDIDATES, 0, 5 * CANDIDATES], 4, 0, 200)  # every p divides the content
 @settings(max_examples=8, deadline=None)
 def test_residue_tables_match_oracle(coeffs, n, shift, H):
     M = len(coeffs) - 1
@@ -282,13 +293,17 @@ def test_residue_tables_match_oracle(coeffs, n, shift, H):
 def test_residue_tables_match_oracle_on_fallback_primes():
     # n = 17 has no candidate prime: the tables are 239 x 239 to 443 x 443,
     # and at H = 400 every one of them costs less than the box
-    coeffs, M, n, H = [3, -(2**70), 0, 5, 7], 4, 17, 400
+    n, H = 17, 400
     primes = kernels._select_primes(n, 103 * 137, H)
     assert primes == [239, 307, 409, 443]
-    cache = {}
-    for d in (103 * 137, -5 * 239):  # the second is 0 mod 239: that table passes everything
-        rows = kernels._residue_tables(coeffs, n, d, primes, H, cache)
-        assert_rows_pack(rows, old_residue_tables(coeffs, M, n, d, primes), H)
+    for coeffs in (
+        [3, -(2**70), 0, 5, 7],  # M = 4: 17 does not divide M, so the values are scaled by v^M
+        [1, 2, *[0] * 15, 239 * 443],  # M = 17: v^M is a 17th power; 239 and 443 divide lc(F)
+    ):
+        M, cache = len(coeffs) - 1, {}
+        for d in (103 * 137, -5 * 239):  # the second is 0 mod 239: that table passes everything
+            rows = kernels._residue_tables(coeffs, n, d, primes, H, cache)
+            assert_rows_pack(rows, old_residue_tables(coeffs, M, n, d, primes), H)
 
 
 @given(
@@ -300,7 +315,7 @@ def test_residue_tables_match_oracle_on_fallback_primes():
 )
 @settings(max_examples=3, deadline=None)
 def test_residue_tables_match_oracle_high_degree(coeffs, n, d):
-    # model degree up to 40: the value table's product sums M + 1 terms below p^2
+    # model degree up to 40: one Horner pass over the value rows of all 17 primes
     M = len(coeffs) - 1
     rows = kernels._residue_tables(coeffs, n, d, kernels._CANDIDATE_PRIMES, 100)
     assert_rows_pack(rows, old_residue_tables(coeffs, M, n, d, kernels._CANDIDATE_PRIMES), 100)
@@ -337,6 +352,7 @@ def test_module_masks_bounded_by_their_keys(monkeypatch):
     # stage; the masks are exactly the sieve primes' and the stage primes'.
     # At H = 10 no prime = 1 (mod 17) is a sieve prime: n = 17 is all stage.
     monkeypatch.setattr(kernels, "_masks", {})
+    monkeypatch.setattr(kernels, "_index", {})
     monkeypatch.setattr(kernels, "_STAGE_MIN", 0)
     staged = []
     build = kernels._residue_stage
@@ -366,6 +382,17 @@ def test_module_masks_bounded_by_their_keys(monkeypatch):
         67, 71, 73, 79, 83, 89, 97, 101, 103, 109, 127, 137, 139, 239, 307, 409, 443, 613, 647
     }
     assert set(kernels._masks) == mask_keys
+    # the shared value-row index is the candidate sieve primes' alone; a
+    # fallback prime (103, 137, 239 and 307 for n = 17 at H = 300) keeps its
+    # own in the curve's cache
+    index_keys = {p for p, _, _ in sieve_keys}
+    assert index_keys <= set(kernels._CANDIDATE_PRIMES)
+    assert set(kernels._index) == index_keys
+    primes, cache = kernels._select_primes(17, 1, 300), {}
+    assert primes == [103, 137, 239, 307]
+    kernels.search_pairs([1, 0, 2**17 - 1], 17, 1, 300, cache=cache)
+    assert set(kernels._index) == index_keys
+    assert {k[1] for k in cache if isinstance(k, tuple) and k[0] == "index"} == set(primes)
 
 
 def test_tables_shared_within_a_class():
@@ -404,8 +431,9 @@ def test_kept_rows_give_the_uncached_search(coeffs, M, n):
                         classes.setdefault((p, fp.power_class(d, p, n)), d)
     for p in {p for p, _ in classes}:
         assert sum(q == p for q, _ in classes) == gcd(n, p - 1)
-    assert {k for k in cache if isinstance(k, int)} == {p for p, _ in classes}
-    kept = {k: rows for k, rows in cache.items() if isinstance(k, tuple)}
+    assert {k for k in cache if isinstance(k, int) and not two_adic(k)} == {p for p, _ in classes}
+    assert {k[2] for k in cache if isinstance(k, tuple) and two_adic(k)} == {30, 200}
+    kept = {k: rows for k, rows in cache.items() if isinstance(k, tuple) and not two_adic(k)}
     # every table fits at these heights, and is kept at each one
     assert kept.keys() == {(p, c, H) for p, c in classes for H in (30, 200)}
     for (p, c, H), rows in kept.items():
@@ -424,13 +452,71 @@ def test_no_rows_kept_above_the_cap():
     assert 3 in kernels._select_primes(n, d, H)
     cache = {}
     kernels.search_pairs(coeffs, n, d, H, cache=cache)
-    kept = {k: rows for k, rows in cache.items() if isinstance(k, tuple)}
+    kept = {k: rows for k, rows in cache.items() if isinstance(k, tuple) and not two_adic(k)}
     assert (3, fp.power_class(d, 3, n), H) in kept
     assert all(rows.nbytes <= kernels._KEPT_ROWS_BYTES for rows in kept.values())
     before = dict(cache)
     assert kernels.search_pairs(coeffs, n, d, H + 1, cache=cache) == \
         kernels.search_pairs(coeffs, n, d, H + 1)
-    assert cache.keys() == before.keys()  # from H + 1 on no table fits, whatever the prime
+    # from H + 1 on no table fits, whatever the prime; only the 2-adic row,
+    # one word per v mod 64, is kept at every height
+    assert cache.keys() - before.keys() == {(64, k[1], H + 1) for k in before if two_adic(k) and k != 64}
+
+
+# -- the 2-adic row, against d * F(u, v) mod 64 at each pair of the box
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[-2, 0, 0, 1, 0], [5, 1, 0, 0, 2, 0, 0, 0, 1], [6, -3, 4, 2**70 + 1], [2, 4, 0, 6, 0, 2]],
+    ids=["t^3-2", "octic", "big-cubic", "even-content"],
+)
+def test_two_adic_row_matches_its_definition(coeffs):
+    # one cache per (curve, n) for every d and H, so a table kept for one d
+    # is read back for every d with the same allowed residues mod 64
+    M = len(coeffs) - 1
+    heights = [1, 2, 31, 63, 64, 65, 127, 200]
+    u = np.arange(-200, 201)
+    v = np.arange(1, 65)
+    # F(u, v) mod 64 exactly, at every u of the widest box and v = 1 .. 64
+    vals = np.array(
+        [[sum(c * x**j * y ** (M - j) for j, c in enumerate(coeffs)) % 64 for x in u.tolist()] for y in v.tolist()]
+    )
+    coprime_2 = (u % 2 == 1) | (v[:, None] % 2 == 1)
+    for n in (2, 3, 4, 5, 6, 17):
+        powers = np.zeros(64, dtype=bool)
+        powers[[pow(y, n, 64) for y in range(64)]] = True
+        cache = {}
+        for d in [*range(-64, 0), *range(1, 65)]:
+            for H in heights:
+                words = kernels._two_adic_row(coeffs, n, d, H, cache)
+                assert words.shape == (64, 1) and words.dtype == np.uint64
+                box = slice(200 - H, 201 + H)
+                want = powers[d * vals[:, box] % 64] & coprime_2[:, box]
+                # bit (u + H) % 64 of word v % 64: u = -H + b in every word
+                got = words[v % 64] >> ((u[box] + H) % 64).astype(np.uint64) & np.uint64(1)
+                np.testing.assert_array_equal(got.astype(bool), want, err_msg=f"n={n} d={d} H={H}")
+
+
+@given(
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=7),
+    st.sampled_from([2, 3, 4, 5, 6]),
+    st.sampled_from([64, 100, 130]).flatmap(
+        lambda H: st.tuples(st.integers(min_value=-H, max_value=H), st.integers(min_value=1, max_value=H), st.just(H))
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_planted_point_is_found(coeffs, n, point):
+    # y^n = d F(u, v) with a point at (u0, v0): d = the squarefree part of
+    # F(u0, v0) for n = 2, else F(u0, v0)^(n - 1)
+    u0, v0, H = point
+    g = gcd(u0, v0)
+    u0, v0, M = u0 // g, v0 // g, len(coeffs) - 1
+    value = sum(c * u0**j * v0 ** (M - j) for j, c in enumerate(coeffs))
+    assume(value != 0)
+    d = squarefree_part(value) if n == 2 else value ** (n - 1)
+    found = kernels.search_pairs(coeffs, n, d, H)
+    assert (u0, v0) in [(u, v) for _, u, v in found]
 
 
 # -- the sieve as it was before bit packing (one v row at a time), kept as oracle
@@ -546,14 +632,18 @@ STAGE_CASES = [
     ([9, 0, 0, 0, 1], 4, 2, 1, 1600),  # y^2 = u^4 + 9 v^4 at (0, 1), (+-2, 1), ...: F(u, v) != F(v, u)
     ([67**2 - 1, 0, 0, 0, 1], 4, 2, 1, 800),  # (+-1, 1) gives y = 67, which is 0 mod 67
     ([-5, 3, 0, 1], 3, 3, 67 * 71, 500),  # d divisible by two stage primes
-    ([1, 0, 1, 1], 3, 3, 2, 400),
+    # y^3 = 2 (u^3 + u v^2 + 2 v^3) at (1, 1), (3, 1), (-22, 23), ... (2-adically,
+    # 2 (u^3 + u^2 v + v^3) is no cube: its valuation is 1)
+    ([2, 1, 0, 1], 3, 3, 2, 400),
     # s^4 (u^2 + 2 v^2), s the product of the candidate primes 1 (mod 4):
     # points at (+-7, 4), (+-287, 24), ..., values above 2^62
     ([2 * S4, 0, S4], 2, 4, 1, 300),
     # 0 mod every prime = 1 (mod 17) up to 409: at H = 300 no prime is left to
     # sieve (443^2 > 601 * 300), so the stage gets the whole box
     ([P17, 0, P17 * (2**17 - 1)], 2, 17, 1, 300),
-    ([2**70, 0, 0, 0, 1], 4, 2, 1, 800),  # values above 2^62: object path, y = 2^35 at (0, 1)
+    # values above 2^62: object path, y = 2^35 at (0, 1). u^4 + 2^70 v^4 leaves
+    # too few coprime pairs past the 2-adic row for a chunk to be staged
+    ([2**70, 0, 1, 0, 1], 4, 2, 1, 800),
 ]
 
 

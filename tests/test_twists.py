@@ -203,8 +203,10 @@ class TestSearch:
         for d in (-7, -3, -1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21):
             search_points(base.twist(d), 20)
         tables = twists._solver(base).tables
-        primes = {k for k in tables if isinstance(k, int)}  # one value table per prime
-        rows = [k for k in tables if isinstance(k, tuple)]  # packed rows per (p, class of d, H)
+        # the 2-adic row: F mod 64 under 64, one (64, 1) table per (allowed residues of d mod 64, H)
+        assert 64 in tables and {k[2] for k in tables if isinstance(k, tuple) and k[0] == 64} == {20}
+        primes = {k for k in tables if isinstance(k, int) and k != 64}  # one value row per prime
+        rows = [k for k in tables if isinstance(k, tuple) and k[0] != 64]  # packed rows per (p, class of d, H)
         assert primes == {p for p, _, _ in rows}
         assert {H for _, _, H in rows} == {20}
         assert len(rows) <= 2 * len(primes)  # squares and nonsquares mod p
