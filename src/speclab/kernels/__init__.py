@@ -9,7 +9,8 @@ of v rows is the AND of one such row per prime. A 2-adic row joins them, like
 ratpoints' tables of squares mod 16 (Bruin and Stoll): a packed word spans
 exactly 64 consecutive u, so the u where d*F(u, v) is no n-th power mod 64,
 or where u and v are both even, are one word per v mod 64, a (64, 1) table
-that the sieve ANDs into every word of the row by broadcasting.
+that the sieve ANDs into every word of the row by broadcasting. The sieve
+visits only the v whose 2-adic word is nonzero: a zero word empties its row.
 
 The survivors are checked in (v, u) order, in chunks, until max_points
 points are found. In each chunk the pairs with gcd(u, v) > 1 go first. A

@@ -572,6 +572,100 @@ def test_packed_sieve_matches_old_past_one_period(coeffs, M, n, d, H):
     np.testing.assert_array_equal(_purepy.survivors(rows, 1000), old_survivors(tables, 1000))
 
 
+# -- the packed sieve as it was before it skipped the v rows that the 2-adic
+# table empties (every v from 1 to H in blocks), kept as oracle
+
+
+def all_rows_survivors(rows, H):
+    if H < 1:
+        return np.empty((0, 2), dtype=np.int64)
+    nwords = (2 * H + 64) // 64
+    tail = np.uint64((1 << (2 * H + 1 - 64 * (nwords - 1))) - 1)
+    step = max(1, _purepy._BLOCK_BYTES // (8 * nwords))
+    out = []
+    for v0 in range(1, H + 1, step):
+        v = np.arange(v0, min(v0 + step, H + 1), dtype=np.int64)
+        acc = np.full((v.size, nwords), ~np.uint64(0), dtype="<u8")
+        acc[:, -1] = tail
+        for p, packed in rows.items():
+            acc &= packed[v % p]
+        vi, wi = np.nonzero(acc)
+        if not vi.size:
+            continue
+        bits = np.unpackbits(acc[vi, wi].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        k, b = np.nonzero(bits)
+        out.append(np.stack([64 * wi[k] + b - H, v[vi[k]]], axis=1))
+    if not out:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(out)
+
+
+def sieve_rows(coeffs, n, d, H):
+    """The rows search_pairs hands the sieve: the primes' and the 2-adic row's."""
+    cache = {}
+    primes = kernels._select_primes(n, d * gcd(*coeffs), H)
+    rows = kernels._residue_tables(coeffs, n, d, primes, H, cache)
+    rows[64] = kernels._two_adic_row(coeffs, n, d, H, cache)
+    return rows
+
+
+@pytest.mark.parametrize("d_mod_8", range(8))
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=7),
+    st.sampled_from([2, 3, 4, 17]),
+    st.integers(min_value=-4, max_value=4),
+    st.sampled_from([1, 2, 63, 64, 65, 127, 128, 200, 1000]),
+    st.sampled_from([8, 64, 1 << 18]),
+)
+@settings(max_examples=15, deadline=None)
+def test_live_row_sieve_matches_all_rows(d_mod_8, coeffs, n, shift, H, block_bytes):
+    # d runs over every class mod 8, so that boxes with no dead v row, half
+    # of them dead and all of them dead each occur; with blocks of 1 to 32
+    # rows at H = 1000 a block of live v spans gaps in v
+    d = d_mod_8 + 8 * shift
+    assume(d != 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_purepy, "_BLOCK_BYTES", block_bytes)
+        rows = sieve_rows(coeffs, n, d, H)
+        got = _purepy.survivors(rows, H)
+        want = all_rows_survivors(rows, H)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_live_rows_edge_cases():
+    # y^2 = d (t^4 + 1), the README's curve: every v row is live for d = 1,
+    # the odd v for d = 2, and none for d = 3, since 3 (u^4 + v^4) is no
+    # square mod 64 where u or v is odd
+    coeffs, H = [1, 0, 0, 0, 1], 2000
+    v = np.arange(1, H + 1)
+    live = {d: np.count_nonzero(sieve_rows(coeffs, 2, d, H)[64][v % 64, 0]) for d in (1, 2, 3)}
+    assert live == {1: H, 2: H // 2, 3: 0}
+    got = _purepy.survivors(sieve_rows(coeffs, 2, 3, H), H)
+    assert got.dtype == np.int64 and got.shape == (0, 2)
+    assert kernels.search_pairs(coeffs, 2, 3, H) == []
+    # with no 2-adic table every v is live
+    box = np.array([(u, v) for v in range(1, 4) for u in range(-3, 4)], dtype=np.int64)
+    np.testing.assert_array_equal(_purepy.survivors({}, 3), box)
+    # H = 1: the one row v = 1, live where word 1 of the 2-adic table is nonzero
+    one = np.array([[-1, 1], [0, 1], [1, 1]], dtype=np.int64)
+    np.testing.assert_array_equal(_purepy.survivors({}, 1), one)
+    words = np.zeros((64, 1), dtype="<u8")
+    assert _purepy.survivors({64: words}, 1).shape == (0, 2)
+    words[1] = 0b101  # u = -1 and u = 1
+    np.testing.assert_array_equal(_purepy.survivors({64: words}, 1), one[[0, 2]])
+    # n = 17 at H = 1000: the fallback primes 103 ... 307 exceed 64, so the
+    # first word of a prime's row may be 0 where later words are not; only
+    # the 2-adic table's one word decides that a row is dead
+    rows = sieve_rows(coeffs, 17, 1, 1000)
+    v = np.arange(1, 1001)
+    first_word_zero = np.any([rows[p][v % p, 0] == 0 for p in rows if p != 64], axis=0)
+    got = _purepy.survivors(rows, 1000)
+    assert np.isin(got[:, 1], v[first_word_zero]).any()
+    np.testing.assert_array_equal(got, all_rows_survivors(rows, 1000))
+
+
 # -- the exact check as it was before the residue stage (every coprime
 # survivor evaluated at once, then n-th roots in (v, u) order), kept as oracle
 
