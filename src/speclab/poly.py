@@ -199,56 +199,40 @@ def format_poly(p: IntPolynomial) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Resultants and discriminants (fraction-free Bareiss)
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix, exactly."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _sylvester(a: Sequence[int], da: int, b: Sequence[int], db: int) -> list[list[int]]:
-    """Sylvester matrix for coefficient lists (low first) padded to degrees da, db."""
-    ah = list(a) + [0] * (da + 1 - len(a))
-    bh = list(b) + [0] * (db + 1 - len(b))
-    n = da + db
-    rows = []
-    for i in range(db):
-        rows.append([0] * i + ah[::-1] + [0] * (n - da - 1 - i))
-    for i in range(da):
-        rows.append([0] * i + bh[::-1] + [0] * (n - db - 1 - i))
-    return rows
+# Resultants and discriminants (along the pseudo-remainder sequence)
 
 
 def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
-    """Res(a, b) over Z. Res with a nonzero constant c is c^deg(other)."""
+    """Res(a, b) over Z. Res with a nonzero constant c is c^deg(other), and a
+    common factor of positive degree gives 0.
+
+    Along the negated remainder sequence of _remainders (von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 6): for deg a >= deg b >= 1, Res(a, b) =
+    (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, a mod b), and a mod b =
+    -c r / |lc b|^(delta + 1) with delta = deg a - deg b, so each step adds the
+    factor (-c)^deg b / |lc b|^((delta + 1) deg b). The sequence ends at a
+    constant r, where Res(b, r) = r^deg b, or at a common factor, where it
+    gives 0."""
     if not a.coeffs or not b.coeffs:
         return 0
-    if a.degree == 0:
-        return a.lc ** b.degree
-    if b.degree == 0:
-        return b.lc ** a.degree
-    return _bareiss_det(_sylvester(a.coeffs, a.degree, b.coeffs, b.degree))
+    if a.degree < b.degree:
+        return (-1) ** (a.degree * b.degree) * resultant(b, a)
+    num = den = 1
+    for r, c in _remainders(a, b):
+        da, db = a.degree, b.degree
+        num *= (-1) ** (da * db) * b.lc ** (da - r.degree) * (-c) ** db
+        den *= abs(b.lc) ** ((da - db + 1) * db)
+        # in lowest terms num / den is Res(a, b) / Res(b, r), so neither
+        # outgrows those (unreduced, both grow far past them by degree 24)
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        a, b = b, r
+    if b.degree > 0:
+        return 0
+    q, rem = divmod(num * b.lc**a.degree, den)
+    if rem:
+        raise ConsistencyError(f"{den} does not divide the resultant numerator")
+    return q
 
 
 def discriminant(p: IntPolynomial) -> int:
@@ -342,14 +326,6 @@ class HomogPolynomial:
 
     def dehomogenize(self) -> IntPolynomial:
         return IntPolynomial(self.coeffs)
-
-    @property
-    def lead_u(self) -> int:
-        return self.coeffs[-1]
-
-    @property
-    def lead_v(self) -> int:
-        return self.coeffs[0]
 
     def __eq__(self, other):
         return (
@@ -545,17 +521,33 @@ def _exact_quotient(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
 
 
 def _prem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """A pseudo-remainder of a by b: c * a mod b for c a power of |lc(b)|.
-    c is positive, so the remainder has the sign of a mod b at every real t."""
+    """The pseudo-remainder |lc(b)|^max(0, deg a - deg b + 1) * (a mod b) of a
+    by a nonzero b. The factor is positive, so the remainder has the sign of
+    a mod b at every real t. Where leading terms cancel and a division step is
+    skipped, the missing power of |lc(b)| is multiplied in at the end."""
     r = list(a.coeffs)
-    s = abs(b.lc)
-    while len(r) > b.degree and r:
-        c, k = (r[-1] if b.lc > 0 else -r[-1]), len(r) - 1 - b.degree
+    lc, db = b.lc, b.degree
+    s = abs(lc)
+    missing = max(0, len(r) - db)
+    while len(r) > db:
+        c, k = (r[-1] if lc > 0 else -r[-1]), len(r) - 1 - db
         r = [x * s for x in r]
         for j, y in enumerate(b.coeffs):
             r[k + j] -= c * y
-        r = list(_trim(r))
-    return IntPolynomial(r)
+        while r and r[-1] == 0:
+            r.pop()
+        missing -= 1
+    return IntPolynomial([x * s**missing for x in r] if missing else r)
+
+
+def _remainders(a: IntPolynomial, b: IntPolynomial):
+    """The terms after a and b of their negated remainder sequence, b nonzero:
+    (r, c) with c * r = -_prem of the previous two terms, r primitive and c
+    its positive content, up to the last nonzero term."""
+    while (r := _prem(a, b)).coeffs:
+        c = r.content
+        a, b = b, IntPolynomial([-x // c for x in r.coeffs])
+        yield b, c
 
 
 def _gcd_Z(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -637,24 +629,17 @@ class RealRootReport:
     takes_negative_values: bool
 
 
-def _sturm_chain(f: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm chain of a nonconstant f, each term a positive multiple of the
-    classical one: _prem scales by a positive integer and primitive divides
-    by the positive content."""
-    chain = [f, f.derivative()]
-    while (r := _prem(chain[-2], chain[-1])).coeffs:
-        chain.append(-r.primitive())
-    return chain
-
-
 def _sign_changes(vals: list) -> int:
     signs = [1 if v > 0 else -1 for v in vals if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _real_root_count(f: IntPolynomial) -> int:
-    """Distinct real roots of a squarefree f (Sturm, exact)."""
-    chain = _sturm_chain(f)
+    """Distinct real roots of a squarefree f (Sturm, exact). Each term of the
+    chain is a positive multiple of the classical one: _prem scales by a
+    positive integer and _remainders divides by the positive content."""
+    d = f.derivative()
+    chain = [f, d, *(r for r, _ in _remainders(f, d))]
     at_minus = [c.lc * (-1) ** c.degree for c in chain]
     at_plus = [c.lc for c in chain]
     return _sign_changes(at_minus) - _sign_changes(at_plus)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,14 @@ def test_exceptional_supersets_cover_known_bad_primes():
     assert {2, 3} <= exceptional_superset(cubic_ttY())
 
 
+def form_sylvester(a, b):
+    """Sylvester matrix of two binary forms in their full degrees: deg b rows
+    of a's coefficients and deg a rows of b's, highest power of U first."""
+    n = a.degree + b.degree
+    rows = [[0] * i + list(a.coeffs[::-1]) + [0] * (n - a.degree - 1 - i) for i in range(b.degree)]
+    return rows + [[0] * i + list(b.coeffs[::-1]) + [0] * (n - b.degree - 1 - i) for i in range(a.degree)]
+
+
 def old_exceptional_superset(cover):
     """The exceptional superset with the orbit forms' own primes: their
     leading coefficients in U and V, their discriminants and their pairwise
@@ -48,11 +57,11 @@ def old_exceptional_superset(cover):
         coeffs.append(poly.discriminant(sqf))
     forms = [form for form, _ in cover.branch_orbits()]
     for i, a in enumerate(forms):
-        coeffs += [a.lead_u, a.lead_v]
+        coeffs += [a.coeffs[-1], a.coeffs[0]]
         if a.degree >= 2:
             coeffs.append(poly.discriminant(a.dehomogenize()))
         for b in forms[i + 1 :]:
-            coeffs.append(poly._bareiss_det(poly._sylvester(a.coeffs, a.degree, b.coeffs, b.degree)))
+            coeffs.append(int(sympy.Matrix(form_sylvester(a, b)).det()))
     for n in coeffs:
         if n:
             nums.update(factorize(n))

@@ -494,6 +494,27 @@ class TestTwistSeries:
         }
         assert census._found_twists(quad_cover(poly), H, x, primes_up_to(x)) == want
 
+    # 2T^3 + 3: odd degree with a non-unit leading coefficient
+    @pytest.mark.parametrize(
+        "poly,x,H,count",
+        [
+            (P("T^2+T+7"), 3000, 64, 255),
+            (P("3*T^2-2"), 3000, 64, 316),
+            (P8, 60, 200, 2),
+            (P("T^4+1"), 200, 100, 5),
+            (P("T^6-T-1"), 300, 60, 8),
+            (P("2*T^3+3"), 1000, 60, 70),
+        ],
+    )
+    def test_found_twists_match_point_search_over_fields(self, poly, x, H, count):
+        """The census box sieve finds a twist of the field census iff the
+        point search at height H finds a point on it, for censuses up to
+        x = 3000 and heights up to 200."""
+        base = SuperellipticCurve(2, poly)
+        want = {d for d in census._fields(x)[1].tolist() if search_points(base.twist(d), H, max_points=1)}
+        assert census._found_twists(quad_cover(poly), H, x, primes_up_to(x)) == want
+        assert len(want) == count
+
     def test_is_square_near_int64_limit(self):
         k = np.arange(2**31 - 40, 2**31 - 1, dtype=np.int64)
         c = np.concatenate([k * k, k * k - 1, k * k + 1])

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from speclab import poly as poly_module
 from speclab.covers import CubicCover
@@ -58,6 +59,137 @@ def test_discriminant_values():
 def test_discriminant_y_cubic():
     # Y^3 + T Y + T: delta = -4 T^3 - 27 T^2
     assert CubicCover(poly(), poly(0, 1), poly(0, 1)).delta == poly(0, 0, -27, -4)
+
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(p):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], X)
+
+
+def sympy_resultant(a, b):
+    """Res(a, b) by sympy: sympy.resultant, except for 0 < deg a < deg b,
+    where sympy 1.14's resultant has the sign of Res(b, a), so the
+    determinant of sympy's Sylvester matrix instead."""
+    if 0 < a.degree < b.degree:
+        return int(sylvester(to_sympy(a).as_expr(), to_sympy(b).as_expr(), X).det())
+    return int(sympy.resultant(to_sympy(a), to_sympy(b)))
+
+
+def int_polys(max_degree=12):
+    """Polynomials of degree 0 to max_degree with any nonzero leading
+    coefficient, often sparse (so pseudo-division skips steps)."""
+    coeff = st.one_of(st.just(0), st.integers(-20, 20), st.integers(-10**6, 10**6))
+    return st.builds(
+        lambda cs, lc: IntPolynomial(cs + [lc]),
+        st.lists(coeff, max_size=max_degree),
+        st.integers(-9, 9).filter(bool),
+    )
+
+
+@st.composite
+def resultant_pairs(draw):
+    """(a, b) of degree -1 (zero) to 12, often of degree 0, and often with a
+    constructed common factor of positive degree."""
+    a, b = draw(int_polys()), draw(int_polys())
+    if draw(st.booleans()):
+        g = draw(int_polys(3))
+        assume(g.degree >= 1 and (a * g).degree <= 12 and (b * g).degree <= 12)
+        a, b = a * g, b * g
+    zero = draw(st.sampled_from([None, "a", "b"]))
+    return (IntPolynomial([]) if zero == "a" else a), (IntPolynomial([]) if zero == "b" else b)
+
+
+@given(resultant_pairs())
+@example((IntPolynomial([]), poly(1, 0, 1)))  # zero argument
+@example((poly(-3), poly(1, 0, 0, 2)))  # constant argument: (-3)^3
+@example((poly(5), poly(-7)))  # both constant: 1
+@example((poly(1, 2), poly(1, 0, 3, 1)))  # deg a < deg b, both odd
+@example((poly(0, 1), poly(1, 0, 0, 1)))  # Res(T, T^3 + 1) = 1
+@example((poly(1, 0, 0, 0, 1), poly(1, 0, 1)))  # leading terms cancel: a step skipped
+@example((poly(-2, 0, 1) * poly(1, 3), poly(-2, 0, 1) * poly(5, 0, -2)))  # common factor
+@example((poly(3, 0, 0, 0, -6), poly(1, 4, 0, 0, 0, 0, 0, -9)))  # non-unit, negative lc
+@settings(max_examples=400, deadline=None)
+def test_resultant_matches_sympy(pair):
+    a, b = pair
+    got = resultant(a, b)
+    assert got == sympy_resultant(a, b)
+    if a.degree >= 1 and b.degree >= 1 and poly_module._gcd_Z(a, b).degree >= 1:
+        assert got == 0
+
+
+@given(int_polys())
+@example(poly(-2, 0, 0, 1))
+@example(poly(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3))  # 3 T^12 + 1
+@example(poly(1, 0, 1) * poly(1, 0, 1) * poly(-1, 5))  # a repeated factor: 0
+@settings(max_examples=200, deadline=None)
+def test_discriminant_matches_sympy(p):
+    assume(p.degree >= 1)
+    assert discriminant(p) == int(sympy.discriminant(to_sympy(p)))
+
+
+def old_prem(a, b):
+    """The pseudo-remainder as it was before its power of |lc(b)| was made
+    exact: c * (a mod b) for c some power of |lc(b)|; kept as oracle."""
+    r = list(a.coeffs)
+    s = abs(b.lc)
+    while len(r) > b.degree and r:
+        c, k = (r[-1] if b.lc > 0 else -r[-1]), len(r) - 1 - b.degree
+        r = [x * s for x in r]
+        for j, y in enumerate(b.coeffs):
+            r[k + j] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return IntPolynomial(r)
+
+
+def old_sturm_chain(f):
+    """The Sturm chain as the loop that built it before the remainder
+    sequence was shared with the resultant; kept as oracle."""
+    chain = [f, f.derivative()]
+    while (r := old_prem(chain[-2], chain[-1])).coeffs:
+        chain.append(-r.primitive())
+    return chain
+
+
+@given(int_polys())
+@example(parse_poly("T^5+3*T^3+5*T+3"))
+@example(parse_poly("T^6-T-1"))
+@example(prod([poly(1, 0, -2)] * 3 + [poly(-1, 0, -1)] * 2))
+@settings(max_examples=200, deadline=None)
+def test_sturm_chain_matches_old_loop(f):
+    assume(f.degree >= 1)
+    d = f.derivative()
+    assert [f, d, *(r for r, _ in poly_module._remainders(f, d))] == old_sturm_chain(f)
+
+
+def exact_quotient_over_Q(a, b):
+    """q with a = q * b + r, deg r < deg b, over Q by long division."""
+    r = [Fraction(c) for c in a.coeffs]
+    q = [Fraction(0)] * max(0, a.degree - b.degree + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = r[i + b.degree] / b.lc
+        for j, y in enumerate(b.coeffs):
+            r[i + j] -= q[i] * y
+    return q
+
+
+@given(resultant_pairs())
+@example((poly(1, 0, 0, 0, 1), poly(1, 0, 1)))  # T^3 cancels: one step skipped
+@example((poly(1, 0, 0, 0, 0, 0, 1), poly(1, 0, 0, -2)))  # two steps skipped
+@example((poly(1, 2), poly(1, 0, 3)))  # deg a < deg b: a itself
+@example((IntPolynomial([]), poly(3)))
+@settings(max_examples=300, deadline=None)
+def test_prem_is_exact_power_of_lc(pair):
+    """_prem(a, b) = |lc b|^(delta + 1) a - q b for the exact quotient q of
+    that multiple of a by b, delta = deg a - deg b (a itself when delta < 0)."""
+    a, b = pair
+    assume(b.degree >= 0)
+    scaled = a * abs(b.lc) ** max(0, a.degree - b.degree + 1)
+    q = exact_quotient_over_Q(scaled, b)
+    assert all(c.denominator == 1 for c in q)
+    assert poly_module._prem(a, b) == scaled - IntPolynomial([int(c) for c in q]) * b
 
 
 @given(coeff_lists)
