@@ -223,8 +223,7 @@ class CubicCover:
     def generic_group(self) -> str:
         """Galois group of the splitting field over Q(T): S3, C3, C2 or C1,
         from whether P(T, Y) has a root in Q(T) and whether delta is a square
-        in Q(T). The square test factors delta, so this raises factor_over_Q's
-        ValueError past its degree cap."""
+        in Q(T)."""
         if self._reducible_over_QT():
             # a Q(T)-root exists; quotient is the quadratic cofactor
             return "C1" if self._delta_is_square() else "C2"

@@ -199,7 +199,7 @@ def _residue_tables(
     d: int,
     primes: list[int],
     H: int,
-    cache: dict | None = None,
+    cache: dict,
 ) -> dict[int, np.ndarray]:
     """rows[p]: the sieve table of p at height H, packed by
     _purepy._packed_rows. The sieve table ok[v % p][u % p] is True where
@@ -210,12 +210,10 @@ def _residue_tables(
     n-th power residue and leaves the class unchanged; otherwise the values
     are scaled by it first.
 
-    cache, when given, must only ever see one (coeffs, n): it keeps the value
-    row under p, a fallback prime's index, and the rows under (p, class of d,
-    H) when they take at most _KEPT_ROWS_BYTES. The masks themselves are kept
-    per prime, not here."""
-    if cache is None:
-        cache = {}
+    cache must only ever see one (coeffs, n): it keeps the value row under
+    p, a fallback prime's index, and the rows under (p, class of d, H) when
+    they take at most _KEPT_ROWS_BYTES. The masks themselves are kept per
+    prime, not here."""
     M = len(coeffs) - 1
     keys = {p: (p, power_class(d, p, n), H) for p in primes}
     missing = [p for p in primes if keys[p] not in cache and p not in cache]

@@ -28,6 +28,13 @@ def cubic_ttY():
     return CubicCover(P("0"), t, t)
 
 
+def cubic_delta_30():
+    """Y^3 - 3 g^2 Y + 2 g^3 + g^5 with g = 2T^3 + T + 1: delta = g^8 h, h of
+    degree 6, so delta has degree 30."""
+    g = P("2*T^3 + T + 1")
+    return CubicCover(P("0"), -3 * g * g, prod([g] * 3, start=P("2")) + prod([g] * 5))
+
+
 def test_exceptional_supersets_cover_known_bad_primes():
     assert {2} <= exceptional_superset(quad_cover(P("T^2 - 2")))
     assert {2, 3} <= exceptional_superset(quad_cover(P("3*T^2 - 2")))
@@ -109,6 +116,7 @@ class TestExceptionalSuperset:
     @given(cubic_covers())
     @example(cubic_ttY())  # delta = -T^2 (4T + 27)
     @example(CubicCover(P("T"), P("2*T^2 - 1"), P("3*T")))
+    @example(cubic_delta_30())
     @settings(max_examples=150, deadline=None)
     def test_cubic_matches_orbit_route(self, cover):
         assert exceptional_superset(cover) == old_exceptional_superset(cover)

@@ -425,6 +425,12 @@ class TestSurvey:
         res = s3_survey(1, 5, sample_size=2000, seed=0)
         assert "all" in res.proportions
 
+    def test_degree_7_covers(self):
+        # deltas of degree up to 28, past the degree cap factor_over_Q once had
+        res = s3_survey(7, 1, sample_size=20, seed=0)
+        assert (res.total, res.exhaustive) == (20, False)
+        assert res.counts["all"] <= res.counts["galois_S3"] <= res.counts["separable"] <= 20
+
     @pytest.mark.parametrize("sample_size", [0, -3])
     def test_sample_size_checked_before_work(self, monkeypatch, sample_size):
         def surveyed(*args):

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from speclab import covers, poly
 from speclab.cli import run, run_manifest
 
 
@@ -75,8 +76,12 @@ class TestExamples:
             statuses.append(data["results"]["status"])
         assert statuses == ["insoluble", "insoluble"]
 
-    def test_local_past_the_factoring_cap(self, tmp_path):
-        # P of degree 26 with real roots: the curve is built without factorising P
+    def test_local_past_the_factoring_cap(self, tmp_path, monkeypatch):
+        # named for the degree cap factor_over_Q once had: P of degree 26 with
+        # real roots, and the curve is built without factorising P
+        calls = []
+        for module in (poly, covers):
+            monkeypatch.setattr(module, "factor_over_Q", calls.append)
         code, data = out_json(
             tmp_path,
             "l26.json",
@@ -84,6 +89,7 @@ class TestExamples:
         )
         assert code == 0
         assert data["results"]["status"] == "insoluble"
+        assert calls == []
 
     def test_beckmann(self, tmp_path):
         code, data = out_json(

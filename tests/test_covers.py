@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sympy.polys.numberfields.basis import round_two
 
 from speclab import covers, fp, kernels, twists
+from speclab import poly as poly_module
 from speclab.covers import (
     ConsistencyError,
     CubicCover,
@@ -34,7 +35,7 @@ from speclab.poly import (
     factor_over_Q,
     parse_poly,
 )
-from speclab.ramify import consistency_check
+from speclab.ramify import consistency_check, exceptional_superset
 
 
 def P(text):
@@ -126,9 +127,12 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             quad_cover(P("4*T^2 - 8"))  # square content
 
-    def test_separability_past_the_factoring_cap(self):
-        # factor_over_Q stops at degree 24; separability and specialisation
-        # do not factor P, so a cover of degree 26 is built and specialised
+    def test_separability_past_the_factoring_cap(self, monkeypatch):
+        # named for the degree cap factor_over_Q once had: separability and
+        # specialisation never factor P, here of degree 26
+        calls = []
+        for module in (poly_module, covers):
+            monkeypatch.setattr(module, "factor_over_Q", calls.append)
         cov = quad_cover(P("T^26 + T + 1"))
         rep = quad_specialize(cov, Fraction(3, 2))
         m = squarefree_part(3**26 + 3 * 2**25 + 2**26)
@@ -136,6 +140,7 @@ class TestQuadratic:
         for text in ("T^2 - 2*T + 1", "T^26 + 2*T^14 + 2*T^13 + T^2 + 2*T + 1"):
             with pytest.raises(ValueError, match="P must be separable"):
                 quad_cover(P(text))  # the second is (T^13 + T + 1)^2
+        assert calls == []
 
     def test_branch_orbits_and_infinity(self):
         odd = quad_cover(P("T^3 - 2"))
@@ -604,6 +609,7 @@ class TestCycleTypes:
     @example(degenerate_cover("T^2+1", 4), Fraction(0))
     @example(degenerate_cover("T^2+1", 5), Fraction(0))
     @example(degenerate_cover("2*T^3+T+1", 4), Fraction(0))
+    @example(degenerate_cover("2*T^3+T+1", 5), Fraction(0))  # delta of degree 30
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_engine(self, cover, tau):
         for f, _ in cover._factors:
@@ -630,8 +636,7 @@ class TestCycleTypes:
         assert shapes == {(2, (3,), 2), (2, (1, 2), 3), (2, (1, 1, 1), 2), (4, (1, 2), 1)}
 
     def test_examples_reach_the_degenerate_line(self):
-        # delta of degenerate_cover("2*T^3+T+1", 5) has degree 30, past the
-        # cap of factor_over_Q, so that cover is checked here at g alone
+        # each cover of the line at g, where the residual cubic has a double root
         shapes = set()
         for g in ("T", "T^2+1", "2*T^3+T+1"):
             for k in (4, 5):
@@ -642,6 +647,19 @@ class TestCycleTypes:
                 assert ct == old_cycle_type_at(cover, f)
                 shapes.add((k, m, tuple(ct)))
         assert shapes == {(4, 7, (1, 2)), (5, 8, (1, 1, 1))}
+
+    def test_delta_of_degree_30(self):
+        """g = 2T^3 + T + 1, k = 5: delta = g^8 h with h of degree 6, past the
+        degree cap factor_over_Q once had, from factoring to consistency."""
+        cover, g = degenerate_cover("2*T^3+T+1", 5), P("2*T^3+T+1")
+        assert cover.delta.degree == 30
+        (f, m), (h, k) = cover._factors
+        assert (f, m, h.degree, k) == (g, 8, 6, 1)
+        assert cover.branch_orbits() == [(HomogPolynomial.from_poly(h), 2)]  # [1, 1, 1] at g
+        assert cover.generic_group() == "S3" == old_generic_group(cover)
+        assert {2, 3} <= exceptional_superset(cover)
+        report = consistency_check(cover, n_samples=10, height=10)
+        assert report.samples == 10 and report.checked_primes > 0 and report.mismatches == ()
 
 
 def old_generic_group(cover):
@@ -706,6 +724,7 @@ class TestGenericGroup:
     @example(cover_of("0", "0", "-1*T^6"))  # Y^3 - T^6: degree deg a0 / 3
     # irreducible, delta(0) = 0, roots 1, 2 at T = 1, 2: interpolated, then rejected
     @example(cover_of("0", "0", "T^3-6*T^2+4*T"))
+    @example(cover_of("0", "-3*T^2", "0"))  # delta = 108 T^6: a square times a non-square
     @settings(max_examples=300, deadline=None)
     def test_integer_root_route_matches_bivariate_route(self, cover):
         """_reducible_over_QT by integer roots at a few points agrees with

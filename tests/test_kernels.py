@@ -39,6 +39,8 @@ CASES = [
 
 @pytest.mark.parametrize("coeffs,M,n,d,H", CASES)
 def test_backends_match_bruteforce(coeffs, M, n, d, H):
+    """The one sieve (there is no second backend) against brute force; the
+    name is kept from when two backends were compared."""
     got = kernels.search_pairs(coeffs, n, d, H)
     assert sorted(got) == brute_points(coeffs, M, n, d, H)
 
@@ -50,6 +52,8 @@ def test_backends_match_bruteforce(coeffs, M, n, d, H):
 )
 @settings(max_examples=40, deadline=None)
 def test_backends_agree_randomized(coeffs, n, d):
+    """The one sieve (there is no second backend) against brute force on
+    random forms; the name is kept from when two backends were compared."""
     M = len(coeffs) - 1
     got = kernels.search_pairs(coeffs, n, d, 15)
     assert sorted(got) == brute_points(coeffs, M, n, d, 15)
@@ -317,7 +321,7 @@ def test_residue_tables_match_oracle_on_fallback_primes():
 def test_residue_tables_match_oracle_high_degree(coeffs, n, d):
     # model degree up to 40: one Horner pass over the value rows of all 17 primes
     M = len(coeffs) - 1
-    rows = kernels._residue_tables(coeffs, n, d, kernels._CANDIDATE_PRIMES, 100)
+    rows = kernels._residue_tables(coeffs, n, d, kernels._CANDIDATE_PRIMES, 100, {})
     assert_rows_pack(rows, old_residue_tables(coeffs, M, n, d, kernels._CANDIDATE_PRIMES), 100)
 
 
@@ -557,7 +561,7 @@ def test_packed_sieve_matches_old(coeffs, n, d, H, divisor):
     primes = kernels._select_primes(n, d, H)
     if divisor is not None and primes:  # some sieve prime divides d: its table passes every u
         d *= primes[divisor % len(primes)]
-    got = _purepy.survivors(kernels._residue_tables(coeffs, n, d, primes, H), H)
+    got = _purepy.survivors(kernels._residue_tables(coeffs, n, d, primes, H, {}), H)
     assert got.dtype == np.int64 and got.shape[1] == 2
     np.testing.assert_array_equal(got, old_survivors(old_residue_tables(coeffs, M, n, d, primes), H))
 
@@ -567,7 +571,7 @@ def test_packed_sieve_matches_old_past_one_period(coeffs, M, n, d, H):
     # At H = 1000 a row has 32 words, more than many of its primes: the words
     # repeat with period p in w, which H <= 200 reaches only for p <= 5.
     primes = kernels._select_primes(n, d, 1000)
-    rows = kernels._residue_tables(coeffs, n, d, primes, 1000)
+    rows = kernels._residue_tables(coeffs, n, d, primes, 1000, {})
     tables = old_residue_tables(coeffs, M, n, d, primes)
     np.testing.assert_array_equal(_purepy.survivors(rows, 1000), old_survivors(tables, 1000))
 
@@ -675,7 +679,7 @@ def old_search_pairs(coeffs, M, n, d, H, max_points=None):
     if H < 1 or (max_points is not None and max_points < 1):
         return out
     primes = kernels._select_primes(n, d, H)
-    pairs = _purepy.survivors(kernels._residue_tables(coeffs, n, d, primes, H), H)
+    pairs = _purepy.survivors(kernels._residue_tables(coeffs, n, d, primes, H, {}), H)
     pairs = pairs[np.gcd(pairs[:, 0], pairs[:, 1]) == 1]
     vals = kernels.form_values(coeffs[: M + 1], pairs[:, 0], pairs[:, 1])
     for (u, v), val in zip(pairs.tolist(), vals.tolist()):

@@ -6,10 +6,12 @@ check guards against (by patching the route the check compares with), and
 expects a ConsistencyError.
 """
 
+import ast
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,13 @@ CASES = {
         from speclab import bounds
         bounds.malle_alpha = lambda order: Fraction(0)
         bounds.beta_exponent(2, 6)
+    """,
+    "poly.resultant": """
+        from speclab import poly
+        remainders = poly._remainders
+        # each term with its content plus 1: 2 no longer divides the numerator
+        poly._remainders = lambda a, b: ((r, c + 1) for r, c in remainders(a, b))
+        poly.resultant(parse_poly("T^3+T+1"), parse_poly("2*T^2+1"))
     """,
     "poly.discriminant": """
         from speclab import poly
@@ -118,6 +127,36 @@ CASES = {
         curve.genus
     """,
 }
+
+
+def test_every_check_has_a_case():
+    """Each function of speclab with k `raise ConsistencyError` statements
+    has at least k CASES keys named for it: "module.qualname", alone or with
+    a ".suffix" naming the fault."""
+    raises = Counter()
+    for path in sorted((SRC / "speclab").rglob("*.py")):
+        module = path.relative_to(SRC / "speclab").with_suffix("").as_posix().replace("/", ".")
+        module = module.removesuffix(".__init__")
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, scope + [child.name])
+                    continue
+                if isinstance(child, ast.Raise) and child.exc is not None:
+                    exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                    if isinstance(exc, ast.Name) and exc.id == "ConsistencyError":
+                        raises[".".join([module] + scope)] += 1
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), [])
+    assert raises["poly.resultant"] == 1  # the walk finds the checks
+    short = {
+        name: (k, n)
+        for name, k in raises.items()
+        if (n := sum(key == name or key.startswith(name + ".") for key in CASES)) < k
+    }
+    assert short == {}, "checks without a python -O case: {name: (raises, cases)}"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

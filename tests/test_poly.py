@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 
@@ -235,6 +237,36 @@ SD4 = "T^4-10*T^2+1"  # minimal polynomial of sqrt 2 + sqrt 3
 SD8 = "T^8-40*T^6+352*T^4-960*T^2+576"  # of sqrt 2 + sqrt 3 + sqrt 5
 
 
+def swinnerton_dyer(primes):
+    """The Swinnerton-Dyer polynomial: the product of T - sum(+-sqrt p) over
+    all signs, the minimal polynomial of sum(sqrt p), of degree 2^len(primes).
+    One prime at a time, f(T + sqrt p) = A + sqrt(p) B by Horner, and
+    f(T + sqrt p) f(T - sqrt p) = A^2 - p B^2."""
+    f = t = poly(0, 1)
+    for p in primes:
+        a = b = IntPolynomial([])
+        for c in reversed(f.coeffs):
+            a, b = a * t + poly(p) * b + poly(c), b * t + a
+        f = a * a - poly(p) * b * b
+    return f
+
+
+@contextmanager
+def within(seconds):
+    """Fail the test when its body runs longer than seconds (SIGALRM)."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @st.composite
 def products(draw):
     """c * prod f_i^m_i of degree 1..24: a content of either sign, factors
@@ -282,12 +314,54 @@ def test_factor_over_Q_recombines(text):
         assert factor_over_Q(q) == (-2, want) == old_factor_over_Q(q)
 
 
+@st.composite
+def large_products(draw):
+    """c * prod f_i^m_i of degree 25..48, past the degree cap factor_over_Q
+    once had: factors of degree 1-12 with any nonzero leading coefficient,
+    multiplicities up to 3, drawn until the degree reaches 25."""
+    p = IntPolynomial([draw(st.integers(1, 60)) * draw(st.sampled_from([-1, 1]))])
+    while p.degree < 25:
+        f = IntPolynomial(
+            draw(st.lists(st.integers(-9, 9), min_size=1, max_size=12))
+            + [draw(st.integers(-6, 6).filter(bool))]
+        )
+        q = prod([f] * draw(st.integers(1, 3)), start=p)
+        if q.degree <= 48:
+            p = q
+    return p
+
+
+@given(large_products())
+@example(IntPolynomial([1] * 26))  # (T^26 - 1) / (T - 1): 3 cyclotomic factors
+# 20 rational roots and SD8, which has 4 factors mod every good prime: 24 in all
+@example(prod((poly(-i, 1) for i in range(1, 21)), start=parse_poly(SD8)))
+@settings(max_examples=100, deadline=None)
+def test_factor_over_Q_matches_sympy_past_degree_24(p):
+    assert factor_over_Q(p) == old_factor_over_Q(p)
+
+
+def test_swinnerton_dyer_degree_32_is_irreducible():
+    """sqrt 2 + ... + sqrt 11: mod every prime its factors have degree <= 2, so
+    only recombination of at least 16 lifted factors proves it irreducible."""
+    assert swinnerton_dyer([2, 3]) == parse_poly(SD4)
+    assert swinnerton_dyer([2, 3, 5]) == parse_poly(SD8)
+    p = swinnerton_dyer([2, 3, 5, 7, 11])
+    assert p.degree == 32
+    with within(10):
+        assert factor_over_Q(p) == (1, [(p, 1)])
+
+
 def test_factor_over_Q_rejects():
     with pytest.raises(ValueError):
         factor_over_Q(IntPolynomial([]))
-    with pytest.raises(ValueError):
-        factor_over_Q(IntPolynomial([1] * 26))  # degree 25
-    assert factor_over_Q(IntPolynomial([1] * 25))[1]  # degree 24, the cap
+    p = IntPolynomial([1] * 26)  # degree 25 factors like any other degree
+    assert factor_over_Q(p) == old_factor_over_Q(p)
+    # refused before lifting by the factors mod the best prime, not the degree
+    with pytest.raises(ValueError, match="25 factors mod 29"):
+        factor_over_Q(prod((poly(-i, 1) for i in range(1, 26)), start=poly(1)))
+    p = swinnerton_dyer([2, 3, 5, 7, 11, 13])
+    with within(10), pytest.raises(ValueError, match="32 factors mod 19"):
+        factor_over_Q(p)
 
 
 def test_factor_over_Q_checks_the_product(monkeypatch):
@@ -428,12 +502,7 @@ def test_rational_roots_match_factor_over_Q(case):
     p, planted = case
     got = poly_module._rational_roots(p)
     assert set(planted) <= set(got)
-    if p.degree <= 24:
-        assert got == rational_roots_oracle(p)
-    else:
-        # past factor_over_Q's cap: (T^26 - 2)(3T + 7), where T^26 - 2 is
-        # irreducible (Eisenstein at 2), so -7/3 is the only rational root
-        assert got == planted
+    assert got == rational_roots_oracle(p)
 
 
 @given(coeff_lists)

@@ -147,12 +147,17 @@ class TestSquarefreeParts:
         assert SuperellipticCurve(2, P("T^4 - 2") * P("3*T + 7"))._has_rational_root
         assert calls == []
 
-    def test_past_the_factoring_cap(self):
-        # factor_over_Q stops at degree 24; a curve never factorises P
+    def test_past_the_factoring_cap(self, monkeypatch):
+        # named for the degree cap factor_over_Q once had: a curve of degree
+        # 26 or 27 is built from squarefree parts and never factorises P
+        calls = []
+        for module in (poly, covers):
+            monkeypatch.setattr(module, "factor_over_Q", calls.append)
         curve = SuperellipticCurve(2, P("T^26 - 2"))
         assert not curve._has_rational_root
         assert curve._real_report.distinct_real_roots == 2
         assert SuperellipticCurve(2, P("T^26 - 2") * P("3*T + 7"))._has_rational_root
+        assert calls == []
 
     def test_one_decomposition_per_curve(self, monkeypatch):
         # the rational-root flag reads the parts that the curve keeps
