@@ -9,8 +9,21 @@ of v rows is the AND of one such row per prime. A 2-adic row joins them, like
 ratpoints' tables of squares mod 16 (Bruin and Stoll): a packed word spans
 exactly 64 consecutive u, so the u where d*F(u, v) is no n-th power mod 64,
 or where u and v are both even, are one word per v mod 64, a (64, 1) table
-that the sieve ANDs into every word of the row by broadcasting. The sieve
-visits only the v whose 2-adic word is nonzero: a zero word empties its row.
+that the sieve ANDs into every word of the row by broadcasting.
+
+A denominator mask (_dead_rows) then clears the word of every v <= H that
+has an odd prime factor p <= 1021 at which row v can hold no point, the way
+ratpoints (M. Stoll) sieves its denominators. Let c = d * c_M, where c_M is
+the u^M coefficient of F, and g = gcd(n, M). For coprime (u, v) with p | v,
+p does not divide u and d * F(u, v) = c * u^M (mod p). Where p does not
+divide c that is a unit mod p, and y^n = d * F(u, v) needs it to be an n-th
+power residue. The products c * u^M over the units u make up the coset of c
+modulo the subgroup generated by the n-th and the M-th powers, which is the
+subgroup of g-th powers. So some unit u gives an n-th power residue exactly
+when c is a g-th power residue mod p; where it is not, row v holds no
+point. A prime dividing c gives no verdict, and with c_M = 0 (n does not
+divide deg P) there is no mask. The sieve visits only the v whose word is
+then nonzero: a zero word empties its row.
 
 The survivors are checked in (v, u) order, in chunks, until max_points
 points are found. In each chunk the pairs with gcd(u, v) > 1 go first. A
@@ -33,10 +46,12 @@ since F(u, v) = v^M f(u / v); a fallback prime's index; F(u, v) mod 64 as
 uint8; and for each class and height H the packed rows of the sieve table
 (the mask read through the value row), when they take at most
 _KEPT_ROWS_BYTES, and the 2-adic row.
-_residue_tables and _two_adic_row build those rows; the sieve only ANDs them.
+Per g, shared by every curve: the flags of the g-th power nonresidues mod
+each prime of the mask. _residue_tables, _two_adic_row and _dead_rows build
+those rows; the sieve only ANDs them.
 A caller that searches many twists of one curve passes one dict as `cache`
-to keep the per-curve tables between calls. The shared masks and index
-outlive every such cache: they last as long as the process.
+to keep the per-curve tables between calls. The shared masks, index and
+flags outlive every such cache: they last as long as the process.
 
 A prime that divides d or the content of F passes every pair, so it is
 neither a sieve nor a stage prime. Nor is a fallback prime whose p x p
@@ -74,6 +89,12 @@ _KEPT_ROWS_BYTES = 4096
 # primes from 67 to 1021 that sieve for n and are not sieve primes.
 _STAGE_PRIMES = 8
 _STAGE_CANDIDATES = [p for p in primes_up_to(1021) if p >= 67]
+# The primes of the denominator mask: the odd primes up to 1021, the stage's
+# bound. A prime p clears at most H / p rows, a prime above H none, and the
+# flags of the g-th power nonresidues mod all of them (_nonresidue_flags)
+# take 80,187 bytes per g.
+_ROW_PRIMES = np.array(primes_up_to(1021)[1:], dtype=np.int64)
+_ROW_OFFSETS = np.cumsum(_ROW_PRIMES) - _ROW_PRIMES
 # The exact check takes the survivors in (v, u) order: a first chunk of
 # _FIRST_CHUNK, small so that a search whose first point lies in its first
 # rows stops early, then chunks of _CHUNK; it stops at max_points. A chunk of
@@ -97,6 +118,8 @@ _masks: dict[tuple[int, int, int], np.ndarray] = {}  # (p, n, class) -> mask
 # kept here, n = 101 at H = 10^4 would hold about 5 M entries for the life of
 # the process.
 _index: dict[int, np.ndarray] = {}  # p -> see _value_index
+# The mask's flags, one read-only array per g = gcd(n, M).
+_flags: dict[int, np.ndarray] = {}  # g -> see _nonresidue_flags
 _R64 = np.arange(64, dtype=np.uint8)
 
 
@@ -170,6 +193,40 @@ def _value_index(p: int, cache: dict) -> np.ndarray:
         idx.flags.writeable = False
         store[key] = idx
     return idx
+
+
+def _nonresidue_flags(g: int) -> np.ndarray:
+    """Flags over the residues of every prime of _ROW_PRIMES, that prime's
+    residue r at _ROW_OFFSETS[i] + r: True where r is a unit mod p but no
+    g-th power residue, outside the image of x -> x^g. One read-only array
+    per g, shared by every curve; built prime by prime, so that no temporary
+    outgrows one prime's residues."""
+    flags = _flags.get(g)
+    if flags is None:
+        flags = _flags[g] = np.ones(int(_ROW_OFFSETS[-1] + _ROW_PRIMES[-1]), dtype=bool)
+        for p, at in zip(_ROW_PRIMES.tolist(), _ROW_OFFSETS.tolist()):
+            flags[at + _powmod(np.arange(p, dtype=np.int64), g, p)] = False
+        flags.flags.writeable = False
+    return flags
+
+
+def _dead_rows(coeffs: list[int], n: int, d: int, H: int) -> np.ndarray:
+    """The v <= H with a prime factor p in _ROW_PRIMES that does not divide
+    c = d * coeffs[-1] and at which c is no gcd(n, M)-th power residue: no
+    coprime (u, v) in such a row is a point (see the module docstring). Each
+    v once or more, unsorted."""
+    c, g = d * coeffs[-1], gcd(n, len(coeffs) - 1)
+    if not c or g == 1:
+        return np.empty(0, dtype=np.int64)
+    q = _ROW_PRIMES
+    r = c % q if -(2**63) <= c < 2**63 else (c % q.astype(object)).astype(np.int64)
+    dead = q[_nonresidue_flags(g)[_ROW_OFFSETS + r] & (q <= H)]
+    # the multiples k * p, k = 1 .. H // p, of each dead prime p, in one pass
+    m = H // dead
+    v = np.repeat(dead, m)
+    k = np.arange(1, v.size + 1)
+    k -= np.repeat(np.cumsum(m) - m, m)  # the position in p's own run
+    return v * k
 
 
 def _value_rows(coeffs: list[int], primes: list[int]) -> dict[int, np.ndarray]:
@@ -373,7 +430,12 @@ def search_pairs(
     if cache is None:
         cache = {}
     rows = _residue_tables(coeffs, n, d, primes, H, cache)
-    rows[64] = _two_adic_row(coeffs, n, d, H, cache)
+    words = _two_adic_row(coeffs, n, d, H, cache)
+    dead = _dead_rows(coeffs, n, d, H)
+    if dead.size:  # one word per v = 0 .. H, the dead v's cleared
+        words = np.resize(words, (H + 1, 1))
+        words[dead] = 0
+    rows[64] = words
     pairs = _purepy.survivors(rows, H)
     stage = None  # built at the first chunk that needs it
     staging = True

@@ -2,12 +2,14 @@
 
 For each prime p the p rows of allowed u over [-H, H], one per v mod p, are
 packed into words by _packed_rows; the caller builds them (and may keep
-them). The rows may also hold a (64, 1) table under 64, one word per v mod
-64: a word spans 64 consecutive u, so that word is the same in every word
-of the row, and the AND broadcasts it. The sieve visits only the v whose
-2-adic word is nonzero, since a zero word empties the whole row: a block of
-such v rows gathers each table's row v % p and ANDs them; only the nonzero
-words of the result are unpacked.
+them). A table of q rows is read at row v % q, whatever its key. A table of
+one column holds one word per row: a word spans 64 consecutive u, so the
+2-adic table (64 rows, one per v mod 64) is the same in every word of a row,
+and the AND broadcasts it; a table of H + 1 rows is read at row v itself.
+The sieve visits only the v whose word is nonzero in every one-column table,
+since a zero word empties the whole row: a block of such v rows gathers each
+table's row and ANDs them; only the nonzero words of the result are
+unpacked.
 """
 
 from __future__ import annotations
@@ -40,26 +42,27 @@ def _packed_rows(ok: np.ndarray, H: int) -> np.ndarray:
 
 
 def survivors(rows: dict[int, np.ndarray], H: int) -> np.ndarray:
-    """Pairs (u, v) with |u| <= H, 1 <= v <= H whose bit is set in row v % p
-    of every rows[p] (rows packed by _packed_rows at this H, or a (p, 1)
-    table of one word per row for p = 64), as an int64 array of shape (k, 2)
-    sorted by v then u. With no rows every pair survives. Only the v whose
-    word in rows[64] is nonzero are visited; without rows[64], every v is."""
+    """Pairs (u, v) with |u| <= H, 1 <= v <= H whose bit is set in row v % q
+    of every table of q rows in rows (packed by _packed_rows at this H, or
+    one word per row), as an int64 array of shape (k, 2) sorted by v then u.
+    With no rows every pair survives. Only the v whose word is nonzero in
+    every one-column table are visited; with none, every v is."""
     if H < 1:
         return np.empty((0, 2), dtype=np.int64)
     nwords = (2 * H + 64) // 64
     tail = np.uint64((1 << (2 * H + 1 - 64 * (nwords - 1))) - 1)  # bits up to u = H
     step = max(1, _BLOCK_BYTES // (8 * nwords))
     live = np.arange(1, H + 1, dtype=np.int64)
-    if 64 in rows:  # a zero word of the 2-adic table zeroes its whole row
-        live = live[rows[64][live % 64, 0] != 0]
+    for table in rows.values():
+        if table.shape[1] == 1:  # a zero word zeroes its whole row
+            live = live[table[live % len(table), 0] != 0]
     out = []
     for lo in range(0, live.size, step):
         v = live[lo : lo + step]
         acc = np.full((v.size, nwords), ~np.uint64(0), dtype="<u8")
         acc[:, -1] = tail
-        for p, packed in rows.items():
-            acc &= packed[v % p]
+        for table in rows.values():
+            acc &= table[v % len(table)]
         vi, wi = np.nonzero(acc)
         if not vi.size:
             continue

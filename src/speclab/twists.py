@@ -9,6 +9,7 @@ reported; for n not dividing N the single point at z = 0 is trivial too.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
@@ -26,7 +27,6 @@ from .fp import _rootless_primes, power_class
 from .ramify import exceptional_superset
 from .intutil import (
     factorize,
-    is_nfree,
     is_probable_prime,
     nfree_sieve,
     nth_root,
@@ -132,10 +132,16 @@ class TwistedCurve:
 
     base: SuperellipticCurve
     d: int
+    # The factorisation of d that the n-free check makes, kept for the local
+    # solver's bad primes and the certificate; no part of repr, equality or
+    # hash.
+    _d_factors: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d == 0 or not is_nfree(self.d, self.base.n):
+        factors = factorize(self.d) if self.d else None
+        if factors is None or any(e >= self.base.n for e in factors.values()):
             raise ValueError("twist must be n-free and nonzero")
+        object.__setattr__(self, "_d_factors", factors)
 
     @property
     def n(self) -> int:
@@ -262,7 +268,7 @@ def obstruction_certificate(curve) -> ObstructionCertificate | None:
     if base._has_rational_root:
         raise ValueError("certificate needs P without rational roots")
     # d is n-free, so 1 <= v_p(d) <= n - 1 at every p | d
-    certifying = _certifying_primes(base.P, n, sorted(factorize(d)))
+    certifying = _certifying_primes(base.P, n, sorted(tw._d_factors))
     if not certifying:
         return None
     p = certifying[0]
@@ -460,12 +466,14 @@ class LocalSolver:
             stack.append(zip(range(a + (p - 1) * step, a - 1, -step), repeat(j + 1)))
         return UNKNOWN if unknown else INSOLUBLE
 
-    def bad_primes(self, d: int) -> list[int]:
+    def bad_primes(self, d_primes: Iterable[int]) -> list[int]:
         """The primes of n * d * lc * content * disc of the radical, and every
-        prime below the Weil floor; a call past the first factorises d only."""
+        prime below the Weil floor, given the primes of d (a factorisation of
+        d will do, as TwistedCurve keeps one). Only the first call factorises,
+        and only the curve's constants."""
         if self._bad is None:
             self._bad = set(factorize(self._constants)).union(primes_up_to(self._weil_floor))
-        return sorted(self._bad.union(factorize(d)))
+        return sorted(self._bad.union(d_primes))
 
 
 _solver_cache: dict[tuple, LocalSolver] = {}
@@ -512,7 +520,7 @@ def everywhere_locally_soluble(curve) -> tuple[str, dict]:
     detail["infinity"] = st
     if st == INSOLUBLE:
         return INSOLUBLE, detail
-    for p in solver.bad_primes(tw.d):
+    for p in solver.bad_primes(tw._d_factors):
         st = solver.at_prime(tw.d, p)
         detail[p] = st
         if st == INSOLUBLE:

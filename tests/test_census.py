@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from speclab import census, covers, kernels
+from speclab import census, covers, intutil, kernels, twists
 from speclab import poly as poly_module
 from speclab.census import (
     DensitySeries,
@@ -466,6 +466,28 @@ class TestTwistSeries:
         g, l = local_global_ratio_series(quad_cover(P8), [100, 300], 64)
         assert (g.numerator, g.denominator, g.unknown) == ((2, 4), (61, 184), (6, 21))
         assert (l.numerator, l.denominator, l.unknown) == ((8, 25), (61, 184), (0, 0))
+
+    def test_local_pass_factorises_each_d_once(self, monkeypatch):
+        # the twist's n-free check factorises d, and the local solver's bad
+        # primes read that factorisation; the curve's constants are factorised
+        # once, by the one solver of the pass. Every binding of factorize that
+        # the pass can reach is spied on, intutil's (is_nfree) too.
+        calls = []
+        real = intutil.factorize
+
+        def spy(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(intutil, "factorize", spy)
+        monkeypatch.setattr(twists, "factorize", spy)
+        monkeypatch.setattr(twists, "_solver_cache", {})
+        cover = quad_cover(P("T^2-2"))
+        local_global_ratio_series(cover, [100, 300], 16)
+        _, ds = census._fields(300)
+        constants = twists._solver(SuperellipticCurve(2, cover.P))._constants
+        assert calls.count(constants) == 1
+        assert sorted(m for m in calls if m != constants) == sorted(ds.tolist())
 
     @given(census_covers(), st.integers(1, 24), st.integers(2, 3000))
     @example(quad_cover(P("T^2-28")), 1, 3)  # F(1, 1) = -3^3 and x = 3: m = -3 sits on the bound

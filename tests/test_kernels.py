@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from speclab import fp, kernels
-from speclab.intutil import is_probable_prime, nth_root, squarefree_part
+from speclab.intutil import is_probable_prime, nth_root, primes_up_to, squarefree_part
 from speclab.kernels import _purepy
 
 
@@ -670,6 +670,148 @@ def test_live_rows_edge_cases():
     np.testing.assert_array_equal(got, all_rows_survivors(rows, 1000))
 
 
+# -- the denominator mask: a row v with an odd prime p | v, p not dividing
+# c = d * c_M, at which c is no gcd(n, M)-th power residue holds no point
+
+
+def dead_rows_oracle(coeffs, n, d, H):
+    """The v <= H that the mask clears, from its definition over the residues
+    rather than by the gcd(n, M) argument: some odd prime p <= 1021 divides
+    v, p does not divide c = d * c_M, and no unit u mod p makes c * u^M an
+    n-th power residue mod p."""
+    M, c = len(coeffs) - 1, d * coeffs[-1]
+    dead = set()
+    for p in primes_up_to(min(H, 1021))[1:]:
+        powers = {pow(y, n, p) for y in range(1, p)}
+        if c % p and not any(c * pow(u, M, p) % p in powers for u in range(1, p)):
+            dead.update(range(p, H + 1, p))
+    return dead
+
+
+def assert_rows_hold_no_point(coeffs, n, d, H, rows):
+    """At every coprime (u, v) with |u| <= H and v in rows, d * F(u, v) is
+    nonzero and no n-th power (as the argument shows, it is a unit mod p)."""
+    M = len(coeffs) - 1
+    for v in rows:
+        for u in range(-H, H + 1):
+            if gcd(u, v) == 1:
+                val = d * sum(c * u**j * v ** (M - j) for j, c in enumerate(coeffs))
+                assert val and nth_root(val, n) is None, (u, v)
+
+
+MASK_CASES = [
+    # (coeffs, n, d, H, some row is cleared)
+    ([1, 0, 0, 0, 1], 2, 2, 40, True),  # 2 is no square mod p = +-3 (mod 8)
+    ([3, 1, 0, -2, 5], 2, -7, 40, True),
+    ([2, 0, 1, 0, 0, 0, 5], 3, 2, 40, True),  # 10 is no cube mod 7, 13, ...
+    ([1, 0, 0, 0, 3], 4, 5, 40, True),  # 3 and 5 divide c = 15
+    ([1, 2, 0, 0, 0, 0, 7], 6, -3, 40, True),
+    ([5, 0, 0, 0, 0, 0, 2], 4, 3, 40, True),  # n does not divide M: squares mod p
+    ([1, 0, 0, 0, 2], 3, 5, 40, False),  # gcd(n, M) = 1: c u^M meets every class
+    ([1, 0, 0, 1, 0], 2, 3, 40, False),  # c_M = 0: no mask
+    ([1, 0, 0, 0, 15], 2, 1, 40, True),  # 3 and 5 divide c_M
+    ([1, 0, 0, 0, 2], 2, 3 * 5 * 7, 40, True),  # 3, 5 and 7 divide d
+    ([7, 0, 14, 0, 21], 2, 2, 40, True),  # 7 divides the content of F
+    ([1, 0, 1, 0, -2], 2, -1, 40, True),  # c = 2 with d = -1
+    ([1, *[0] * 16, 3], 17, 1, 40, False),  # gcd(17, p - 1) = 1 for every p <= 40
+    ([1, *[0] * 16, 3], 17, 1, 206, True),  # 3 is no 17th power mod 103
+]
+
+
+@pytest.mark.parametrize("coeffs,n,d,H,clears", MASK_CASES)
+def test_dead_rows_hold_no_point(coeffs, n, d, H, clears):
+    dead = kernels._dead_rows(coeffs, n, d, H)
+    assert set(dead.tolist()) == dead_rows_oracle(coeffs, n, d, H)
+    assert bool(dead.size) == clears
+    assert_rows_hold_no_point(coeffs, n, d, H, set(dead.tolist()))
+    if H <= 40:
+        M = len(coeffs) - 1
+        assert kernels.search_pairs(coeffs, n, d, H) == by_v(brute_points(coeffs, M, n, d, H))
+
+
+@given(
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=7).filter(lambda cs: cs[-1]),
+    st.sampled_from([2, 3, 4, 6, 17]),
+    st.integers(min_value=-(2**70), max_value=2**70).filter(lambda d: d != 0),
+    st.sampled_from([3, 40, 300, 2000]),
+)
+@settings(max_examples=30, deadline=None)
+def test_dead_rows_match_their_definition(coeffs, n, d, H):
+    # any c, far past int64 too; the rows of a prime above H are past the box
+    assert set(kernels._dead_rows(coeffs, n, d, H).tolist()) == dead_rows_oracle(coeffs, n, d, H)
+
+
+def test_row_primes_are_the_odd_primes_to_1021():
+    # 2 is left to the 2-adic row: every unit mod 2 is an n-th power, so it
+    # would clear no row
+    assert kernels._ROW_PRIMES.tolist() == [p for p in range(3, 1022, 2) if is_probable_prime(p)]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 6, 17])
+def test_nonresidue_flags_are_the_units_outside_the_gth_powers(g):
+    flags = kernels._nonresidue_flags(g)
+    assert not flags.flags.writeable and kernels._nonresidue_flags(g) is flags
+    for p, at in zip(kernels._ROW_PRIMES.tolist(), kernels._ROW_OFFSETS.tolist()):
+        want = set(range(1, p)) - {pow(x, g, p) for x in range(1, p)}
+        assert set(np.flatnonzero(flags[at : at + p]).tolist()) == want
+
+
+PLANTED_FORMS = [
+    [1, 0, 0, 0, 1],
+    [3, -1, 0, 2, 5],
+    [2, 0, 1, 0, 0, 0, 15],  # 3 and 5 divide c_M: those primes give no verdict
+    [-4, 1, 0, 3],
+    [7, 0, 14, 0, 21, 0, 0, 0, 35],
+]
+
+
+@pytest.mark.parametrize("coeffs", PLANTED_FORMS)
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_planted_point_in_a_row_with_an_odd_prime(coeffs, n):
+    # y^n = d F(u, v) with a point at (u0, v0), p | v0 for an odd p, d = the
+    # squarefree part of F(u0, v0) for n = 2, else F(u0, v0)^(n - 1). Where p
+    # does not divide c = d c_M, c is then a gcd(n, M)-th power residue mod
+    # p, and the row stays; the other rows that the mask clears hold no point.
+    # With gcd(n, M) = 1 there is no mask.
+    M, H = len(coeffs) - 1, 40
+    cleared = 0
+    for u0, v0 in [(1, 3), (2, 15), (-5, 21), (7, 13), (4, 33), (-1, 35), (9, 25)]:
+        value = sum(c * u0**j * v0 ** (M - j) for j, c in enumerate(coeffs))
+        if not value:
+            continue
+        d = squarefree_part(value) if n == 2 else value ** (n - 1)
+        found = kernels.search_pairs(coeffs, n, d, H)
+        assert (u0, v0) in [(u, v) for _, u, v in found]
+        dead = set(kernels._dead_rows(coeffs, n, d, H).tolist())
+        assert v0 not in dead
+        cleared += len(dead)
+        assert_rows_hold_no_point(coeffs, n, d, H, sorted(dead)[:3])
+    assert bool(cleared) == (gcd(n, M) > 1)
+
+
+def masked_rows(coeffs, n, d, H):
+    """sieve_rows with the denominator mask's rows cleared, as search_pairs
+    hands them to the sieve: one word per v = 0 .. H."""
+    rows = sieve_rows(coeffs, n, d, H)
+    words = np.resize(rows[64], (H + 1, 1))
+    words[kernels._dead_rows(coeffs, n, d, H)] = 0
+    rows[64] = words
+    return rows
+
+
+@pytest.mark.parametrize("block_bytes", [8, 1 << 18])
+@pytest.mark.parametrize("coeffs,n,d,H,clears", [c for c in MASK_CASES if c[4]])
+def test_sieve_skips_the_cleared_rows(coeffs, n, d, H, clears, block_bytes):
+    # the survivors of the masked rows are the unmasked sieve's, less the
+    # pairs in cleared rows
+    dead = kernels._dead_rows(coeffs, n, d, H)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_purepy, "_BLOCK_BYTES", block_bytes)
+        got = _purepy.survivors(masked_rows(coeffs, n, d, H), H)
+        want = _purepy.survivors(sieve_rows(coeffs, n, d, H), H)
+    np.testing.assert_array_equal(got, want[~np.isin(want[:, 1], dead)])
+
+
 # -- the exact check as it was before the residue stage (every coprime
 # survivor evaluated at once, then n-th roots in (v, u) order), kept as oracle
 
@@ -726,7 +868,9 @@ P17 = 103 * 137 * 239 * 307 * 409
 # it is no sieve prime, and the stage has more to remove.
 STAGE_CASES = [
     ([-2, 0, 0, 1, 0], 4, 2, 1, 1200),  # y^2 = t^3 - 2: 2 points among 1303 survivors
-    ([1, 0, 0, 0, 1], 4, 2, 2, 1600),  # y^2 = 2(u^4 + v^4) at (+-1, 1); 2 is no square mod 67
+    # y^2 = 2(2u^4 + u^2 v^2 - v^4) at (+-1, 1), (+-3, 4), ...; 2 is no square
+    # mod 67. 2 * 2 is a square, so the denominator mask clears no row
+    ([-1, 0, 1, 0, 2], 4, 2, 2, 1600),
     ([9, 0, 0, 0, 1], 4, 2, 1, 1600),  # y^2 = u^4 + 9 v^4 at (0, 1), (+-2, 1), ...: F(u, v) != F(v, u)
     ([67**2 - 1, 0, 0, 0, 1], 4, 2, 1, 800),  # (+-1, 1) gives y = 67, which is 0 mod 67
     ([-5, 3, 0, 1], 3, 3, 67 * 71, 500),  # d divisible by two stage primes

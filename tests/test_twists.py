@@ -724,7 +724,7 @@ class TestOneHomePerFact:
         for d in ds:
             places.update(factorize(d))
         for d in ds:
-            assert solver.bad_primes(d) == _old_bad_primes(solver, d)
+            assert solver.bad_primes(factorize(d)) == _old_bad_primes(solver, d)
             for p in sorted(places):
                 assert solver._good_reduction_shortcut(d, p) == _old_shortcut(solver, d, p), p
 
@@ -747,7 +747,7 @@ class TestOneHomePerFact:
         solver = LocalSolver(base)
         ds = nfree_sieve(2, 40)[:50]
         assert len(ds) == 50
-        lists = [solver.bad_primes(d) for d in ds]
+        lists = [solver.bad_primes(base.twist(d)._d_factors) for d in ds]
         assert lists == [_old_bad_primes(solver, d) for d in ds]
         assert calls.count(product) == 1
         assert [m for m in calls if m != product] == ds
@@ -794,7 +794,7 @@ class TestOneHomePerFact:
             assert len(derived) == 2 + by_disc
             charts.clear()
             for d in (-7, -2, -1, 2, 3, 5, 6, 7, 10, 11):
-                for p in solver.bad_primes(d):
+                for p in solver.bad_primes(factorize(d)):
                     solver._walk(d, p)
                 everywhere_locally_soluble(base.twist(d))
                 search_points(base.twist(d), 30)
@@ -803,7 +803,7 @@ class TestOneHomePerFact:
 
 
 # Non-separable P: the shortcut refuses them, yet everywhere_locally_soluble
-# lists only bad_primes(d), so the walk must itself find the primes past
+# lists only the bad primes of d, so the walk must itself find the primes past
 # them soluble.
 NON_SEPARABLE = [
     (3, P("T^2 + 1") * P("T^2 + 1") * P("T^2 + 2")),
@@ -821,7 +821,7 @@ def test_non_separable_places_past_the_list_are_soluble(n, poly):
     base = SuperellipticCurve(n, poly)
     solver = LocalSolver(base)
     assert not base.separable
-    listed = set(solver.bad_primes(1))
+    listed = set(solver.bad_primes({}))
     past = [p for p in primes_up_to(10 * solver._weil_floor) if p not in listed][:25]
     assert len(past) == 25 and not any(solver._good_reduction_shortcut(1, p) for p in past)
     for d in (1, 2, 5, -7):
