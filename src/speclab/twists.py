@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 from math import gcd, isqrt, prod
 
@@ -319,16 +319,108 @@ def _unit_classes(p: int, n: int) -> tuple[int, ...]:
 # branch is left unknown.
 _DEPTH_MARGIN = 4
 
+# What the walk yields for a branch that holds a Z_p root of g where g' is
+# nonzero: near it g takes every class.
+_EVERY = "every"
+
+
+def _unit_class_count(p: int, n: int) -> int:
+    """The order of Z_p^* / (Z_p^*)^n: gcd(n, p - 1) for p not dividing n
+    (1 at p = 2), else the number of classes _unit_classes(p, n) keys."""
+    if n % p:
+        return gcd(n, p - 1)
+    return len(set(_unit_classes(p, n))) - 1  # the 0 entries key no class
+
+
+class _LocalImage:
+    """The local image at one prime p: the classes in Q_p^*/(Q_p^*)^n of the
+    model's values met so far by one walk of both charts done without d
+    (LocalSolver._rounds). y^n = d * P(t) is soluble at p exactly when the
+    class of d^(n-1), the inverse of the class of d, is among them.
+
+    read(key) answers from what the walk has met; resolve(key, cap) resumes
+    the walk until it meets the class, ends, or ends a round with branches
+    left open at a cap of at least `cap`. The walk is dropped once it ends,
+    once a root makes every class soluble, and once the image holds every
+    class a twist can ask for (`wanted`, the unit classes only when
+    `units_only`). A direct _walk at a tame prime can still ask for a
+    ramified class after that; the walk then starts again."""
+
+    __slots__ = ("rounds", "walk", "met", "every", "open_root", "done", "at_cap",
+                 "wanted", "units_only")
+
+    def __init__(self, rounds, met: set, wanted: int, units_only: bool):
+        self.rounds = rounds  # rounds(cap): a fresh walk, its first round to cap
+        self.walk = None
+        self.met = met
+        self.every = False  # a root was met: every class is soluble
+        self.open_root = False  # a root of g and g' was met, open at every cap
+        self.done = False  # the walk ended with no branch open at a cap
+        self.at_cap = None  # the cap of the round the walk is suspended after
+        self.wanted = wanted
+        self.units_only = units_only
+
+    def read(self, key: tuple[int, int]) -> str | None:
+        """SOLUBLE or INSOLUBLE for the class key of d^(n-1) when the image
+        decides it as it stands, else None."""
+        if self.every or key in self.met:
+            return SOLUBLE
+        if self.done and not self.open_root:
+            return INSOLUBLE
+        return None
+
+    def resolve(self, key: tuple[int, int], cap: int) -> str:
+        """The verdict for the class key, walking further, to depth cap at
+        least, as it needs."""
+        while (verdict := self.read(key)) is None:
+            if self.done or (self.at_cap is not None and self.at_cap >= cap):
+                return UNKNOWN
+            try:
+                if self.walk is None:
+                    self.walk = self.rounds(cap)
+                    event = next(self.walk)
+                elif self.at_cap is not None:
+                    event = self.walk.send(cap)  # the next round, to cap
+                else:
+                    event = next(self.walk)
+            except StopIteration:
+                self.done, self.walk = True, None
+                continue
+            self.at_cap = None
+            if event is None:
+                self.open_root = True
+            elif event is _EVERY:
+                self.every, self.walk = True, None
+            elif isinstance(event, int):
+                self.at_cap = event  # a round ended with branches open at this cap
+            else:
+                self.met.add(event)
+        if self.walk is not None:
+            met = sum(1 for w, _ in self.met if w == 0) if self.units_only else len(self.met)
+            if met == self.wanted:
+                self.walk, self.at_cap = None, None
+        return verdict
+
 
 class LocalSolver:
-    """Decides solubility of y^n = d * P(t) over Q_p and R, caching on the
-    class of d in Q_p^*/(Q_p^*)^n (twists in one class are isomorphic).
+    """Decides solubility of y^n = d * P(t) over Q_p and R.
+
+    At a prime p it keeps one _LocalImage: the classes in Q_p^*/(Q_p^*)^n
+    that the model's values meet, collected by one depth-first walk of both
+    charts done without d, and resumed only when a twist asks for a class it
+    has not met yet. Twists in one class are isomorphic, so each twist's
+    verdict is read from the image. The walk's depth cap counts v_p(d) of
+    the deepest twist that asked (at most n - 1 for an n-free d): the
+    branches a round leaves at its cap are walked deeper only when such a
+    twist asks. So the image decides every class that a walk for one d
+    would, at no greater depth.
 
     Also owns the curve's point-search tables (kernels.search_pairs cache)."""
 
     def __init__(self, base: SuperellipticCurve):
         self.base = base
-        self._cache: dict[tuple, str] = {}
+        self._images: dict[int, _LocalImage] = {}
+        self._closed: dict[int, str] = {}  # the closed form's verdict at a tame p
         self.tables: dict = {}
         sqf = prod((f for f, _ in base._sqf_parts), start=IntPolynomial([1]))
         self._disc_sqf = discriminant(sqf) if sqf.degree >= 1 else 1
@@ -337,11 +429,20 @@ class LocalSolver:
         # call, so a solver that never lists places (a point search) never is.
         self._constants = base.n * base.P.lc * base.P.content * self._disc_sqf
         self._bad: set[int] | None = None
-        g = base.genus
+        self._tame_shape = base.separable and base.N % base.n == 0
+        # The Weil floor: past it p + 1 - 2g sqrt(p) > m. For separable P
+        # every F_p point of the smooth model at a good prime lifts by
+        # Hensel, and the walk sees each one, the z = 0 point included, when
+        # n | N (m = 0); when n does not divide N it misses the gcd(n, N)
+        # points above infinity. For other P the arithmetic genus of the
+        # model and m = (n + 1)(N + 1) only bound the listed primes: no
+        # shortcut applies to them.
+        n, N, g = base.n, base.N, base.genus
         if g is None:
-            n, M = base.n, base.model_degree
-            g = (n - 1) * (M - 1) // 2  # arithmetic-genus fallback, bound only
-        m = (base.n + 1) * (base.N + 1)
+            g = (n - 1) * (base.model_degree - 1) // 2
+            m = (n + 1) * (N + 1)
+        else:
+            m = 0 if N % n == 0 else gcd(n, N)
         self._weil_floor = (g + isqrt(g * g + m) + 1) ** 2
         # The two charts of the model, as (g, g', start_at_multiple): z = 1
         # with g = P(t) over Z_p, and t = 1 with g the reversed model form
@@ -365,13 +466,20 @@ class LocalSolver:
     # -- finite places
 
     def at_prime(self, d: int, p: int) -> str:
-        key = (p,) + _qp_class(d, p, self.base.n)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        res = self._decide(d, p)
-        self._cache[key] = res
-        return res
+        """The verdict at p, read from the image at p when it decides the
+        class of d as it stands, else from _decide."""
+        image = self._images.get(p)
+        if image is not None:
+            n = self.base.n
+            verdict = image.read(_qp_class(d ** (n - 1), p, n))
+            if verdict is not None:
+                return verdict
+        return self._decide(d, p)
+
+    def _tame(self, p: int) -> bool:
+        """p is prime to the constants, P separable and n | deg P: the
+        closed form decides every twist with v_p(d) not 0 mod n."""
+        return self._tame_shape and self._constants % p != 0
 
     def _good_reduction_shortcut(self, d: int, p: int) -> bool:
         base = self.base
@@ -383,20 +491,36 @@ class LocalSolver:
 
     def _decide(self, d: int, p: int) -> str:
         base, n = self.base, self.base.n
-        if self._good_reduction_shortcut(d, p):
-            return SOLUBLE
         # Closed form at a tame p | d (p prime to the constants, so to n):
         # the valuation argument read both ways. A root of P mod p is simple
-        # and lifts, and near it d * P(t) meets every class of Q_p^*.
-        tame = base.separable and base.N % n == 0 and self._constants % p
-        if tame and valuation(d, p) % n:
-            return INSOLUBLE if _certifying_primes(base.P, n, [p]) else SOLUBLE
+        # and lifts, and near it d * P(t) meets every class of Q_p^*. The
+        # verdict depends on p alone. p | d, so the shortcut would not apply.
+        if valuation(d, p) % n and self._tame(p):
+            verdict = self._closed.get(p)
+            if verdict is None:
+                rootless = _certifying_primes(base.P, n, [p])
+                verdict = self._closed[p] = INSOLUBLE if rootless else SOLUBLE
+            return verdict
+        if self._good_reduction_shortcut(d, p):
+            return SOLUBLE
         return self._walk(d, p)
 
     def _walk(self, d: int, p: int) -> str:
-        """The verdict at p without the shortcuts of _decide: the z = 0
-        point, then both charts, each walked to a depth cap."""
+        """The verdict at p without the shortcuts of _decide, read from the
+        image at p, which is made on the first call at p and walked further
+        as the class of d needs, to the cap
+        2 v_p(n) + v_p(disc of the radical) + v_p(d) + v_p(content) +
+        _DEPTH_MARGIN."""
         base, n = self.base, self.base.n
+        image = self._images.get(p)
+        if image is None:
+            # the class of lc(P), the value at the z = 0 point when n | N
+            met = {_qp_class(base.P.lc, p, n)} if base.N % n == 0 else set()
+            tame = self._tame(p)
+            units = _unit_class_count(p, n)
+            image = self._images[p] = _LocalImage(
+                partial(self._rounds, p), met, units if tame else n * units, tame
+            )
         cap = (
             2 * (valuation(n, p) if n % p == 0 else 0)
             + (valuation(self._disc_sqf, p) if self._disc_sqf % p == 0 else 0)
@@ -404,26 +528,35 @@ class LocalSolver:
             + (valuation(base.P.content, p) if base.P.content % p == 0 else 0)
             + _DEPTH_MARGIN
         )
-        # z = 0 rational point of the model (only nontrivial when n | N)
-        if base.N % n == 0:
-            v0 = d * base.P.lc
-            if _is_nth_power_qp(v0, p, n):
-                return SOLUBLE
-        unknown = False
-        for g, gp, start_at_multiple in self._charts:
-            st = self._chart(g, gp, d, p, cap, start_at_multiple)
-            if st == SOLUBLE:
-                return SOLUBLE
-            unknown |= st == UNKNOWN
-        return UNKNOWN if unknown else INSOLUBLE
+        return image.resolve(_qp_class(d ** (n - 1), p, n), cap)
+
+    def _rounds(self, p: int, cap: int):
+        """The walk of both charts at p, a generator of what _chart yields,
+        in rounds. The first walks each chart from its root to depth cap;
+        a round that leaves branches open at its cap yields that cap, and is
+        sent the cap of the next, which walks just those branches."""
+        frontier = [[(0, 1) if start_at_multiple else (0, 0)]
+                    for _, _, start_at_multiple in self._charts]
+        while True:
+            capped = [[] for _ in frontier]
+            for (g, gp, _), nodes, out in zip(self._charts, frontier, capped):
+                yield from self._chart(g, gp, p, nodes, cap, out)
+            if not any(capped):
+                return
+            frontier = capped
+            cap = yield cap
 
     def _chart(
-        self, g: IntPolynomial, gp: IntPolynomial, c: int, p: int, cap: int, start_at_multiple: bool
-    ) -> str:
-        """Is c * g(t) an n-th power of Q_p^* for some t in Z_p (t in pZ_p when
-        start_at_multiple)? gp is g'. Adaptive residue refinement, depth
-        first: the stack holds one lazy iterator over the p children per open
-        level, so a large bad prime costs memory in the depth, not in p.
+        self, g: IntPolynomial, gp: IntPolynomial, p: int, nodes: list, cap: int, capped: list
+    ):
+        """A walk of one chart from the branches `nodes`, a generator: the
+        class in Q_p^*/(Q_p^*)^n of g on each closed branch, _EVERY for a
+        branch holding a Z_p root of g where g' is nonzero, and None for a
+        root of both. gp is g'. A branch (a, j) is a + p^j Z_p; a branch
+        still open at depth cap joins `capped`. Adaptive residue refinement,
+        depth first: the stack holds one lazy iterator over the p children
+        per open level, so a large bad prime costs memory in the depth, not
+        in p, and a suspended walk keeps only that stack.
 
         The branch a + p^j Z_p is closed, its class decided at a, once
         min(v(g'(a)) + j, 2j) >= v(g(a)) + k0, with k0 = 2 v_p(n) + 1: as
@@ -432,8 +565,7 @@ class LocalSolver:
         and 1 + p^k0 Z_p lies in (Z_p^*)^n."""
         n = self.base.n
         k0 = 2 * (valuation(n, p) if n % p == 0 else 0) + 1
-        unknown = False
-        stack = [iter([(0, 1) if start_at_multiple else (0, 0)])]
+        stack = [iter(nodes)]
         while stack:
             node = next(stack[-1], None)
             if node is None:
@@ -443,28 +575,26 @@ class LocalSolver:
             ga = g(a)
             gpa = gp(a)
             if ga == 0:
-                if gpa != 0:
-                    return SOLUBLE  # simple Z_p root: nearby units realize all classes
-                unknown = True
+                # a simple Z_p root: nearby values meet every class; a root
+                # of g' too stays open at any depth
+                yield _EVERY if gpa != 0 else None
                 continue
             vga = valuation(ga, p)
             spread = 2 * j  # g(a + p^j x) - g(a) lies in p^spread Z_p
             if gpa != 0:
                 vgpa = valuation(gpa, p)
                 if vga > 2 * vgpa and vga - vgpa >= j:
-                    return SOLUBLE  # Hensel root inside this branch
+                    yield _EVERY  # Hensel root inside this branch
+                    continue
                 spread = min(spread, vgpa + j)
             if spread >= vga + k0:
-                # value class constant on the branch: decide it
-                if _is_nth_power_qp(c * ga, p, n):
-                    return SOLUBLE
+                yield _qp_class(ga, p, n)  # value class constant on the branch
                 continue
             if j >= cap:
-                unknown = True
+                capped.append(node)
                 continue
             step = p**j  # children a + m p^j, m = p - 1 first
             stack.append(zip(range(a + (p - 1) * step, a - 1, -step), repeat(j + 1)))
-        return UNKNOWN if unknown else INSOLUBLE
 
     def bad_primes(self, d_primes: Iterable[int]) -> list[int]:
         """The primes of n * d * lc * content * disc of the radical, and every
@@ -509,8 +639,13 @@ def everywhere_locally_soluble(curve) -> tuple[str, dict]:
     """Conjunction of local solubility over R and every relevant Q_p.
 
     Relevant: primes dividing n, d, lc(P), content(P), disc of the squarefree
-    part of P, plus all primes below the Weil floor (beyond it, good
-    reduction plus point counting guarantees solubility). "unknown" at some
+    part of P, plus all primes below the Weil floor (g + isqrt(g^2 + m) + 1)^2
+    of LocalSolver: beyond it p + 1 - 2g sqrt(p) > m, and at a good prime
+    every F_p point of the smooth model of a separable P lifts by Hensel.
+    m = 0 when n | deg P, gcd(n, deg P) otherwise (the points above
+    infinity, which no twist's walk counts), and (n + 1)(deg P + 1), with
+    the arithmetic genus, for a P that is not separable. Each prime's
+    verdict is read from the solver's local image there. "unknown" at some
     place propagates unless another place is outright insoluble."""
     tw = _as_twist(curve)
     solver = _solver(tw.base)

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from itertools import repeat
 from unittest import mock
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -719,8 +719,9 @@ class TestOneHomePerFact:
         base = solver.base
         constants = n * base.P.lc * base.P.content * solver._disc_sqf
         # 2, the primes of n and of the constants, composites and primes
-        # around the Weil floor, and the primes of each d
-        places = {2, 4, 6, *factorize(n), *factorize(constants), *range(floor - 3, floor + 40)}
+        # around the Weil floor (from 2 up: a genus-0 floor can be 1), and
+        # the primes of each d
+        places = {2, 4, 6, *factorize(n), *factorize(constants), *range(max(floor - 3, 2), floor + 40)}
         for d in ds:
             places.update(factorize(d))
         for d in ds:
@@ -793,7 +794,9 @@ class TestOneHomePerFact:
             solver = twists._solver(base)
             assert len(derived) == 2 + by_disc
             charts.clear()
-            for d in (-7, -2, -1, 2, 3, 5, 6, 7, 10, 11):
+            # the images walk each prime once, so the primes of d past the
+            # Weil floor bring the walks
+            for d in (-7, -2, -1, 2, 3, 5, 6, 7, 10, 11, *primes_up_to(700)[15:]):
                 for p in solver.bad_primes(factorize(d)):
                     solver._walk(d, p)
                 everywhere_locally_soluble(base.twist(d))
@@ -887,6 +890,68 @@ def old_chart(self, g, gp, c, p, cap, start_at_multiple):
     return UNKNOWN if unknown else INSOLUBLE
 
 
+def per_d_chart(self, g, gp, c, p, cap, start_at_multiple):
+    """LocalSolver._chart as it stood before the local image: one walk for
+    one twist c, stopped at its first soluble branch, with the closing test
+    min(v(g'(a)) + j, 2j) >= v(g(a)) + k0; kept as the oracle of the image."""
+    n = self.base.n
+    k0 = 2 * (valuation(n, p) if n % p == 0 else 0) + 1
+    unknown = False
+    stack = [iter([(0, 1) if start_at_multiple else (0, 0)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        a, j = node
+        ga = g(a)
+        gpa = gp(a)
+        if ga == 0:
+            if gpa != 0:
+                return SOLUBLE
+            unknown = True
+            continue
+        vga = valuation(ga, p)
+        spread = 2 * j
+        if gpa != 0:
+            vgpa = valuation(gpa, p)
+            if vga > 2 * vgpa and vga - vgpa >= j:
+                return SOLUBLE
+            spread = min(spread, vgpa + j)
+        if spread >= vga + k0:
+            if _is_nth_power_qp(c * ga, p, n):
+                return SOLUBLE
+            continue
+        if j >= cap:
+            unknown = True
+            continue
+        step = p**j
+        stack.append(zip(range(a + (p - 1) * step, a - 1, -step), repeat(j + 1)))
+    return UNKNOWN if unknown else INSOLUBLE
+
+
+def per_d_walk(solver, d, p, chart=per_d_chart):
+    """LocalSolver._walk as it stood before the local image: the z = 0
+    point, then both charts walked for d alone, to a cap that counts v_p(d)."""
+    base, n = solver.base, solver.base.n
+    cap = (
+        2 * (valuation(n, p) if n % p == 0 else 0)
+        + (valuation(solver._disc_sqf, p) if solver._disc_sqf % p == 0 else 0)
+        + valuation(d, p)
+        + (valuation(base.P.content, p) if base.P.content % p == 0 else 0)
+        + twists._DEPTH_MARGIN
+    )
+    if base.N % n == 0 and _is_nth_power_qp(d * base.P.lc, p, n):
+        return SOLUBLE
+    unknown = False
+    for g, gp, start_at_multiple in solver._charts:
+        st_ = chart(solver, g, gp, d, p, cap, start_at_multiple)
+        if st_ == SOLUBLE:
+            return SOLUBLE
+        unknown |= st_ == UNKNOWN
+    return UNKNOWN if unknown else INSOLUBLE
+
+
 @st.composite
 def local_cases(draw):
     """y^n = P, separable or not (multiplicities up to n - 1), a prime
@@ -923,13 +988,13 @@ def _budgeted(chart, nodes):
 
 
 def _walks(n, poly, p, d, nodes=5000):
-    """The walk's verdict at p (no closed form, no shortcut) with the current
-    _chart, and with old_chart, None where the old walk ran over budget."""
+    """The verdict at p without closed form or shortcut, read from the local
+    image, and by the per-d walk with old_chart, None where that walk ran
+    over budget."""
     solver = LocalSolver(SuperellipticCurve(n, poly))
     new = solver._walk(d, p)
     try:
-        with mock.patch.object(LocalSolver, "_chart", _budgeted(old_chart, nodes)):
-            old = solver._walk(d, p)
+        old = per_d_walk(solver, d, p, _budgeted(old_chart, nodes))
     except _OverBudget:
         old = None
     return new, old
@@ -952,6 +1017,55 @@ def test_sharper_closing_decides_where_old_walk_capped():
     # y^4 = 175 (T^2 + 1)^3 at 5: the old walk leaves a branch at its cap
     cube = P("T^2 + 1") * P("T^2 + 1") * P("T^2 + 1")
     assert _walks(4, cube, 5, 175) == (SOLUBLE, UNKNOWN)
+
+
+@st.composite
+def image_cases(draw):
+    """y^n = P with multiplicities up to n - 1 (so multiple roots once
+    n > 2), a prime p <= 13, and 4 to 8 distinct n-free twists p^v * u with
+    v <= min(n - 1, 3) and u prime to p, in the order drawn."""
+    n = draw(st.sampled_from([2, 3, 4, 6]))
+    factors = draw(st.lists(st.sampled_from(FACTOR_POOL), min_size=1, max_size=3,
+                            unique_by=lambda f: f.coeffs))
+    parts = [(f, draw(st.integers(1, n - 1))) for f in factors]
+    content = draw(st.sampled_from([1, -1, 2, -3, 5, 6]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    twist = st.tuples(
+        st.integers(0, min(n - 1, 3)),
+        st.integers(-60, 60).filter(lambda u: u % p).map(lambda u: nfree_part(u, n)),
+    ).map(lambda vu: p ** vu[0] * vu[1])
+    ds = draw(st.lists(twist, min_size=4, max_size=8, unique=True))
+    return n, _product(content, parts), p, ds
+
+
+@given(image_cases())
+@settings(max_examples=200, deadline=None)
+# a twist prime to p leaves branches open at its cap, and twists with
+# v_p(d) >= 1 are decided only by walking those branches deeper
+@example((4, P("24*T^8+72*T^7+126*T^6+216*T^5+234*T^4+216*T^3+186*T^2+72*T+54"),
+          5, [23, -3375, 3500, 7]))
+@example((6, P("6*T^10+30*T^9+90*T^8+180*T^7+270*T^6+306*T^5+270*T^4+180*T^3+90*T^2+30*T+6"),
+          7, [-161, 441, 1078, 3]))
+def test_image_agrees_with_per_d_walk(case):
+    """Twists asked of one solver in turn, through at_prime and _walk, so
+    that the image at p resumes its walk mid-tree: wherever the per-d walk
+    decides, the image gives its verdict."""
+    n, poly, p, ds = case
+    solver = LocalSolver(SuperellipticCurve(n, poly))
+    for i, d in enumerate(ds):
+        try:
+            # near a root of multiplicity k a walk to depth cap can visit
+            # about p^(cap / 2) branches, with or without the image
+            with mock.patch.object(LocalSolver, "_chart", _budgeted(LocalSolver._chart, 20000)):
+                verdict = solver._walk(d, p) if i % 2 else solver.at_prime(d, p)
+        except _OverBudget:
+            return
+        try:
+            old = per_d_walk(solver, d, p, _budgeted(per_d_chart, 20000))
+        except _OverBudget:
+            continue
+        if old in (SOLUBLE, INSOLUBLE):
+            assert verdict == old, d
 
 
 def _spy_charts(monkeypatch):
@@ -1074,30 +1188,110 @@ def test_residue_check_on_pinned8_at_2():
 def test_chart_nodes_at_2_on_pinned8(monkeypatch):
     """Work-count guard: g(a) and g'(a) at each node of the 2-adic walks of
     y^2 = d * P8, |d| <= 20 squarefree. The walk closing at
-    j >= v(g(a)) + k0 evaluated 1692 times, the closing test
-    min(v(g'(a)) + j, 2j) >= v(g(a)) + k0 618 times."""
+    j >= v(g(a)) + k0 evaluated 1692 times, and the closing test
+    min(v(g'(a)) + j, 2j) >= v(g(a)) + k0 618 times, both walking once per
+    twist; the local image, one walk shared by the 26 twists, 36 times."""
     calls = []
-    walking = []
     evaluate = IntPolynomial.__call__
 
     def count(f, x):
-        if walking:
-            calls.append(x)
+        calls.append(x)
         return evaluate(f, x)
 
-    chart = LocalSolver._chart
-
-    def walk(self, *args):
-        walking.append(True)
-        try:
-            return chart(self, *args)
-        finally:
-            walking.pop()
-
-    monkeypatch.setattr(IntPolynomial, "__call__", count)
-    monkeypatch.setattr(LocalSolver, "_chart", walk)
     solver = LocalSolver(SuperellipticCurve(2, PINNED8))
     ds = [d for d in range(-20, 21) if d and squarefree_part(d) == d]
+    monkeypatch.setattr(IntPolynomial, "__call__", count)
     verdicts = [solver._walk(d, 2) for d in ds]
     assert len(ds) == 26 and UNKNOWN not in verdicts
-    assert 0 < len(calls) <= 650
+    assert 0 < len(calls) <= 36
+
+
+def _old_weil_floor(base):
+    """The Weil floor as it stood: m = (n + 1)(N + 1) for every P."""
+    n, N, g = base.n, base.N, base.genus
+    if g is None:
+        g = (n - 1) * (base.model_degree - 1) // 2
+    m = (n + 1) * (N + 1)
+    return (g + isqrt(g * g + m) + 1) ** 2
+
+
+@pytest.mark.parametrize(
+    "n,poly,floor,old",
+    [
+        (2, PINNED8, 49, 100),  # genus 3, n | N: m = 0
+        (2, P("T^6 - T - 1"), 25, 64),  # genus 2
+        (2, P("T^3 - 2"), 9, 25),  # genus 1, n does not divide N: m = gcd(2, 3)
+        (2, P("T^2 - 2"), 1, 16),  # genus 0
+        (3, P("T^2 + 1") * P("T^2 + 1") * P("T^2 + 2"), 169, 169),  # not separable
+    ],
+    ids=["P8", "T^6-T-1", "T^3-2", "T^2-2", "non-separable"],
+)
+def test_weil_floor_pinned(n, poly, floor, old):
+    base = SuperellipticCurve(n, poly)
+    assert (LocalSolver(base)._weil_floor, _old_weil_floor(base)) == (floor, old)
+
+
+@st.composite
+def separable_curves(draw):
+    """y^n = P with P a content times distinct factors of the pool, so
+    separable, of degree at most 8."""
+    n = draw(st.sampled_from([2, 3, 4, 6]))
+    factors = draw(st.lists(st.sampled_from(FACTOR_POOL), min_size=1, max_size=3,
+                            unique_by=lambda f: f.coeffs))
+    poly = _product(draw(st.sampled_from([1, -1, 2, -3, 5])), [(f, 1) for f in factors])
+    assume(poly.degree <= 8)
+    return n, poly
+
+
+def _unit_class_twists(p, n):
+    """The least positive twist of each class of Z_p^* modulo n-th powers."""
+    seen = {}
+    d = 1
+    while len(seen) < gcd(n, p - 1):
+        seen.setdefault(_qp_class(d, p, n), d)
+        d += 1
+    return sorted(seen.values())
+
+
+@given(separable_curves())
+@settings(max_examples=40, deadline=None)
+@example((2, PINNED8))
+@example((2, P("T^3 - 2")))
+@example((6, P("T^4 + 2") * P("T^3 - 2")))
+def test_floor_soundness_between_the_floors(case):
+    """At every good prime from the Weil floor up to the floor as it stood
+    (m = (n + 1)(N + 1)), every unit class of twists is soluble: the per-d
+    walk says so, and a residue witness agrees wherever p^2 <= 4096."""
+    n, poly = case
+    base = SuperellipticCurve(n, poly)
+    solver = LocalSolver(base)
+    assert base.separable
+    for p in primes_up_to(_old_weil_floor(base) - 1):
+        if p < solver._weil_floor or p == 2 or solver._constants % p == 0:
+            continue
+        for d in _unit_class_twists(p, n):
+            assert solver._good_reduction_shortcut(d, p)
+            assert per_d_walk(solver, d, p) == SOLUBLE, (p, d)
+            if p * p <= 4096:
+                assert _residue_witness(n, poly, p, d), (p, d)
+
+
+def test_suspended_walks_are_dropped():
+    """After the local pass over the twists |d| <= 40 of P8, a walk is kept
+    only while a class a twist can ask for is missing from its image; at a
+    tame prime those are the unit classes."""
+    base = SuperellipticCurve(2, PINNED8)
+    twists._solver_cache.clear()
+    solver = twists._solver(base)
+    for d in nfree_sieve(2, 40):
+        everywhere_locally_soluble(base.twist(d))
+    dropped = 0
+    for p, image in solver._images.items():
+        met = {k for k in image.met if k[0] == 0 or not solver._tame(p)}
+        if image.walk is not None:
+            assert not (image.done or image.every)
+            assert len(met) < image.wanted
+        elif not (image.done or image.every):
+            assert len(met) == image.wanted
+            dropped += 1
+    assert dropped > 0
