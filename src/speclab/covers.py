@@ -35,6 +35,7 @@ from .poly import (
     _exact_quotient,
     _rational_roots,
     _squarefree_parts,
+    _symmetric,
     factor_over_Q,
     format_poly,
 )
@@ -222,8 +223,9 @@ class CubicCover:
 
     def generic_group(self) -> str:
         """Galois group of the splitting field over Q(T): S3, C3, C2 or C1,
-        from whether P(T, Y) has a root in Q(T) and whether delta is a square
-        in Q(T)."""
+        from whether P(T, Y) has a root in Q(T), decided by one Kronecker
+        substitution (_reducible_over_QT), and whether delta is a square in
+        Q(T)."""
         if self._reducible_over_QT():
             # a Q(T)-root exists; quotient is the quadratic cofactor
             return "C1" if self._delta_is_square() else "C2"
@@ -242,26 +244,26 @@ class CubicCover:
         return {"S3": 6, "C3": 3, "C2": 2, "C1": 1}[self.generic_group()]
 
     def _reducible_over_QT(self) -> bool:
-        """P has a root in Q(T). P is monic over the integrally closed Z[T],
-        so such a root r lies in Z[T], and the leading terms of P(T, r) can
-        cancel only if deg r <= max(deg a2, deg a1 / 2, deg a0 / 3). Then r(t)
-        is an integer root of P(t, Y) at every integer t (a rational root of
-        the monic cubic): interpolate each choice of those roots at the first
-        e + 1 integers t >= 0 with delta(t) != 0, e that bound on deg r, and
-        test it exactly. Off the branch locus P(t, Y) is squarefree, so its
-        roots come from a squarefree reduction, not Yun's algorithm."""
+        """P has a root r in Q(T). P is monic over the integrally closed Z[T],
+        so r lies in Z[T]. Every root of P(t, Y) with |t| = 1 is at most
+        B = 1 + max(|a2|_1, |a1|_1, |a0|_1) (Cauchy's bound; |.|_1 sums the
+        absolute coefficients), so the coefficient of T^j in r, the mean of
+        r(t) t^-j over |t| = 1, is too. So r is the
+        balanced base-t0 expansion of the integer root r(t0) of P(t0, Y) at
+        any t0 >= 2B + 1 (Kronecker substitution). Take the first such t0 off
+        the branch locus, where P(t0, Y) is squarefree and its roots come
+        from a squarefree reduction, not Yun's algorithm, and test each
+        expansion exactly."""
         a2, a1, a0 = self.a2, self.a1, self.a0
-        e = max(a2.degree, a1.degree // 2, a0.degree // 3, 0)
-        ts = list(islice((t for t in count() if self.delta(t)), e + 1))
-        choices = []
-        for t in ts:
-            roots = [int(r) for r in _cubic_roots(IntPolynomial([a0(t), a1(t), a2(t), 1]))]
-            if not roots:
-                return False
-            choices.append(roots)
-        for values in product(*choices):
-            r = _interpolate(ts, values)
-            if r is not None and r * r * r + a2 * r * r + a1 * r + a0 == IntPolynomial([]):
+        B = 1 + max(sum(map(abs, a.coeffs)) for a in (a2, a1, a0))
+        t0 = next(t for t in count(2 * B + 1) if self.delta(t))
+        for root in _cubic_roots(IntPolynomial([a0(t0), a1(t0), a2(t0), 1])):
+            n, digits = int(root), []
+            while n:
+                digits.append(_symmetric(n, t0))
+                n = (n - digits[-1]) // t0
+            r = IntPolynomial(digits)
+            if r * r * r + a2 * r * r + a1 * r + a0 == IntPolynomial([]):
                 return True
         return False
 
@@ -620,24 +622,6 @@ def s3_survey_predicates(
     return SurveyPredicates(
         True, galois_S3, delta_irred, lf_ok, inf_unbranched, branch_conj, regular
     )
-
-
-def _interpolate(ts: list[int], values) -> IntPolynomial | None:
-    """The polynomial of degree < len(ts) through (ts[i], values[i]) when its
-    coefficients are integers, else None. Newton's divided differences of a
-    polynomial in Z[T] at distinct integers are integers, so a division that
-    is not exact rules it out."""
-    dd = list(values)
-    for j in range(1, len(ts)):
-        for i in range(len(ts) - 1, j - 1, -1):
-            q, rem = divmod(dd[i] - dd[i - 1], ts[i] - ts[i - j])
-            if rem:
-                return None
-            dd[i] = q
-    out = IntPolynomial([])
-    for i in range(len(ts) - 1, -1, -1):
-        out = out * IntPolynomial([-ts[i], 1]) + dd[i]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -279,11 +279,6 @@ def obstruction_certificate(curve) -> ObstructionCertificate | None:
 # Local solubility
 
 
-def _is_nth_power_qp(val: int, p: int, n: int) -> bool:
-    """Exact membership of a nonzero integer in (Q_p^*)^n."""
-    return _qp_class(val, p, n) == (0, 1)
-
-
 def _qp_class(val: int, p: int, n: int) -> tuple[int, int]:
     """The class of a nonzero integer val = p^w u in Q_p^* / (Q_p^*)^n, as
     (w mod n, key of the class of the unit u); the key is 1 exactly on the
@@ -644,9 +639,13 @@ def everywhere_locally_soluble(curve) -> tuple[str, dict]:
     every F_p point of the smooth model of a separable P lifts by Hensel.
     m = 0 when n | deg P, gcd(n, deg P) otherwise (the points above
     infinity, which no twist's walk counts), and (n + 1)(deg P + 1), with
-    the arithmetic genus, for a P that is not separable. Each prime's
-    verdict is read from the solver's local image there. "unknown" at some
-    place propagates unless another place is outright insoluble."""
+    the arithmetic genus, for a P that is not separable. The Hasse-Weil
+    shortcut of LocalSolver refuses at every listed prime (it needs a good
+    prime past the floor), so this pass never takes it; only a single-place
+    query, local_solubility, can. Each listed prime's verdict comes from the
+    closed form at a tame p | d, or from the solver's local image there.
+    "unknown" at some place propagates unless another place is outright
+    insoluble."""
     tw = _as_twist(curve)
     solver = _solver(tw.base)
     detail: dict = {}

@@ -171,6 +171,23 @@ def test_consistency_reports_pinned():
 
 
 @pytest.mark.parametrize(
+    "a2, a1, a0, checked",
+    [
+        ("0", "T", "T", 168),  # S3
+        ("-1*T", "-1*T - 3", "-1", 95),  # C3, Shanks' simplest cubic
+        ("-1*T", "-1*T", "T^2", 107),  # C2, (Y - T)(Y^2 - T)
+        ("0", "-1*T^2", "0", 0),  # C1, Y(Y - T)(Y + T)
+    ],
+    ids=["S3", "C3", "C2", "C1"],
+)
+def test_consistency_on_each_generic_group(a2, a1, a0, checked):
+    """Predicted against exact inertia orders on a cover of each group; the
+    C2 cover's specialisations read inertia from their quadratic factor."""
+    rep = consistency_check(CubicCover(P(a2), P(a1), P(a0)), n_samples=60, height=30, seed=1)
+    assert rep == ConsistencyReport(samples=60, checked_primes=checked, mismatches=())
+
+
+@pytest.mark.parametrize(
     "cls, cover",
     [(CubicCover, cubic_ttY()), (QuadraticCover, quad_cover(P("T^6 - T - 1")))],
 )

@@ -53,6 +53,15 @@ class TestExponent:
         with pytest.raises(ValueError):
             best_abc_exponent(t, [(3, 2)], 2)
 
+    def test_best_over_subsets_picks_and_skips(self):
+        # |G| = 6, indices (2, 3, 3, 3, 3, 3, 3): the full type gives 2/9,
+        # six 3s give 1/6, and (3, 3) fails eq1, so it is skipped
+        t = rt(2, 3, 3, 3, 3, 3, 3)
+        assert abc_exponent(t, 6) == Fraction(2, 9)
+        assert not condition_eq1(rt(3, 3))[0]
+        assert best_abc_exponent(t, [(3,) * 6, (3, 3)], 6) == (Fraction(1, 6), (3,) * 6)
+        assert best_abc_exponent(t, [(3, 3)], 6) == (Fraction(2, 9), t.indices)
+
     def test_genus_one_link(self):
         # r = 6 double cover: genus 2, e = 1/(g - 1) = 1
         t = rt(2, 2, 2, 2, 2, 2)

@@ -231,6 +231,40 @@ class TestManifest:
         assert filecmp.cmp(tmp_path / "a.csv", tmp_path / "b.csv", shallow=False)
         assert "timestamp" not in (tmp_path / "a.json").read_text()
 
+    @staticmethod
+    def _run_and_replay(tmp_path, argv):
+        """Run argv with a manifest, replay the manifest into a second file,
+        and return the exit code, the results and whether the replay's
+        output is byte-identical."""
+        code = run(argv + ["--out", str(tmp_path / "a.json"), "--manifest", str(tmp_path / "m.json")])
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        manifest["parameters"]["out"] = str(tmp_path / "b.json")
+        (tmp_path / "m2.json").write_text(json.dumps(manifest))
+        replayed = run_manifest(str(tmp_path / "m2.json"))
+        same = filecmp.cmp(tmp_path / "a.json", tmp_path / "b.json", shallow=False)
+        results = json.loads((tmp_path / "a.json").read_text())["results"]
+        return code, replayed, results, same
+
+    def test_local_every_place(self, tmp_path):
+        argv = ["local", "--n", "2", "--poly", "T^4+1", "--d", "3"]
+        code, replayed, results, same = self._run_and_replay(tmp_path, argv)
+        assert code == replayed == 0 and same
+        assert results == {"status": "insoluble", "places": {"2": "insoluble", "infinity": "soluble"}}
+
+    def test_hasse_scan(self, tmp_path):
+        argv = ["hasse-scan", "--cover", "T^8 + 3*T^6 + 4*T^4 + 6*T^2 + 4", "--x", "10", "--height", "20"]
+        code, replayed, results, same = self._run_and_replay(tmp_path, argv)
+        assert code == replayed == 0 and same
+        res = results["result"]
+        assert (res["locally_obstructed"], res["soluble_with_points"]) == (12, 1)
+        assert res["candidates"] == [] and res["unknown"] == []
+
+    def test_exponent_beta(self, tmp_path):
+        argv = ["exponent", "--order", "6", "--indices", "2,3,3,3,3,3,3", "--q", "3"]
+        code, replayed, results, same = self._run_and_replay(tmp_path, argv)
+        assert code == replayed == 0 and same
+        assert results["beta"] == "1/4" and results["e"] == "2/9"
+
     def test_csv_header(self, tmp_path):
         run(
             [

@@ -731,6 +731,41 @@ class TestGenericGroup:
         sympy's factorisation of P(T, Y), on every cover."""
         assert cover.generic_group() == old_generic_group(cover)
 
+    @pytest.mark.parametrize(
+        "a2, a1, a0",
+        [
+            ("5*T^2", "1", "5*T^2"),  # (Y + 5T^2)(Y^2 + 1)
+            ("0", "-49*T^2 + 1", "-7*T"),  # (Y - 7T)(Y^2 + 7TY + 1)
+        ],
+        ids=["coefficient-at-B-1", "a1-sets-B"],
+    )
+    def test_kronecker_digit_bound(self, a2, a1, a0):
+        """Covers whose root in Z[T] sits near the digit bound
+        B = 1 + max(|a2|_1, |a1|_1, |a0|_1): the root -5T^2 has a coefficient
+        B - 1 = 5, and the root 7T needs B = 51 from a1, where |a2|_1 alone
+        gives 1. Each is read back from one root at t0 >= 2B + 1."""
+        cover = cover_of(a2, a1, a0)
+        assert cover.generic_group() == "C2" == old_generic_group(cover)
+
+    @pytest.mark.parametrize("k", range(4, 15))
+    def test_split_family_decided_by_one_root_call(self, monkeypatch, k):
+        """Y (Y - P_k)(Y + P_k), P_k = prod_{i<k} (2T - 2i - 1): the three
+        roots in Z[T] change order between integer points t, and one root
+        computation at a single t0 decides the cover reducible."""
+        pk = math.prod((IntPolynomial([-2 * i - 1, 2]) for i in range(k)), start=IntPolynomial([1]))
+        cover = CubicCover(IntPolynomial([]), -(pk * pk), IntPolynomial([]))
+        calls = []
+        real = covers._cubic_roots
+
+        def spy(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(covers, "_cubic_roots", spy)
+        assert cover._reducible_over_QT()
+        assert len(calls) == 1
+        assert cover.generic_group() == "C1"
+
 
 def old_reducible_class(f):
     """Group and field discriminant of a reducible monic cubic from its sympy

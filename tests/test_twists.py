@@ -41,7 +41,7 @@ from speclab.twists import (
     obstruction_certificate,
     search_points,
 )
-from speclab.twists import LocalSolver, _is_nth_power_qp, _qp_class
+from speclab.twists import LocalSolver, _qp_class
 
 
 def P(text):
@@ -414,13 +414,13 @@ def test_twists_with_a_point_are_never_certified(case):
 
 class TestLocal:
     def test_qp_nth_power_membership(self):
-        assert _is_nth_power_qp(49, 7, 2)
-        assert not _is_nth_power_qp(7, 7, 2)
-        assert not _is_nth_power_qp(2, 7, 3)  # 2^((7-1)/3) = 4 mod 7
-        assert _is_nth_power_qp(6, 7, 3)  # 6^2 = 1 mod 7
-        assert _is_nth_power_qp(17, 2, 2)  # 17 = 1 mod 16
-        assert not _is_nth_power_qp(3, 2, 2)
-        assert _is_nth_power_qp(10, 3, 3) == any(
+        assert _qp_class(49, 7, 2) == (0, 1)
+        assert _qp_class(7, 7, 2) != (0, 1)
+        assert _qp_class(2, 7, 3) != (0, 1)  # 2^((7-1)/3) = 4 mod 7
+        assert _qp_class(6, 7, 3) == (0, 1)  # 6^2 = 1 mod 7
+        assert _qp_class(17, 2, 2) == (0, 1)  # 17 = 1 mod 16
+        assert _qp_class(3, 2, 2) != (0, 1)
+        assert (_qp_class(10, 3, 3) == (0, 1)) == any(
             pow(x, 3, 27) == 10 % 27 for x in range(27) if x % 3)
 
     @given(
@@ -449,7 +449,6 @@ class TestLocal:
             return w % n == 0 and (val // p**w) % mod in powers
 
         assert (_qp_class(a, p, n) == (0, 1)) == is_power(a)
-        assert _is_nth_power_qp(a, p, n) == is_power(a)
         # a and b share a class iff a / b, like a * b^(n-1), is an n-th power
         assert (_qp_class(a, p, n) == _qp_class(b, p, n)) == is_power(a * b ** (n - 1))
         if x % p:
@@ -879,7 +878,7 @@ def old_chart(self, g, gp, c, p, cap, start_at_multiple):
                 return SOLUBLE
         w = vc + vga
         if vc + j >= w + k0:
-            if _is_nth_power_qp(c * ga, p, n):
+            if _qp_class(c * ga, p, n) == (0, 1):
                 return SOLUBLE
             continue
         if j >= cap:
@@ -919,7 +918,7 @@ def per_d_chart(self, g, gp, c, p, cap, start_at_multiple):
                 return SOLUBLE
             spread = min(spread, vgpa + j)
         if spread >= vga + k0:
-            if _is_nth_power_qp(c * ga, p, n):
+            if _qp_class(c * ga, p, n) == (0, 1):
                 return SOLUBLE
             continue
         if j >= cap:
@@ -941,7 +940,7 @@ def per_d_walk(solver, d, p, chart=per_d_chart):
         + (valuation(base.P.content, p) if base.P.content % p == 0 else 0)
         + twists._DEPTH_MARGIN
     )
-    if base.N % n == 0 and _is_nth_power_qp(d * base.P.lc, p, n):
+    if base.N % n == 0 and _qp_class(d * base.P.lc, p, n) == (0, 1):
         return SOLUBLE
     unknown = False
     for g, gp, start_at_multiple in solver._charts:
@@ -1274,6 +1273,43 @@ def test_floor_soundness_between_the_floors(case):
             assert per_d_walk(solver, d, p) == SOLUBLE, (p, d)
             if p * p <= 4096:
                 assert _residue_witness(n, poly, p, d), (p, d)
+
+
+@given(separable_curves(), st.lists(st.integers(-500, 500).filter(bool), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+@example((2, PINNED8), [1, 3, -5, 7])
+@example((3, P("T^4 + T + 3")), [2, -6, 9])
+@example((3, P("T")), [-1, 275])  # 275 = 5^2 * 11 walks the image at 5 first
+def test_shortcut_applies_only_past_the_listed_places(case, ds):
+    """bad_primes lists exactly the odd primes where _good_reduction_shortcut
+    refuses: those of the constants, of d, and those below the Weil floor. So
+    everywhere_locally_soluble never takes the shortcut; a single-place query
+    past the floor does."""
+    n, poly = case
+    base = SuperellipticCurve(n, poly)
+    twists._solver_cache.clear()
+    solver = twists._solver(base)
+    taken = []
+    shortcut = LocalSolver._good_reduction_shortcut
+
+    def spy(self, d, p):
+        applies = shortcut(self, d, p)
+        if applies:
+            taken.append((d, p))
+        return applies
+
+    with mock.patch.object(LocalSolver, "_good_reduction_shortcut", spy):
+        for d in {nfree_part(d, n) for d in ds}:
+            listed = set(solver.bad_primes(factorize(d)))
+            for p in primes_up_to(solver._weil_floor + 200):
+                assert shortcut(solver, d, p) == (p not in listed and p != 2), (d, p)
+            everywhere_locally_soluble(base.twist(d))
+            assert taken == []
+            past = next(p for p in primes_up_to(solver._weil_floor + 10**4) if p not in listed and p != 2)
+            twists._solver_cache.clear()  # a fresh solver, with no image at past
+            assert local_solubility(base.twist(d), past) == SOLUBLE
+            assert taken == [(d, past)]
+            taken.clear()
 
 
 def test_suspended_walks_are_dropped():
