@@ -42,7 +42,7 @@ from .covers import (
     quad_cover,
     quad_specialize,
 )
-from .poly import INFINITY, IntPolynomial, ProjectivePoint, format_poly, parse_poly
+from .poly import INFINITY, ProjectivePoint, parse_poly
 from .ramify import predict
 from .twists import (
     SuperellipticCurve,
@@ -71,10 +71,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in asdict(obj).items()}
     if isinstance(obj, Fraction):
         return str(obj) if obj.denominator != 1 else obj.numerator
-    if isinstance(obj, IntPolynomial):
-        return format_poly(obj)
-    if isinstance(obj, ProjectivePoint):
-        return f"[{obj.u}:{obj.v}]"
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

@@ -150,8 +150,6 @@ class SpecializationReport:
                 return 3
             if v == 1:
                 return 2
-            if self.d_k is not None and self.d_k % p == 0:
-                return 2
             return 1
         if self.group == "C2":
             return 2 if self.disc_field % p == 0 else 1
@@ -560,6 +558,10 @@ def cubic_specialize(cover: CubicCover, t0) -> SpecializationReport:
         )
     else:
         _, dk, dk_primes = _quad_field(disc, dfac)
+        # two routes to d_k: the resolvent of spec, and d_K = d_k f^2 for the
+        # cubic field K of an S3 cubic, whose conductor f is an integer
+        if dK % dk or not is_nth_power(dK // dk, 2):
+            raise ConsistencyError(f"d_K = {dK} is not d_k = {dk} times a square at t0 = {pt}")
         dF = abs(dk) * dK * dK
         ram = tuple(sorted(dK_primes.union(dk_primes)))
         rep = SpecializationReport(

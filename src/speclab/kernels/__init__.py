@@ -28,30 +28,28 @@ then nonzero: a zero word empties its row.
 The survivors are checked in (v, u) order, in chunks, until max_points
 points are found. In each chunk the pairs with gcd(u, v) > 1 go first. A
 chunk of more than a few dozen pairs then goes through a second residue
-stage (_residue_stage): the same test as the sieve's, at up to 8 more primes
-from 67 up that sieve for n, with F(u, v) mod p from one vectorised Horner
-pass instead of a table. Like the sieve it tests only mod p. It keeps a few
+stage (_residue_stage): the sieve's test (_residue_test) at up to 8 more
+primes from 67 up that sieve for n, read pair by pair from the value rows
+through u * v^-1 mod p. Like the sieve it tests only mod p. It keeps a few
 pairs in a thousand when there is no point, and stops running once a pass
 keeps more than half of a chunk, where the pairs are mostly points. What is
 left gets the exact check: form_values, the one array evaluator of a binary
 form (the census uses it too), then an n-th root of each nonzero value.
 
-The sieve's inputs are split by what they depend on. Per prime, shared by
+F is evaluated modulo a prime in one place, _value_rows: the value row
+f(t) = F(t, 1) mod p, read at t = u / v since F(u, v) = v^M f(u / v). The
+search's inputs are split by what they depend on. Per prime, shared by
 every curve in the process: the allowed mask of each class -- which values
 are allowed depends on d only through its class in F_p^*/(F_p^*)^n (or
-d = 0 mod p) -- and, for the candidate primes, the index u * v^-1 mod p
-into a value row. Per curve: the value row f(t) = F(t, 1) mod p, from one
-Horner pass over all the primes a search is missing, read through that index
-since F(u, v) = v^M f(u / v); a fallback prime's index; F(u, v) mod 64 as
-uint8; and for each class and height H the packed rows of the sieve table
-(the mask read through the value row), when they take at most
-_KEPT_ROWS_BYTES, and the 2-adic row.
-Per g, shared by every curve: the flags of the g-th power nonresidues mod
-each prime of the mask. _residue_tables, _two_adic_row and _dead_rows build
-those rows; the sieve only ANDs them.
-A caller that searches many twists of one curve passes one dict as `cache`
-to keep the per-curve tables between calls. The shared masks, index and
-flags outlive every such cache: they last as long as the process.
+d = 0 mod p) --, the inverses mod p and, for the candidate primes, the
+index u * v^-1 mod p into a value row. Per curve: the value rows of the
+sieve and stage primes; a fallback prime's index; F(u, v) mod 64 as uint8;
+and for each class and height H the packed rows of the sieve table, when
+they take at most _KEPT_ROWS_BYTES, and the 2-adic row. Per g, shared by
+every curve: the flags of the g-th power nonresidues mod each prime of the
+mask. A caller that searches many twists of one curve passes one dict as
+`cache` to keep the per-curve tables between calls; the shared tables last
+as long as the process.
 
 A prime that divides d or the content of F passes every pair, so it is
 neither a sieve nor a stage prime. Nor is a fallback prime whose p x p
@@ -99,10 +97,10 @@ _ROW_OFFSETS = np.cumsum(_ROW_PRIMES) - _ROW_PRIMES
 # _FIRST_CHUNK, small so that a search whose first point lies in its first
 # rows stops early, then chunks of _CHUNK; it stops at max_points. A chunk of
 # more than _STAGE_MIN coprime pairs goes through the stage first. On a
-# 2-core host a pass over 8 primes costs about 50 us + 0.35-0.6 us per pair
-# (form degree 4 to 8), and the exact check about 30 us + 0.35 us per pair on
-# int64 values and 1.2-1.7 us per pair on larger ones: the stage pays from a
-# few dozen pairs on, most where the values leave int64.
+# 2-core host a pass over 8 primes costs about 45 us + 0.11-0.18 us per pair
+# at any degree, and the exact check about 30 us + 0.35 us per pair on int64
+# values and 1.2-1.7 us per pair on larger ones: the stage pays from a few
+# dozen pairs on, most where the values leave int64.
 _FIRST_CHUNK = 256
 _CHUNK = 4096
 _STAGE_MIN = 32
@@ -118,6 +116,7 @@ _masks: dict[tuple[int, int, int], np.ndarray] = {}  # (p, n, class) -> mask
 # kept here, n = 101 at H = 10^4 would hold about 5 M entries for the life of
 # the process.
 _index: dict[int, np.ndarray] = {}  # p -> see _value_index
+_inverses: dict[int, np.ndarray] = {}  # p -> see _inverse
 # The mask's flags, one read-only array per g = gcd(n, M).
 _flags: dict[int, np.ndarray] = {}  # g -> see _nonresidue_flags
 _R64 = np.arange(64, dtype=np.uint8)
@@ -173,6 +172,16 @@ def _powmod(r: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
+def _inverse(p: int) -> np.ndarray:
+    """inv[r] = r^-1 mod p, inv[0] = 0: p entries, read-only, shared by
+    every curve. The stage and _value_index read u * v^-1 through it."""
+    inv = _inverses.get(p)
+    if inv is None:
+        inv = _inverses[p] = _powmod(np.arange(p, dtype=np.int64), p - 2, p)
+        inv.flags.writeable = False
+    return inv
+
+
 def _value_index(p: int, cache: dict) -> np.ndarray:
     """(p, p) index into a value row (see _value_rows), [v % p][u % p]:
     u * v^-1 mod p where v != 0, p (the point at infinity) where v = 0 and
@@ -182,8 +191,7 @@ def _value_index(p: int, cache: dict) -> np.ndarray:
     store, key = (_index, p) if p in _CANDIDATE_PRIMES else (cache, ("index", p))
     idx = store.get(key)
     if idx is None:
-        r = np.arange(p, dtype=np.int64)
-        inv = _powmod(r, p - 2, p)
+        r, inv = np.arange(p, dtype=np.int64), _inverse(p)
         idx = np.empty((p, p), dtype=np.min_scalar_type(p + 1))
         step = max(1, _purepy._BLOCK_BYTES // (8 * p))
         for v0 in range(1, p, step):  # int64 temporaries of one block of rows
@@ -229,12 +237,16 @@ def _dead_rows(coeffs: list[int], n: int, d: int, H: int) -> np.ndarray:
     return v * k
 
 
-def _value_rows(coeffs: list[int], primes: list[int]) -> dict[int, np.ndarray]:
-    """rows[p]: F at the points of P^1(F_p) read by _value_index -- f(t) =
-    F(t, 1) mod p at t = 0 .. p - 1, then F(1, 0) (the leading coefficient),
-    then F(0, 0) (0 unless F is a constant). One Horner pass over all the
-    primes at once, with a per-element modulus: every factor is below p, so
-    each step stays below p^2 + p."""
+def _value_rows(coeffs: list[int], primes: list[int], cache: dict) -> None:
+    """Puts into cache[p], for each p of primes that cache lacks, F at the
+    points of P^1(F_p) read by _value_index -- f(t) = F(t, 1) mod p at
+    t = 0 .. p - 1, then F(1, 0) (the leading coefficient), then F(0, 0) (0
+    unless F is a constant). One Horner pass over all those primes at once,
+    with a per-element modulus: every factor is below p, so each step stays
+    below p^2 + p."""
+    primes = [p for p in primes if p not in cache]
+    if not primes:
+        return
     sizes = np.array(primes, dtype=np.int64) + 2
     ends = np.cumsum(sizes)
     owner = np.repeat(np.arange(len(primes)), sizes)
@@ -247,25 +259,32 @@ def _value_rows(coeffs: list[int], primes: list[int]) -> dict[int, np.ndarray]:
     acc[ends - 2] = c[-1, ends - 2]
     acc[ends - 1] = c[0, ends - 1] if len(coeffs) == 1 else 0
     acc = acc.astype(np.min_scalar_type(max(primes) - 1))
-    return {p: acc[e - p - 2 : e] for p, e in zip(primes, ends.tolist())}
+    cache.update({p: acc[e - p - 2 : e] for p, e in zip(primes, ends.tolist())})
+
+
+def _residue_test(p: int, n: int, d: int, row: np.ndarray, M: int):
+    """ok(t, u, v) -> boolean array, the test of the sieve tables and the
+    stage: whether d * F(u, v) mod p is an n-th power residue or 0 (the
+    shared mask of _allowed_residues), at residues u, v mod p with point t
+    in row, p's value row. F(u, v) = w^M row[t], where t = u * v^-1 and
+    w = v, or t = p (the point at infinity) and w = u where p | v. When
+    gcd(n, p - 1) divides M, w^M is an n-th power residue (or 0 at u = v = 0,
+    where F(0, 0) = row[p + 1] is 0 for M > 0) and leaves the class
+    unchanged, so ok reads allowed[row] at t alone."""
+    allowed = _allowed_residues(p, n, d)
+    if M % gcd(n, p - 1):
+        scale = _powmod(np.arange(p, dtype=np.int64), M, p)  # w -> w^M mod p
+        return lambda t, u, v: allowed[row[t] * scale[np.where(v, v, u)] % p]
+    table = allowed[row]
+    return lambda t, u, v: np.take(table, t)  # faster than table[t] on a uint8 t
 
 
 def _residue_tables(
-    coeffs: list[int],
-    n: int,
-    d: int,
-    primes: list[int],
-    H: int,
-    cache: dict,
+    coeffs: list[int], n: int, d: int, primes: list[int], H: int, cache: dict
 ) -> dict[int, np.ndarray]:
     """rows[p]: the sieve table of p at height H, packed by
-    _purepy._packed_rows. The sieve table ok[v % p][u % p] is True where
-    d * F(u, v) mod p is an n-th power residue or 0: the shared per-prime
-    mask (see _allowed_residues) read through the curve's value row at the
-    shared index u * v^-1 (see _value_index), for F(u, v) = v^M f(u / v).
-    When gcd(n, p - 1) divides the degree M, v^M (and u^M at v = 0) is an
-    n-th power residue and leaves the class unchanged; otherwise the values
-    are scaled by it first.
+    _purepy._packed_rows: ok[v % p][u % p] of _residue_test, read at the
+    shared index u * v^-1 (see _value_index).
 
     cache must only ever see one (coeffs, n): it keeps the value row under
     p, a fallback prime's index, and the rows under (p, class of d, H) when
@@ -273,22 +292,13 @@ def _residue_tables(
     prime, not here."""
     M = len(coeffs) - 1
     keys = {p: (p, power_class(d, p, n), H) for p in primes}
-    missing = [p for p in primes if keys[p] not in cache and p not in cache]
-    if missing:
-        cache.update(_value_rows(coeffs, missing))
+    _value_rows(coeffs, primes, cache)
     out = {}
     for p in primes:
         rows = cache.get(keys[p])
         if rows is None:
-            allowed, val, idx = _allowed_residues(p, n, d), cache[p], _value_index(p, cache)
-            if M % gcd(n, p - 1):
-                scale = _powmod(np.arange(p, dtype=np.int64), M, p)
-                vals = val[idx].astype(np.int64)
-                vals[1:] *= scale[1:, None]
-                vals[0] *= scale
-                ok = allowed[vals % p]
-            else:
-                ok = np.take(allowed[val], idx)  # faster than [idx] on a uint8 index
+            r = np.arange(p, dtype=np.int64)
+            ok = _residue_test(p, n, d, cache[p], M)(_value_index(p, cache), r, r[:, None])
             rows = _purepy._packed_rows(ok, H)
             if rows.nbytes <= _KEPT_ROWS_BYTES:
                 rows.flags.writeable = False  # shared by every twist in the class
@@ -342,32 +352,21 @@ def _stage_primes(n: int, d: int, sieved: list[int]) -> list[int]:
     return out
 
 
-def _residue_stage(cs: list[int], n: int, d: int, primes: list[int]):
-    """keep(u, v) -> boolean array: which pairs pass every stage prime p (see
-    _stage_primes), that is d * F(u, v) mod p is an n-th power residue or 0
-    (the shared masks of _allowed_residues). F(u, v) mod p comes from one
-    homogeneous Horner pass over a (primes x pairs) int32 array: every factor
-    is reduced below p < 2^10, so every product and sum stays below
-    2 p^2 < 2^21."""
-    if not primes:
-        return lambda u, v: np.ones(len(u), dtype=bool)
-    p = np.array(primes, dtype=np.int32)[:, None]
-    c = np.array([[cj % q for q in primes] for cj in cs], dtype=np.int32)[:, :, None]
-    masks = np.concatenate([_allowed_residues(q, n, d) for q in primes])
-    offsets = np.cumsum([0] + primes[:-1], dtype=np.int32)[:, None]
+def _residue_stage(coeffs: list[int], n: int, d: int, primes: list[int], cache: dict):
+    """keep(u, v) -> boolean array over coprime pairs: which pass the
+    sieve's test (_residue_test) at every stage prime p (see _stage_primes),
+    read from p's value row in the curve's cache at t = u * v^-1 mod p, or
+    t = p where p | v. What no chunk changes is built once per stage."""
+    _value_rows(coeffs, primes, cache)
+    M = len(coeffs) - 1
+    tests = [(p, _inverse(p), _residue_test(p, n, d, cache[p], M)) for p in primes]
 
     def keep(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        um = (u % p).astype(np.int32)
-        vm = (v % p).astype(np.int32)
-        acc = np.repeat(c[-1], len(u), axis=1)
-        vk = np.ones_like(vm)
-        for cj in c[-2::-1]:
-            acc *= um
-            vk *= vm
-            vk %= p
-            acc += cj * vk
-            acc %= p
-        return masks[acc + offsets].all(axis=0)
+        out = np.ones(len(u), dtype=bool)
+        for p, inv, ok in tests:
+            um, vm = u % p, v % p
+            out &= ok(np.where(vm, um * inv[vm] % p, p), um, vm)
+        return out
 
     return keep
 
@@ -445,7 +444,7 @@ def search_pairs(
         chunk = chunk[np.gcd(chunk[:, 0], chunk[:, 1]) == 1]
         if staging and len(chunk) > _STAGE_MIN:
             if stage is None:
-                stage = _residue_stage(coeffs, n, d, _stage_primes(n, passes_all, primes))
+                stage = _residue_stage(coeffs, n, d, _stage_primes(n, passes_all, primes), cache)
             keep = stage(chunk[:, 0], chunk[:, 1])
             # Once a pass keeps most of its input the survivors are mostly
             # points, and the stage costs more than it saves.

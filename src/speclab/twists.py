@@ -498,6 +498,10 @@ class LocalSolver:
             return verdict
         if self._good_reduction_shortcut(d, p):
             return SOLUBLE
+        # With gcd(n, deg P) = 1 a single point lies above t = oo, so it is
+        # rational, and every twist has a Q_p point.
+        if gcd(n, base.N) == 1:
+            return SOLUBLE
         return self._walk(d, p)
 
     def _walk(self, d: int, p: int) -> str:

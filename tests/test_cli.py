@@ -259,6 +259,24 @@ class TestManifest:
         assert (res["locally_obstructed"], res["soluble_with_points"]) == (12, 1)
         assert res["candidates"] == [] and res["unknown"] == []
 
+    def test_specialize_at_infinity(self, tmp_path):
+        # deg P even: the fiber above t0 = oo is Q(sqrt lc) = Q, and the
+        # point is written as its dataclass fields
+        argv = ["specialize", "--cover", "T^4+1", "--t0", "oo"]
+        code, replayed, results, same = self._run_and_replay(tmp_path, argv)
+        assert code == replayed == 0 and same
+        rep = results["report"]
+        assert (rep["group"], rep["m"], rep["t0"]) == ("C1", 1, {"u": 1, "v": 0})
+
+    def test_density_fit_replay(self, tmp_path):
+        # the manifest records the boolean --fit, and the replay passes it on
+        argv = ["density", "--cover", "T^2 - 2", "--grid", "20,40,80,160", "--fit"]
+        code, replayed, results, same = self._run_and_replay(tmp_path, argv)
+        assert code == replayed == 0 and same
+        assert json.loads((tmp_path / "m.json").read_text())["parameters"]["fit"] is True
+        assert results["series"]["unknown"] == [0, 0, 0, 0]
+        assert results["fit"]["alpha"] == pytest.approx(0.4985, abs=1e-4)
+
     def test_exponent_beta(self, tmp_path):
         argv = ["exponent", "--order", "6", "--indices", "2,3,3,3,3,3,3", "--q", "3"]
         code, replayed, results, same = self._run_and_replay(tmp_path, argv)

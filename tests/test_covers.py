@@ -272,6 +272,25 @@ class TestCubic:
         assert rep.d_K == -31 and rep.d_k == -31
         assert abs(rep.disc_field) == 31**3
 
+    def test_field_disc_is_resolvent_disc_times_a_square(self, monkeypatch):
+        # for an S3 cubic field K, d_K = d_k f^2: each S3 specialisation of
+        # Y^3 + TY + T on a box holds it, so p | d_k implies p | d_K, and a
+        # d_K off by a prime raises
+        cover, groups = self.cover(), set()
+        for v in range(1, 16):
+            for u in range(-15, 16):
+                if math.gcd(u, v) == 1 and cover.delta(Fraction(u, v)):
+                    rep = cubic_specialize(cover, Fraction(u, v))
+                    groups.add(rep.group)
+                    if rep.group == "S3":
+                        assert rep.d_K % rep.d_k == 0 and is_nth_power(rep.d_K // rep.d_k, 2)
+                        assert all(rep.d_K % p == 0 for p in factorize(abs(rep.d_k)))
+        assert "S3" in groups
+        field_disc = covers._field_disc
+        monkeypatch.setattr(covers, "_field_disc", lambda *a: 5 * field_disc(*a))
+        with pytest.raises(ConsistencyError, match="is not d_k"):
+            cubic_specialize(cover, 1)
+
     def test_group_tags(self):
         # Y^3 - 1 factors: C1 after splitting; Y^3 - 2 at t is C3/S3 cases
         rep = cubic_specialize(CubicCover(P("0"), P("0"), P("-1*T")), 2)

@@ -179,9 +179,9 @@ def test_content_passes_every_pair(coeffs, n, d, c, H, monkeypatch):
         counts.append(len(out))
         return out
 
-    def stage_spy(cs, n, d, primes):
+    def stage_spy(cs, n, d, primes, cache):
         staged.append(primes)
-        return build(cs, n, d, primes)
+        return build(cs, n, d, primes, cache)
 
     monkeypatch.setattr(_purepy, "survivors", sieve_spy)
     monkeypatch.setattr(kernels, "_residue_stage", stage_spy)
@@ -199,12 +199,14 @@ def test_large_exponent_matches_bruteforce(n, coeffs):
     # no prime p = 1 (mod n) has p^2 <= 21 * 10: no sieve prime, so no p x p
     # sieve table, and the box goes to the stage (607 and 809 for n = 101,
     # none for n = 1009) and the exact check. y^n = u^n has a point at every
-    # coprime pair with u != 0. The cache holds the 2-adic row alone.
+    # coprime pair with u != 0. The cache holds the 2-adic row and the stage
+    # primes' value rows alone: no p x p index.
     coeffs = [0] * n + [1] if coeffs == "u^n" else coeffs
     M, H, cache = len(coeffs) - 1, 10, {}
     full = kernels.search_pairs(coeffs, n, 1, H, cache=cache)
     assert full == by_v(brute_points(coeffs, M, n, 1, H))
-    assert cache and all(two_adic(k) for k in cache)
+    assert any(two_adic(k) for k in cache)
+    assert {k for k in cache if not two_adic(k)} == ({607, 809} if n == 101 else set())
 
 
 def two_adic(key):
@@ -357,13 +359,14 @@ def test_module_masks_bounded_by_their_keys(monkeypatch):
     # At H = 10 no prime = 1 (mod 17) is a sieve prime: n = 17 is all stage.
     monkeypatch.setattr(kernels, "_masks", {})
     monkeypatch.setattr(kernels, "_index", {})
+    monkeypatch.setattr(kernels, "_inverses", {})
     monkeypatch.setattr(kernels, "_STAGE_MIN", 0)
     staged = []
     build = kernels._residue_stage
 
-    def spy(cs, n, d, primes):
+    def spy(cs, n, d, primes, cache):
         staged.append((n, d, primes))
-        return build(cs, n, d, primes)
+        return build(cs, n, d, primes, cache)
 
     monkeypatch.setattr(kernels, "_residue_stage", spy)
     curves = [[a, 1, 0, b, 0, 0, 1] for a in range(-3, 4) for b in (0, 2)]
@@ -392,11 +395,18 @@ def test_module_masks_bounded_by_their_keys(monkeypatch):
     index_keys = {p for p, _, _ in sieve_keys}
     assert index_keys <= set(kernels._CANDIDATE_PRIMES)
     assert set(kernels._index) == index_keys
+    # the shared inverses are those of the primes with an index or a stage
+    stage_keys = {p for _, _, primes in staged for p in primes}
+    assert set(kernels._inverses) == index_keys | stage_keys
     primes, cache = kernels._select_primes(17, 1, 300), {}
     assert primes == [103, 137, 239, 307]
     kernels.search_pairs([1, 0, 2**17 - 1], 17, 1, 300, cache=cache)
     assert set(kernels._index) == index_keys
     assert {k[1] for k in cache if isinstance(k, tuple) and k[0] == "index"} == set(primes)
+    # the fallback primes' inverses (already there as stage primes at H = 10)
+    # and the new stage primes' join
+    assert set(primes) <= stage_keys and staged[-1][2] == [409, 443, 613, 647, 919, 953, 1021]
+    assert set(kernels._inverses) == index_keys | stage_keys | {919, 953, 1021}
 
 
 def test_tables_shared_within_a_class():
@@ -420,11 +430,23 @@ def test_tables_shared_within_a_class():
     "coeffs,M,n",
     [([5, 1, 0, 0, 2, 0, 0, 0, 1], 8, 2), ([-2, 0, 0, 1, 0], 4, 2), ([1, 0, 1, 1], 3, 3)],
 )
-def test_kept_rows_give_the_uncached_search(coeffs, M, n):
+def test_kept_rows_give_the_uncached_search(coeffs, M, n, monkeypatch):
     # one cache for every twist and both heights, searched twice so that the
-    # second pass reads kept rows; d runs over every class at each sieve prime
+    # second pass reads kept rows; d runs over every class at each sieve prime.
+    # Every chunk with a coprime pair is staged, so the stage primes' value
+    # rows join the cache too.
+    monkeypatch.setattr(kernels, "_STAGE_MIN", 0)
     cache = {}
     classes = {}  # (p, class of d) -> the first such d
+    staged = set()  # the stage primes of the searches on this cache
+    build = kernels._residue_stage
+
+    def spy(cs, n, d, primes, c):
+        if c is cache:
+            staged.update(primes)
+        return build(cs, n, d, primes, c)
+
+    monkeypatch.setattr(kernels, "_residue_stage", spy)
     for _ in range(2):
         for H in (30, 200):
             for d in range(-40, 41):
@@ -435,7 +457,14 @@ def test_kept_rows_give_the_uncached_search(coeffs, M, n):
                         classes.setdefault((p, fp.power_class(d, p, n)), d)
     for p in {p for p, _ in classes}:
         assert sum(q == p for q, _ in classes) == gcd(n, p - 1)
-    assert {k for k in cache if isinstance(k, int) and not two_adic(k)} == {p for p, _ in classes}
+    # the value rows: the sieve primes' and the stage primes', F mod p at
+    # t = 0 .. p - 1, then at (1, 0) and (0, 0)
+    sieved = {p for p, _ in classes}
+    assert staged and not staged & sieved
+    assert {k for k in cache if isinstance(k, int) and not two_adic(k)} == sieved | staged
+    for p in sieved | staged:
+        want = [sum(c * t**j for j, c in enumerate(coeffs)) % p for t in range(p)] + [coeffs[-1] % p, 0]
+        assert cache[p].tolist() == want
     assert {k[2] for k in cache if isinstance(k, tuple) and two_adic(k)} == {30, 200}
     kept = {k: rows for k, rows in cache.items() if isinstance(k, tuple) and not two_adic(k)}
     # every table fits at these heights, and is kept at each one
@@ -953,3 +982,59 @@ def test_stage_stops_where_pairs_are_points(stage_passes, monkeypatch):
     full = kernels.search_pairs([0, 0, 1], 2, 1, 60)
     assert full == old_search_pairs([0, 0, 1], 2, 2, 1, 60)
     assert len(stage_passes) == 1 and stage_passes[0][0] == stage_passes[0][1]
+
+
+# -- the stage against its definition: d * F(u, v) mod p an n-th power
+# residue or 0, at each stage prime, from the exact values of form_values
+
+_rng = np.random.default_rng(5)
+STAGE_TEST_FORMS = [
+    # (coeffs, n, d, how many stage primes scale by w^M). F(0, 1) != F(1, 0),
+    # so a pair with p | v read at t = 0 in place of p reads another value.
+    ([3, -1, 0, 2, 5], 2, -7, "none"),  # n | M
+    ([1, 0, 2**17 - 1], 17, 3, "all"),  # gcd(17, p - 1) = 17 does not divide M = 2
+    ([5, 0, 0, 0, 0, 0, 2], 4, 3, "some"),  # M = 6: scaled where p = 1 (mod 4)
+    (_rng.integers(-50, 51, 32).tolist(), 3, 2, "all"),  # M = 31
+    (_rng.integers(-50, 51, 31).tolist() + [7], 4, -5, "all"),  # M = 31
+    (_rng.integers(-(2**40), 2**40, 30).tolist() + [1], 2, 6, "none"),  # M = 30, big coefficients
+]
+
+
+def stage_pairs(primes, seed):
+    """Random coprime (u, v) with |u|, v <= 10^6, 200 of them in rows p | v
+    and 200 in columns p | u for each prime."""
+    rng = np.random.default_rng(seed)
+    size = 400 * len(primes) + 2000
+    u = rng.integers(-(10**6), 10**6 + 1, size)
+    v = rng.integers(1, 10**6 + 1, size)
+    for i, p in enumerate(primes):
+        k = rng.integers(1, 10**6 // p + 1, 400)
+        u[i * 400 : i * 400 + 200] = p * k[:200] * rng.choice([-1, 1], 200)
+        v[i * 400 + 200 : i * 400 + 400] = p * k[200:]
+    keep = np.gcd(u, v) == 1
+    return u[keep], v[keep]
+
+
+@pytest.mark.parametrize(
+    "coeffs,n,d,scaled", STAGE_TEST_FORMS, ids=["M=4", "n=17", "M=6,n=4", "M=31,n=3", "M=31,n=4", "M=30"]
+)
+def test_stage_keeps_what_its_definition_keeps(coeffs, n, d, scaled):
+    M = len(coeffs) - 1
+    primes = kernels._stage_primes(n, d * gcd(*coeffs), [])
+    assert len(primes) == kernels._STAGE_PRIMES
+    scales = [bool(M % gcd(n, p - 1)) for p in primes]
+    assert {"none": not any(scales), "all": all(scales), "some": any(scales) and not all(scales)}[scaled]
+    u, v = stage_pairs(primes, seed=M + n)
+    assert all(np.count_nonzero(v % p == 0) >= 100 and np.count_nonzero(u % p == 0) >= 100 for p in primes)
+    vals = [d * val for val in kernels.form_values(coeffs, u, v).tolist()]
+    every = np.ones(len(u), dtype=bool)
+    for p in primes:
+        want = np.array([fp.power_class(val, p, n) in (0, 1) for val in vals])
+        got = kernels._residue_stage(coeffs, n, d, [p], {})(u, v)
+        np.testing.assert_array_equal(got, want, err_msg=f"p={p}")
+        assert 0 < np.count_nonzero(want) < len(u)
+        every &= want
+    # one stage over every prime, on one cache, keeps their conjunction
+    cache = {}
+    np.testing.assert_array_equal(kernels._residue_stage(coeffs, n, d, primes, cache)(u, v), every)
+    assert set(cache) == set(primes)

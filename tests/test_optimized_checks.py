@@ -100,6 +100,14 @@ CASES = {
         covers._dedekind_p_maximal = lambda f, p: False
         covers.cubic_field_disc(parse_poly("T^3-2"))
     """,
+    "covers.cubic_specialize": """
+        from speclab import covers
+        field_disc = covers._field_disc
+        # d_K times a prime is no longer d_k times a square
+        covers._field_disc = lambda *args: 5 * field_disc(*args)
+        t = parse_poly("T")
+        covers.cubic_specialize(covers.CubicCover(parse_poly("0"), t, t), 1)
+    """,
     "poly._check_product": """
         from speclab import poly
         poly._zassenhaus = lambda f, good: [f, f]  # one factor too many

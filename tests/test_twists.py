@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from speclab import census, covers, poly, ramify, twists
+from speclab import census, covers, fp, poly, ramify, twists
 from speclab.covers import quad_cover
 from speclab.intutil import (
     factorize,
@@ -612,6 +612,24 @@ class TestScans:
         assert rows  # the comparison sees emitted primes
         assert rows == _old_admissible_prime_scan(cov, t0, 3000)
 
+    def test_admissible_scan_rejects_where_the_orbit_does_not_split(self, monkeypatch):
+        # T^4 + T + 1 at t0 = 1: 20 primes pass every square condition, yet
+        # T^4 + T + 1 has fewer than 4 roots mod them; 193 is emitted
+        cov, rejected = quad_cover(P("T^4 + T + 1")), []
+        splits = twists.splits_completely
+
+        def spy(R, p):
+            if not splits(R, p):
+                rejected.append(p)
+                return False
+            return True
+
+        monkeypatch.setattr(twists, "splits_completely", spy)
+        rows = admissible_prime_scan(cov, 1, 3000)
+        assert rows == [(193, 579, SOLUBLE)]
+        assert rejected[:4] == [97, 241, 337, 409] and len(rejected) == 20
+        assert all(fp.root_count(P("T^4 + T + 1"), p) < 4 for p in rejected)
+
     def test_admissible_scan_empty_below_least(self):
         cov = quad_cover(PINNED8)
         assert admissible_prime_scan(cov, 1, 190) == []
@@ -1113,15 +1131,17 @@ def test_closed_form_matches_walk(case):
 @pytest.mark.parametrize(
     "n,poly,p,d",
     [
-        (2, P("T^3 - 2"), 7, 7),  # n does not divide deg P (2 is no cube mod 7)
-        (4, P("T^2 + 1"), 3, 3),  # n does not divide deg P; the walk leaves z = 0 open
+        # n does not divide deg P; the walk leaves z = 0 open. gcd(n, deg P) = 2:
+        # the points above t = oo are defined over Q_3(sqrt 3), and the curve
+        # has no Q_3 point (FOUND in CHANGES.md), so no rule may call it soluble
+        (4, P("T^2 + 1"), 3, 3),
         (3, P("T^2 + 1") * P("T^2 + 1") * P("T^2 + 2"), 7, 7),  # not separable
         (2, P("T^4 + 2"), 2, 2),  # p | n
         (3, P("T^3 - 3"), 3, 3),  # p | n
         (2, P("T^2 + 3"), 3, -3),  # p | disc: a double root mod 3, yet insoluble
         (2, P("T^2 + 5"), 5, 5),  # p | disc: a double root mod 5
     ],
-    ids=["T^3-2", "T^2+1,n=4", "non-separable", "p=n=2", "p=n=3", "T^2+3,p=3", "T^2+5,p=5"],
+    ids=["T^2+1,n=4", "non-separable", "p=n=2", "p=n=3", "T^2+3,p=3", "T^2+5,p=5"],
 )
 def test_closed_form_does_not_fire(monkeypatch, n, poly, p, d):
     solver = LocalSolver(SuperellipticCurve(n, poly))
@@ -1129,6 +1149,34 @@ def test_closed_form_does_not_fire(monkeypatch, n, poly, p, d):
     verdict = solver.at_prime(d, p)
     assert charts, "decided without a walk"
     assert verdict == solver._walk(d, p)
+
+
+@pytest.mark.parametrize(
+    "n,poly,p,d",
+    [
+        (2, P("T^3 - 2"), 7, 7),  # 2 is no cube mod 7
+        (3, P("T^4 + T^2"), 3, -12),  # y^3 = d T^2 (T^2 + 1): the walk left every place unknown
+        (4, P("T^5 + T^3"), 2, -12),  # y^4 = d T^3 (T^2 + 1): likewise
+        (3, P("T^4 + T + 1"), 7, 7),  # one of the walk's unknowns on y^3 = d (T^4 + T + 1)
+    ],
+    ids=["T^3-2", "T^2(T^2+1),n=3", "T^3(T^2+1),n=4", "T^4+T+1,n=3"],
+)
+def test_rational_point_at_infinity(monkeypatch, n, poly, p, d):
+    """gcd(n, deg P) = 1: the one point above t = oo is rational, so every
+    twist is soluble at every place, without a walk. The residue witness
+    agrees, and so does the walk wherever it decides."""
+    solver = LocalSolver(SuperellipticCurve(n, poly))
+    charts = _spy_charts(monkeypatch)
+    assert solver.at_prime(d, p) == SOLUBLE
+    assert not charts, "walked"
+    assert _residue_witness(n, poly, p, d) is not None
+    assert solver._walk(d, p) in (SOLUBLE, UNKNOWN)
+    charts.clear()
+    # every listed place of every twist with |d| <= 12, and the real place
+    for e in [*nfree_sieve(n, 12), 1]:
+        status, places = everywhere_locally_soluble(SuperellipticCurve(n, poly).twist(e))
+        assert status == SOLUBLE and set(places.values()) == {SOLUBLE}
+    assert not charts, "walked"
 
 
 def _residue_witness(n, poly, p, d):
