@@ -526,8 +526,8 @@ def local_global_ratio_series(
     """Counts of twists with a global point (height-bounded trichotomy) and
     of everywhere-locally-soluble twists, over the same field grid.
 
-    Returns (global series, local series); local unknowns come from solver
-    precision caps, global unknowns from the height bound."""
+    Returns (global series, local series); every local verdict is exact, so
+    only the global series has unknowns, from the height bound."""
     _check_grid(grid)
     if not grid:
         return _NO_SERIES, _NO_SERIES

@@ -46,7 +46,6 @@ from .poly import INFINITY, ProjectivePoint, parse_poly
 from .ramify import predict
 from .twists import (
     SuperellipticCurve,
-    UNKNOWN,
     admissible_prime_scan,
     everywhere_locally_soluble,
     hasse_failure_candidates,
@@ -212,27 +211,21 @@ def _execute(ns) -> tuple[dict, bool, DensitySeries | None]:
     elif ns.cmd == "twist-scan":
         cov = quad_cover(parse_poly(ns.cover))
         rows = admissible_prime_scan(cov, _parse_t0(ns.t0), ns.bound)
-        unknowns = any(st == UNKNOWN for _, _, st in rows)
         out = {"admissible": [{"p": p, "d": d, "local": st} for p, d, st in rows]}
     elif ns.cmd == "local":
         tw = SuperellipticCurve(ns.n, parse_poly(ns.poly)).twist(ns.d)
         if ns.place:
-            st = local_solubility(tw, ns.place)
-            out = {"place": ns.place, "status": st}
-            unknowns = st == UNKNOWN
+            out = {"place": ns.place, "status": local_solubility(tw, ns.place)}
         else:
             st, detail = everywhere_locally_soluble(tw)
             out = {"status": st, "places": detail}
-            unknowns = st == UNKNOWN
     elif ns.cmd == "certify":
         tw = SuperellipticCurve(ns.n, parse_poly(ns.poly)).twist(ns.d)
         cert = obstruction_certificate(tw)
         out = {"certificate": cert, "explanation": cert.explain() if cert else None}
     elif ns.cmd == "hasse-scan":
         cov = quad_cover(parse_poly(ns.cover))
-        res = hasse_failure_candidates(cov, ns.x, ns.height)
-        unknowns = bool(res.unknown)
-        out = {"result": res}
+        out = {"result": hasse_failure_candidates(cov, ns.x, ns.height)}
     elif ns.cmd == "density":
         grid = _ints(ns.grid)
         if ns.fit and len(grid) < 4:  # fit_log_exponent's minimum; fail before the search

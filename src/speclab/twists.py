@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from itertools import repeat
 from math import gcd, isqrt, prod
 
@@ -310,15 +310,6 @@ def _unit_classes(p: int, n: int) -> tuple[int, ...]:
     return tuple(key)
 
 
-# Hensel levels searched past the valuations that can hide a root, before a
-# branch is left unknown.
-_DEPTH_MARGIN = 4
-
-# What the walk yields for a branch that holds a Z_p root of g where g' is
-# nonzero: near it g takes every class.
-_EVERY = "every"
-
-
 def _unit_class_count(p: int, n: int) -> int:
     """The order of Z_p^* / (Z_p^*)^n: gcd(n, p - 1) for p not dividing n
     (1 at p = 2), else the number of classes _unit_classes(p, n) keys."""
@@ -328,73 +319,74 @@ def _unit_class_count(p: int, n: int) -> int:
 
 
 class _LocalImage:
-    """The local image at one prime p: the classes in Q_p^*/(Q_p^*)^n of the
-    model's values met so far by one walk of both charts done without d
-    (LocalSolver._rounds). y^n = d * P(t) is soluble at p exactly when the
-    class of d^(n-1), the inverse of the class of d, is among them.
+    """The local image at one prime p: the values of the model met so far by
+    one walk of both charts done without d (LocalSolver._chart), as cosets
+    C * (Q_p^*)^g of (Q_p^*)^n with g | n. y^n = d * P(t) is soluble at p
+    exactly when the class of d^(n-1), the inverse of the class of d, lies in
+    one of them, that is when d * C is a g-th power.
 
-    read(key) answers from what the walk has met; resolve(key, cap) resumes
-    the walk until it meets the class, ends, or ends a round with branches
-    left open at a cap of at least `cap`. The walk is dropped once it ends,
-    once a root makes every class soluble, and once the image holds every
-    class a twist can ask for (`wanted`, the unit classes only when
-    `units_only`). A direct _walk at a tame prime can still ask for a
-    ramified class after that; the walk then starts again."""
+    A coset with g = n is one class, kept by its key in `met`; g = 1 is the
+    whole group, and sets `every`; the others are kept as (C, g) in
+    `cosets`. resolve(d) resumes the walk until the image holds the class of
+    d^(n-1) or the walk ends. The walk is dropped once it ends, once `every`
+    is set, and once `met` holds every class a twist can ask for (`wanted`,
+    the unit classes only when `units_only`). A direct _walk at a tame prime
+    can still ask for a ramified class after that; the walk then starts
+    again."""
 
-    __slots__ = ("rounds", "walk", "met", "every", "open_root", "done", "at_cap",
+    __slots__ = ("start", "p", "n", "walk", "met", "cosets", "every", "done",
                  "wanted", "units_only")
 
-    def __init__(self, rounds, met: set, wanted: int, units_only: bool):
-        self.rounds = rounds  # rounds(cap): a fresh walk, its first round to cap
+    def __init__(self, start, p: int, n: int, met: set, wanted: int, units_only: bool):
+        self.start = start  # start(): a fresh walk of both charts
+        self.p, self.n = p, n
         self.walk = None
         self.met = met
-        self.every = False  # a root was met: every class is soluble
-        self.open_root = False  # a root of g and g' was met, open at every cap
-        self.done = False  # the walk ended with no branch open at a cap
-        self.at_cap = None  # the cap of the round the walk is suspended after
+        self.cosets: list[tuple[int, int]] = []
+        self.every = False
+        self.done = False  # the walk ended: the image is exact
         self.wanted = wanted
         self.units_only = units_only
 
-    def read(self, key: tuple[int, int]) -> str | None:
-        """SOLUBLE or INSOLUBLE for the class key of d^(n-1) when the image
-        decides it as it stands, else None."""
+    def _holds(self, d: int, key: tuple[int, int]) -> bool:
+        """The image holds the class of d^(n-1), whose key is `key`."""
         if self.every or key in self.met:
-            return SOLUBLE
-        if self.done and not self.open_root:
-            return INSOLUBLE
-        return None
+            return True
+        for C, g in self.cosets:
+            if _qp_class(d * C, self.p, g) == (0, 1):
+                return True
+        return False
 
-    def resolve(self, key: tuple[int, int], cap: int) -> str:
-        """The verdict for the class key, walking further, to depth cap at
-        least, as it needs."""
-        while (verdict := self.read(key)) is None:
-            if self.done or (self.at_cap is not None and self.at_cap >= cap):
-                return UNKNOWN
-            try:
-                if self.walk is None:
-                    self.walk = self.rounds(cap)
-                    event = next(self.walk)
-                elif self.at_cap is not None:
-                    event = self.walk.send(cap)  # the next round, to cap
-                else:
-                    event = next(self.walk)
-            except StopIteration:
+    def read(self, d: int) -> str | None:
+        """SOLUBLE or INSOLUBLE for the twist by d when the image decides it
+        as it stands, else None."""
+        if self._holds(d, _qp_class(d ** (self.n - 1), self.p, self.n)):
+            return SOLUBLE
+        return INSOLUBLE if self.done else None
+
+    def resolve(self, d: int) -> str:
+        """The verdict for the twist by d, walking further as it needs."""
+        p, n = self.p, self.n
+        key = _qp_class(d ** (n - 1), p, n)
+        while not self._holds(d, key):
+            if self.done:
+                return INSOLUBLE
+            if self.walk is None:
+                self.walk = self.start()
+            coset = next(self.walk, None)
+            if coset is None:
                 self.done, self.walk = True, None
-                continue
-            self.at_cap = None
-            if event is None:
-                self.open_root = True
-            elif event is _EVERY:
+            elif coset[1] == n:
+                self.met.add(_qp_class(coset[0], p, n))
+            elif coset[1] == 1:
                 self.every, self.walk = True, None
-            elif isinstance(event, int):
-                self.at_cap = event  # a round ended with branches open at this cap
             else:
-                self.met.add(event)
+                self.cosets.append(coset)
         if self.walk is not None:
             met = sum(1 for w, _ in self.met if w == 0) if self.units_only else len(self.met)
             if met == self.wanted:
-                self.walk, self.at_cap = None, None
-        return verdict
+                self.walk = None
+        return SOLUBLE
 
 
 class LocalSolver:
@@ -404,11 +396,9 @@ class LocalSolver:
     that the model's values meet, collected by one depth-first walk of both
     charts done without d, and resumed only when a twist asks for a class it
     has not met yet. Twists in one class are isomorphic, so each twist's
-    verdict is read from the image. The walk's depth cap counts v_p(d) of
-    the deepest twist that asked (at most n - 1 for an n-free d): the
-    branches a round leaves at its cap are walked deeper only when such a
-    twist asks. So the image decides every class that a walk for one d
-    would, at no greater depth.
+    verdict is read from the image. The walk runs on the squarefree parts of
+    P, which are pairwise coprime, so it ends on its own, and the image it
+    ends with is exact.
 
     Also owns the curve's point-search tables (kernels.search_pairs cache)."""
 
@@ -428,10 +418,10 @@ class LocalSolver:
         # The Weil floor: past it p + 1 - 2g sqrt(p) > m. For separable P
         # every F_p point of the smooth model at a good prime lifts by
         # Hensel, and the walk sees each one, the z = 0 point included, when
-        # n | N (m = 0); when n does not divide N it misses the gcd(n, N)
-        # points above infinity. For other P the arithmetic genus of the
-        # model and m = (n + 1)(N + 1) only bound the listed primes: no
-        # shortcut applies to them.
+        # n | N (m = 0); when n does not divide N, m also counts the
+        # gcd(n, N) points above infinity. For other P the arithmetic genus
+        # of the model and m = (n + 1)(N + 1) only bound the listed primes:
+        # no shortcut applies to them.
         n, N, g = base.n, base.N, base.genus
         if g is None:
             g = (n - 1) * (base.model_degree - 1) // 2
@@ -439,12 +429,19 @@ class LocalSolver:
         else:
             m = 0 if N % n == 0 else gcd(n, N)
         self._weil_floor = (g + isqrt(g * g + m) + 1) ** 2
-        # The two charts of the model, as (g, g', start_at_multiple): z = 1
-        # with g = P(t) over Z_p, and t = 1 with g the reversed model form
-        # over z in pZ_p.
-        self._charts = tuple(
-            (f, f.derivative(), start)
-            for f, start in ((base.P, False), (base.P.reverse(base.model_degree), True))
+        # The two charts of the model, as (c, parts, root): the model's value
+        # is c * prod(f^m) over the parts (f, f', m), walked from the branch
+        # root. z = 1 takes the squarefree parts of P and its signed content
+        # over Z_p; t = 1 takes the parts reversed at their own degree (the
+        # part T reverses to 1), times z^(M - N), over z in pZ_p.
+        c = base.P.content if base.P.lc > 0 else -base.P.content
+        reversed_parts = [(f.reverse(), m) for f, m in base._sqf_parts]
+        at_infinity = [(f, f.derivative(), m) for f, m in reversed_parts if f.degree > 0]
+        if base.model_degree > N:
+            at_infinity.append((IntPolynomial([0, 1]), IntPolynomial([1]), base.model_degree - N))
+        self._charts = (
+            (c, tuple((f, f.derivative(), m) for f, m in base._sqf_parts), (0, 0)),
+            (c, tuple(at_infinity), (0, 1)),
         )
 
     # -- real place
@@ -465,8 +462,7 @@ class LocalSolver:
         class of d as it stands, else from _decide."""
         image = self._images.get(p)
         if image is not None:
-            n = self.base.n
-            verdict = image.read(_qp_class(d ** (n - 1), p, n))
+            verdict = image.read(d)
             if verdict is not None:
                 return verdict
         return self._decide(d, p)
@@ -507,9 +503,7 @@ class LocalSolver:
     def _walk(self, d: int, p: int) -> str:
         """The verdict at p without the shortcuts of _decide, read from the
         image at p, which is made on the first call at p and walked further
-        as the class of d needs, to the cap
-        2 v_p(n) + v_p(disc of the radical) + v_p(d) + v_p(content) +
-        _DEPTH_MARGIN."""
+        as the class of d needs."""
         base, n = self.base, self.base.n
         image = self._images.get(p)
         if image is None:
@@ -518,79 +512,62 @@ class LocalSolver:
             tame = self._tame(p)
             units = _unit_class_count(p, n)
             image = self._images[p] = _LocalImage(
-                partial(self._rounds, p), met, units if tame else n * units, tame
+                lambda: (coset for chart in self._charts for coset in self._chart(*chart, p)),
+                p, n, met, units if tame else n * units, tame,
             )
-        cap = (
-            2 * (valuation(n, p) if n % p == 0 else 0)
-            + (valuation(self._disc_sqf, p) if self._disc_sqf % p == 0 else 0)
-            + valuation(d, p)
-            + (valuation(base.P.content, p) if base.P.content % p == 0 else 0)
-            + _DEPTH_MARGIN
-        )
-        return image.resolve(_qp_class(d ** (n - 1), p, n), cap)
+        return image.resolve(d)
 
-    def _rounds(self, p: int, cap: int):
-        """The walk of both charts at p, a generator of what _chart yields,
-        in rounds. The first walks each chart from its root to depth cap;
-        a round that leaves branches open at its cap yields that cap, and is
-        sent the cap of the next, which walks just those branches."""
-        frontier = [[(0, 1) if start_at_multiple else (0, 0)]
-                    for _, _, start_at_multiple in self._charts]
-        while True:
-            capped = [[] for _ in frontier]
-            for (g, gp, _), nodes, out in zip(self._charts, frontier, capped):
-                yield from self._chart(g, gp, p, nodes, cap, out)
-            if not any(capped):
-                return
-            frontier = capped
-            cap = yield cap
+    def _chart(self, c: int, parts: tuple, root: tuple[int, int], p: int):
+        """A walk of one chart from the branch `root`, a generator: for each
+        closed branch, a coset (C, g) of (Q_p^*)^n that the values
+        c * prod(f^m) on the branch fill. A branch (a, j) is a + p^j Z_p.
+        Adaptive residue refinement, depth first: the stack holds one lazy
+        iterator over the p children per open level, so a large bad prime
+        costs memory in the depth, not in p, and a suspended walk keeps only
+        that stack.
 
-    def _chart(
-        self, g: IntPolynomial, gp: IntPolynomial, p: int, nodes: list, cap: int, capped: list
-    ):
-        """A walk of one chart from the branches `nodes`, a generator: the
-        class in Q_p^*/(Q_p^*)^n of g on each closed branch, _EVERY for a
-        branch holding a Z_p root of g where g' is nonzero, and None for a
-        root of both. gp is g'. A branch (a, j) is a + p^j Z_p; a branch
-        still open at depth cap joins `capped`. Adaptive residue refinement,
-        depth first: the stack holds one lazy iterator over the p children
-        per open level, so a large bad prime costs memory in the depth, not
-        in p, and a suspended walk keeps only that stack.
-
-        The branch a + p^j Z_p is closed, its class decided at a, once
-        min(v(g'(a)) + j, 2j) >= v(g(a)) + k0, with k0 = 2 v_p(n) + 1: as
-        g(a + p^j x) - g(a) = g'(a) p^j x + sum_{i>=2} c_i p^(ij) x^i with
-        integers c_i = g^(i)(a) / i!, every value is g(a) (1 + p^k0 Z_p),
-        and 1 + p^k0 Z_p lies in (Z_p^*)^n."""
+        A part's class is constant on the branch, and read at a, once
+        min(v(f'(a)) + j, 2j) >= v(f(a)) + k0, with k0 = 2 v_p(n) + 1: as
+        f(a + p^j x) - f(a) = f'(a) p^j x + sum_{i>=2} c_i p^(ij) x^i with
+        integers c_i = f^(i)(a) / i!, every value is f(a) (1 + p^k0 Z_p),
+        and 1 + p^k0 Z_p lies in (Z_p^*)^n. A part has a root in the branch
+        when f(a) = 0, or by Hensel when v(f(a)) > 2 v(f'(a)) and
+        v(f(a)) - v(f'(a)) >= j; the root is simple, so near it f meets
+        every class. The branch closes when every part is constant, with
+        the class of C = c * prod(f(a)^m) (g = n), or when one part of
+        multiplicity m has a root and the others are constant: then its
+        values fill C * (Q_p^*)^gcd(m, n), C the constant parts' product.
+        The parts are squarefree and pairwise coprime, so every point has a
+        closing branch around it, and the walk ends."""
         n = self.base.n
         k0 = 2 * (valuation(n, p) if n % p == 0 else 0) + 1
-        stack = [iter(nodes)]
+        stack = [iter((root,))]
         while stack:
             node = next(stack[-1], None)
             if node is None:
                 stack.pop()
                 continue
             a, j = node
-            ga = g(a)
-            gpa = gp(a)
-            if ga == 0:
-                # a simple Z_p root: nearby values meet every class; a root
-                # of g' too stays open at any depth
-                yield _EVERY if gpa != 0 else None
-                continue
-            vga = valuation(ga, p)
-            spread = 2 * j  # g(a + p^j x) - g(a) lies in p^spread Z_p
-            if gpa != 0:
-                vgpa = valuation(gpa, p)
-                if vga > 2 * vgpa and vga - vgpa >= j:
-                    yield _EVERY  # Hensel root inside this branch
-                    continue
-                spread = min(spread, vgpa + j)
-            if spread >= vga + k0:
-                yield _qp_class(ga, p, n)  # value class constant on the branch
-                continue
-            if j >= cap:
-                capped.append(node)
+            C, rooted = c, 0  # rooted: the multiplicity of the part with a root
+            for f, fp, m in parts:
+                fa = f(a)
+                if fa:
+                    vfa = valuation(fa, p)
+                    fpa = fp(a)
+                    spread = 2 * j  # f(a + p^j x) - f(a) lies in p^spread Z_p
+                    if fpa:
+                        vfpa = valuation(fpa, p)
+                        spread = min(spread, vfpa + j)
+                    if spread >= vfa + k0:
+                        C *= fa**m  # class constant on the branch
+                        continue
+                    if not (fpa and vfa > 2 * vfpa and vfa - vfpa >= j):
+                        break  # neither constant nor a root
+                if rooted:
+                    break  # a second part with a root
+                rooted = m
+            else:
+                yield C, gcd(rooted, n)  # gcd(0, n) = n: the class of C
                 continue
             step = p**j  # children a + m p^j, m = p - 1 first
             stack.append(zip(range(a + (p - 1) * step, a - 1, -step), repeat(j + 1)))
@@ -619,8 +596,7 @@ def _solver(base: SuperellipticCurve) -> LocalSolver:
 def local_solubility(curve, place) -> str:
     """Solubility over the completion at `place` ("infinity" or a prime).
 
-    Returns "soluble", "insoluble" or "unknown" (precision cap reached,
-    never silently wrong)."""
+    Returns "soluble" or "insoluble"."""
     tw = _as_twist(curve)
     solver = _solver(tw.base)
     if place in ("infinity", "oo", None):
@@ -642,18 +618,17 @@ def everywhere_locally_soluble(curve) -> tuple[str, dict]:
     of LocalSolver: beyond it p + 1 - 2g sqrt(p) > m, and at a good prime
     every F_p point of the smooth model of a separable P lifts by Hensel.
     m = 0 when n | deg P, gcd(n, deg P) otherwise (the points above
-    infinity, which no twist's walk counts), and (n + 1)(deg P + 1), with
+    infinity), and (n + 1)(deg P + 1), with
     the arithmetic genus, for a P that is not separable. The Hasse-Weil
     shortcut of LocalSolver refuses at every listed prime (it needs a good
     prime past the floor), so this pass never takes it; only a single-place
     query, local_solubility, can. Each listed prime's verdict comes from the
     closed form at a tame p | d, or from the solver's local image there.
-    "unknown" at some place propagates unless another place is outright
-    insoluble."""
+    Returns "soluble" or "insoluble", and the verdict at each place asked,
+    up to the first insoluble one."""
     tw = _as_twist(curve)
     solver = _solver(tw.base)
     detail: dict = {}
-    status = SOLUBLE
     st = solver.at_infinity(tw.d)
     detail["infinity"] = st
     if st == INSOLUBLE:
@@ -663,9 +638,7 @@ def everywhere_locally_soluble(curve) -> tuple[str, dict]:
         detail[p] = st
         if st == INSOLUBLE:
             return INSOLUBLE, detail
-        if st == UNKNOWN:
-            status = UNKNOWN
-    return status, detail
+    return SOLUBLE, detail
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +716,7 @@ class HasseScanResult:
     candidates: tuple[int, ...]  # twists: everywhere locally soluble, no point found
     soluble_with_points: int
     locally_obstructed: int
-    unknown: tuple[int, ...]
+    unknown: tuple[int, ...]  # always empty: every local verdict is exact
 
 
 def hasse_failure_candidates(cover: QuadraticCover, x: int, H: int) -> HasseScanResult:
@@ -761,7 +734,6 @@ def hasse_failure_candidates(cover: QuadraticCover, x: int, H: int) -> HasseScan
     if base._has_rational_root:
         raise ValueError("scan needs P without rational roots")
     candidates = []
-    unknown = []
     found = 0
     obstructed = 0
     for d in nfree_sieve(2, x):
@@ -770,13 +742,8 @@ def hasse_failure_candidates(cover: QuadraticCover, x: int, H: int) -> HasseScan
         if status == INSOLUBLE:
             obstructed += 1
             continue
-        if status == UNKNOWN:
-            unknown.append(d)
-            continue
         if search_points(tw, H, max_points=1):
             found += 1
         else:
             candidates.append(d)
-    return HasseScanResult(
-        x, H, tuple(candidates), found, obstructed, tuple(unknown)
-    )
+    return HasseScanResult(x, H, tuple(candidates), found, obstructed, ())

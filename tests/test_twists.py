@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import time
 from itertools import repeat
 from unittest import mock
 from math import gcd, isqrt, prod
@@ -949,20 +950,22 @@ def per_d_chart(self, g, gp, c, p, cap, start_at_multiple):
 
 def per_d_walk(solver, d, p, chart=per_d_chart):
     """LocalSolver._walk as it stood before the local image: the z = 0
-    point, then both charts walked for d alone, to a cap that counts v_p(d)."""
+    point, then both charts of the model walked for d alone, g = P(t) over
+    Z_p and g the reversed model form over pZ_p, to a cap that counts
+    v_p(d) and 4 levels past the valuations that can hide a root."""
     base, n = solver.base, solver.base.n
     cap = (
         2 * (valuation(n, p) if n % p == 0 else 0)
         + (valuation(solver._disc_sqf, p) if solver._disc_sqf % p == 0 else 0)
         + valuation(d, p)
         + (valuation(base.P.content, p) if base.P.content % p == 0 else 0)
-        + twists._DEPTH_MARGIN
+        + 4
     )
     if base.N % n == 0 and _qp_class(d * base.P.lc, p, n) == (0, 1):
         return SOLUBLE
     unknown = False
-    for g, gp, start_at_multiple in solver._charts:
-        st_ = chart(solver, g, gp, d, p, cap, start_at_multiple)
+    for g, start_at_multiple in ((base.P, False), (base.P.reverse(base.model_degree), True)):
+        st_ = chart(solver, g, g.derivative(), d, p, cap, start_at_multiple)
         if st_ == SOLUBLE:
             return SOLUBLE
         unknown |= st_ == UNKNOWN
@@ -1057,8 +1060,8 @@ def image_cases(draw):
 
 @given(image_cases())
 @settings(max_examples=200, deadline=None)
-# a twist prime to p leaves branches open at its cap, and twists with
-# v_p(d) >= 1 are decided only by walking those branches deeper
+# multiple roots at p, asked first for a twist prime to p and then for
+# twists with v_p(d) >= 1
 @example((4, P("24*T^8+72*T^7+126*T^6+216*T^5+234*T^4+216*T^3+186*T^2+72*T+54"),
           5, [23, -3375, 3500, 7]))
 @example((6, P("6*T^10+30*T^9+90*T^8+180*T^7+270*T^6+306*T^5+270*T^4+180*T^3+90*T^2+30*T+6"),
@@ -1070,14 +1073,10 @@ def test_image_agrees_with_per_d_walk(case):
     n, poly, p, ds = case
     solver = LocalSolver(SuperellipticCurve(n, poly))
     for i, d in enumerate(ds):
+        verdict = solver._walk(d, p) if i % 2 else solver.at_prime(d, p)
         try:
-            # near a root of multiplicity k a walk to depth cap can visit
-            # about p^(cap / 2) branches, with or without the image
-            with mock.patch.object(LocalSolver, "_chart", _budgeted(LocalSolver._chart, 20000)):
-                verdict = solver._walk(d, p) if i % 2 else solver.at_prime(d, p)
-        except _OverBudget:
-            return
-        try:
+            # near a root of multiplicity k the per-d walk to depth cap can
+            # visit about p^(cap / 2) branches
             old = per_d_walk(solver, d, p, _budgeted(per_d_chart, 20000))
         except _OverBudget:
             continue
@@ -1123,32 +1122,32 @@ def test_closed_form_matches_walk(case):
     solver, p, d = case
     with mock.patch.object(LocalSolver, "_chart", side_effect=AssertionError("walked")):
         closed = solver._decide(d, p)
-    walk = solver._walk(d, p)
     assert closed in (SOLUBLE, INSOLUBLE)
-    assert walk in (closed, UNKNOWN)
+    assert solver._walk(d, p) == closed
 
 
 @pytest.mark.parametrize(
-    "n,poly,p,d",
+    "n,poly,p,d,want",
     [
-        # n does not divide deg P; the walk leaves z = 0 open. gcd(n, deg P) = 2:
-        # the points above t = oo are defined over Q_3(sqrt 3), and the curve
-        # has no Q_3 point (FOUND in CHANGES.md), so no rule may call it soluble
-        (4, P("T^2 + 1"), 3, 3),
-        (3, P("T^2 + 1") * P("T^2 + 1") * P("T^2 + 2"), 7, 7),  # not separable
-        (2, P("T^4 + 2"), 2, 2),  # p | n
-        (3, P("T^3 - 3"), 3, 3),  # p | n
-        (2, P("T^2 + 3"), 3, -3),  # p | disc: a double root mod 3, yet insoluble
-        (2, P("T^2 + 5"), 5, 5),  # p | disc: a double root mod 5
+        # n does not divide deg P: z = 0 is a root of z^2 on the chart at
+        # infinity. gcd(n, deg P) = 2: the points above t = oo are defined
+        # over Q_3(sqrt 3), and the curve has no Q_3 point
+        (4, P("T^2 + 1"), 3, 3, INSOLUBLE),
+        (3, P("T^2 + 1") * P("T^2 + 1") * P("T^2 + 2"), 7, 7, INSOLUBLE),  # not separable
+        (2, P("T^4 + 2"), 2, 2, SOLUBLE),  # p | n
+        (3, P("T^3 - 3"), 3, 3, INSOLUBLE),  # p | n
+        (2, P("T^2 + 3"), 3, -3, INSOLUBLE),  # p | disc: a double root mod 3, yet insoluble
+        (2, P("T^2 + 5"), 5, 5, SOLUBLE),  # p | disc: a double root mod 5
     ],
     ids=["T^2+1,n=4", "non-separable", "p=n=2", "p=n=3", "T^2+3,p=3", "T^2+5,p=5"],
 )
-def test_closed_form_does_not_fire(monkeypatch, n, poly, p, d):
+def test_closed_form_does_not_fire(monkeypatch, n, poly, p, d, want):
     solver = LocalSolver(SuperellipticCurve(n, poly))
     charts = _spy_charts(monkeypatch)
     verdict = solver.at_prime(d, p)
     assert charts, "decided without a walk"
-    assert verdict == solver._walk(d, p)
+    assert verdict == solver._walk(d, p) == want
+    assert (_residue_witness(n, poly, p, d) is None) == (want == INSOLUBLE)
 
 
 @pytest.mark.parametrize(
@@ -1164,13 +1163,13 @@ def test_closed_form_does_not_fire(monkeypatch, n, poly, p, d):
 def test_rational_point_at_infinity(monkeypatch, n, poly, p, d):
     """gcd(n, deg P) = 1: the one point above t = oo is rational, so every
     twist is soluble at every place, without a walk. The residue witness
-    agrees, and so does the walk wherever it decides."""
+    agrees, and so does the walk."""
     solver = LocalSolver(SuperellipticCurve(n, poly))
     charts = _spy_charts(monkeypatch)
     assert solver.at_prime(d, p) == SOLUBLE
     assert not charts, "walked"
     assert _residue_witness(n, poly, p, d) is not None
-    assert solver._walk(d, p) in (SOLUBLE, UNKNOWN)
+    assert solver._walk(d, p) == SOLUBLE
     charts.clear()
     # every listed place of every twist with |d| <= 12, and the real place
     for e in [*nfree_sieve(n, 12), 1]:
@@ -1216,8 +1215,44 @@ def _residue_witness(n, poly, p, d):
 def test_insoluble_verdicts_have_no_residue_witness(case):
     """An insoluble verdict, closed form or walk, is refuted by no residue."""
     n, poly, p, d = case
-    if LocalSolver(SuperellipticCurve(n, poly)).at_prime(d, p) == INSOLUBLE:
+    verdict = LocalSolver(SuperellipticCurve(n, poly)).at_prime(d, p)
+    assert verdict in (SOLUBLE, INSOLUBLE)
+    if verdict == INSOLUBLE:
         assert _residue_witness(n, poly, p, d) is None
+
+
+@pytest.mark.parametrize("poly", ["T^2 + 1", "T^6 + 3"])
+def test_no_unknown_at_any_listed_place(poly):
+    """y^4 = d * P with gcd(4, deg P) = 2, so z = 0 is a double root on the
+    chart at infinity: every n-free |d| <= 60 at every place of bad_primes,
+    on a fresh solver, is decided, and no residue refutes an insoluble
+    verdict at p <= 64."""
+    solver = LocalSolver(SuperellipticCurve(4, P(poly)))
+    verdicts = [
+        (d, p, solver.at_prime(d, p))
+        for d in nfree_sieve(4, 60)
+        for p in solver.bad_primes(factorize(d))
+    ]
+    assert len(verdicts) == {"T^2 + 1": 504, "T^6 + 3": 5424}[poly]
+    assert {v for _, _, v in verdicts} == {SOLUBLE, INSOLUBLE}
+    for d, p, v in verdicts:
+        if v == INSOLUBLE and p <= 64:
+            assert _residue_witness(4, P(poly), p, d) is None, (d, p)
+
+
+@pytest.mark.parametrize("j", [1, 3, 5])
+def test_fourth_power_of_a_quadratic_at_13(j):
+    """y^6 = -d (3T^2 + 1)^4 at 13, where 3T^2 + 1 has two roots: every
+    multiplicity of the model is even, so d = -12 * 13^j with j odd is
+    insoluble. The coset rule closes each root's branch at once; a walk
+    that refines towards a root of multiplicity 4 meets about 13^(depth/2)
+    branches."""
+    poly = -(P("3*T^2 + 1") * P("3*T^2 + 1") * P("3*T^2 + 1") * P("3*T^2 + 1"))
+    d = -12 * 13**j
+    start = time.perf_counter()
+    assert LocalSolver(SuperellipticCurve(6, poly))._walk(d, 13) == INSOLUBLE
+    assert time.perf_counter() - start < 1
+    assert _residue_witness(6, poly, 13, d) is None
 
 
 def test_residue_check_on_pinned8_at_2():
